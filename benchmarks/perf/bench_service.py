@@ -213,7 +213,7 @@ def bench_process_fabric(workdir: Path, *, events: int, nodes: int,
 
     from repro.core.persistence import save_criteria
     from repro.service import ProcessFabric
-    from repro.service.procfabric import replay_queue_state
+    from repro.service.queue import replay_queue_state
     from repro.service.shard import ShardState
     from repro.service.store import JournalStore
 

@@ -641,8 +641,8 @@ def _serve_processes(args, validator, events) -> int:
                               for n in r["quarantined"]})
         print(f"\nprocessed {len(results)} events across {args.shards} "
               f"worker processes\n")
-        for key in ("worker_spawns", "worker_restarts", "worker_deaths",
-                    "rpc_timeouts", "shards_degraded",
+        for key in ("shard_restarts", "shard_crashes", "rpc_timeouts",
+                    "watchdog_trips", "shards_degraded",
                     "events_failed_over", "handoffs_reconciled",
                     "deliveries_deduped"):
             print(f"  {key:<22} {summary[key]:6d}")

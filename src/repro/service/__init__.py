@@ -22,13 +22,14 @@ around the in-process facade:
     recovery.
 ``repro.service.shard``
     Consistent-hash partitioning of the fleet into isolated failure
-    domains, each a full control plane over its own journal.
+    domains, each a full control plane over its own journal; the
+    narrow shard transport interface and its in-thread implementation.
 ``repro.service.supervisor``
-    The supervision tree: per-shard watchdogs, restart backoff,
-    degradation with journaled cross-shard handoff, and the global
-    risk-priority scheduler.
+    The one supervision state machine: per-shard watchdogs, restart
+    backoff, degradation with journaled cross-shard handoff, parked
+    delivery, and the global risk-priority scheduler.
 ``repro.service.procfabric``
-    The process-isolated fabric: one OS process per shard, a
+    The subprocess shard transport: one OS process per shard, a
     length-prefixed JSON pipe protocol, PID/deadline liveness, and
     graceful signal-driven drain -- real crash containment.
 ``repro.service.chaos``
@@ -75,18 +76,20 @@ from repro.service.pool import (
     ValidationPool,
 )
 from repro.service.procfabric import (
-    PARENT_ORIGIN,
     ProcessFabric,
-    ProcessFabricMetrics,
-    QueueState,
     WorkerDied,
     WorkerFault,
     WorkerSpec,
     WorkerUnresponsive,
     default_builder,
+)
+from repro.service.queue import (
+    DeadLetter,
+    EventQueue,
+    QueuedEvent,
+    QueueState,
     replay_queue_state,
 )
-from repro.service.queue import DeadLetter, EventQueue, QueuedEvent
 from repro.service.shard import HashRing, Shard, ShardState
 from repro.service.store import (
     JournalRecord,
@@ -95,6 +98,7 @@ from repro.service.store import (
     event_to_payload,
 )
 from repro.service.supervisor import (
+    PARENT_ORIGIN,
     ShardSupervisor,
     SupervisorConfig,
     SupervisorMetrics,
@@ -122,7 +126,6 @@ __all__ = [
     "PoolConfig",
     "ProcessChaosPlan",
     "ProcessFabric",
-    "ProcessFabricMetrics",
     "QueueState",
     "QueuedEvent",
     "ServiceConfig",

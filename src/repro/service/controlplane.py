@@ -67,7 +67,12 @@ from repro.exceptions import JournalError, ServiceError
 from repro.quality.rollout import RolloutDecision, evaluate_rollout
 from repro.service.lifecycle import FlapDamper, NodeLifecycle, NodeState
 from repro.service.pool import PoolConfig, ValidationPool
-from repro.service.queue import DeadLetter, EventQueue, QueuedEvent
+from repro.service.queue import (
+    DeadLetter,
+    EventQueue,
+    QueuedEvent,
+    QueueState,
+)
 from repro.service.store import JournalStore, RecordKind
 
 __all__ = ["ServiceConfig", "ServiceMetrics", "TickResult", "ValidationService"]
@@ -79,6 +84,9 @@ _REPAIR_PIPELINE = (
     (NodeState.IN_REPAIR, NodeState.RETURNING, "repair-finished"),
     (NodeState.QUARANTINED, NodeState.IN_REPAIR, "repair-started"),
 )
+
+_REPAIR_STATES = frozenset(current for current, _target, _reason
+                           in _REPAIR_PIPELINE)
 
 #: Integer metric counters carried through snapshot compaction.
 _SNAPSHOT_METRIC_FIELDS = (
@@ -303,10 +311,10 @@ class ValidationService:
         self.metrics = ServiceMetrics()
         self.tick_hook = None
         self.repair_hook = None
-        #: Handoff payloads journaled by :meth:`record_handoff` (or
-        #: replayed from SHARD_HANDOFF records), keyed by event id.
-        #: The supervisor reconciles these against sibling shards'
-        #: :attr:`origins_seen` after a restart.
+        #: Handoff payloads replayed from SHARD_HANDOFF records (the
+        #: supervisor journals them while this shard is down), keyed
+        #: by event id.  The supervisor reconciles these against
+        #: sibling shards' :attr:`origins_seen` after a restart.
         self.handed_off: dict[int, dict] = {}
         #: Every ``(source_shard, source_event_id)`` handoff marker
         #: this service has durably accepted -- the dedupe set that
@@ -465,32 +473,6 @@ class ValidationService:
                                              reason="load-shed")
         return victim
 
-    def record_handoff(self, entry: QueuedEvent, *, to_shard: int) -> None:
-        """Journal one pending entry's failover to a sibling shard.
-
-        The supervisor withdraws ``entry`` from this (degraded)
-        shard's queue, calls this to durably mark it handed off, then
-        submits it to the sibling with ``origin=(this_shard,
-        event_id)``.  A kill between those two writes leaves the
-        handoff journaled here but undelivered there; recovery
-        surfaces it via :attr:`handed_off` and the supervisor
-        re-delivers (the sibling's :attr:`origins_seen` absorbs the
-        retry, so the event is neither dropped nor duplicated).
-        """
-        payload = entry.to_payload()
-        payload["to_shard"] = int(to_shard)
-        self._journal(RecordKind.SHARD_HANDOFF, payload)
-        self.handed_off[entry.event_id] = payload
-        covered = {node.node_id
-                   for pending in self.queue.pending()
-                   for node in pending.event.nodes}
-        for node in entry.event.nodes:
-            if (node.node_id not in covered
-                    and self.lifecycle.state(node.node_id)
-                    is NodeState.SCHEDULED):
-                self._transition_best_effort(node.node_id, NodeState.HEALTHY,
-                                             reason="shard-handoff")
-
     def _priority(self, event: ValidationEvent) -> float:
         if event.kind in FULL_VALIDATION_KINDS:
             return self.config.full_validation_priority
@@ -515,7 +497,7 @@ class ValidationService:
         ``BaseException``) escapes, exactly like a real ``kill -9``
         would.
         """
-        self._advance_repairs()
+        self.advance_repairs()
         entry = self.queue.pop()
         if entry is None:
             return None
@@ -684,7 +666,7 @@ class ValidationService:
             if result is not None:
                 results.append(result)
                 continue
-            if not self._repairs_in_flight():
+            if not self.repairs_in_flight():
                 return results
         raise ServiceError(f"drain did not converge in {max_ticks} ticks")
 
@@ -716,30 +698,21 @@ class ValidationService:
         """Parked poison events (inspection API)."""
         return self.queue.dead_letters()
 
+    def repairs_in_flight(self) -> bool:
+        """Whether any node is still in the repair pipeline."""
+        return self.lifecycle.any_in(_REPAIR_STATES)
+
     def advance_repairs(self) -> None:
         """Advance the repair pipeline one stage without processing
         any event.
 
         The shard supervisor's cross-shard scheduler processes one
         event per supervisor tick (the globally riskiest); every
-        *other* running shard still gets its repair pipeline advanced
-        through this, so quarantined nodes keep flowing back to
-        HEALTHY regardless of which shard holds the riskiest work.
+        *other* running shard with repairs in flight still gets its
+        pipeline advanced through this, so quarantined nodes keep
+        flowing back to HEALTHY regardless of which shard holds the
+        riskiest work.
         """
-        self._advance_repairs()
-
-    def repairs_in_flight(self) -> bool:
-        """Whether any node is still in the repair pipeline."""
-        return self._repairs_in_flight()
-
-    def _repairs_in_flight(self) -> bool:
-        return any(
-            self.lifecycle.nodes_in(state)
-            for state in (NodeState.QUARANTINED, NodeState.IN_REPAIR,
-                          NodeState.RETURNING)
-        )
-
-    def _advance_repairs(self) -> None:
         self.damper.tick()
         for current, target, reason in _REPAIR_PIPELINE:
             for node_id in self.lifecycle.nodes_in(current):
@@ -1062,21 +1035,27 @@ class ValidationService:
             pass
 
     def _recover(self) -> None:
-        """Rebuild queue, lifecycle, criteria and coverage from disk."""
+        """Rebuild queue, lifecycle, criteria and coverage from disk.
+
+        The queue half (pending entries with their merged priority,
+        duration and attempts, handoff state, origin markers, the id
+        high-water mark) is the shared
+        :class:`~repro.service.queue.QueueState` reduction; everything
+        that needs a live service is replayed here.
+        """
         records = self.store.replay()
         self._recovering = True
-        pending: dict[int, dict] = {}
-        max_event_id = 0
+        state = QueueState()
         try:
             for record in records:
+                state.apply(record)
                 payload = record.payload
                 if record.kind == RecordKind.CRITERIA_SNAPSHOT:
                     apply_criteria_payload(self.anubis.validator, payload,
                                            source=str(self.store.path))
                     self._have_snapshot = True
                 elif record.kind == RecordKind.STATE_SNAPSHOT:
-                    max_event_id = max(
-                        max_event_id, self._apply_state_snapshot(payload))
+                    self._apply_state_snapshot(payload)
                 elif record.kind == RecordKind.TRANSITION:
                     # Forced: a journal write fault may have eaten an
                     # intermediate record, and refusing to restart
@@ -1088,77 +1067,33 @@ class ValidationService:
                         reason=payload.get("reason", ""), force=True)
                     if new is NodeState.QUARANTINED:
                         self.damper.record_quarantine(payload["node_id"])
-                elif record.kind == RecordKind.EVENT_ENQUEUED:
-                    event_id = int(payload["event_id"])
-                    max_event_id = max(max_event_id, event_id)
-                    origin = payload.get("origin")
-                    if origin is not None:
-                        origin = (int(origin[0]), int(origin[1]))
-                        self.origins_seen.add(origin)
-                    pending[event_id] = {
-                        "event": payload["event"],
-                        "priority": float(payload["priority"]),
-                        "attempts": int(payload.get("attempts", 0)),
-                        "origin": origin,
-                    }
-                elif record.kind == RecordKind.EVENT_COALESCED:
-                    event_id = int(payload["event_id"])
-                    origin = payload.get("origin")
-                    if origin is not None:
-                        self.origins_seen.add((int(origin[0]),
-                                               int(origin[1])))
-                    if event_id in pending:
-                        pending[event_id]["priority"] = max(
-                            pending[event_id]["priority"],
-                            float(payload["priority"]))
-                        pending[event_id]["event"]["duration_hours"] = max(
-                            float(pending[event_id]["event"]["duration_hours"]),
-                            float(payload.get("duration_hours", 0.0)))
-                elif record.kind == RecordKind.EVENT_FAILED:
-                    event_id = int(payload["event_id"])
-                    if event_id in pending:
-                        pending[event_id]["attempts"] = max(
-                            pending[event_id]["attempts"],
-                            int(payload.get("attempts", 0)))
                 elif record.kind == RecordKind.EVENT_DEAD_LETTERED:
-                    event_id = int(payload["event_id"])
-                    max_event_id = max(max_event_id, event_id)
-                    pending.pop(event_id, None)
                     entry = QueuedEvent.from_payload(payload,
                                                      self.fleet_index)
                     self.queue.dead_letter(entry, payload.get("reason", ""))
                     self.metrics.events_dead_lettered += 1
                 elif record.kind == RecordKind.EVENT_COMPLETED:
-                    event_id = int(payload["event_id"])
-                    max_event_id = max(max_event_id, event_id)
-                    pending.pop(event_id, None)
                     self._replay_completed(payload)
                 elif record.kind == RecordKind.LOAD_SHED:
-                    event_id = int(payload["event_id"])
-                    max_event_id = max(max_event_id, event_id)
-                    pending.pop(event_id, None)
                     self.metrics.events_shed += 1
-                elif record.kind == RecordKind.SHARD_HANDOFF:
-                    event_id = int(payload["event_id"])
-                    max_event_id = max(max_event_id, event_id)
-                    pending.pop(event_id, None)
-                    self.handed_off[event_id] = dict(payload)
-            for event_id in sorted(pending):
-                info = pending[event_id]
+            self.handed_off.update(state.handed_off)
+            self.origins_seen.update(state.origins_seen)
+            for event_id in sorted(state.pending):
+                info = state.pending[event_id]
                 event = ValidationEvent.from_payload(info["event"],
                                                      self.fleet_index)
                 entry, _created = self.queue.push(
                     event, info["priority"], event_id=event_id,
-                    enqueued_at=self.clock(), origin=info.get("origin"))
+                    enqueued_at=self.clock(), origin=info["origin"])
                 entry.attempts = info["attempts"]
-            self.queue.reserve_ids(max_event_id)
+            self.queue.reserve_ids(state.last_event_id)
         finally:
             self._recovering = False
         self._reset_interrupted_nodes()
 
-    def _apply_state_snapshot(self, payload: dict) -> int:
-        """Install one compacted ``state-snapshot`` record; returns
-        the snapshot's event-id high-water mark."""
+    def _apply_state_snapshot(self, payload: dict) -> None:
+        """Install the service half of one compacted ``state-snapshot``
+        record (its queue half is :class:`QueueState`'s)."""
         self.lifecycle.restore({
             node_id: NodeState(value)
             for node_id, value in payload.get("states", {}).items()})
@@ -1169,11 +1104,6 @@ class ValidationService:
         for letter in payload.get("dead_letters", []):
             entry = QueuedEvent.from_payload(letter, self.fleet_index)
             self.queue.dead_letter(entry, letter.get("reason", ""))
-        for handoff in payload.get("handed_off", []):
-            self.handed_off[int(handoff["event_id"])] = dict(handoff)
-        for origin in payload.get("origins_seen", []):
-            self.origins_seen.add((int(origin[0]), int(origin[1])))
-        return int(payload.get("last_event_id", 0))
 
     def _reset_interrupted_nodes(self) -> None:
         """Heal nodes stranded by a mid-tick crash.

@@ -143,6 +143,10 @@ class NodeLifecycle:
         """
         return [n for n, s in self._states.items() if s is state]
 
+    def any_in(self, states) -> bool:
+        """Whether any node is in one of ``states`` (one pass, no list)."""
+        return any(state in states for state in self._states.values())
+
     def counts(self) -> dict[str, int]:
         """State value -> number of known nodes in it."""
         counter = Counter(s.value for s in self._states.values())

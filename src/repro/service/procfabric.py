@@ -1,17 +1,17 @@
-"""Process-isolated shard fabric: one OS process per failure domain.
+"""The subprocess shard transport: one OS process per failure domain.
 
-The thread-level :class:`~repro.service.supervisor.ShardSupervisor`
-contains *simulated* shard deaths; this module contains **real**
-ones.  Each shard's full control plane -- journal, queue, pool,
-lifecycle -- runs in its own spawned worker process
-(``python -m repro.service.procfabric``), and the parent
-:class:`ProcessFabric` is a true OS parent: a worker that takes a
-genuine ``SIGKILL`` between two journal appends, or freezes under
-``SIGSTOP``, is detected by PID liveness and RPC deadlines, killed
-off, and respawned over its own journal through the existing
-kill-safe recovery.  The no-loss/no-duplication invariant the thread
-fabric proves against :class:`~repro.service.chaos.SimulatedKill`
-therefore holds against the operating system.
+In-thread shards (:class:`~repro.service.shard.Shard`) contain
+*simulated* shard deaths; this module contains **real** ones.  Each
+shard's full control plane -- journal, queue, pool, lifecycle -- runs
+in its own spawned worker process, and :class:`ProcessFabric` is the
+supervision state machine of :mod:`repro.service.supervisor` run as a
+true OS parent: a worker that takes a genuine ``SIGKILL`` between two
+journal appends, or freezes under ``SIGSTOP``, surfaces as a transport
+fault, is killed off, and is respawned over its own journal.  What
+supervision *does* about a death -- backoff, budget, degradation,
+journaled handoff, parked and deduped delivery -- is the shared
+machine's business; this module supplies how a worker is reached,
+killed and replaced.
 
 **Protocol.**  Parent and worker speak length-prefixed JSON frames
 over the worker's stdin/stdout pipes: a 4-byte big-endian length
@@ -23,26 +23,16 @@ keeps the channel state trivial: any deadline miss desynchronizes the
 channel, and the parent's only remedy -- kill and respawn -- is also
 the correct supervision response.
 
-**Liveness contract.**  The parent samples each RUNNING worker once
-per supervision tick with a ``status`` RPC under
-``status_deadline_seconds``.  A worker is declared dead when its PID
-is gone (``SIGKILL``, crash, OOM) or its RPC deadline lapses (a
+**Liveness signal.**  The ``status`` RPC, once per RUNNING worker per
+supervision round.  A worker whose PID is gone (``SIGKILL``, crash,
+OOM) raises :class:`WorkerDied`; one whose RPC deadline lapses (a
 ``SIGSTOP`` freeze, a wedged C extension -- the cases PID liveness
-cannot see).  Either way the parent SIGKILLs the remains, reaps them,
-and schedules a respawn with the supervisor's exponential backoff;
-out of restart budget, the shard is DEGRADED and its journal --
-which the parent may now read and append, the worker being provably
-dead -- drives the journaled ``shard-handoff`` failover exactly as in
-the thread fabric.  Single-writer discipline: the parent touches a
-shard's journal *only* while that shard has no live process.
+cannot see) raises :class:`WorkerUnresponsive`.  A pipe can lose an
+ACK, so every delivery carries an ``origin`` the worker dedupes on.
 
-**Exactly-once ingest.**  Every event part the parent delivers
-carries an ``origin`` marker (``(-1, n)`` for parent submissions,
-``(shard, event_id)`` for failovers).  The worker dedupes against its
-recovered :attr:`~ValidationService.origins_seen` before enqueueing,
-so a delivery whose ACK was lost to a kill is safely retried: the
-part lands in some journal exactly once no matter where the child
-died.
+**Single-writer discipline.**  The parent touches a shard's journal
+*only* after :meth:`_WorkerHandle.ensure_dead` has SIGKILLed and
+reaped whatever remained of its process.
 
 **Graceful drain.**  Workers install ``SIGTERM``/``SIGINT`` handlers
 that break out of the blocking protocol read, journal a
@@ -60,6 +50,7 @@ deterministic drivers of the kill-at-every-prefix property test.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import select
@@ -70,23 +61,24 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.system import ValidationEvent
 from repro.exceptions import JournalError, ServiceError
 from repro.service.chaos import ProcessChaosPlan
 from repro.service.controlplane import ServiceConfig, ValidationService
-from repro.service.shard import HashRing, ShardState
+from repro.service.queue import QueueState, as_origin, replay_queue_state
+from repro.service.shard import (
+    ShardStatus,
+    ShardTransport,
+    TransportFault,
+    deliver_part,
+    live_queue_state,
+    sample,
+)
 from repro.service.store import JournalStore, RecordKind
-from repro.service.supervisor import SupervisorConfig
+from repro.service.supervisor import Supervisor, SupervisorConfig
 
 __all__ = ["WorkerSpec", "WorkerFault", "WorkerDied", "WorkerUnresponsive",
-           "ProcessFabric", "ProcessFabricMetrics", "QueueState",
-           "replay_queue_state", "default_builder", "worker_main",
-           "read_frame", "write_frame", "PARENT_ORIGIN"]
-
-#: Origin "shard index" the parent stamps on its own deliveries.  A
-#: real shard can never be negative, so parent origins and failover
-#: origins share one dedupe namespace without colliding.
-PARENT_ORIGIN = -1
+           "ProcessFabric", "default_builder", "worker_main",
+           "read_frame", "write_frame"]
 
 _FRAME_HEADER = 4
 _MAX_FRAME = 64 * 1024 * 1024
@@ -96,7 +88,7 @@ _MAX_FRAME = 64 * 1024 * 1024
 # Frame protocol (shared by both sides)
 # ----------------------------------------------------------------------
 
-class WorkerFault(ServiceError):
+class WorkerFault(TransportFault):
     """A worker process failed its side of the protocol contract."""
 
 
@@ -107,6 +99,8 @@ class WorkerDied(WorkerFault):
 class WorkerUnresponsive(WorkerFault):
     """The worker missed an RPC deadline (hang, ``SIGSTOP``, overload)."""
 
+    timed_out = True
+
 
 def _write_all(fd: int, data: bytes) -> None:
     view = memoryview(data)
@@ -115,14 +109,18 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[written:]
 
 
+def _encode_frame(message: dict) -> bytes:
+    body = json.dumps(message, separators=(",", ":")).encode()
+    return len(body).to_bytes(_FRAME_HEADER, "big") + body
+
+
 def write_frame(fd: int, message: dict) -> None:
     """Write one length-prefixed JSON frame to ``fd``.
 
     Raises :class:`WorkerDied` when the peer has closed its end.
     """
-    body = json.dumps(message, separators=(",", ":")).encode()
     try:
-        _write_all(fd, len(body).to_bytes(_FRAME_HEADER, "big") + body)
+        _write_all(fd, _encode_frame(message))
     except (BrokenPipeError, OSError) as error:
         raise WorkerDied(f"peer pipe closed while writing: {error}") from error
 
@@ -179,27 +177,11 @@ class WorkerSpec:
     chaos: dict | None = None
 
     def to_payload(self) -> dict:
-        return {
-            "shard_index": self.shard_index,
-            "journal_dir": self.journal_dir,
-            "builder": self.builder,
-            "builder_args": self.builder_args,
-            "incarnation": self.incarnation,
-            "heartbeat_every": self.heartbeat_every,
-            "chaos": self.chaos,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "WorkerSpec":
-        return cls(
-            shard_index=int(payload["shard_index"]),
-            journal_dir=str(payload["journal_dir"]),
-            builder=str(payload["builder"]),
-            builder_args=dict(payload.get("builder_args", {})),
-            incarnation=int(payload.get("incarnation", 0)),
-            heartbeat_every=int(payload.get("heartbeat_every", 1)),
-            chaos=payload.get("chaos"),
-        )
+        return cls(**payload)
 
 
 def _resolve_builder(ref: str):
@@ -266,78 +248,6 @@ def default_builder(args: dict):
     pool = PoolConfig(**dict(args.get("pool", {})))
     service_config = ServiceConfig(pool=pool, **dict(args.get("service", {})))
     return Anubis(validator, selector), fleet.nodes, service_config
-
-
-# ----------------------------------------------------------------------
-# Journal-driven queue reduction (parent-side recovery of dead shards)
-# ----------------------------------------------------------------------
-
-@dataclass
-class QueueState:
-    """What a shard's journal says about its queue, reduced offline.
-
-    ``pending`` maps event id to ``{"event", "priority", "attempts",
-    "origin"}`` -- the same reduction
-    :meth:`ValidationService._recover` performs, minus everything that
-    needs a live service (lifecycle, criteria, metrics).
-    """
-
-    pending: dict[int, dict] = field(default_factory=dict)
-    origins_seen: set = field(default_factory=set)
-    handed_off: dict[int, dict] = field(default_factory=dict)
-    last_event_id: int = 0
-    sealed: bool = False
-
-
-def replay_queue_state(records) -> QueueState:
-    """Reduce journal ``records`` to the queue state they describe.
-
-    The parent runs this over a **dead** shard's journal (the only
-    time it may read one) to learn what is still pending there --
-    the input to journaled failover -- and which handoffs/origins are
-    durable.  ``sealed`` reports whether the final record is a
-    ``fabric-drain``: the clean-shutdown marker.
-    """
-    state = QueueState()
-    for record in records:
-        payload = record.payload
-        state.sealed = record.kind == RecordKind.FABRIC_DRAIN
-        if record.kind == RecordKind.EVENT_ENQUEUED:
-            event_id = int(payload["event_id"])
-            state.last_event_id = max(state.last_event_id, event_id)
-            origin = payload.get("origin")
-            if origin is not None:
-                origin = (int(origin[0]), int(origin[1]))
-                state.origins_seen.add(origin)
-            state.pending[event_id] = {
-                "event": payload["event"],
-                "priority": float(payload["priority"]),
-                "attempts": int(payload.get("attempts", 0)),
-                "origin": origin,
-            }
-        elif record.kind == RecordKind.EVENT_COALESCED:
-            origin = payload.get("origin")
-            if origin is not None:
-                state.origins_seen.add((int(origin[0]), int(origin[1])))
-        elif record.kind in (RecordKind.EVENT_COMPLETED,
-                             RecordKind.EVENT_DEAD_LETTERED,
-                             RecordKind.LOAD_SHED):
-            event_id = int(payload["event_id"])
-            state.last_event_id = max(state.last_event_id, event_id)
-            state.pending.pop(event_id, None)
-        elif record.kind == RecordKind.SHARD_HANDOFF:
-            event_id = int(payload["event_id"])
-            state.last_event_id = max(state.last_event_id, event_id)
-            state.pending.pop(event_id, None)
-            state.handed_off[event_id] = dict(payload)
-        elif record.kind == RecordKind.STATE_SNAPSHOT:
-            state.last_event_id = max(
-                state.last_event_id, int(payload.get("last_event_id", 0)))
-            for handoff in payload.get("handed_off", []):
-                state.handed_off[int(handoff["event_id"])] = dict(handoff)
-            for origin in payload.get("origins_seen", []):
-                state.origins_seen.add((int(origin[0]), int(origin[1])))
-    return state
 
 
 # ----------------------------------------------------------------------
@@ -433,7 +343,12 @@ class ShardWorker:
     def run(self) -> int:
         try:
             self.build()
-            self._reply({"ok": True, "ready": True, **self._state()})
+            # The ready frame is also how the parent learns the fleet's
+            # hardware classes (its routing key under sku_affinity).
+            self._reply({"ok": True, "ready": True, **self._state(),
+                         "skus": {node_id: getattr(node, "sku", "unknown")
+                                  for node_id, node
+                                  in self.service.fleet_index.items()}})
             while True:
                 message = read_frame(self.proto_in)
                 if message is None:
@@ -495,17 +410,15 @@ class ShardWorker:
     def _status(self) -> dict:
         service = self.service
         self.statuses += 1
-        head = service.queue.peek()
-        progress = (service.metrics.events_processed
-                    + service.metrics.tick_failures)
+        status = sample(service)
         if (self.spec.heartbeat_every > 0
                 and self.statuses % self.spec.heartbeat_every == 0):
             payload = {
                 "shard": self.spec.shard_index,
                 "incarnation": self.spec.incarnation,
                 "beat": self.statuses,
-                "progress": progress,
-                "queue_depth": len(service.queue),
+                "progress": status.progress,
+                "queue_depth": status.queue_depth,
             }
             try:
                 service._journal_best_effort(RecordKind.PROC_HEARTBEAT,
@@ -516,39 +429,31 @@ class ShardWorker:
             "shard": self.spec.shard_index,
             "incarnation": self.spec.incarnation,
             "pid": os.getpid(),
-            "queue_depth": len(service.queue),
-            "head_priority": None if head is None else head.priority,
-            "progress": progress,
+            **status._asdict(),
             "events_processed": service.metrics.events_processed,
-            "repairs_in_flight": service.repairs_in_flight(),
             "dead_letters": len(service.dead_letters()),
         }
 
     def _state(self) -> dict:
         """The heavy reply: everything reconciliation needs."""
-        service = self.service
+        state = live_queue_state(self.service)
         return {
             **self._status(),
             "origins_seen": [list(origin)
-                             for origin in sorted(service.origins_seen)],
-            "handed_off": {str(event_id): payload
-                           for event_id, payload
-                           in sorted(service.handed_off.items())},
-            "pending": [entry.to_payload()
-                        for entry in service.queue.pending()],
+                             for origin in sorted(state.origins_seen)],
+            "handed_off": {str(event_id): payload for event_id, payload
+                           in sorted(state.handed_off.items())},
+            "pending": [{"event_id": event_id, **entry}
+                        for event_id, entry in state.pending.items()],
         }
 
     def _submit(self, message: dict) -> dict:
-        origin = message.get("origin")
-        if origin is not None:
-            origin = (int(origin[0]), int(origin[1]))
-            if origin in self.service.origins_seen:
-                # Redelivery of something durably accepted before a
-                # crash: ACK without touching the queue.
-                return {"ok": True, "event_id": None, "deduped": True}
-        event = ValidationEvent.from_payload(message["event"],
-                                             self.service.fleet_index)
-        entry = self.service.submit(event, origin=origin)
+        entry = deliver_part(self.service, message["event"],
+                             as_origin(message["origin"]))
+        if entry is None:
+            # Redelivery of something durably accepted before a crash:
+            # ACK without touching the queue.
+            return {"ok": True, "event_id": None, "deduped": True}
         return {"ok": True, "event_id": entry.event_id,
                 "shed": bool(getattr(entry, "shed", False)),
                 "deduped": False}
@@ -603,20 +508,37 @@ def worker_main() -> int:
 
 
 # ----------------------------------------------------------------------
-# The parent supervisor
+# The parent side: the subprocess transport and its fabric
 # ----------------------------------------------------------------------
 
-class _WorkerHandle:
-    """Parent-side view of one worker process: channel + bookkeeping."""
+class _WorkerHandle(ShardTransport):
+    """The subprocess shard transport: one worker process, its pipe
+    channel, and the supervisor's bookkeeping for the shard.
 
-    def __init__(self, shard_index: int, journal_dir: Path):
-        self.shard_index = shard_index
-        self.journal_dir = journal_dir
-        self.state = ShardState.RUNNING
+    Every RPC goes through :meth:`request`, looked up on the instance
+    at call time, so a caller may wrap one handle's channel.
+    """
+
+    ack_can_be_lost = True
+
+    def __init__(self, spec: WorkerSpec, sku_index: dict[str, str], *,
+                 status_deadline: float, tick_deadline: float,
+                 spawn_deadline: float, drain_timeout: float):
+        super().__init__(spec.shard_index)
+        self.shard_index = spec.shard_index
+        self.journal_dir = Path(spec.journal_dir)
+        self.spec = spec
+        #: The fabric's node -> SKU index, refreshed from every ready
+        #: frame (each worker indexes the whole fleet).
+        self.sku_index = sku_index
+        self.status_deadline = status_deadline
+        self.tick_deadline = tick_deadline
+        self.spawn_deadline = spawn_deadline
+        self.drain_timeout = drain_timeout
         self.proc: subprocess.Popen | None = None
+        #: Processes started for this shard so far, minus one; unlike
+        #: ``restarts`` it is never forgiven.
         self.incarnation = 0
-        self.restarts = 0
-        self.restart_due_tick: int | None = None
         self._buf = b""
 
     # -- channel --------------------------------------------------------
@@ -639,8 +561,7 @@ class _WorkerHandle:
         blocking ``os.write`` where no watchdog can run.
         """
         fd = self.proc.stdin.fileno()
-        body = json.dumps(message, separators=(",", ":")).encode()
-        data = memoryview(len(body).to_bytes(_FRAME_HEADER, "big") + body)
+        data = memoryview(_encode_frame(message))
         end = time.monotonic() + deadline_seconds
         while data:
             remaining = end - time.monotonic()
@@ -698,7 +619,7 @@ class _WorkerHandle:
         return json.loads(body.decode())
 
     # -- process lifecycle ---------------------------------------------
-    def spawn(self, spec: WorkerSpec, spawn_deadline: float) -> dict:
+    def spawn(self) -> None:
         """Start the process, ship the spec, await the ready frame."""
         env = os.environ.copy()
         import repro
@@ -717,12 +638,13 @@ class _WorkerHandle:
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             stderr=None, bufsize=0, env=env)
         os.set_blocking(self.proc.stdin.fileno(), False)
-        self._send(spec.to_payload(), spawn_deadline)
-        ready = self._recv(spawn_deadline)
+        spec = dataclasses.replace(self.spec, incarnation=self.incarnation)
+        self._send(spec.to_payload(), self.spawn_deadline)
+        ready = self._recv(self.spawn_deadline)
         if not ready.get("ok") or not ready.get("ready"):
             raise WorkerFault(
                 f"worker {self.shard_index} failed to start: {ready}")
-        return ready
+        self.sku_index.update(ready.get("skus", {}))
 
     def ensure_dead(self, *, reap_seconds: float = 10.0) -> None:
         """SIGKILL whatever remains and reap it.
@@ -750,35 +672,108 @@ class _WorkerHandle:
                 pass
         self._buf = b""
 
+    def restart(self, tick: int) -> None:
+        self.ensure_dead()
+        self.incarnation += 1
+        try:
+            self.append(RecordKind.PROC_RESTART, {
+                "shard": self.shard_index,
+                "incarnation": self.incarnation,
+                "tick": tick,
+            })
+        except JournalError:
+            pass  # observability only
+        try:
+            self.spawn()
+        except WorkerFault:
+            self.ensure_dead()
+            raise
 
-@dataclass
-class ProcessFabricMetrics:
-    """What the process supervisor has done so far."""
+    # -- the transport calls --------------------------------------------
+    def deliver(self, part: dict, origin: tuple[int, int]):
+        reply = self.request({"cmd": "submit", "event": part,
+                              "origin": list(origin)}, self.status_deadline)
+        if not reply.get("ok"):
+            raise JournalError(
+                f"worker {self.shard_index} refused the enqueue: "
+                f"{reply.get('error')}")
+        return None if reply.get("deduped") else reply
 
-    worker_spawns: int = 0
-    worker_restarts: int = 0
-    worker_deaths: int = 0
-    rpc_timeouts: int = 0
-    shards_degraded: int = 0
-    events_failed_over: int = 0
-    handoffs_reconciled: int = 0
-    deliveries_deduped: int = 0
+    def status(self, tick: int | None = None) -> ShardStatus:
+        """One ``status`` RPC (the worker journals its own
+        ``proc-heartbeat`` on every one it answers)."""
+        reply = self.request({"cmd": "status"}, self.status_deadline)
+        return ShardStatus(reply["queue_depth"], reply["head_priority"],
+                           reply["progress"], reply["repairs_in_flight"])
 
-    def summary(self) -> dict:
-        return {
-            "worker_spawns": self.worker_spawns,
-            "worker_restarts": self.worker_restarts,
-            "worker_deaths": self.worker_deaths,
-            "rpc_timeouts": self.rpc_timeouts,
-            "shards_degraded": self.shards_degraded,
-            "events_failed_over": self.events_failed_over,
-            "handoffs_reconciled": self.handoffs_reconciled,
-            "deliveries_deduped": self.deliveries_deduped,
-        }
+    def tick(self) -> dict | None:
+        reply = self.request({"cmd": "tick"}, self.tick_deadline)
+        return reply.get("result") if reply.get("ok") else None
+
+    def advance_repairs(self) -> None:
+        self.request({"cmd": "advance_repairs"}, self.status_deadline)
+
+    def queue_state(self) -> QueueState:
+        """Over RPC from a live worker; straight from the journal once
+        the process is gone (the only time the parent may read it)."""
+        if not self.alive():
+            return replay_queue_state(
+                JournalStore(self.journal_dir).replay())
+        reply = self.request({"cmd": "state"}, self.status_deadline)
+        return QueueState(
+            pending={entry["event_id"]: {
+                **entry, "origin": (None if entry["origin"] is None
+                                    else as_origin(entry["origin"]))}
+                for entry in reply.get("pending", [])},
+            origins_seen={as_origin(origin)
+                          for origin in reply.get("origins_seen", [])},
+            handed_off={int(event_id): payload for event_id, payload
+                        in reply.get("handed_off", {}).items()})
+
+    def append(self, kind, payload: dict) -> None:
+        JournalStore(self.journal_dir).append(kind, payload)
+
+    def seal(self, reason: str, tick: int) -> bool:
+        """Ask for a ``seal`` over RPC (journal the ``fabric-drain``
+        record, fsync, exit 0); if the worker cannot be spoken to,
+        fall back to ``SIGTERM`` (its signal handler runs the same
+        seal).  True when the worker exited within its drain window;
+        the caller escalates to ``SIGKILL`` via :meth:`ensure_dead`."""
+        if not self.alive():
+            return False
+        clean = False
+        try:
+            reply = self.request({"cmd": "seal", "reason": reason},
+                                 self.drain_timeout)
+            clean = bool(reply.get("sealed"))
+        except WorkerFault:
+            try:
+                self.proc.terminate()
+            except OSError:
+                pass
+        try:
+            self.proc.wait(timeout=self.drain_timeout)
+        except subprocess.TimeoutExpired:
+            return False
+        return clean or self.proc.returncode == 0
+
+    def describe(self) -> dict:
+        entry = {**super().describe(),
+                 "incarnation": self.incarnation,
+                 "pid": self.proc.pid if self.alive() else None}
+        if self.alive():
+            try:
+                reply = self.request({"cmd": "status"}, self.status_deadline)
+            except WorkerFault:
+                reply = {}
+            entry["queue_depth"] = reply.get("queue_depth")
+            entry["events_processed"] = reply.get("events_processed")
+        return entry
 
 
-class ProcessFabric:
-    """Supervise one OS worker process per shard, as a true parent.
+class ProcessFabric(Supervisor):
+    """The fabric with one OS worker process per shard, supervised as
+    a true parent.
 
     Parameters
     ----------
@@ -791,11 +786,7 @@ class ProcessFabric:
         ``journal_root/shard-NN``.  Required: a process fabric without
         journals could not recover anything from a dead child.
     config:
-        :class:`~repro.service.supervisor.SupervisorConfig` -- the
-        same geometry/backoff/budget knobs as the thread fabric.
-        ``watchdog_stall_ticks`` applies only to the thread fabric:
-        here a single missed RPC deadline is fatal, because it
-        desynchronizes the request/response framing beyond repair.
+        :class:`~repro.service.supervisor.SupervisorConfig`.
     chaos:
         Optional :class:`~repro.service.chaos.ProcessChaosPlan`
         shipped to every worker (workers fault *themselves*).
@@ -828,34 +819,30 @@ class ProcessFabric:
                 raise ServiceError(f"{name} must be positive, got {value}")
         if heartbeat_every < 0:
             raise ServiceError("heartbeat_every must be non-negative")
-        self.builder = builder
-        self.builder_args = dict(builder_args or {})
+        super().__init__(config or SupervisorConfig(), {})
         self.journal_root = Path(journal_root)
-        self.config = config or SupervisorConfig()
         self.chaos = chaos
-        self.heartbeat_every = int(heartbeat_every)
-        self.status_deadline = float(status_deadline_seconds)
-        self.tick_deadline = float(tick_deadline_seconds)
-        self.spawn_deadline = float(spawn_deadline_seconds)
-        self.drain_timeout = float(drain_timeout_seconds)
-        self.ring = HashRing(self.config.shard_count,
-                             virtual_nodes=self.config.virtual_nodes)
-        self.tick_index = 0
-        self.metrics = ProcessFabricMetrics()
-        #: Undelivered event parts: origin -> {"target", "event"}.
-        self._undelivered: dict[tuple[int, int], dict] = {}
-        self._origin_seq = 0
-        self.workers = [
-            _WorkerHandle(index,
-                          self.journal_root / f"shard-{index:02d}")
+        self.workers = self.transports = [
+            _WorkerHandle(
+                WorkerSpec(
+                    shard_index=index,
+                    journal_dir=str(self.journal_root / f"shard-{index:02d}"),
+                    builder=builder,
+                    builder_args=dict(builder_args or {}),
+                    heartbeat_every=int(heartbeat_every),
+                    chaos=None if chaos is None else chaos.to_payload()),
+                self._sku_index,
+                status_deadline=float(status_deadline_seconds),
+                tick_deadline=float(tick_deadline_seconds),
+                spawn_deadline=float(spawn_deadline_seconds),
+                drain_timeout=float(drain_timeout_seconds))
             for index in range(self.config.shard_count)
         ]
         self._sealed = False
-        start_origins: set[tuple[int, int]] = set()
         for handle in self.workers:
             try:
-                ready = self._spawn(handle)
-            except WorkerFault:
+                handle.spawn()
+            except WorkerFault as fault:
                 # A worker can die during its very first journal
                 # appends (a chaos kill at prefix 1 lands here).  With
                 # fault injection armed that is a death to contain,
@@ -865,444 +852,23 @@ class ProcessFabric:
                 if self.chaos is None:
                     self.shutdown(reason="startup-failure")
                     raise
-                handle.ensure_dead()
-                self.metrics.worker_deaths += 1
-                handle.state = ShardState.RESTARTING
-                handle.restart_due_tick = (
-                    self.tick_index
-                    + self.config.backoff_ticks(handle.restarts))
-                try:
-                    state = replay_queue_state(
-                        JournalStore(handle.journal_dir).replay())
-                except JournalError:
-                    continue
-                start_origins |= state.origins_seen
-            else:
-                start_origins |= {(int(o[0]), int(o[1]))
-                                  for o in ready.get("origins_seen", [])}
-        # Parent origins must stay unique across parent restarts over
-        # the same journals: resume after the recovered high-water mark.
-        for origin in start_origins:
-            if origin[0] == PARENT_ORIGIN:
-                self._origin_seq = max(self._origin_seq, origin[1])
-        # The previous incarnation may have died between a handoff
-        # record and its delivery.
+                self._note_fault(handle, fault)
         self.reconcile_handoffs()
-
-    # -- spawn / restart / degrade --------------------------------------
-    def _spec(self, handle: _WorkerHandle) -> WorkerSpec:
-        return WorkerSpec(
-            shard_index=handle.shard_index,
-            journal_dir=str(handle.journal_dir),
-            builder=self.builder,
-            builder_args=self.builder_args,
-            incarnation=handle.incarnation,
-            heartbeat_every=self.heartbeat_every,
-            chaos=None if self.chaos is None else self.chaos.to_payload(),
-        )
-
-    def _spawn(self, handle: _WorkerHandle) -> dict:
-        ready = handle.spawn(self._spec(handle), self.spawn_deadline)
-        handle.state = ShardState.RUNNING
-        handle.restart_due_tick = None
-        self.metrics.worker_spawns += 1
-        return ready
-
-    def _journal_parent(self, handle: _WorkerHandle, kind,
-                        payload: dict) -> None:
-        """Append to a shard journal from the parent.
-
-        Legal ONLY while the shard's process is dead (the caller's
-        responsibility -- single-writer discipline); best-effort, like
-        every observability append.
-        """
-        try:
-            JournalStore(handle.journal_dir).append(kind, payload)
-        except JournalError:
-            pass
-
-    def _declare_dead(self, handle: _WorkerHandle, *, reason: str) -> None:
-        if handle.state is not ShardState.RUNNING:
-            return
-        handle.ensure_dead()
-        self.metrics.worker_deaths += 1
-        if handle.restarts >= self.config.max_shard_restarts:
-            self._degrade(handle, reason=reason)
-            return
-        handle.state = ShardState.RESTARTING
-        handle.restart_due_tick = (
-            self.tick_index + self.config.backoff_ticks(handle.restarts))
-
-    def _restart(self, handle: _WorkerHandle) -> None:
-        handle.ensure_dead()
-        handle.restarts += 1
-        handle.incarnation += 1
-        self._journal_parent(handle, RecordKind.PROC_RESTART, {
-            "shard": handle.shard_index,
-            "incarnation": handle.incarnation,
-            "tick": self.tick_index,
-        })
-        try:
-            self._spawn(handle)
-        except WorkerFault as fault:
-            handle.ensure_dead()
-            handle.state = ShardState.RUNNING  # so _declare_dead acts
-            self._declare_dead(handle, reason=f"respawn-failed: {fault}")
-            return
-        self.metrics.worker_restarts += 1
-        self.reconcile_handoffs()
-
-    def _degrade(self, handle: _WorkerHandle, *, reason: str) -> None:
-        handle.ensure_dead()
-        handle.state = ShardState.DEGRADED
-        self.metrics.shards_degraded += 1
-        alive = self._alive_indices()
-        if not alive:
-            raise ServiceError(
-                "every shard degraded; no failover target remains")
-        try:
-            store = JournalStore(handle.journal_dir)
-        except JournalError:
-            return
-        try:
-            store.append(RecordKind.SHARD_DEGRADED, {
-                "shard": handle.shard_index,
-                "tick": self.tick_index,
-                "restarts": handle.restarts,
-                "reason": reason,
-            })
-        except JournalError:
-            pass
-        state = replay_queue_state(store.replay())
-        # Every origin this journal durably accepted is a delivery that
-        # DID land -- only its ACK was lost.  Un-park those entries now,
-        # or _retry_undelivered would re-route them to a sibling under
-        # the parent origin while the failover below delivers the same
-        # event under another, defeating the origin dedupe.
-        for origin in state.origins_seen:
-            self._undelivered.pop(origin, None)
-        for event_id in sorted(state.pending):
-            info = state.pending[event_id]
-            first_node = sorted(info["event"]["nodes"])[0]
-            target = self.ring.owner(first_node, alive=alive)
-            # Fail over under the event's ORIGINAL origin when it has
-            # one: every path that could ever re-deliver this part
-            # (retry, reconcile, a second failover) then shares one
-            # dedupe key with this delivery.
-            origin = (info["origin"] if info["origin"] is not None
-                      else (handle.shard_index, event_id))
-            payload = {
-                "event_id": event_id,
-                "event": info["event"],
-                "priority": info["priority"],
-                "attempts": info["attempts"],
-                "origin": [int(origin[0]), int(origin[1])],
-                "to_shard": target,
-            }
-            try:
-                store.append(RecordKind.SHARD_HANDOFF, payload)
-            except JournalError:
-                continue
-            self.metrics.events_failed_over += 1
-            self._deliver(target, info["event"], origin=origin)
-
-    # -- routing / ingest -----------------------------------------------
-    def _alive_indices(self) -> set[int]:
-        """Shards whose journals still accept work (not DEGRADED).
-
-        RESTARTING shards stay in the set: ownership must be stable
-        across a bounded outage, so their parts wait in
-        ``_undelivered`` rather than migrating to a sibling.
-        """
-        return {handle.shard_index for handle in self.workers
-                if handle.state is not ShardState.DEGRADED}
-
-    def _running(self, index: int) -> _WorkerHandle | None:
-        handle = self.workers[index]
-        return handle if handle.state is ShardState.RUNNING else None
-
-    def route(self, node_id: str) -> int:
-        return self.ring.owner(node_id, alive=self._alive_indices())
-
-    def _next_origin(self) -> tuple[int, int]:
-        self._origin_seq += 1
-        return (PARENT_ORIGIN, self._origin_seq)
-
-    def submit(self, event: ValidationEvent) -> dict[int, dict]:
-        """Split one event along shard ownership; deliver each part.
-
-        Every part carries a fresh parent origin marker, so a delivery
-        interrupted by a worker death is retried (on the respawned
-        worker, or a sibling if the owner degraded) without ever
-        double-enqueueing.  Returns the per-shard delivery replies;
-        parts owed to a temporarily dead shard appear with
-        ``{"queued": True}`` and are delivered by later ticks.
-        """
-        groups: dict[int, list] = {}
-        for node in event.nodes:
-            groups.setdefault(self.route(node.node_id), []).append(node)
-        statuses = {status.node_id: status for status in event.statuses}
-        replies: dict[int, dict] = {}
-        for index in sorted(groups):
-            nodes = tuple(groups[index])
-            part = ValidationEvent(
-                kind=event.kind,
-                nodes=nodes,
-                statuses=tuple(statuses[node.node_id] for node in nodes
-                               if node.node_id in statuses),
-                duration_hours=event.duration_hours,
-            )
-            origin = self._next_origin()
-            payload = part.to_payload()
-            reply = self._deliver(index, payload, origin=origin)
-            replies[index] = reply if reply is not None else {"queued": True}
-        return replies
-
-    def _deliver(self, target: int, event_payload: dict, *,
-                 origin: tuple[int, int]) -> dict | None:
-        """Deliver one origin-marked part; park it on failure.
-
-        Returns the worker's reply, or ``None`` when the part was
-        parked in ``_undelivered`` (dead/restarting target).  A reply
-        with ``ok: False`` (the worker's journal refused the enqueue)
-        also parks: durable acceptance or nothing.
-        """
-        handle = self._running(target)
-        if handle is not None:
-            try:
-                reply = handle.request(
-                    {"cmd": "submit", "event": event_payload,
-                     "origin": list(origin)},
-                    self.status_deadline)
-            except WorkerFault as fault:
-                self._note_fault(handle, fault)
-            else:
-                if reply.get("ok"):
-                    if reply.get("deduped"):
-                        self.metrics.deliveries_deduped += 1
-                    self._undelivered.pop(origin, None)
-                    return reply
-        self._undelivered[origin] = {"target": target,
-                                     "event": event_payload}
-        return None
-
-    def _note_fault(self, handle: _WorkerHandle, fault: WorkerFault) -> None:
-        """One failed RPC is conclusive either way: a dead pipe means
-        the process is gone, and a single missed deadline leaves the
-        request/response framing desynchronized, so the worker could
-        not be spoken to again even if it woke up."""
-        if isinstance(fault, WorkerUnresponsive):
-            self.metrics.rpc_timeouts += 1
-        self._declare_dead(handle, reason=str(fault))
-
-    # -- the supervision loop -------------------------------------------
-    def tick(self) -> list[dict]:
-        """One supervision round over real processes.
-
-        Fires due respawns, probes every RUNNING worker's liveness,
-        ticks the worker holding the globally riskiest queue head,
-        advances repairs everywhere else, then retries undelivered
-        parts.
-        """
-        self.tick_index += 1
-        results: list[dict] = []
-        for handle in self.workers:
-            if (handle.state is ShardState.RESTARTING
-                    and handle.restart_due_tick is not None
-                    and self.tick_index >= handle.restart_due_tick):
-                self._restart(handle)
-        statuses: dict[int, dict] = {}
-        for handle in list(self.workers):
-            if handle.state is not ShardState.RUNNING:
-                continue
-            if not handle.alive():
-                self._declare_dead(handle, reason="pid-gone")
-                continue
-            try:
-                status = handle.request({"cmd": "status"},
-                                        self.status_deadline)
-            except WorkerFault as fault:
-                self._note_fault(handle, fault)
-                continue
-            if status.get("ok"):
-                statuses[handle.shard_index] = status
-        ticked = None
-        heads = sorted(
-            ((status["head_priority"], -index, index)
-             for index, status in statuses.items()
-             if status.get("head_priority") is not None),
-            reverse=True)
-        for _priority, _neg, index in heads:
-            handle = self._running(index)
-            if handle is None:
-                continue
-            try:
-                reply = handle.request({"cmd": "tick"}, self.tick_deadline)
-            except WorkerFault as fault:
-                self._note_fault(handle, fault)
-                continue
-            ticked = index
-            if reply.get("ok") and reply.get("result") is not None:
-                results.append(reply["result"])
-            break
-        for index, status in statuses.items():
-            if index == ticked:
-                continue
-            handle = self._running(index)
-            if handle is None or not status.get("repairs_in_flight"):
-                continue
-            try:
-                handle.request({"cmd": "advance_repairs"},
-                               self.status_deadline)
-            except WorkerFault as fault:
-                self._note_fault(handle, fault)
-        self._retry_undelivered()
-        return results
-
-    def _retry_undelivered(self) -> None:
-        alive = self._alive_indices()
-        for origin in list(self._undelivered):
-            info = self._undelivered[origin]
-            target = info["target"]
-            if target not in alive:
-                # Owner degraded for good: fall through the ring.
-                first_node = sorted(info["event"]["nodes"])[0]
-                target = self.ring.owner(first_node, alive=alive)
-                info["target"] = target
-            if self._running(target) is not None:
-                self._deliver(target, info["event"], origin=origin)
-
-    def reconcile_handoffs(self) -> int:
-        """Re-deliver journaled handoffs that never reached a sibling.
-
-        The process twin of
-        :meth:`~repro.service.supervisor.ShardSupervisor.reconcile_handoffs`:
-        delivered-origin sets come from live workers over RPC and from
-        dead shards' journals directly (single-writer safe -- the
-        parent only reads journals of shards with no live process).
-        """
-        alive = self._alive_indices()
-        if not alive:
-            return 0
-        delivered: set[tuple[int, int]] = set()
-        handed: list[tuple[int, dict]] = []
-        for handle in self.workers:
-            if handle.state is ShardState.RUNNING and handle.alive():
-                try:
-                    state = handle.request({"cmd": "state"},
-                                           self.status_deadline)
-                except WorkerFault as fault:
-                    self._note_fault(handle, fault)
-                    continue
-                for origin in state.get("origins_seen", []):
-                    delivered.add((int(origin[0]), int(origin[1])))
-                for payload in state.get("handed_off", {}).values():
-                    handed.append((handle.shard_index, payload))
-            else:
-                try:
-                    records = JournalStore(handle.journal_dir).replay()
-                except JournalError:
-                    continue
-                state = replay_queue_state(records)
-                delivered |= state.origins_seen
-                for payload in state.handed_off.values():
-                    handed.append((handle.shard_index, payload))
-        redelivered = 0
-        for source, payload in handed:
-            # Handoffs written by _degrade record the origin their
-            # delivery used; older records fall back to the source
-            # shard's identity, which is what _degrade used to stamp.
-            recorded = payload.get("origin")
-            origin = ((int(recorded[0]), int(recorded[1]))
-                      if recorded is not None
-                      else (source, int(payload["event_id"])))
-            if origin in delivered:
-                continue
-            target = int(payload.get("to_shard", -1))
-            if target not in alive or self._running(target) is None:
-                first_node = sorted(payload["event"]["nodes"])[0]
-                target = self.ring.owner(first_node, alive=alive)
-            if self._running(target) is None:
-                continue  # owner mid-restart; retried next round
-            reply = self._deliver(target, payload["event"], origin=origin)
-            if reply is not None:
-                delivered.add(origin)
-                redelivered += 1
-                self.metrics.handoffs_reconciled += 1
-        return redelivered
-
-    # -- draining and reporting -----------------------------------------
-    def quiescent(self) -> bool:
-        """No pending work, repairs, undelivered parts or due respawns.
-
-        Like the thread fabric, a degraded shard's journal-parked
-        leftovers do not block quiescence -- they are durable and
-        re-deliverable.
-        """
-        if self._undelivered:
-            return False
-        for handle in self.workers:
-            if handle.state is ShardState.RESTARTING:
-                return False
-            if handle.state is ShardState.DEGRADED:
-                continue
-            try:
-                status = handle.request({"cmd": "status"},
-                                        self.status_deadline)
-            except WorkerFault as fault:
-                self._note_fault(handle, fault)
-                return False
-            if status.get("queue_depth", 0) > 0:
-                return False
-            if status.get("repairs_in_flight"):
-                return False
-        return True
-
-    def drain(self, *, max_ticks: int = 100_000) -> list[dict]:
-        """Tick until the whole fabric is quiescent."""
-        results: list[dict] = []
-        for _ in range(max_ticks):
-            results.extend(self.tick())
-            if self.quiescent():
-                return results
-        raise ServiceError(
-            f"process fabric drain did not converge in {max_ticks} ticks")
 
     def shutdown(self, *, reason: str = "shutdown") -> dict[int, bool]:
         """Graceful end-to-end drain of every worker process.
 
-        Per RUNNING worker: ask for a ``seal`` over RPC (journal the
-        ``fabric-drain`` record, fsync, exit 0); if the worker cannot
-        be spoken to, fall back to ``SIGTERM`` (its signal handler
-        runs the same seal) and escalate to ``SIGKILL`` after
+        :meth:`~repro.service.supervisor.Supervisor.seal` every live
+        worker, then SIGKILL and reap whatever did not leave within
         ``drain_timeout_seconds``.  Returns per-shard ``True`` when
         the worker exited within its drain window.  Idempotent.
         """
-        sealed: dict[int, bool] = {}
         if self._sealed:
-            return sealed
+            return {}
         self._sealed = True
+        sealed = self.seal(reason=reason)
         for handle in self.workers:
-            clean = False
-            if handle.state is ShardState.RUNNING and handle.alive():
-                try:
-                    reply = handle.request({"cmd": "seal",
-                                            "reason": reason},
-                                           self.drain_timeout)
-                    clean = bool(reply.get("sealed"))
-                except WorkerFault:
-                    try:
-                        handle.proc.terminate()
-                    except OSError:
-                        pass
-                if handle.proc is not None:
-                    try:
-                        handle.proc.wait(timeout=self.drain_timeout)
-                        clean = clean or handle.proc.returncode == 0
-                    except subprocess.TimeoutExpired:
-                        clean = False
             handle.ensure_dead()
-            sealed[handle.shard_index] = clean
         return sealed
 
     def __enter__(self) -> "ProcessFabric":
@@ -1310,32 +876,6 @@ class ProcessFabric:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown()
-
-    def summary(self) -> dict:
-        """Fabric-level health: parent counters plus per-shard state."""
-        shards = {}
-        for handle in self.workers:
-            entry = {
-                "state": handle.state.value,
-                "restarts": handle.restarts,
-                "incarnation": handle.incarnation,
-                "pid": None if not handle.alive() else handle.proc.pid,
-            }
-            if handle.state is ShardState.RUNNING and handle.alive():
-                try:
-                    status = handle.request({"cmd": "status"},
-                                            self.status_deadline)
-                except WorkerFault:
-                    status = {}
-                entry["queue_depth"] = status.get("queue_depth")
-                entry["events_processed"] = status.get("events_processed")
-            shards[f"shard-{handle.shard_index:02d}"] = entry
-        return {
-            "tick_index": self.tick_index,
-            **self.metrics.summary(),
-            "undelivered": len(self._undelivered),
-            "shards": shards,
-        }
 
 
 if __name__ == "__main__":

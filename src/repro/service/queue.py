@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.core.system import ValidationEvent
 from repro.exceptions import JournalError
+from repro.service.store import RecordKind
 
-__all__ = ["QueuedEvent", "DeadLetter", "EventQueue"]
+__all__ = ["QueuedEvent", "DeadLetter", "EventQueue", "QueueState",
+           "as_origin", "replay_queue_state"]
 
 
 def _coalesce_key(event: ValidationEvent) -> tuple:
@@ -275,3 +277,101 @@ class EventQueue:
     def dead_letters(self) -> list[DeadLetter]:
         """Parked poison events, oldest first (inspection API)."""
         return list(self._dead)
+
+
+# ----------------------------------------------------------------------
+# Journal -> queue reduction
+# ----------------------------------------------------------------------
+
+def as_origin(raw) -> tuple[int, int]:
+    """An origin marker as journals and frames carry it (a 2-list)
+    back in the hashable form the dedupe sets hold."""
+    return (int(raw[0]), int(raw[1]))
+
+
+#: Record kinds that carry an ``event_id`` and move a queue entry.
+_QUEUE_KINDS = frozenset(kind.value for kind in (
+    RecordKind.EVENT_ENQUEUED, RecordKind.EVENT_COALESCED,
+    RecordKind.EVENT_FAILED, RecordKind.EVENT_COMPLETED,
+    RecordKind.EVENT_DEAD_LETTERED, RecordKind.LOAD_SHED,
+    RecordKind.SHARD_HANDOFF))
+
+
+@dataclass
+class QueueState:
+    """What a shard's journal says about its queue.
+
+    The one journal -> queue reduction: a restarting service rebuilds
+    its queue from it (:meth:`ValidationService._recover` feeds every
+    record through :meth:`apply`), and a supervisor reads a **dead**
+    shard's pending work and handoff state from it without building a
+    service at all.  ``pending`` maps event id to ``{"event",
+    "priority", "attempts", "origin"}`` with every later
+    ``event-coalesced`` / ``event-failed`` record already merged in;
+    ``sealed`` reports whether the final record applied is a
+    ``fabric-drain``, the clean-shutdown marker.
+    """
+
+    pending: dict[int, dict] = field(default_factory=dict)
+    origins_seen: set = field(default_factory=set)
+    handed_off: dict[int, dict] = field(default_factory=dict)
+    last_event_id: int = 0
+    sealed: bool = False
+
+    def apply(self, record) -> None:
+        """Fold one journal record into the state."""
+        kind, payload = record.kind, record.payload
+        self.sealed = kind == RecordKind.FABRIC_DRAIN
+        if kind == RecordKind.STATE_SNAPSHOT:
+            self.last_event_id = max(self.last_event_id,
+                                     int(payload.get("last_event_id", 0)))
+            for handoff in payload.get("handed_off", []):
+                self.handed_off[int(handoff["event_id"])] = dict(handoff)
+            self.origins_seen.update(
+                as_origin(raw) for raw in payload.get("origins_seen", []))
+            return
+        if kind not in _QUEUE_KINDS:
+            return
+        event_id = int(payload["event_id"])
+        entry = self.pending.get(event_id)
+        if kind == RecordKind.EVENT_ENQUEUED:
+            self.last_event_id = max(self.last_event_id, event_id)
+            origin = payload.get("origin")
+            if origin is not None:
+                origin = as_origin(origin)
+                self.origins_seen.add(origin)
+            self.pending[event_id] = {
+                "event": payload["event"],
+                "priority": float(payload["priority"]),
+                "attempts": int(payload.get("attempts", 0)),
+                "origin": origin,
+            }
+        elif kind == RecordKind.EVENT_COALESCED:
+            # A re-delivery that merged into a pending entry still
+            # counts as delivered; the entry keeps the higher risk
+            # and the longer usage window, like the live queue.
+            if payload.get("origin") is not None:
+                self.origins_seen.add(as_origin(payload["origin"]))
+            if entry is not None:
+                entry["priority"] = max(entry["priority"],
+                                        float(payload["priority"]))
+                entry["event"]["duration_hours"] = max(
+                    float(entry["event"]["duration_hours"]),
+                    float(payload.get("duration_hours", 0.0)))
+        elif kind == RecordKind.EVENT_FAILED:
+            if entry is not None:
+                entry["attempts"] = max(entry["attempts"],
+                                        int(payload.get("attempts", 0)))
+        else:  # completed, dead-lettered, shed, handed off: terminal here
+            self.last_event_id = max(self.last_event_id, event_id)
+            self.pending.pop(event_id, None)
+            if kind == RecordKind.SHARD_HANDOFF:
+                self.handed_off[event_id] = dict(payload)
+
+
+def replay_queue_state(records) -> QueueState:
+    """Reduce journal ``records`` to the queue state they describe."""
+    state = QueueState()
+    for record in records:
+        state.apply(record)
+    return state

@@ -25,12 +25,12 @@ buys two properties a modulo partition lacks:
   spreading the orphaned load over the survivors instead of dumping
   it all on one sibling.
 
-A :class:`Shard` is deliberately thin: identity (index, owned node
-ids), the journal subdirectory, restart/watchdog bookkeeping, and a
-:meth:`Shard.start` that (re)builds the inner service via the
-existing kill-safe journal recovery.  Everything *supervisory* --
-watchdogs, backoff, degradation, handoff -- lives in
-:mod:`repro.service.supervisor`.
+The supervision state machine (:mod:`repro.service.supervisor`)
+reaches a shard only through a :class:`ShardTransport` and keeps its
+per-shard bookkeeping on the transport object.  :class:`Shard` is the
+in-thread transport (every call is a method call on the shard's
+:class:`~repro.service.controlplane.ValidationService`); the
+subprocess one is :mod:`repro.service.procfabric`'s worker handle.
 """
 
 from __future__ import annotations
@@ -40,11 +40,17 @@ import enum
 import time
 import zlib
 from pathlib import Path
+from typing import NamedTuple
 
-from repro.exceptions import ServiceError
+from repro.core.system import ValidationEvent
+from repro.exceptions import JournalError, ServiceError
 from repro.service.controlplane import ServiceConfig, ValidationService
+from repro.service.queue import QueueState, replay_queue_state
+from repro.service.store import RecordKind
 
-__all__ = ["HashRing", "ShardState", "Shard"]
+__all__ = ["HashRing", "ShardState", "ShardStatus", "ShardTransport",
+           "TransportFault", "Shard", "deliver_part", "sample",
+           "live_queue_state"]
 
 
 class HashRing:
@@ -115,8 +121,160 @@ class ShardState(enum.Enum):
     DEGRADED = "degraded"
 
 
-class Shard:
-    """One failure domain: a full control plane over owned nodes.
+class TransportFault(ServiceError):
+    """The shard behind a transport died or stopped answering.
+    Conclusive: one is enough for the supervisor to declare the shard
+    unhealthy.  ``timed_out`` tells a missed deadline (a hang) from a
+    death, for the counters only."""
+
+    timed_out = False
+
+
+class ShardStatus(NamedTuple):
+    """One liveness sample of a shard."""
+
+    queue_depth: int
+    #: Priority of the entry the shard would pop next (``None``: idle).
+    head_priority: float | None
+    #: Monotonic count of tick *attempts* (completions plus contained
+    #: failures): a shard grinding through a poison event is making
+    #: progress; one whose count is flat while work is pending is hung.
+    progress: int
+    repairs_in_flight: bool
+
+
+class ShardTransport:
+    """What the supervisor needs from one shard, and what it remembers
+    about it (state, restart budget, watchdog counters).
+
+    Implemented by :class:`Shard` (in-thread), by the process fabric's
+    worker handle, and by the scripted fake the state-machine tests
+    drive.  A call raises :class:`TransportFault` (in-thread: lets a
+    :class:`~repro.service.chaos.ShardCrash` through) when the shard
+    is dead or deaf, and :class:`~repro.exceptions.JournalError` when
+    it is alive but its journal refused the write.
+
+    Event parts cross this interface in their journal/wire form
+    (``ValidationEvent.to_payload()``): it is what a dead shard's
+    journal yields, what a handoff record stores and what a pipe
+    carries, so parking, failover and reconciliation never need the
+    fleet's node objects.
+    """
+
+    #: Whether a delivery's ACK can be lost *after* the shard durably
+    #: accepted the part (a pipe to a process that may die mid-reply).
+    #: The supervisor then stamps even its own submissions with an
+    #: origin, so a blind retry dedupes instead of double-enqueueing.
+    ack_can_be_lost = False
+
+    def __init__(self, index: int):
+        self.index = int(index)
+        self.state = ShardState.RUNNING
+        #: Restarts charged against ``max_shard_restarts`` (refilled
+        #: by ``restart_forgive_after_ticks``).
+        self.restarts = 0
+        #: Supervisor tick at which a scheduled restart fires.
+        self.restart_due_tick: int | None = None
+        #: Consecutive stalled rounds (see ``watchdog_stall_ticks``).
+        self.stalled_ticks = 0
+        #: ``progress`` at the previous sample; ``None`` until this
+        #: incarnation has been sampled once.
+        self.last_progress: int | None = None
+        #: Progress-making rounds since the last restart (forgiveness).
+        self.progress_ticks = 0
+
+    def accept(self, event: ValidationEvent):
+        """Durably enqueue one event the supervisor's caller just
+        submitted, synchronously and without an origin; returns the
+        shard's receipt.  Only for a transport that cannot lose an ACK
+        (there is nothing to dedupe a retry by)."""
+        raise NotImplementedError
+
+    def deliver(self, part: dict, origin: tuple[int, int]):
+        """Durably enqueue one origin-marked part; returns the shard's
+        receipt, or ``None`` when ``origin`` was already accepted (the
+        retry of a delivery whose ACK was lost)."""
+        raise NotImplementedError
+
+    def status(self, tick: int | None = None) -> ShardStatus:
+        """Sample the shard.  With ``tick`` this is the round's
+        heartbeat, which the shard also journals."""
+        raise NotImplementedError
+
+    def tick(self):
+        """Process the riskiest pending event; returns its result
+        (``None`` if nothing ran)."""
+        raise NotImplementedError
+
+    def advance_repairs(self) -> None:
+        raise NotImplementedError
+
+    def ensure_dead(self) -> None:
+        """Make sure nothing behind this transport can still write its
+        journal.  From here until :meth:`restart` the journal, not the
+        shard, answers :meth:`queue_state`, and the supervisor may
+        :meth:`append` to it."""
+        raise NotImplementedError
+
+    def queue_state(self) -> QueueState:
+        """Pending entries, accepted origins, journaled handoffs."""
+        raise NotImplementedError
+
+    def append(self, kind, payload: dict) -> None:
+        """Write one record into the (dead) shard's journal."""
+        raise NotImplementedError
+
+    def restart(self, tick: int) -> None:
+        """Replace the shard with a fresh incarnation recovered from
+        its journal."""
+        raise NotImplementedError
+
+    def seal(self, reason: str, tick: int) -> bool:
+        """Journal the clean-shutdown marker and fsync; returns
+        whether the shard confirmed it."""
+        raise NotImplementedError
+
+    def describe(self) -> dict:
+        """This shard's entry in the fabric summary."""
+        return {"state": self.state.value, "restarts": self.restarts}
+
+
+# What a live ValidationService answers to the transport calls -- used
+# by Shard directly and by the worker process on the far end of a pipe.
+
+def deliver_part(service: ValidationService, part: dict,
+                 origin: tuple[int, int]):
+    if origin in service.origins_seen:
+        return None
+    event = ValidationEvent.from_payload(part, service.fleet_index)
+    return service.submit(event, origin=origin)
+
+
+def sample(service: ValidationService) -> ShardStatus:
+    head = service.queue.peek()
+    return ShardStatus(
+        queue_depth=len(service.queue),
+        head_priority=None if head is None else head.priority,
+        progress=(service.metrics.events_processed
+                  + service.metrics.tick_failures),
+        repairs_in_flight=service.repairs_in_flight())
+
+
+def live_queue_state(service: ValidationService) -> QueueState:
+    return QueueState(
+        pending={entry.event_id: {"event": entry.event.to_payload(),
+                                  "priority": entry.priority,
+                                  "attempts": entry.attempts,
+                                  "origin": entry.origin}
+                 for entry in service.queue.pending()},
+        origins_seen=service.origins_seen,
+        handed_off=service.handed_off,
+        last_event_id=service.queue.last_event_id)
+
+
+class Shard(ShardTransport):
+    """One failure domain in this thread: a full control plane over
+    owned nodes.
 
     Parameters
     ----------
@@ -149,7 +307,7 @@ class Shard:
     def __init__(self, index: int, node_ids, fleet, *, anubis_factory,
                  journal_root=None, service_config: ServiceConfig | None = None,
                  clock=time.monotonic):
-        self.index = int(index)
+        super().__init__(index)
         self.node_ids = frozenset(node_ids)
         self.fleet = list(fleet)
         self.anubis_factory = anubis_factory
@@ -157,18 +315,7 @@ class Shard:
                             else Path(journal_root) / f"shard-{self.index:02d}")
         self.service_config = service_config or ServiceConfig()
         self.clock = clock
-        self.state = ShardState.RUNNING
-        #: Completed restarts of this shard's inner service.
-        self.restarts = 0
-        #: Consecutive supervisor ticks without observed progress
-        #: while work was pending (watchdog input).
-        self.stalled_ticks = 0
-        #: Progress high-water mark at the last heartbeat.
-        self.last_progress = 0
-        #: Supervisor tick at which a scheduled restart fires.
-        self.restart_due_tick: int | None = None
-        #: Progress-making ticks since the last restart (forgiveness).
-        self.progress_ticks = 0
+        self.dead = False
         self.service: ValidationService = self._build_service()
 
     def _build_service(self) -> ValidationService:
@@ -177,31 +324,77 @@ class Shard:
             journal_dir=self.journal_dir, config=self.service_config,
             clock=self.clock)
 
-    def owns(self, node_id: str) -> bool:
-        return node_id in self.node_ids
+    def accept(self, event: ValidationEvent):
+        """Also while RESTARTING: the journal is intact, so the submit
+        is durably accepted and recovered by the restart."""
+        return self.service.submit(event)
 
-    def progress(self) -> int:
-        """Monotonic tick-progress counter the watchdog samples.
+    def deliver(self, part: dict, origin: tuple[int, int]):
+        return deliver_part(self.service, part, origin)
 
-        Counts *attempts* (completions plus contained failures): a
-        shard grinding through a poison event is making progress; one
-        whose counter is flat while its queue is non-empty is hung.
-        """
-        return (self.service.metrics.events_processed
-                + self.service.metrics.tick_failures)
+    def status(self, tick: int | None = None) -> ShardStatus:
+        status = sample(self.service)
+        if tick is not None and self.service.store is not None:
+            try:
+                self.service.store.append(RecordKind.SHARD_HEARTBEAT, {
+                    "shard": self.index,
+                    "tick": tick,
+                    "progress": status.progress,
+                    "queue_depth": status.queue_depth,
+                    "restarts": self.restarts,
+                    "stalled_ticks": self.stalled_ticks,
+                })
+            except JournalError:
+                pass  # observability only
+        return status
 
-    def restart(self) -> ValidationService:
-        """Rebuild the inner service from its journal (one restart).
+    def tick(self):
+        return self.service.tick()
 
-        This *is* the kill-safe recovery path: the old incarnation is
-        dropped wholesale and the replacement replays the shard's own
-        journal -- pending events, lifecycle, criteria, handoff state.
-        """
-        self.restarts += 1
-        self.state = ShardState.RUNNING
-        self.restart_due_tick = None
-        self.stalled_ticks = 0
-        self.progress_ticks = 0
+    def advance_repairs(self) -> None:
+        self.service.advance_repairs()
+
+    def ensure_dead(self) -> None:
+        """Nothing to kill in-thread; what changes is whom to believe.
+        A crashed or hung incarnation's memory is gone or suspect (the
+        entry it was processing has left its queue), so its journal
+        speaks for it."""
+        self.dead = True
+
+    def queue_state(self) -> QueueState:
+        if not self.dead:
+            return live_queue_state(self.service)
+        # In memory there is no journal and so nothing to recover: the
+        # shard's pending work died with it.
+        store = self.service.store
+        return (QueueState() if store is None
+                else replay_queue_state(store.replay()))
+
+    def append(self, kind, payload: dict) -> None:
+        if self.service.store is not None:
+            self.service.store.append(kind, payload)
+
+    def restart(self, tick: int) -> None:
+        """This *is* the kill-safe recovery path: the old incarnation
+        is dropped wholesale and the replacement replays the shard's
+        own journal -- pending events, lifecycle, criteria, handoff
+        state."""
         self.service = self._build_service()
-        self.last_progress = self.progress()
-        return self.service
+        self.dead = False
+
+    def seal(self, reason: str, tick: int) -> bool:
+        self.service.seal(reason=reason,
+                          extra={"shard": self.index, "tick": tick})
+        return True
+
+    def describe(self) -> dict:
+        service = self.service
+        return {
+            **super().describe(),
+            "owned_nodes": len(self.node_ids),
+            "queue_depth": len(service.queue),
+            "events_processed": service.metrics.events_processed,
+            "events_shed": service.metrics.events_shed,
+            "events_dead_lettered": service.metrics.events_dead_lettered,
+            "handed_off": len(service.handed_off),
+        }

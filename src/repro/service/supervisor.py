@@ -1,59 +1,85 @@
-"""Supervision tree over the sharded control plane.
+"""The supervised shard fabric: one supervision state machine.
 
-:class:`ShardSupervisor` is the parent of one
-:class:`~repro.service.shard.Shard` per ring member and enforces the
-fabric's three robustness contracts:
+:class:`Supervisor` is the parent of one shard per ring member and
+enforces the fabric's robustness contracts over a narrow
+:class:`~repro.service.shard.ShardTransport`; it never asks *how* a
+shard is reached.  :class:`ShardSupervisor` runs every shard's control
+plane in this thread; :class:`~repro.service.procfabric.ProcessFabric`
+puts each in its own OS process behind a pipe.  The two differ in
+construction and shutdown only.
 
-**Liveness (watchdog + restart-with-backoff).**  Every supervisor
-tick samples each running shard's progress counter (completions plus
-contained failures) and journals a ``shard-heartbeat`` record into
-the shard's own journal.  A shard whose counter stays flat for
-``watchdog_stall_ticks`` ticks while it has pending work -- or whose
-heartbeats stop arriving -- is declared unhealthy and scheduled for a
-restart after an exponential backoff.  Restarting *is* the existing
-kill-safe journal recovery: the old incarnation is dropped and a
-fresh service replays the shard's journal.
+**Liveness (watchdog + restart-with-backoff).**  Every round samples
+each running shard once (``status``, which the shard journals as its
+heartbeat).  A transport fault -- a crashed shard, a dead PID, a
+missed RPC deadline -- is conclusive; otherwise the stall watchdog
+(``watchdog_stall_ticks``) decides.  Either way the shard is made
+provably dead and restarted after an exponential backoff.  Restarting
+*is* the kill-safe journal recovery: a fresh incarnation replays the
+shard's own journal.
 
 **Containment (degradation + journaled handoff).**  A shard that
-exhausts ``max_shard_restarts`` is escalated to ``DEGRADED``: it is
-taken out of rotation and its pending events are failed over to live
-siblings.  Each failover is two durable writes -- a ``shard-handoff``
-record in the source journal, then the sibling's ``event-enqueued``
-record carrying an ``origin`` marker -- and a crash between the two
-is healed by :meth:`ShardSupervisor.reconcile_handoffs`: a journaled
-handoff with no matching origin anywhere is re-delivered, and the
-origin set makes re-delivery idempotent.  The event is therefore
-neither dropped nor duplicated at any kill point.
+exhausts ``max_shard_restarts`` is escalated to ``DEGRADED``: out of
+rotation, its pending events failed over to live siblings.  Each
+failover is two durable writes -- a ``shard-handoff`` record in the
+source journal, then the sibling's ``event-enqueued`` record carrying
+an ``origin`` marker -- and a crash between the two is healed by
+:meth:`Supervisor.reconcile_handoffs`.  The event is neither dropped
+nor duplicated at any kill point.
 
-**Global risk ordering (cross-shard scheduler).**  Each supervisor
-tick processes one event: the highest-priority queue head across all
-responsive shards (peeked, not popped).  Every other running shard
-still advances its repair pipeline, so quarantined nodes flow back to
-HEALTHY no matter where the riskiest work sits.
+**Exactly-once delivery.**  A part that carries an origin and cannot
+be handed to its shard right now is parked under that origin and
+retried every round; shards dedupe against the origins they have
+durably accepted, so retrying a delivery whose ACK was lost is
+harmless.  Failover re-delivers under the entry's *original* origin
+when it has one, so every path that could re-deliver a part shares
+one dedupe key.
 
-Chaos seams mirror the single-service design: ``tick_filter``
-(a hung shard never executes its tick), ``heartbeat_filter`` (a lost
-heartbeat), and ``on_restart`` (re-arm fault injection on the
-replacement service).  A :class:`~repro.service.chaos.ShardCrash`
-raised inside a shard is caught *here*, at the shard boundary; a
-plain :class:`~repro.service.chaos.SimulatedKill` -- the whole
-process dying -- passes through untouched.
+**Global risk ordering.**  Each round processes one event: the
+highest-priority queue head across all responsive shards.  Shards
+with repairs in flight still advance their repair pipeline, so
+quarantined nodes flow back to HEALTHY wherever the riskiest work
+sits.
+
+A :class:`~repro.service.chaos.ShardCrash` raised inside an in-thread
+shard is caught *here*, at the shard boundary; a plain
+:class:`~repro.service.chaos.SimulatedKill` -- the whole process
+dying -- passes through untouched.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
 from repro.core.system import ValidationEvent
 from repro.exceptions import JournalError, ServiceError
 from repro.service.chaos import ShardCrash
-from repro.service.controlplane import ServiceConfig, TickResult
-from repro.service.queue import QueuedEvent
-from repro.service.shard import HashRing, Shard, ShardState
+from repro.service.controlplane import ServiceConfig
+from repro.service.queue import as_origin
+from repro.service.shard import (
+    HashRing,
+    Shard,
+    ShardState,
+    ShardTransport,
+    TransportFault,
+)
 from repro.service.store import RecordKind
 
-__all__ = ["SupervisorConfig", "SupervisorMetrics", "ShardSupervisor"]
+__all__ = ["SupervisorConfig", "SupervisorMetrics", "Supervisor",
+           "ShardSupervisor", "PARENT_ORIGIN", "PARKED"]
+
+#: Origin "shard index" the supervisor stamps on its own deliveries.
+#: A real shard can never be negative, so parent origins and failover
+#: origins share one dedupe namespace without colliding.
+PARENT_ORIGIN = -1
+
+#: What :meth:`Supervisor.submit` reports for a part it could not hand
+#: to its shard yet: parked, and delivered by a later round.
+PARKED = {"queued": True}
+
+#: How a shard's death surfaces at the transport boundary.
+_FAULTS = (TransportFault, ShardCrash)
 
 
 @dataclass(frozen=True)
@@ -68,9 +94,12 @@ class SupervisorConfig:
         root, or recovered journals would be read under the wrong
         ownership.
     watchdog_stall_ticks:
-        Consecutive supervisor ticks a shard may show no progress
-        while holding pending work (or miss heartbeats) before the
-        watchdog declares it unhealthy.
+        Consecutive supervision rounds in which the scheduler
+        *attempted* a shard holding pending work and its next liveness
+        sample showed no progress -- or in which its heartbeat never
+        arrived -- before the watchdog declares it unhealthy.  A
+        transport fault (a crash, a dead PID, a missed RPC deadline)
+        does not wait for this: it is conclusive at once.
     restart_backoff_base_ticks / restart_backoff_multiplier /
     restart_backoff_max_ticks:
         Exponential restart backoff, in supervisor ticks: the K-th
@@ -79,10 +108,10 @@ class SupervisorConfig:
         Restarts a shard may consume before escalation to DEGRADED
         (pending work handed off, new work routed around it).
     restart_forgive_after_ticks:
-        Progress-making ticks after which a shard's restart budget
-        refills -- a transient storm should not permanently count
-        against a shard that has long since recovered.  ``None``
-        never forgives.
+        Progress-making rounds since its last restart after which a
+        shard's restart budget refills -- a transient storm should
+        not permanently count against a shard that has long since
+        recovered.  ``None`` never forgives.
     sku_affinity:
         Route by the node's hardware class instead of its id: every
         node of one SKU lands on the same shard, criteria learning
@@ -139,27 +168,521 @@ class SupervisorMetrics:
     """What the supervision tree has done so far."""
 
     shard_restarts: int = 0
+    #: Transport faults observed on a running shard (crashes, dead
+    #: PIDs, missed deadlines); ``rpc_timeouts`` is the hang subset.
     shard_crashes: int = 0
+    rpc_timeouts: int = 0
     watchdog_trips: int = 0
     heartbeats_lost: int = 0
     shards_degraded: int = 0
     events_failed_over: int = 0
     handoffs_reconciled: int = 0
+    deliveries_deduped: int = 0
 
     def summary(self) -> dict:
+        return dataclasses.asdict(self)
+
+
+def _handoff_origin(source: int, payload: dict) -> tuple[int, int]:
+    """The dedupe key a handed-off entry is (re-)delivered under: its
+    own origin when it was itself delivered under one, else the
+    identity it had on the shard it left."""
+    origin = payload.get("origin")
+    if origin is not None:
+        return as_origin(origin)
+    return (source, int(payload["event_id"]))
+
+
+class Supervisor:
+    """Drive one shard fabric: route, schedule, watch, restart, shed.
+
+    Subclasses build ``self.transports`` (one
+    :class:`~repro.service.shard.ShardTransport` per ring member, in
+    index order) and then call :meth:`reconcile_handoffs` -- the
+    previous incarnation may have died between a handoff record and
+    its delivery.
+
+    Attributes
+    ----------
+    tick_filter:
+        Optional ``(transport) -> bool`` chaos seam: returning False
+        means the shard is unresponsive this round (a hang) -- its
+        tick simply never executes, and only the watchdog's stall
+        detection can recover it.
+    heartbeat_filter:
+        Optional ``(transport) -> bool`` chaos seam: returning False
+        drops this round's liveness sample; the supervisor cannot tell
+        a lost heartbeat from a dead shard, so it conservatively
+        counts it as a stalled round and schedules nothing there.
+    on_restart:
+        Optional ``(transport) -> None`` called after a shard restarts
+        -- the seam chaos uses to re-arm fault injection on the
+        replacement.
+    """
+
+    def __init__(self, config: SupervisorConfig, sku_index: dict[str, str]):
+        self.config = config
+        self.ring = HashRing(config.shard_count,
+                             virtual_nodes=config.virtual_nodes)
+        #: node id -> hardware class, as the shards know the fleet.
+        self._sku_index = sku_index
+        self.transports: list[ShardTransport] = []
+        self.tick_index = 0
+        self.metrics = SupervisorMetrics()
+        #: Undelivered event parts: origin -> {"target", "event"}.
+        self._undelivered: dict[tuple[int, int], dict] = {}
+        self._origin_seq = 0
+        #: Shards the scheduler tried to tick in the previous round.
+        self._attempted: set[int] = set()
+        self.tick_filter = None
+        self.heartbeat_filter = None
+        self.on_restart = None
+
+    # ------------------------------------------------------------------
+    # Routing / ingest
+    # ------------------------------------------------------------------
+    def _alive(self) -> set[int]:
+        """Shards whose journals still accept work (not DEGRADED).
+
+        RESTARTING shards stay in the set: ownership must be stable
+        across a bounded outage, so their parts wait for the restart
+        rather than migrating to a sibling.
+        """
+        return {transport.index for transport in self.transports
+                if transport.state is not ShardState.DEGRADED}
+
+    def _routing_key(self, node_id: str) -> str:
+        """What the ring hashes for this node: its id, or -- under
+        ``sku_affinity`` -- its hardware class, so one SKU's nodes
+        co-locate and fail over together."""
+        if not self.config.sku_affinity:
+            return node_id
+        return self._sku_index.get(node_id, "unknown")
+
+    def _owner(self, part: dict, alive: set[int]) -> int:
+        """The live shard a whole part belongs to (failover, parked
+        retries): where the ring puts its first node."""
+        return self.ring.owner(self._routing_key(min(part["nodes"])),
+                               alive=alive)
+
+    def route(self, node_id: str) -> int:
+        """The shard responsible for ``node_id`` right now.
+
+        The ring owner, unless that shard is degraded -- then the
+        node falls through the ring to its first live successor.
+        """
+        return self.ring.owner(self._routing_key(node_id),
+                               alive=self._alive())
+
+    def submit(self, event: ValidationEvent) -> dict:
+        """Split one event along shard ownership and deliver each part.
+
+        Returns the shard's receipt per shard index (:data:`PARKED`
+        for a part owed to a temporarily dead shard).  Splitting is
+        the isolation boundary at work: an event spanning many shards
+        becomes independent per-shard events, so one shard's failure
+        cannot hold another shard's nodes hostage.
+        """
+        groups: dict[int, list] = {}
+        for node in event.nodes:
+            groups.setdefault(self.route(node.node_id), []).append(node)
+        statuses = {status.node_id: status for status in event.statuses}
+        accepted = {}
+        for index in sorted(groups):
+            nodes = tuple(groups[index])
+            part = ValidationEvent(
+                kind=event.kind,
+                nodes=nodes,
+                statuses=tuple(statuses[node.node_id] for node in nodes
+                               if node.node_id in statuses),
+                duration_hours=event.duration_hours,
+            )
+            transport = self.transports[index]
+            if transport.ack_can_be_lost:
+                self._origin_seq += 1
+                accepted[index] = self._deliver(
+                    index, part.to_payload(),
+                    (PARENT_ORIGIN, self._origin_seq))
+            else:
+                # No ACK to lose: nothing to dedupe a retry by and no
+                # reason to park, so the part is accepted now or
+                # refused to the submitter's face -- and costs its
+                # journal no origin.
+                accepted[index] = transport.accept(part)
+        return accepted
+
+    def _deliver(self, target: int, part: dict, origin: tuple[int, int]):
+        """Deliver one part; park it under its origin on failure.
+
+        Returns the shard's receipt (``None`` when the shard had
+        already accepted this origin), or :data:`PARKED`.
+        """
+        transport = self.transports[target]
+        if transport.state is ShardState.RUNNING:
+            try:
+                receipt = transport.deliver(part, origin)
+            except _FAULTS as fault:
+                self._note_fault(transport, fault)
+            except JournalError:
+                pass  # refused: durable acceptance or nothing
+            else:
+                if receipt is None:
+                    self.metrics.deliveries_deduped += 1
+                self._undelivered.pop(origin, None)
+                return receipt
+        self._undelivered[origin] = {"target": target, "event": part}
+        return PARKED
+
+    def _retry_undelivered(self) -> None:
+        if not self._undelivered:
+            return
+        alive = self._alive()
+        for origin in list(self._undelivered):
+            info = self._undelivered.get(origin)
+            if info is None:
+                continue  # un-parked by a failover earlier in this loop
+            if info["target"] not in alive:
+                # Owner degraded for good: fall through the ring.
+                info["target"] = self._owner(info["event"], alive)
+            if self.transports[info["target"]].state is ShardState.RUNNING:
+                self._deliver(info["target"], info["event"], origin)
+
+    # ------------------------------------------------------------------
+    # The supervision loop
+    # ------------------------------------------------------------------
+    def tick(self) -> list:
+        """One supervision round.
+
+        Fires due restarts, samples every running shard (and runs the
+        stall watchdog on the sample), processes the globally
+        riskiest pending event on the highest-priority *responsive*
+        shard, advances the repair pipeline wherever else repairs are
+        in flight, then retries parked deliveries.
+        """
+        self.tick_index += 1
+        for transport in self.transports:
+            if (transport.state is ShardState.RESTARTING
+                    and transport.restart_due_tick is not None
+                    and self.tick_index >= transport.restart_due_tick):
+                self._restart(transport)
+        statuses = {}
+        for transport in self.transports:
+            if transport.state is ShardState.RUNNING:
+                status = self._sample(transport)
+                if status is not None:
+                    statuses[transport.index] = status
+        heads = sorted((-status.head_priority, index)
+                       for index, status in statuses.items()
+                       if status.head_priority is not None)
+        results = []
+        ticked = None
+        attempted: set[int] = set()
+        for _priority, index in heads:
+            transport = self.transports[index]
+            if transport.state is not ShardState.RUNNING:
+                continue  # lost to a sibling's failover since its sample
+            attempted.add(index)
+            if self.tick_filter is not None and not self.tick_filter(transport):
+                continue  # hung: the tick never executes; watchdog's job
+            try:
+                result = transport.tick()
+            except _FAULTS as fault:
+                # The shard died; the supervisor did not.  Its journal
+                # is intact up to the crash point, so a restart
+                # recovers everything durably accepted.
+                self._note_fault(transport, fault)
+                continue
+            ticked = index
+            if result is not None:
+                results.append(result)
+            break
+        self._attempted = attempted
+        for index, status in statuses.items():
+            transport = self.transports[index]
+            if (index != ticked and status.repairs_in_flight
+                    and transport.state is ShardState.RUNNING):
+                try:
+                    transport.advance_repairs()
+                except _FAULTS as fault:
+                    self._note_fault(transport, fault)
+        self._retry_undelivered()
+        return results
+
+    def _sample(self, transport: ShardTransport):
+        """Take one shard's heartbeat and run the stall watchdog.
+
+        Returns the sample, or ``None`` when the shard gave no usable
+        signal this round (lost heartbeat, fault, watchdog trip).  A
+        shard is only blamed for lack of progress over rounds where
+        the scheduler actually *attempted* it -- a shard whose pending
+        work simply lost the cross-shard priority race is waiting,
+        not hung.
+        """
+        status = None
+        if (self.heartbeat_filter is not None
+                and not self.heartbeat_filter(transport)):
+            self.metrics.heartbeats_lost += 1
+            transport.stalled_ticks += 1
+        else:
+            try:
+                status = transport.status(self.tick_index)
+            except _FAULTS as fault:
+                self._note_fault(transport, fault)
+                return None
+            # No baseline (first sample of an incarnation): no verdict.
+            baseline = transport.last_progress
+            progressed = baseline is not None and status.progress > baseline
+            if progressed or status.queue_depth == 0:
+                transport.stalled_ticks = 0
+            elif baseline is not None and transport.index in self._attempted:
+                transport.stalled_ticks += 1
+            if progressed:
+                transport.progress_ticks += 1
+                forgive = self.config.restart_forgive_after_ticks
+                if forgive is not None and transport.progress_ticks >= forgive:
+                    transport.restarts = 0
+                    transport.progress_ticks = 0
+            transport.last_progress = status.progress
+        if transport.stalled_ticks >= self.config.watchdog_stall_ticks:
+            self.metrics.watchdog_trips += 1
+            self._declare_unhealthy(transport, reason="watchdog-stall")
+            return None
+        return status
+
+    # ------------------------------------------------------------------
+    # Restart / degrade / failover
+    # ------------------------------------------------------------------
+    def _note_fault(self, transport: ShardTransport, fault) -> None:
+        """One fault is conclusive either way: a crash or a dead pipe
+        means the shard is gone, and a single missed deadline leaves a
+        request/response channel desynchronized, so the shard could
+        not be spoken to again even if it woke up."""
+        if transport.state is not ShardState.RUNNING:
+            return
+        self.metrics.shard_crashes += 1
+        if getattr(fault, "timed_out", False):
+            self.metrics.rpc_timeouts += 1
+        self._declare_unhealthy(transport, reason=f"crash: {fault}")
+
+    def _declare_unhealthy(self, transport: ShardTransport, *,
+                           reason: str) -> None:
+        if transport.state is not ShardState.RUNNING:
+            return
+        transport.ensure_dead()
+        if transport.restarts >= self.config.max_shard_restarts:
+            self._degrade(transport, reason=reason)
+            return
+        transport.state = ShardState.RESTARTING
+        transport.restart_due_tick = (
+            self.tick_index + self.config.backoff_ticks(transport.restarts))
+        transport.stalled_ticks = 0
+
+    def _restart(self, transport: ShardTransport) -> None:
+        transport.restarts += 1
+        try:
+            transport.restart(self.tick_index)
+        except _FAULTS as fault:
+            # The replacement died before it was ready: that spends
+            # the restart just charged, and backs off again.
+            transport.state = ShardState.RUNNING
+            self._note_fault(transport, fault)
+            return
+        transport.state = ShardState.RUNNING
+        transport.restart_due_tick = None
+        transport.stalled_ticks = 0
+        transport.progress_ticks = 0
+        transport.last_progress = None
+        self.metrics.shard_restarts += 1
+        if self.on_restart is not None:
+            self.on_restart(transport)
+        # The shard may have recovered handoff state, or a sibling's
+        # delivery may have been lost with the old incarnation.
+        self.reconcile_handoffs()
+
+    def _degrade(self, transport: ShardTransport, *, reason: str) -> None:
+        """Write the shard off and hand its pending events to live
+        siblings.
+
+        Per entry, riskiest first: journal ``shard-handoff`` in the
+        *source* journal, then deliver to the target under the entry's
+        handoff origin.  If the source journal refuses a handoff
+        record, that entry stays pending on the degraded shard --
+        still durable, still accounted for, re-deliverable by a later
+        full restart.
+        """
+        transport.state = ShardState.DEGRADED
+        self.metrics.shards_degraded += 1
+        try:
+            transport.append(RecordKind.SHARD_DEGRADED, {
+                "shard": transport.index,
+                "tick": self.tick_index,
+                "restarts": transport.restarts,
+                "reason": reason,
+            })
+        except (JournalError, ShardCrash):
+            pass  # observability; the shard is being written off anyway
+        alive = self._alive()
+        if not alive:
+            raise ServiceError(
+                "every shard degraded; no failover target remains")
+        try:
+            state = transport.queue_state()
+        except JournalError:
+            return  # unreadable: whatever is pending stays journaled there
+        # Every origin this shard durably accepted is a delivery that
+        # DID land -- only its ACK was lost.  Un-park those now, or
+        # the retry would re-route them to a sibling under one origin
+        # while the failover below delivers the same event under
+        # another path.
+        for origin in [origin for origin in self._undelivered
+                       if origin in state.origins_seen]:
+            del self._undelivered[origin]
+        for event_id, info in sorted(
+                state.pending.items(),
+                key=lambda item: (-item[1]["priority"], item[0])):
+            target = self._owner(info["event"], alive)
+            payload = {
+                "event_id": event_id,
+                "event": info["event"],
+                "priority": info["priority"],
+                "attempts": info["attempts"],
+                "to_shard": target,
+            }
+            if info["origin"] is not None:
+                payload["origin"] = list(info["origin"])
+            try:
+                transport.append(RecordKind.SHARD_HANDOFF, payload)
+            except (JournalError, ShardCrash):
+                continue
+            self.metrics.events_failed_over += 1
+            self._deliver(target, info["event"],
+                          _handoff_origin(transport.index, payload))
+
+    def reconcile_handoffs(self) -> int:
+        """Re-deliver journaled handoffs that never reached a sibling.
+
+        For every ``shard-handoff`` record whose handoff origin
+        appears in no *other* shard's accepted-origin set, deliver the
+        event to its target (or, if the target is gone, to the part's live
+        ring successor).  The origin set makes this idempotent: a
+        handoff delivered just before a crash is recognized and
+        skipped, one lost mid-flight is re-delivered exactly once.
+        Returns the number re-delivered.
+        """
+        alive = self._alive()
+        if not alive:
+            return 0
+        seen: dict[int, set] = {}
+        handed: list[tuple[int, dict]] = []
+        for transport in self.transports:
+            try:
+                state = transport.queue_state()
+            except _FAULTS as fault:
+                self._note_fault(transport, fault)
+                continue
+            except JournalError:
+                continue
+            seen[transport.index] = state.origins_seen
+            handed.extend((transport.index, state.handed_off[event_id])
+                          for event_id in sorted(state.handed_off))
+        # Parent origins must stay unique across supervisor restarts
+        # over the same journals: resume after the highest one seen.
+        self._origin_seq = max(
+            [self._origin_seq, *(sequence for origins in seen.values()
+                                 for source, sequence in origins
+                                 if source == PARENT_ORIGIN)])
+        landed: set[tuple[int, int]] = set()
+        for source, payload in handed:
+            origin = _handoff_origin(source, payload)
+            # The source itself accepted the entry under this origin
+            # when it had one; only a *sibling* having seen it proves
+            # the handoff landed.
+            if origin in landed or any(
+                    origin in origins for index, origins in seen.items()
+                    if index != source):
+                continue
+            target = int(payload.get("to_shard", -1))
+            if target not in alive:
+                target = self._owner(payload["event"], alive)
+            if self._deliver(target, payload["event"], origin) is not PARKED:
+                landed.add(origin)
+                self.metrics.handoffs_reconciled += 1
+        return len(landed)
+
+    # ------------------------------------------------------------------
+    # Draining and reporting
+    # ------------------------------------------------------------------
+    def quiescent(self) -> bool:
+        """No pending work, repairs, parked parts or scheduled
+        restarts anywhere.
+
+        A degraded shard's leftovers (handoff blocked by a broken
+        journal) do not block quiescence -- they are durable and
+        re-deliverable, and the shard is out of rotation.
+        """
+        if self._undelivered:
+            return False
+        for transport in self.transports:
+            if transport.state is ShardState.RESTARTING:
+                return False
+            if transport.state is ShardState.DEGRADED:
+                continue
+            try:
+                status = transport.status()
+            except _FAULTS as fault:
+                self._note_fault(transport, fault)
+                return False
+            if status.queue_depth > 0 or status.repairs_in_flight:
+                return False
+        return True
+
+    def drain(self, *, max_ticks: int = 100_000) -> list:
+        """Tick until the whole fabric is quiescent."""
+        results = []
+        for _ in range(max_ticks):
+            results.extend(self.tick())
+            if self.quiescent():
+                return results
+        raise ServiceError(
+            f"supervisor drain did not converge in {max_ticks} ticks")
+
+    def seal(self, *, reason: str = "drain") -> dict[int, bool]:
+        """Durably mark a clean shutdown of every non-degraded shard.
+
+        Each shard appends a ``fabric-drain`` record to its journal
+        and fsyncs the tail (see
+        :meth:`~repro.service.controlplane.ValidationService.seal`),
+        so ``repro report`` can tell this shutdown from a crash and no
+        unsynced record can be lost after the supervisor exits.
+        Best-effort per shard: one refusing journal must not block the
+        others' clean shutdown.  Returns, per shard index, whether
+        the shard confirmed its seal.
+        """
+        sealed = {}
+        for transport in self.transports:
+            sealed[transport.index] = False
+            if transport.state is ShardState.DEGRADED:
+                continue
+            try:
+                sealed[transport.index] = transport.seal(reason,
+                                                         self.tick_index)
+            except (JournalError, *_FAULTS):
+                continue
+        return sealed
+
+    def summary(self) -> dict:
+        """Fabric-level health: supervisor counters plus per-shard state."""
         return {
-            "shard_restarts": self.shard_restarts,
-            "shard_crashes": self.shard_crashes,
-            "watchdog_trips": self.watchdog_trips,
-            "heartbeats_lost": self.heartbeats_lost,
-            "shards_degraded": self.shards_degraded,
-            "events_failed_over": self.events_failed_over,
-            "handoffs_reconciled": self.handoffs_reconciled,
+            "tick_index": self.tick_index,
+            **self.metrics.summary(),
+            "undelivered": len(self._undelivered),
+            "shards": {f"shard-{transport.index:02d}": transport.describe()
+                       for transport in self.transports},
         }
 
 
-class ShardSupervisor:
-    """Drive one shard fabric: route, schedule, watch, restart, shed.
+class ShardSupervisor(Supervisor):
+    """The fabric with every shard's control plane in this thread.
 
     Parameters
     ----------
@@ -175,419 +698,25 @@ class ShardSupervisor:
         :class:`SupervisorConfig`.
     clock:
         Monotonic-seconds source shared by every shard (injectable).
-
-    Attributes
-    ----------
-    tick_filter:
-        Optional ``(shard) -> bool`` chaos seam: returning False
-        means the shard is unresponsive this tick (a hang) -- its
-        tick simply never executes, and only the watchdog's stall
-        detection can recover it.
-    heartbeat_filter:
-        Optional ``(shard) -> bool`` chaos seam: returning False
-        drops this tick's heartbeat; the supervisor conservatively
-        counts a missing heartbeat as a stalled tick.
-    on_restart:
-        Optional ``(shard) -> None`` called after a shard restarts --
-        the seam chaos uses to re-arm fault injection on the
-        replacement service.
     """
 
     def __init__(self, anubis_factory, nodes, *, journal_root=None,
                  config: SupervisorConfig | None = None,
                  clock=time.monotonic):
-        self.config = config or SupervisorConfig()
-        self.clock = clock
         self.fleet = list(nodes)
-        self.ring = HashRing(self.config.shard_count,
-                             virtual_nodes=self.config.virtual_nodes)
-        self._sku_index = {node.node_id: getattr(node, "sku", "unknown")
-                           for node in self.fleet}
+        super().__init__(config or SupervisorConfig(),
+                         {node.node_id: getattr(node, "sku", "unknown")
+                          for node in self.fleet})
+        self.clock = clock
         assignment: dict[int, list[str]] = {
             index: [] for index in range(self.config.shard_count)}
         for node in self.fleet:
             owner = self.ring.owner(self._routing_key(node.node_id))
             assignment[owner].append(node.node_id)
-        self.shards = [
+        self.shards = self.transports = [
             Shard(index, assignment[index], self.fleet,
                   anubis_factory=anubis_factory, journal_root=journal_root,
                   service_config=self.config.service, clock=clock)
             for index in range(self.config.shard_count)
         ]
-        self.tick_index = 0
-        self.metrics = SupervisorMetrics()
-        self.tick_filter = None
-        self.heartbeat_filter = None
-        self.on_restart = None
-        # Startup reconciliation: the previous incarnation may have
-        # died between a handoff record and its delivery.
         self.reconcile_handoffs()
-
-    # ------------------------------------------------------------------
-    # Routing / ingest
-    # ------------------------------------------------------------------
-    def _alive(self) -> set[int]:
-        return {shard.index for shard in self.shards
-                if shard.state is not ShardState.DEGRADED}
-
-    def _routing_key(self, node_id: str) -> str:
-        """What the ring hashes for this node: its id, or -- under
-        ``sku_affinity`` -- its hardware class, so one SKU's nodes
-        co-locate and fail over together."""
-        if not self.config.sku_affinity:
-            return node_id
-        return self._sku_index.get(node_id, "unknown")
-
-    def route(self, node_id: str) -> int:
-        """The shard responsible for ``node_id`` right now.
-
-        The ring owner, unless that shard is degraded -- then the
-        node falls through the ring to its first live successor.  A
-        RESTARTING shard still receives work: its journal is intact,
-        so submits are durably accepted and recovered by the restart.
-        """
-        return self.ring.owner(self._routing_key(node_id),
-                               alive=self._alive())
-
-    def submit(self, event: ValidationEvent) -> dict[int, QueuedEvent]:
-        """Split one event along shard ownership and submit each part.
-
-        Returns the accepted entry per shard index.  Splitting is the
-        isolation boundary at work: an event spanning many shards
-        becomes independent per-shard events, so one shard's failure
-        cannot hold another shard's nodes hostage.
-        """
-        groups: dict[int, list] = {}
-        for node in event.nodes:
-            groups.setdefault(self.route(node.node_id), []).append(node)
-        statuses = {status.node_id: status for status in event.statuses}
-        accepted: dict[int, QueuedEvent] = {}
-        for index in sorted(groups):
-            nodes = tuple(groups[index])
-            part = ValidationEvent(
-                kind=event.kind,
-                nodes=nodes,
-                statuses=tuple(statuses[node.node_id] for node in nodes
-                               if node.node_id in statuses),
-                duration_hours=event.duration_hours,
-            )
-            accepted[index] = self.shards[index].service.submit(part)
-        return accepted
-
-    def schedule_periodic(self, statuses, *,
-                          lookahead_hours: float = 24.0) -> dict[int, QueuedEvent]:
-        """Per-shard periodic scheduling (§3.1 step 1), fleet-wide."""
-        groups: dict[int, list] = {}
-        for status in statuses:
-            groups.setdefault(self.route(status.node_id), []).append(status)
-        accepted: dict[int, QueuedEvent] = {}
-        for index in sorted(groups):
-            entry = self.shards[index].service.schedule_periodic(
-                groups[index], lookahead_hours=lookahead_hours)
-            if entry is not None:
-                accepted[index] = entry
-        return accepted
-
-    # ------------------------------------------------------------------
-    # The supervision loop
-    # ------------------------------------------------------------------
-    def tick(self) -> list[TickResult]:
-        """One supervision round.
-
-        Fires due restarts, processes the globally riskiest pending
-        event on the highest-priority *responsive* shard, advances
-        every other running shard's repair pipeline, then heartbeats
-        and watches each running shard.
-        """
-        self.tick_index += 1
-        results: list[TickResult] = []
-        for shard in self.shards:
-            if (shard.state is ShardState.RESTARTING
-                    and shard.restart_due_tick is not None
-                    and self.tick_index >= shard.restart_due_tick):
-                self._restart(shard)
-        running = [shard for shard in self.shards
-                   if shard.state is ShardState.RUNNING]
-        ticked = None
-        attempted: set[int] = set()
-        for shard in self._priority_order(running):
-            attempted.add(shard.index)
-            if self.tick_filter is not None and not self.tick_filter(shard):
-                continue  # hung: the tick never executes; watchdog's job
-            ticked = shard
-            result = self._tick_shard(shard)
-            if result is not None:
-                results.append(result)
-            break
-        for shard in running:
-            if shard is not ticked and shard.state is ShardState.RUNNING:
-                shard.service.advance_repairs()
-        for shard in self.shards:
-            self._heartbeat(shard, attempted=attempted)
-        return results
-
-    def _priority_order(self, running) -> list[Shard]:
-        """Shards with pending work, riskiest queue head first."""
-        heads = []
-        for shard in running:
-            head = shard.service.queue.peek()
-            if head is not None:
-                heads.append((-head.priority, shard.index, shard))
-        return [shard for _priority, _index, shard in sorted(heads)]
-
-    def _tick_shard(self, shard: Shard) -> TickResult | None:
-        try:
-            return shard.service.tick()
-        except ShardCrash as fault:
-            # The shard "process" died; the supervisor did not.  Its
-            # journal is intact up to the crash point, so a restart
-            # recovers everything durably accepted.
-            self.metrics.shard_crashes += 1
-            self._declare_unhealthy(shard, reason=f"crash: {fault}")
-            return None
-
-    def _heartbeat(self, shard: Shard, *, attempted: set[int]) -> None:
-        """Sample one shard's liveness and run the stall watchdog.
-
-        A shard is only blamed for lack of progress on ticks where
-        the scheduler actually *attempted* it -- a shard whose
-        pending work simply lost the cross-shard priority race this
-        round is waiting, not hung.
-        """
-        if shard.state is not ShardState.RUNNING:
-            return
-        if (self.heartbeat_filter is not None
-                and not self.heartbeat_filter(shard)):
-            # No signal: the supervisor cannot tell a lost heartbeat
-            # from a dead shard, so it conservatively counts this as
-            # a stalled tick.
-            self.metrics.heartbeats_lost += 1
-            shard.stalled_ticks += 1
-        else:
-            progress = shard.progress()
-            try:
-                self._journal_shard(shard, RecordKind.SHARD_HEARTBEAT, {
-                    "shard": shard.index,
-                    "tick": self.tick_index,
-                    "progress": progress,
-                    "queue_depth": len(shard.service.queue),
-                    "restarts": shard.restarts,
-                    "stalled_ticks": shard.stalled_ticks,
-                })
-            except ShardCrash as fault:
-                self.metrics.shard_crashes += 1
-                self._declare_unhealthy(shard, reason=f"crash: {fault}")
-                return
-            if progress > shard.last_progress or not shard.service.queue:
-                shard.stalled_ticks = 0
-                if progress > shard.last_progress:
-                    shard.progress_ticks += 1
-                    forgive = self.config.restart_forgive_after_ticks
-                    if (forgive is not None
-                            and shard.progress_ticks >= forgive):
-                        shard.restarts = 0
-                        shard.progress_ticks = 0
-            elif shard.index in attempted:
-                shard.stalled_ticks += 1
-            shard.last_progress = progress
-        if shard.stalled_ticks >= self.config.watchdog_stall_ticks:
-            self.metrics.watchdog_trips += 1
-            self._declare_unhealthy(shard, reason="watchdog-stall")
-
-    def _journal_shard(self, shard: Shard, kind, payload: dict) -> None:
-        """Best-effort observability append into one shard's journal."""
-        store = shard.service.store
-        if store is None:
-            return
-        try:
-            store.append(kind, payload)
-        except JournalError:
-            pass
-
-    # ------------------------------------------------------------------
-    # Restart / degrade / failover
-    # ------------------------------------------------------------------
-    def _declare_unhealthy(self, shard: Shard, *, reason: str) -> None:
-        if shard.state is not ShardState.RUNNING:
-            return
-        if shard.restarts >= self.config.max_shard_restarts:
-            self._degrade(shard, reason=reason)
-            return
-        shard.state = ShardState.RESTARTING
-        shard.restart_due_tick = (
-            self.tick_index + self.config.backoff_ticks(shard.restarts))
-        shard.stalled_ticks = 0
-
-    def _restart(self, shard: Shard) -> None:
-        shard.restart()
-        self.metrics.shard_restarts += 1
-        if self.on_restart is not None:
-            self.on_restart(shard)
-        # The shard may have recovered handoff state, or a sibling's
-        # delivery may have been lost with the old incarnation.
-        self.reconcile_handoffs()
-
-    def _degrade(self, shard: Shard, *, reason: str) -> None:
-        shard.state = ShardState.DEGRADED
-        self.metrics.shards_degraded += 1
-        try:
-            self._journal_shard(shard, RecordKind.SHARD_DEGRADED, {
-                "shard": shard.index,
-                "tick": self.tick_index,
-                "restarts": shard.restarts,
-                "reason": reason,
-            })
-        except ShardCrash:
-            pass  # the shard is already being written off
-        self._failover(shard)
-
-    def _failover(self, shard: Shard) -> None:
-        """Hand a degraded shard's pending events to live siblings.
-
-        Per entry: journal ``shard-handoff`` in the *source* journal,
-        then submit to the target with an ``origin`` marker.  If the
-        source journal refuses the handoff record, the entry is
-        re-queued and left parked on the degraded shard -- still
-        durably pending, still accounted for, re-deliverable by a
-        later full-process restart.
-        """
-        alive = self._alive()
-        if not alive:
-            raise ServiceError(
-                "every shard degraded; no failover target remains")
-        while True:
-            entry = shard.service.queue.pop()
-            if entry is None:
-                break
-            first_node = sorted(
-                node.node_id for node in entry.event.nodes)[0]
-            target_index = self.ring.owner(self._routing_key(first_node),
-                                           alive=alive)
-            try:
-                shard.service.record_handoff(entry, to_shard=target_index)
-            except (JournalError, ShardCrash):
-                shard.service.queue.requeue(entry)
-                break
-            self.metrics.events_failed_over += 1
-            try:
-                self.shards[target_index].service.submit(
-                    entry.event, origin=(shard.index, entry.event_id))
-            except JournalError:
-                # Handoff journaled but undelivered; the handed_off
-                # map keeps it re-deliverable by reconciliation.
-                continue
-
-    def reconcile_handoffs(self) -> int:
-        """Re-deliver journaled handoffs that never reached a sibling.
-
-        For every ``shard-handoff`` record whose
-        ``(source, event_id)`` origin appears in *no* shard's
-        delivered-origin set, submit the event to its target (or, if
-        the target is gone, to the node's live ring successor).  The
-        origin set makes this idempotent: a handoff delivered just
-        before a crash is recognized and skipped, one lost mid-flight
-        is re-submitted exactly once.  Returns the number re-delivered.
-        """
-        alive = self._alive()
-        if not alive:
-            return 0
-        delivered: set[tuple[int, int]] = set()
-        for shard in self.shards:
-            delivered |= shard.service.origins_seen
-        redelivered = 0
-        for shard in self.shards:
-            for event_id in sorted(shard.service.handed_off):
-                origin = (shard.index, event_id)
-                if origin in delivered:
-                    continue
-                payload = shard.service.handed_off[event_id]
-                event = ValidationEvent.from_payload(
-                    payload["event"], shard.service.fleet_index)
-                target_index = int(payload.get("to_shard", -1))
-                if target_index not in alive:
-                    first_node = sorted(
-                        node.node_id for node in event.nodes)[0]
-                    target_index = self.ring.owner(
-                        self._routing_key(first_node), alive=alive)
-                try:
-                    self.shards[target_index].service.submit(
-                        event, origin=origin)
-                except JournalError:
-                    continue  # retried at the next reconciliation
-                delivered.add(origin)
-                redelivered += 1
-                self.metrics.handoffs_reconciled += 1
-        return redelivered
-
-    # ------------------------------------------------------------------
-    # Draining and reporting
-    # ------------------------------------------------------------------
-    def quiescent(self) -> bool:
-        """No pending work, repairs or scheduled restarts anywhere.
-
-        A degraded shard's parked leftovers (handoff blocked by a
-        broken journal) do not block quiescence -- they are durable
-        and re-deliverable, and the shard is out of rotation.
-        """
-        for shard in self.shards:
-            if shard.state is ShardState.RESTARTING:
-                return False
-            if shard.state is ShardState.DEGRADED:
-                continue
-            if len(shard.service.queue) > 0:
-                return False
-            if shard.service.repairs_in_flight():
-                return False
-        return True
-
-    def drain(self, *, max_ticks: int = 100_000) -> list[TickResult]:
-        """Tick until the whole fabric is quiescent."""
-        results: list[TickResult] = []
-        for _ in range(max_ticks):
-            results.extend(self.tick())
-            if self.quiescent():
-                return results
-        raise ServiceError(
-            f"supervisor drain did not converge in {max_ticks} ticks")
-
-    def seal(self, *, reason: str = "drain") -> None:
-        """Durably mark a clean shutdown of every non-degraded shard.
-
-        Appends a ``fabric-drain`` record to each live shard's journal
-        and fsyncs its tail (see
-        :meth:`~repro.service.controlplane.ValidationService.seal`),
-        so ``repro report`` can tell this shutdown from a crash and no
-        unsynced record can be lost after the supervisor exits.
-        Best-effort per shard: one refusing journal must not block the
-        others' clean shutdown.
-        """
-        for shard in self.shards:
-            if shard.state is ShardState.DEGRADED:
-                continue
-            try:
-                shard.service.seal(reason=reason,
-                                   extra={"shard": shard.index,
-                                          "tick": self.tick_index})
-            except (JournalError, ShardCrash):
-                continue
-
-    def summary(self) -> dict:
-        """Fabric-level health: supervisor counters plus per-shard state."""
-        shards = {}
-        for shard in self.shards:
-            metrics = shard.service.metrics
-            shards[f"shard-{shard.index:02d}"] = {
-                "state": shard.state.value,
-                "owned_nodes": len(shard.node_ids),
-                "restarts": shard.restarts,
-                "queue_depth": len(shard.service.queue),
-                "events_processed": metrics.events_processed,
-                "events_shed": metrics.events_shed,
-                "events_dead_lettered": metrics.events_dead_lettered,
-                "handed_off": len(shard.service.handed_off),
-            }
-        return {
-            "tick_index": self.tick_index,
-            **self.metrics.summary(),
-            "shards": shards,
-        }

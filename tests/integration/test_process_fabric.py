@@ -182,8 +182,8 @@ class TestProcessFabricBasics:
         # Graceful shutdown leaves every journal sealed with the
         # fabric-drain marker as its final record.
         assert all(facts["sealed"].values())
-        assert fabric.metrics.worker_spawns == SHARDS
-        assert fabric.metrics.worker_deaths == 0
+        assert fabric.metrics.shard_restarts == 0
+        assert fabric.metrics.shard_crashes == 0
 
     def test_shutdown_is_idempotent(self, tmp_path, criteria_path):
         fabric = make_fabric(tmp_path / "j", criteria_path)
@@ -195,7 +195,7 @@ class TestProcessFabricBasics:
         fabric = make_fabric(tmp_path / "j", criteria_path)
         try:
             summary = fabric.summary()
-            assert summary["worker_spawns"] == SHARDS
+            assert summary["shard_restarts"] == 0
             for entry in summary["shards"].values():
                 assert entry["state"] == "running"
                 assert entry["pid"] is not None
@@ -219,8 +219,8 @@ class TestExternalSigkill:
             os.kill(victim.proc.pid, signal.SIGKILL)
             results = fabric.drain(max_ticks=300)
             assert len(results) == len(expected_parts(events))
-            assert fabric.metrics.worker_deaths == 1
-            assert fabric.metrics.worker_restarts == 1
+            assert fabric.metrics.shard_crashes == 1
+            assert fabric.metrics.shard_restarts == 1
             assert victim.incarnation == 1
             assert victim.state is ShardState.RUNNING
         finally:
@@ -346,7 +346,7 @@ class TestKillNineAtSampledPrefixes:
             # last append (the shutdown seal itself) kills a worker
             # the supervisor is done with -- the only trace is the
             # missing drain marker, and no event was at risk.
-            killed_mid_run = fabric.metrics.worker_deaths >= 1
+            killed_mid_run = fabric.metrics.shard_crashes >= 1
             killed_at_seal = not facts["sealed"][0]
             assert killed_mid_run or killed_at_seal, f"cut {cut}"
             if killed_mid_run:
@@ -384,8 +384,8 @@ class TestSigstopHang:
             # The freeze is invisible to PID liveness; only the RPC
             # deadline can have caught it.
             assert fabric.metrics.rpc_timeouts >= 1
-            assert fabric.metrics.worker_deaths >= 1
-            assert fabric.metrics.worker_restarts >= 1
+            assert fabric.metrics.shard_crashes >= 1
+            assert fabric.metrics.shard_restarts >= 1
         finally:
             fabric.shutdown()
         assert_exactly_once(tmp_path / "j", events)

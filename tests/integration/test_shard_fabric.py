@@ -443,7 +443,7 @@ class TestCrossShardHandoffKillAtEveryPrefix:
         supervisor.submit(event)
         shard0 = supervisor.shards[0]
         entry = shard0.service.queue.pop()
-        shard0.service.record_handoff(entry, to_shard=1)
+        shard0.append("shard-handoff", {**entry.to_payload(), "to_shard": 1})
         # "Kill": the delivery never happens; a fresh supervisor over
         # the same journals reconciles at startup.
         recovered = build_supervisor(fleet, risk_model, root, shards=3)

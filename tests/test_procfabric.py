@@ -15,16 +15,15 @@ import pytest
 from repro.exceptions import JournalError, ReproError, ServiceError
 from repro.service.chaos import ProcessChaosPlan
 from repro.service.procfabric import (
-    PARENT_ORIGIN,
     ProcessFabric,
     WorkerFault,
     WorkerSpec,
     read_frame,
-    replay_queue_state,
     write_frame,
 )
+from repro.service.queue import replay_queue_state
 from repro.service.store import JournalStore, RecordKind
-from repro.service.supervisor import SupervisorConfig
+from repro.service.supervisor import PARENT_ORIGIN, SupervisorConfig
 
 
 def make_pipe_frame(message: dict) -> bytes:
@@ -194,6 +193,27 @@ class TestReplayQueueState:
                       "origin": [0, 12]})
         state = replay_queue_state(store.replay())
         assert state.origins_seen == {(PARENT_ORIGIN, 7), (0, 12)}
+
+    def test_coalesce_and_failure_records_merge_into_the_entry(self,
+                                                               tmp_path):
+        """What a dead shard's journal hands a sibling is the entry as
+        it stood at death -- the same reduction a restart performs."""
+        store = self.journal(tmp_path)
+        self.enqueue(store, 1, priority=0.2)
+        store.append(RecordKind.EVENT_COALESCED,
+                     {"event_id": 1, "priority": 0.7,
+                      "duration_hours": 240.0})
+        store.append(RecordKind.EVENT_COALESCED,
+                     {"event_id": 1, "priority": 0.4,
+                      "duration_hours": 48.0})
+        store.append(RecordKind.EVENT_FAILED,
+                     {"event_id": 1, "attempts": 2, "error": "boom"})
+        store.append(RecordKind.EVENT_FAILED,
+                     {"event_id": 9, "attempts": 1, "error": "stale"})
+        entry = replay_queue_state(store.replay()).pending[1]
+        assert entry["priority"] == 0.7
+        assert entry["event"]["duration_hours"] == 240.0
+        assert entry["attempts"] == 2
 
     def test_handoff_moves_entry_out_of_pending(self, tmp_path):
         store = self.journal(tmp_path)
