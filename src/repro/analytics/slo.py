@@ -639,7 +639,11 @@ class SupervisorReducer:
       overload;
     * **process fabric** -- ``proc-heartbeat`` liveness beats and
       ``proc-restart`` respawns journaled by the process supervisor
-      (:mod:`repro.service.procfabric`), per shard;
+      (:mod:`repro.service.procfabric`), per shard.  A worker journals
+      one beat per ``status`` probe it *answers*, and a busy worker's
+      sample rides its command replies instead, so
+      ``proc_heartbeats`` counts probes answered (idle rounds, first
+      samples, drain checks), not supervision rounds;
     * **clean shutdown** -- a journal whose *final* record is a
       ``fabric-drain`` was shut down gracefully (drained, fsynced);
       anything after the last drain means the writer came back up, and

@@ -693,6 +693,7 @@ class ValidationService:
             payload.update(extra)
         self._journal_best_effort(RecordKind.FABRIC_DRAIN, payload)
         self.store.sync()
+        self.store.close()
 
     def dead_letters(self) -> list[DeadLetter]:
         """Parked poison events (inspection API)."""

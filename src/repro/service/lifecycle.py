@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from repro.exceptions import LifecycleError, ServiceError
@@ -91,6 +90,10 @@ class NodeLifecycle:
 
     def __init__(self):
         self._states: dict[str, NodeState] = {}
+        #: Tracked nodes per state, maintained on every transition so
+        #: the per-tick questions ("any repairs in flight?", "who is
+        #: quarantined?") do not scan the fleet.
+        self._counts: dict[NodeState, int] = dict.fromkeys(NodeState, 0)
         self._seq = 0
         self.transitions: list[Transition] = []
 
@@ -121,6 +124,9 @@ class NodeLifecycle:
         self._seq += 1
         applied = Transition(seq=self._seq, node_id=node_id, old=old,
                              new=new, reason=reason, forced=forced)
+        if node_id in self._states:
+            self._counts[old] -= 1
+        self._counts[new] += 1
         self._states[node_id] = new
         self.transitions.append(applied)
         return applied
@@ -134,6 +140,9 @@ class NodeLifecycle:
         """
         self._states = {node_id: NodeState(state)
                         for node_id, state in states.items()}
+        self._counts = dict.fromkeys(NodeState, 0)
+        for state in self._states.values():
+            self._counts[state] += 1
 
     def nodes_in(self, state: NodeState) -> list[str]:
         """Node ids currently in ``state``, in first-transition order.
@@ -141,16 +150,17 @@ class NodeLifecycle:
         HEALTHY only lists nodes that have transitioned at least once
         (untouched nodes are implicitly healthy and unknown here).
         """
+        if not self._counts[state]:
+            return []
         return [n for n, s in self._states.items() if s is state]
 
     def any_in(self, states) -> bool:
-        """Whether any node is in one of ``states`` (one pass, no list)."""
-        return any(state in states for state in self._states.values())
+        """Whether any node is in one of ``states`` (no fleet scan)."""
+        return any(self._counts[state] for state in states)
 
     def counts(self) -> dict[str, int]:
         """State value -> number of known nodes in it."""
-        counter = Counter(s.value for s in self._states.values())
-        return {state.value: counter.get(state.value, 0) for state in NodeState}
+        return {state.value: count for state, count in self._counts.items()}
 
     def states(self) -> dict[str, NodeState]:
         """Snapshot of every explicitly-tracked node's state."""

@@ -21,18 +21,33 @@ from library code can never corrupt the protocol stream.  Commands
 are strictly request/response (one frame each way, in order), which
 keeps the channel state trivial: any deadline miss desynchronizes the
 channel, and the parent's only remedy -- kill and respawn -- is also
-the correct supervision response.
+the correct supervision response.  Every ``submit``, ``tick`` and
+``advance_repairs`` reply that succeeded also carries the shard's
+sample as it stands after the command (``"sample"``: the fields of
+:class:`~repro.service.shard.ShardStatus`, in order).  A worker's
+queue, progress and repair state change only in response to parent
+commands, so that is exactly what a ``status`` RPC sent next would
+answer, and the parent's per-round sample of a worker it has just
+spoken to costs no frame.
 
-**Liveness signal.**  The ``status`` RPC, once per RUNNING worker per
-supervision round.  A worker whose PID is gone (``SIGKILL``, crash,
-OOM) raises :class:`WorkerDied`; one whose RPC deadline lapses (a
+**Liveness signal.**  Any reply.  Each supervision round samples every
+RUNNING worker once: a worker that answered a command since its last
+sample is sampled from that reply; a worker nobody spoke to is sent
+the ``status`` RPC under ``status_deadline`` (and journals a
+``proc-heartbeat`` for answering it), as is every incarnation for its
+first sample.  A worker whose PID is gone (``SIGKILL``, crash, OOM)
+raises :class:`WorkerDied`; one whose RPC deadline lapses (a
 ``SIGSTOP`` freeze, a wedged C extension -- the cases PID liveness
-cannot see) raises :class:`WorkerUnresponsive`.  A pipe can lose an
-ACK, so every delivery carries an ``origin`` the worker dedupes on.
+cannot see) raises :class:`WorkerUnresponsive` -- on that idle probe,
+or on the next command sent to it.  A pipe can lose an ACK, so every
+delivery carries an ``origin`` the worker dedupes on.
 
 **Single-writer discipline.**  The parent touches a shard's journal
 *only* after :meth:`_WorkerHandle.ensure_dead` has SIGKILLed and
-reaped whatever remained of its process.
+reaped whatever remained of its process, through one
+:class:`~repro.service.store.JournalStore` it holds from then until
+:meth:`_WorkerHandle.restart` closes it, just before the replacement
+spawns.
 
 **Graceful drain.**  Workers install ``SIGTERM``/``SIGINT`` handlers
 that break out of the blocking protocol read, journal a
@@ -387,12 +402,12 @@ class ShardWorker:
             elif command == "state":
                 self._reply({"ok": True, **self._state()})
             elif command == "submit":
-                self._reply(self._submit(message))
+                self._reply(self._sampled(self._submit(message)))
             elif command == "tick":
-                self._reply(self._tick())
+                self._reply(self._sampled(self._tick()))
             elif command == "advance_repairs":
                 self.service.advance_repairs()
-                self._reply({"ok": True})
+                self._reply(self._sampled({"ok": True}))
             elif command == "seal":
                 self._seal(str(message.get("reason", "drain")))
                 self._reply({"ok": True, "sealed": True})
@@ -406,6 +421,12 @@ class ShardWorker:
             self._reply({"ok": False,
                          "error": f"{type(error).__name__}: {error}"})
         return True
+
+    def _sampled(self, reply: dict) -> dict:
+        """``reply`` plus the shard's sample after the command it
+        answers -- what a ``status`` RPC sent next would return."""
+        reply["sample"] = list(sample(self.service))
+        return reply
 
     def _status(self) -> dict:
         service = self.service
@@ -540,6 +561,12 @@ class _WorkerHandle(ShardTransport):
         #: ``restarts`` it is never forgiven.
         self.incarnation = 0
         self._buf = b""
+        #: The sample the most recent command reply carried, until a
+        #: round's ``status(tick)`` consumes it.
+        self._carried: ShardStatus | None = None
+        #: The parent's own store on the shard's journal, open only
+        #: while no worker process can be writing it.
+        self._dead_journal: JournalStore | None = None
 
     # -- channel --------------------------------------------------------
     def alive(self) -> bool:
@@ -629,6 +656,7 @@ class _WorkerHandle(ShardTransport):
             env["PYTHONPATH"] = (src_root + os.pathsep + existing
                                  if existing else src_root)
         self._buf = b""
+        self._carried = None    # never a dead incarnation's sample
         # -c instead of -m: the package __init__ already imports this
         # module, and runpy would warn about re-executing it.
         self.proc = subprocess.Popen(
@@ -683,6 +711,7 @@ class _WorkerHandle(ShardTransport):
             })
         except JournalError:
             pass  # observability only
+        self.close_journal()    # the replacement is its writer now
         try:
             self.spawn()
         except WorkerFault:
@@ -690,9 +719,17 @@ class _WorkerHandle(ShardTransport):
             raise
 
     # -- the transport calls --------------------------------------------
+    def _command(self, message: dict, deadline_seconds: float) -> dict:
+        """One state-changing RPC; remembers the sample its reply
+        carries (an error reply carries none, so the next round asks)."""
+        reply = self.request(message, deadline_seconds)
+        carried = reply.get("sample")
+        self._carried = None if carried is None else ShardStatus(*carried)
+        return reply
+
     def deliver(self, part: dict, origin: tuple[int, int]):
-        reply = self.request({"cmd": "submit", "event": part,
-                              "origin": list(origin)}, self.status_deadline)
+        reply = self._command({"cmd": "submit", "event": part,
+                               "origin": list(origin)}, self.status_deadline)
         if not reply.get("ok"):
             raise JournalError(
                 f"worker {self.shard_index} refused the enqueue: "
@@ -700,25 +737,30 @@ class _WorkerHandle(ShardTransport):
         return None if reply.get("deduped") else reply
 
     def status(self, tick: int | None = None) -> ShardStatus:
-        """One ``status`` RPC (the worker journals its own
-        ``proc-heartbeat`` on every one it answers)."""
+        """The shard's sample.  With ``tick`` (the round's heartbeat)
+        it is the one the worker's latest command reply carried, if
+        one arrived since the previous round's; otherwise one
+        ``status`` RPC (the worker journals its own ``proc-heartbeat``
+        on every one it answers)."""
+        if tick is not None and self._carried is not None:
+            carried, self._carried = self._carried, None
+            return carried
         reply = self.request({"cmd": "status"}, self.status_deadline)
         return ShardStatus(reply["queue_depth"], reply["head_priority"],
                            reply["progress"], reply["repairs_in_flight"])
 
     def tick(self) -> dict | None:
-        reply = self.request({"cmd": "tick"}, self.tick_deadline)
+        reply = self._command({"cmd": "tick"}, self.tick_deadline)
         return reply.get("result") if reply.get("ok") else None
 
     def advance_repairs(self) -> None:
-        self.request({"cmd": "advance_repairs"}, self.status_deadline)
+        self._command({"cmd": "advance_repairs"}, self.status_deadline)
 
     def queue_state(self) -> QueueState:
         """Over RPC from a live worker; straight from the journal once
         the process is gone (the only time the parent may read it)."""
         if not self.alive():
-            return replay_queue_state(
-                JournalStore(self.journal_dir).replay())
+            return replay_queue_state(self._journal().replay())
         reply = self.request({"cmd": "state"}, self.status_deadline)
         return QueueState(
             pending={entry["event_id"]: {
@@ -731,7 +773,23 @@ class _WorkerHandle(ShardTransport):
                         in reply.get("handed_off", {}).items()})
 
     def append(self, kind, payload: dict) -> None:
-        JournalStore(self.journal_dir).append(kind, payload)
+        self._journal().append(kind, payload)
+
+    def _journal(self) -> JournalStore:
+        """The dead shard's journal, opened (one replay) on first use
+        and then held: a failover appends one record per pending
+        entry, and a store per record would replay the journal for
+        each."""
+        if self._dead_journal is None:
+            self._dead_journal = JournalStore(self.journal_dir)
+        return self._dead_journal
+
+    def close_journal(self) -> None:
+        """Give the journal up: a worker is about to own it again, or
+        the fabric is shutting down."""
+        if self._dead_journal is not None:
+            self._dead_journal.close()
+            self._dead_journal = None
 
     def seal(self, reason: str, tick: int) -> bool:
         """Ask for a ``seal`` over RPC (journal the ``fabric-drain``
@@ -869,6 +927,7 @@ class ProcessFabric(Supervisor):
         sealed = self.seal(reason=reason)
         for handle in self.workers:
             handle.ensure_dead()
+            handle.close_journal()
         return sealed
 
     def __enter__(self) -> "ProcessFabric":

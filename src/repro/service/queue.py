@@ -33,9 +33,18 @@ __all__ = ["QueuedEvent", "DeadLetter", "EventQueue", "QueueState",
            "as_origin", "replay_queue_state"]
 
 
+def _node_key(node) -> str:
+    """A node's identity in a coalesce key: its ``node_id``.  Only an
+    object that has none (a bare string) is stringified -- ``str()`` of
+    a real node is a dataclass repr over its arrays."""
+    try:
+        return node.node_id
+    except AttributeError:
+        return str(node)
+
+
 def _coalesce_key(event: ValidationEvent) -> tuple:
-    node_ids = tuple(sorted(getattr(n, "node_id", str(n)) for n in event.nodes))
-    return (event.kind.value, node_ids)
+    return (event.kind.value, tuple(sorted(map(_node_key, event.nodes))))
 
 
 @dataclass
@@ -55,6 +64,16 @@ class QueuedEvent:
     origin: tuple[int, int] | None = None
     #: Set when admission control journaled this entry as shed.
     shed: bool = False
+    #: The (kind, node set) identity repeats coalesce on.  Computed
+    #: once per entry: the queue compares it on every push, peek, pop
+    #: and remove, and merging a longer ``duration_hours`` into
+    #: ``event`` does not change it.  Not journaled -- a recovered
+    #: entry derives it from its event again.
+    key: tuple = field(default=(), repr=False)
+
+    def __post_init__(self):
+        if not self.key:
+            self.key = _coalesce_key(self.event)
 
     @property
     def sort_key(self) -> tuple[float, int]:
@@ -174,7 +193,7 @@ class EventQueue:
         entry = QueuedEvent(
             event_id=event_id if event_id is not None else self.next_event_id(),
             event=event, priority=float(priority), enqueued_at=enqueued_at,
-            origin=origin,
+            origin=origin, key=key,
         )
         self._pending[key] = entry
         heapq.heappush(self._heap, (entry.sort_key, entry))
@@ -188,7 +207,7 @@ class EventQueue:
         one was being processed, the two merge: the pending entry
         survives and inherits the higher attempt count and priority.
         """
-        key = _coalesce_key(entry.event)
+        key = entry.key
         existing = self._pending.get(key)
         if existing is not None:
             existing.attempts = max(existing.attempts, entry.attempts)
@@ -207,20 +226,19 @@ class EventQueue:
         popped, or superseded).  The heap tuple is discarded lazily by
         :meth:`pop`, like a stale priority raise.
         """
-        key = _coalesce_key(entry.event)
-        if self._pending.get(key) is not entry:
+        if self._pending.get(entry.key) is not entry:
             return False
-        del self._pending[key]
+        del self._pending[entry.key]
         return True
 
     def pop(self) -> QueuedEvent | None:
         """Highest-priority pending entry, or ``None`` when empty."""
         while self._heap:
             sort_key, entry = heapq.heappop(self._heap)
-            key = _coalesce_key(entry.event)
-            if self._pending.get(key) is not entry or sort_key != entry.sort_key:
+            if (self._pending.get(entry.key) is not entry
+                    or sort_key != entry.sort_key):
                 continue  # stale tuple from a coalesced priority raise
-            del self._pending[key]
+            del self._pending[entry.key]
             return entry
         return None
 
@@ -233,8 +251,7 @@ class EventQueue:
         """
         while self._heap:
             sort_key, entry = self._heap[0]
-            key = _coalesce_key(entry.event)
-            if (self._pending.get(key) is not entry
+            if (self._pending.get(entry.key) is not entry
                     or sort_key != entry.sort_key):
                 heapq.heappop(self._heap)
                 continue
@@ -254,10 +271,9 @@ class EventQueue:
         """
         if not self._pending:
             return None
-        key, victim = min(self._pending.items(),
-                          key=lambda item: (item[1].priority,
-                                            item[1].event_id))
-        del self._pending[key]
+        victim = min(self._pending.values(),
+                     key=lambda entry: (entry.priority, entry.event_id))
+        del self._pending[victim.key]
         victim.shed = True
         return victim
 

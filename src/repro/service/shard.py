@@ -198,7 +198,9 @@ class ShardTransport:
 
     def status(self, tick: int | None = None) -> ShardStatus:
         """Sample the shard.  With ``tick`` this is the round's
-        heartbeat, which the shard also journals."""
+        liveness sample: a transport journals the ones it asks the
+        shard for as heartbeats, and may answer from the shard's own
+        latest reply when nothing can have changed the shard since."""
         raise NotImplementedError
 
     def tick(self):
@@ -379,6 +381,8 @@ class Shard(ShardTransport):
         is dropped wholesale and the replacement replays the shard's
         own journal -- pending events, lifecycle, criteria, handoff
         state."""
+        if self.service.store is not None:
+            self.service.store.close()
         self.service = self._build_service()
         self.dead = False
 

@@ -28,6 +28,17 @@ Three hardening layers keep the journal trustworthy and bounded:
   file, fsync, rename), so recovery cost and disk use stay bounded by
   live state rather than by service uptime.
 
+**The append handle is held open.**  A store opens its journal for
+append on the first record and keeps the handle (``write`` + ``flush``
+per record, as durable as reopening per record was, without the
+``open``/``close`` pair).  Before every write one ``os.stat`` checks
+that the path still names the inode the handle holds; if the journal
+was unlinked, renamed over or compacted by another store since, the
+handle is reopened on the path, so a record is never written into an
+orphaned file.  The file is opened ``O_APPEND``: stores interleaving
+appends on one path each land whole lines at the end.  :meth:`close`
+releases the handle; the next append reopens it.
+
 A crash can truncate the final line mid-write.  Replay therefore
 *skips* undecodable lines with a logged warning instead of failing:
 losing the last record is recoverable, refusing to restart is not.
@@ -206,6 +217,10 @@ class JournalStore:
         #: Decodable-but-corrupt lines (checksum mismatches) seen by
         #: the most recent :meth:`replay`.
         self.corrupt_records = 0
+        #: The held append handle and the ``(st_dev, st_ino)`` it was
+        #: opened on; ``None`` until the first append.
+        self._handle = None
+        self._inode: tuple[int, int] | None = None
         self._heal_torn_tail()
         self._seq = self._last_seq_on_disk()
 
@@ -256,15 +271,43 @@ class JournalStore:
                            "crc": record_crc(seq, kind, payload)})
         effective_fsync = self.fsync if fsync is None else bool(fsync)
         try:
-            with self.path.open("a") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                if effective_fsync:
-                    os.fsync(handle.fileno())
+            handle = self._append_handle()
+            handle.write(line + "\n")
+            handle.flush()
+            if effective_fsync:
+                os.fsync(handle.fileno())
         except OSError as error:
+            # Whatever state the handle is in now, the next append
+            # starts from a fresh one.
+            self.close()
             raise JournalError(f"cannot append to {self.path}: {error}") from error
         self._seq = seq
         return seq
+
+    def _append_handle(self):
+        """The held append handle, (re)opened when the path no longer
+        names the inode it was opened on."""
+        try:
+            stat = os.stat(self.path)
+            on_disk = (stat.st_dev, stat.st_ino)
+        except FileNotFoundError:
+            on_disk = None
+        if self._handle is None or on_disk != self._inode:
+            self.close()
+            self._handle = self.path.open("a")
+            stat = os.fstat(self._handle.fileno())
+            self._inode = (stat.st_dev, stat.st_ino)
+        return self._handle
+
+    def close(self) -> None:
+        """Release the append handle (idempotent; the store stays
+        usable -- the next append reopens the journal)."""
+        handle, self._handle, self._inode = self._handle, None, None
+        if handle is not None:
+            try:
+                handle.close()
+            except OSError:
+                pass  # every record was flushed when it was appended
 
     def sync(self) -> None:
         """Force everything appended so far to stable storage.
@@ -305,6 +348,7 @@ class JournalStore:
                     handle.write(line + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
+            self.close()    # the held handle names the file replaced
             os.replace(tmp_path, self.path)
         except OSError as error:
             raise JournalError(

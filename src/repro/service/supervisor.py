@@ -9,13 +9,13 @@ puts each in its own OS process behind a pipe.  The two differ in
 construction and shutdown only.
 
 **Liveness (watchdog + restart-with-backoff).**  Every round samples
-each running shard once (``status``, which the shard journals as its
-heartbeat).  A transport fault -- a crashed shard, a dead PID, a
-missed RPC deadline -- is conclusive; otherwise the stall watchdog
-(``watchdog_stall_ticks``) decides.  Either way the shard is made
-provably dead and restarted after an exponential backoff.  Restarting
-*is* the kill-safe journal recovery: a fresh incarnation replays the
-shard's own journal.
+each running shard once (``status``; a sample the transport had to
+ask the shard for is journaled there as its heartbeat).  A transport
+fault -- a crashed shard, a dead PID, a missed RPC deadline -- is
+conclusive; otherwise the stall watchdog (``watchdog_stall_ticks``)
+decides.  Either way the shard is made provably dead and restarted
+after an exponential backoff.  Restarting *is* the kill-safe journal
+recovery: a fresh incarnation replays the shard's own journal.
 
 **Containment (degradation + journaled handoff).**  A shard that
 exhausts ``max_shard_restarts`` is escalated to ``DEGRADED``: out of

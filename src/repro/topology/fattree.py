@@ -16,10 +16,12 @@ grouping used by the Appendix A quick scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.exceptions import TopologyError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["FatTreeConfig", "FatTree"]
 
@@ -98,6 +100,10 @@ class FatTree:
 
     def _build_graph(self) -> nx.Graph:
         """Structural graph: node -- tor -- agg(pod) -- core."""
+        # Imported where a tree is built: ``import repro`` reaches this
+        # module, and every worker spawn and CLI start would otherwise
+        # pay ~0.1 s for a library only topology code uses.
+        import networkx as nx
         g = nx.Graph()
         g.add_node("core", tier="core")
         for pod in range(self.n_pods):

@@ -391,6 +391,240 @@ class TestSigstopHang:
         assert_exactly_once(tmp_path / "j", events)
 
 
+def tap_requests(fabric):
+    """Log ``(shard, cmd, incarnation)`` for every parent->worker RPC,
+    at the seam the end-to-end benchmark counts frames at:
+    ``handle.request``, reassigned on the instance."""
+    log = []
+
+    def tap(handle):
+        request = handle.request
+
+        def tapped(message, deadline_seconds):
+            log.append((handle.shard_index, message["cmd"],
+                        handle.incarnation))
+            return request(message, deadline_seconds)
+
+        handle.request = tapped
+
+    for handle in fabric.workers:
+        tap(handle)
+    return log
+
+
+def sent(log, shard, cmd):
+    return sum(1 for index, command, _inc in log
+               if index == shard and command == cmd)
+
+
+def owned_events(fabric, fleet, shard, *, limit=None):
+    """Distinct-key events (single nodes, then pairs) whose every node
+    ``shard`` owns, so each is exactly one part on that shard."""
+    owned = [node for node in fleet.nodes
+             if fabric.route(node.node_id) == shard]
+    groups = [(node,) for node in owned] + [
+        (a, b) for i, a in enumerate(owned) for b in owned[i + 1:]]
+    events = []
+    for nodes in groups[:limit]:
+        statuses = tuple(NodeStatus(node_id=n.node_id,
+                                    covariates=np.zeros(3)) for n in nodes)
+        events.append(ValidationEvent(kind=EventKind.JOB_ALLOCATION,
+                                      nodes=nodes, statuses=statuses,
+                                      duration_hours=24.0))
+    return events
+
+
+class TestStatusRidesReplies:
+    """Every submit / tick / advance_repairs reply carries the shard's
+    sample, so a round's liveness sample of a worker the parent just
+    spoke to costs no frame -- and an idle, fresh or frozen worker is
+    still asked.  Pinned by frame counts, not by time."""
+
+    def test_status_frames_go_only_to_workers_nobody_spoke_to(
+            self, tmp_path, fleet, criteria_path):
+        fabric = make_fabric(tmp_path / "j", criteria_path)
+        try:
+            log = tap_requests(fabric)
+            busy, idle = 0, 1
+            event, = owned_events(fabric, fleet, busy, limit=1)
+            # An incarnation's first sample is always asked for.
+            fabric.tick()
+            assert sent(log, busy, "status") == 1
+            assert sent(log, idle, "status") == 1
+
+            mark = len(log)
+            fabric.submit(event)            # the reply carries a sample
+            assert fabric.tick()            # ... this round runs on
+            assert sent(log[mark:], busy, "status") == 0
+            assert sent(log[mark:], busy, "tick") == 1
+            assert sent(log[mark:], idle, "status") == 1
+
+            mark = len(log)
+            fabric.tick()                   # sampled from the tick reply
+            assert sent(log[mark:], busy, "status") == 0
+            assert sent(log[mark:], idle, "status") == 1
+
+            mark = len(log)
+            fabric.tick()                   # nobody spoke to it: asked
+            assert sent(log[mark:], busy, "status") == 1
+            assert sent(log[mark:], idle, "status") == 1
+            assert fabric.quiescent()       # tick-less: always asked
+            assert sent(log[mark:], busy, "status") == 2
+        finally:
+            fabric.shutdown()
+        # A proc-heartbeat is journaled per status RPC *answered* (and
+        # for the ready frame and the constructor's state RPC, both
+        # before the tap); a carried sample is not a heartbeat.
+        for shard in (busy, idle):
+            beats = [r for r in JournalStore(
+                         tmp_path / "j" / f"shard-{shard:02d}").replay()
+                     if r.kind == RecordKind.PROC_HEARTBEAT]
+            assert len(beats) == 2 + sent(log, shard, "status"), shard
+        assert sent(log, busy, "status") == 3
+        assert sent(log, idle, "status") == 5
+
+    def test_carried_sample_is_what_a_status_rpc_would_answer(
+            self, tmp_path, fleet, criteria_path):
+        fabric = make_fabric(tmp_path / "j", criteria_path)
+        try:
+            log = tap_requests(fabric)
+            handle = fabric.workers[0]
+            first, second = owned_events(fabric, fleet, 0, limit=2)
+            for speak in (lambda: fabric.submit(first),
+                          lambda: fabric.submit(second),
+                          handle.tick, handle.advance_repairs, handle.tick):
+                speak()
+                del log[:]
+                carried = handle.status(fabric.tick_index)
+                assert log == []            # no frame: it rode the reply
+                asked = handle.status()     # without a tick: a real RPC
+                assert sent(log, 0, "status") == 1
+                assert carried == asked
+                # Consumed: the same round number asks the worker now.
+                assert handle.status(fabric.tick_index) == asked
+                assert sent(log, 0, "status") == 2
+            assert asked.queue_depth == 0 and asked.progress == 2
+        finally:
+            fabric.shutdown()
+
+    def test_first_sample_after_a_restart_is_a_real_rpc(
+            self, tmp_path, fleet, criteria_path):
+        fabric = make_fabric(tmp_path / "j", criteria_path)
+        try:
+            log = tap_requests(fabric)
+            victim = fabric.workers[0]
+            event, = owned_events(fabric, fleet, 0, limit=1)
+            fabric.submit(event)            # leaves a carried sample
+            os.kill(victim.proc.pid, signal.SIGKILL)
+            victim.proc.wait(timeout=30)
+            results = fabric.drain(max_ticks=50)
+            assert len(results) == 1 and victim.incarnation == 1
+            reborn = [cmd for index, cmd, incarnation in log
+                      if index == 0 and incarnation == 1]
+            # The dead incarnation's sample was dropped with it: the
+            # replacement is asked before it is scheduled.
+            assert "status" in reborn
+            assert reborn.index("status") < reborn.index("tick")
+        finally:
+            fabric.shutdown()
+        assert_exactly_once(tmp_path / "j", [event])
+
+    def test_idle_worker_frozen_by_sigstop_trips_status_deadline(
+            self, tmp_path, criteria_path):
+        deadline = 1.5
+        fabric = make_fabric(tmp_path / "j", criteria_path,
+                             status_deadline_seconds=deadline)
+        try:
+            fabric.tick()
+            victim = fabric.workers[1]
+            os.kill(victim.proc.pid, signal.SIGSTOP)
+            started = time.monotonic()
+            fabric.tick()                   # nobody spoke to it: probed
+            elapsed = time.monotonic() - started
+            assert fabric.metrics.rpc_timeouts == 1
+            assert victim.state is ShardState.RESTARTING
+            assert deadline <= elapsed < deadline + 5.0
+            fabric.drain(max_ticks=50)
+            assert victim.state is ShardState.RUNNING
+            assert victim.incarnation == 1
+        finally:
+            fabric.shutdown()
+
+    def test_dropped_heartbeat_round_cannot_serve_a_stale_sample(
+            self, tmp_path, fleet, criteria_path):
+        fabric = make_fabric(tmp_path / "j", criteria_path)
+        try:
+            log = tap_requests(fabric)
+            handle = fabric.workers[0]
+            first, second = owned_events(fabric, fleet, 0, limit=2)
+            fabric.tick()
+            fabric.submit(first)            # carried: one pending
+            fabric.heartbeat_filter = lambda t: t.index != 0
+            assert fabric.tick() == []      # its sample dropped: no tick
+            fabric.heartbeat_filter = None
+            fabric.submit(second)           # a later reply: two pending
+            samples = []
+            status = handle.status
+            handle.status = lambda tick=None: (
+                samples.append(status(tick)) or samples[-1])
+            del log[:]
+            assert len(fabric.tick()) == 1
+            assert sent(log, 0, "status") == 0
+            assert samples[0].queue_depth == 2
+        finally:
+            fabric.shutdown()
+
+
+class TestFailoverReadsTheJournalOnce:
+    """Handing off N pending entries appends N ``shard-handoff``
+    records to the dead shard's journal; the parent must not re-open
+    (and so re-replay) the journal for each."""
+
+    def test_degrade_replays_the_dead_journal_a_constant_number_of_times(
+            self, tmp_path, fleet, criteria_path, monkeypatch):
+        root = tmp_path / "j"
+        fabric = make_fabric(root, criteria_path)
+        try:
+            victim = max(range(SHARDS), key=lambda index: len(
+                owned_events(fabric, fleet, index)))
+            events = owned_events(fabric, fleet, victim, limit=12)
+            assert len(events) >= 10
+            for event in events:
+                fabric.submit(event)
+            handle = fabric.workers[victim]
+            handle.restarts = fabric.config.max_shard_restarts
+            os.kill(handle.proc.pid, signal.SIGKILL)
+            handle.proc.wait(timeout=30)
+
+            replays = []
+            replay = JournalStore.replay
+
+            def counting_replay(store, **kwargs):
+                if store.directory == handle.journal_dir:
+                    replays.append(store)
+                return replay(store, **kwargs)
+
+            monkeypatch.setattr(JournalStore, "replay", counting_replay)
+            fabric.tick()
+            assert handle.state is ShardState.DEGRADED
+            assert fabric.metrics.events_failed_over == len(events)
+            # One store, opened once (its constructor's replay), plus
+            # the queue-state read -- whatever the number handed off.
+            assert len(replays) <= 2
+            assert len(set(map(id, replays))) == 1
+            monkeypatch.undo()
+            results = fabric.drain(max_ticks=300)
+            assert len(results) == len(events)
+        finally:
+            fabric.shutdown()
+        handoffs = [r for r in JournalStore(
+                        root / f"shard-{victim:02d}").replay()
+                    if r.kind == RecordKind.SHARD_HANDOFF]
+        assert len(handoffs) == len(events)
+        assert [r.seq for r in handoffs] == list(
+            range(handoffs[0].seq, handoffs[0].seq + len(events)))
+
+
 @pytest.mark.soak
 class TestProcessChaosStormSoak:
     """Mixed probabilistic SIGKILL/SIGSTOP storm; accounting must

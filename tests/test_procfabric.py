@@ -9,6 +9,9 @@ live in ``tests/integration/test_process_fabric.py``.
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -405,3 +408,21 @@ class TestConfigValidation:
         fn = _resolve_builder("repro.service.procfabric:default_builder")
         from repro.service.procfabric import default_builder
         assert fn is default_builder
+
+
+class TestWorkerImportCost:
+    def test_worker_entrypoint_does_not_import_networkx(self):
+        """Every worker spawn, set-up probe and CLI start imports this
+        module; only topology code, when it builds a tree, may pay for
+        networkx."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]]
+                     if os.environ.get("PYTHONPATH") else []))}
+        probe = ("import sys; import repro.service.procfabric; "
+                 "assert 'networkx' not in sys.modules, 'eager'; "
+                 "from repro.topology import FatTree; FatTree(); "
+                 "assert 'networkx' in sys.modules, 'never'")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

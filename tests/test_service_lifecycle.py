@@ -2,6 +2,8 @@
 flap damper."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import LifecycleError, ServiceError
 from repro.service import (
@@ -145,6 +147,64 @@ class TestForceAndRestore:
         lifecycle.transition("a", NodeState.IN_REPAIR)
         with pytest.raises(LifecycleError):
             lifecycle.transition("b", NodeState.IN_REPAIR)
+
+
+_NODES = st.sampled_from(["a", "b", "c", "d", "e"])
+_STATES = st.sampled_from(list(NodeState))
+#: One step of a lifecycle's life: a transition attempt (legal ones
+#: apply, illegal ones raise and must change nothing), a forced
+#: transition, or a snapshot restore.
+_STEPS = st.one_of(
+    st.tuples(st.just("transition"), _NODES, _STATES),
+    st.tuples(st.just("force"), _NODES, _STATES),
+    st.tuples(st.just("restore"),
+              st.dictionaries(_NODES, _STATES, max_size=5)),
+)
+
+
+class TestPerStateCounts:
+    """The per-state counts answer ``any_in`` / ``nodes_in`` /
+    ``counts`` without a fleet scan; a scan is the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_STEPS, max_size=40))
+    def test_counts_equal_a_recount(self, steps):
+        lifecycle = NodeLifecycle()
+        for step in steps:
+            if step[0] == "restore":
+                lifecycle.restore(step[1])
+            else:
+                try:
+                    lifecycle.transition(step[1], step[2],
+                                         force=step[0] == "force")
+                except LifecycleError:
+                    pass
+            states = lifecycle.states()
+            for state in NodeState:
+                members = [n for n, s in states.items() if s is state]
+                assert lifecycle.counts()[state.value] == len(members)
+                assert lifecycle.nodes_in(state) == members
+                assert lifecycle.any_in({state}) == bool(members)
+            assert lifecycle.any_in(set()) is False
+
+    def test_empty_states_are_answered_without_a_fleet_scan(self):
+        class NoScan(dict):
+            def items(self):
+                raise AssertionError("scanned the fleet")
+
+            values = items
+
+        lifecycle = NodeLifecycle()
+        for index in range(8):
+            lifecycle.transition(f"n{index}", NodeState.SCHEDULED)
+        lifecycle._states = NoScan(lifecycle._states)
+        repair = {NodeState.QUARANTINED, NodeState.IN_REPAIR,
+                  NodeState.RETURNING}
+        assert not lifecycle.any_in(repair)
+        assert lifecycle.any_in({NodeState.SCHEDULED})
+        for state in repair:
+            assert lifecycle.nodes_in(state) == []
+        assert lifecycle.counts()["scheduled"] == 8
 
 
 class TestFlapDamper:

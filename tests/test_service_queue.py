@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.core.selector import NodeStatus
 from repro.core.system import EventKind, ValidationEvent
-from repro.service import EventQueue
+from repro.service import EventQueue, QueuedEvent
 
 
 @dataclass(frozen=True)
@@ -14,8 +14,9 @@ class FakeNode:
     node_id: str
 
 
-def make_event(node_ids, kind=EventKind.JOB_ALLOCATION, duration=24.0):
-    nodes = tuple(FakeNode(n) for n in node_ids)
+def make_event(node_ids, kind=EventKind.JOB_ALLOCATION, duration=24.0,
+               node=FakeNode):
+    nodes = tuple(node(n) for n in node_ids)
     statuses = tuple(
         NodeStatus(node_id=n, covariates=np.zeros(3)) for n in node_ids)
     return ValidationEvent(kind=kind, nodes=nodes, statuses=statuses,
@@ -211,3 +212,68 @@ class TestEdgeCases:
         assert not created
         assert queue.pop() is not None
         assert queue.pop() is None
+
+
+class UnprintableNode:
+    """What a real fleet node costs to print, taken to the limit:
+    ``str()`` of one is a dataclass repr over its arrays."""
+
+    def __init__(self, node_id: str):
+        self.node_id = node_id
+
+    def __repr__(self):
+        raise AssertionError("the queue stringified a node")
+
+    __str__ = __repr__
+
+
+class TestCoalesceKey:
+    def unprintable_event(self, node_ids):
+        return make_event(node_ids, node=UnprintableNode)
+
+    def test_no_queue_operation_stringifies_a_node(self):
+        queue = EventQueue()
+        first, _ = queue.push(self.unprintable_event(["a", "b"]), 0.3)
+        merged, created = queue.push(self.unprintable_event(["b", "a"]), 0.6)
+        assert merged is first and not created
+        queue.push(self.unprintable_event(["c"]), 0.1)
+        queue.push(self.unprintable_event(["d"]), 0.2)
+        assert queue.peek() is first
+        assert queue.pop() is first
+        assert queue.requeue(first) is first
+        assert queue.remove(first) and not queue.remove(first)
+        assert queue.shed_lowest().event.nodes[0].node_id == "c"
+        assert queue.pop().event.nodes[0].node_id == "d"
+        assert queue.pop() is None
+
+    def test_string_nodes_still_coalesce(self):
+        queue = EventQueue()
+        first, _ = queue.push(make_event(["n1", "n2"], node=str), 0.2)
+        merged, created = queue.push(make_event(["n2", "n1"], node=str), 0.4)
+        assert merged is first and not created
+        other, created = queue.push(make_event(["n3"], node=str), 0.1)
+        assert created and other is not first
+        assert first.key == ("job-allocation", ("n1", "n2"))
+
+    def test_key_is_set_once_and_survives_a_duration_merge(self):
+        queue = EventQueue()
+        entry, _ = queue.push(make_event(["b", "a"], duration=24.0), 0.3)
+        key = entry.key
+        assert key == ("job-allocation", ("a", "b"))
+        queue.push(make_event(["a", "b"], duration=96.0), 0.3)
+        assert entry.event.duration_hours == 96.0
+        assert entry.key is key
+
+    def test_from_payload_round_trips_the_key(self):
+        queue = EventQueue()
+        entry, _ = queue.push(make_event(["b", "a"]), 0.3, origin=(1, 4))
+        payload = entry.to_payload()
+        assert "key" not in payload         # journal bytes are unchanged
+        index = {"a": FakeNode("a"), "b": FakeNode("b")}
+        restored = QueuedEvent.from_payload(payload, index)
+        assert restored.key == entry.key
+        # ... and the restored entry is the same queue citizen.
+        recovered = EventQueue()
+        assert recovered.requeue(restored) is restored
+        merged, created = recovered.push(make_event(["a", "b"]), 0.1)
+        assert merged is restored and not created

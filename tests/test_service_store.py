@@ -2,6 +2,7 @@
 
 import json
 import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.core.selector import NodeStatus
 from repro.core.system import EventKind, ValidationEvent
 from repro.exceptions import JournalError
 from repro.service import JournalStore, event_from_payload, event_to_payload
-from repro.service.store import record_crc
+from repro.service.store import decode_journal_line, record_crc
 
 
 @dataclass(frozen=True)
@@ -280,3 +281,101 @@ class TestRewrite:
         store.rewrite([("snapshot", {})])
         reopened = JournalStore(tmp_path)
         assert reopened.append("fresh", {}) == 2
+
+
+class TestHeldAppendHandle:
+    """The store keeps its append handle open between records; none of
+    the guarantees reopening per record gave may go with the reopen."""
+
+    def test_appends_reuse_one_open(self, tmp_path, monkeypatch):
+        store = JournalStore(tmp_path)
+        opens = []
+        original = type(store.path).open
+
+        def counting_open(path, *args, **kwargs):
+            opens.append(path)
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(type(store.path), "open", counting_open)
+        for i in range(50):
+            store.append("noise", {"i": i})
+        assert len(opens) == 1
+        assert len(store.replay()) == 50
+
+    def test_append_after_rewrite_lands_in_the_new_file(self, tmp_path):
+        store = JournalStore(tmp_path)
+        for i in range(5):
+            store.append("noise", {"i": i})
+        store.rewrite([("snapshot", {"s": 1}),
+                       ("event-enqueued", {"event_id": 4})])
+        assert store.append("fresh", {}) == 3
+        assert [(r.seq, r.kind) for r in JournalStore(tmp_path).replay()] == [
+            (1, "snapshot"), (2, "event-enqueued"), (3, "fresh")]
+
+    def test_journal_replaced_from_outside_is_not_written_as_an_orphan(
+            self, tmp_path):
+        """Another store compacts the journal (rename over the path):
+        the next append must follow the path, not the old inode."""
+        writer = JournalStore(tmp_path)
+        writer.append("alpha", {})
+        JournalStore(tmp_path).rewrite([("snapshot", {})])
+        writer.append("beta", {})
+        assert [r.kind for r in JournalStore(tmp_path).replay()] == [
+            "snapshot", "beta"]
+
+    def test_interleaved_stores_leave_every_line_intact(self, tmp_path):
+        first, second = JournalStore(tmp_path), JournalStore(tmp_path)
+        for i in range(100):
+            (first if i % 2 == 0 else second).append(
+                "noise", {"i": i, "pad": "x" * (i * 7 % 300)})
+        lines = first.path.read_text().splitlines()
+        assert len(lines) == 100
+        decoded = [decode_journal_line(line) for line in lines]
+        assert all(status == "ok" for _record, status in decoded)
+        assert [record.payload["i"] for record, _ in decoded] == list(
+            range(100))
+
+    def test_fsync_still_forces_every_append(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: (synced.append(fd), real_fsync(fd)))
+        durable = JournalStore(tmp_path / "durable", fsync=True)
+        for i in range(5):
+            durable.append("alpha", {"i": i})
+        assert len(synced) == 5
+        buffered = JournalStore(tmp_path / "buffered")
+        buffered.append("alpha", {})
+        assert len(synced) == 5
+        buffered.append("beta", {}, fsync=True)
+        assert len(synced) == 6
+
+    def test_every_record_is_on_disk_when_append_returns(self, tmp_path):
+        store = JournalStore(tmp_path)
+        for i in range(3):
+            store.append("alpha", {"i": i})
+            # Read through a second descriptor: nothing may sit in the
+            # held handle's buffer.
+            assert len(store.path.read_text().splitlines()) == i + 1
+
+    def test_close_is_idempotent_and_the_store_stays_usable(self, tmp_path):
+        store = JournalStore(tmp_path)
+        store.close()
+        store.append("alpha", {})
+        store.close()
+        store.close()
+        assert store.append("beta", {}) == 2
+        assert [r.kind for r in store.replay()] == ["alpha", "beta"]
+
+    def test_no_descriptor_leaks_across_many_stores(self, tmp_path):
+        def open_descriptors() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_descriptors()
+        for i in range(1000):
+            store = JournalStore(tmp_path / f"j{i % 10}")
+            store.append("alpha", {"i": i})
+            if i % 2:
+                store.close()       # else: dropped with its handle open
+        del store
+        assert open_descriptors() <= before
