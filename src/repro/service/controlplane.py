@@ -679,8 +679,10 @@ class ValidationService:
         journal whose final records include a drain is provably a
         clean shutdown, not a crash, and (b) nothing appended before
         the drain can be lost to the machine afterwards.  Safe to call
-        on a journal-less (in-memory) service: it is a no-op.
+        on a journal-less (in-memory) service: nothing is written.
+        Either way the pool's idle threads are released.
         """
+        self.pool.close()
         if self.store is None:
             return
         payload = {

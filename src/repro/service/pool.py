@@ -29,8 +29,13 @@ attempt -- scheduling order does not leak into results.
 
 Python threads cannot be killed, so a timed-out execution's thread
 keeps running in the background until its benchmark returns; the pool
-merely stops waiting for it.  Each sweep uses a fresh executor so
-abandoned threads never occupy a later sweep's workers.
+merely stops waiting for it.  The executor is kept from one sweep to
+the next -- starting threads per sweep costs more than a cheap sweep's
+benchmarks do, and on a machine with busy cores a new thread waits for
+a time slice where an idle one is woken in place -- and is dropped by
+any sweep that abandoned a cell or did not finish, so abandoned threads
+never occupy a later sweep's workers.  :meth:`ValidationPool.close`
+releases the idle threads.
 """
 
 from __future__ import annotations
@@ -273,6 +278,15 @@ class ValidationPool:
         self.sanitizer = sanitizer
         #: Lazily-created per-benchmark breakers (empty when disabled).
         self.breakers: dict[str, CircuitBreaker] = {}
+        #: The executor the last sweep left clean, for the next one.
+        self._executor: ThreadPoolExecutor | None = None
+
+    def close(self) -> None:
+        """Release the idle worker threads (idempotent; the pool stays
+        usable -- the next sweep starts new ones)."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=False)
 
     # ------------------------------------------------------------------
     # Circuit breakers
@@ -339,7 +353,12 @@ class ValidationPool:
                 run.short_circuited = True
                 run.error = "circuit-open"
 
-        executor = ThreadPoolExecutor(max_workers=cfg.max_workers)
+        # Taken, not borrowed: a sweep running concurrently with this
+        # one finds none and makes its own.
+        executor, self._executor = self._executor, None
+        if executor is None:
+            executor = ThreadPoolExecutor(max_workers=cfg.max_workers)
+        abandoned = False
         active: dict = {}
 
         def submit(spec, node, attempt):
@@ -389,6 +408,7 @@ class ValidationPool:
                         continue
                     del active[future]
                     future.cancel()
+                    abandoned = True
                     if expired and task.attempt < cfg.max_attempts:
                         submit(task.spec, task.node, task.attempt + 1)
                         continue
@@ -400,7 +420,13 @@ class ValidationPool:
                     )
                     task.run.wall_seconds = now - sweep_start
         finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+            # Keep the executor only if every thread in it is idle: not
+            # after abandoning a cell (its thread may hang for ever) or
+            # an exception out of the loop above (cells still running).
+            if abandoned or active or self._executor is not None:
+                executor.shutdown(wait=False, cancel_futures=True)
+            else:
+                self._executor = executor
 
         # Fold each executed benchmark's fleet-wide outcome into its
         # breaker; skipped benchmarks contribute no evidence.

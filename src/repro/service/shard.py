@@ -383,6 +383,7 @@ class Shard(ShardTransport):
         state."""
         if self.service.store is not None:
             self.service.store.close()
+        self.service.pool.close()
         self.service = self._build_service()
         self.dead = False
 

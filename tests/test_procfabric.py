@@ -345,6 +345,19 @@ class TestSealAndSync:
                                     config=config)
         service.seal()  # must not raise
 
+    def test_seal_releases_the_pool_threads(self, service_parts):
+        from repro.service.controlplane import ValidationService
+
+        anubis, nodes, config = service_parts
+        service = ValidationService(anubis, nodes, journal_dir=None,
+                                    config=config)
+        validator = anubis.validator
+        service.pool.run_benchmarks(validator.resolve(None)[:1], nodes[:1],
+                                    validator.runner)
+        assert service.pool._executor is not None
+        service.seal()
+        assert service.pool._executor is None
+
 
 class TestConfigValidation:
     """The knob-validation surface: every config error is a

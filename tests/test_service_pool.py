@@ -145,6 +145,90 @@ class TestRunBenchmarks:
         assert all(r.ok for r in others)
 
 
+class TestExecutorKeptBetweenSweeps:
+    """Thread starts are counted, not timed: a clean sweep leaves its
+    executor for the next, a sweep that abandoned a cell does not."""
+
+    @pytest.fixture
+    def thread_starts(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        return started
+
+    def test_clean_sweeps_start_threads_once(self, thread_starts):
+        pool = ValidationPool(fast_config(max_workers=2))
+        runner = ScriptedRunner()
+        pool.run_benchmarks(SPECS, NODES, runner)
+        after_first = len(thread_starts)
+        assert 1 <= after_first <= 2
+        for _ in range(20):
+            sweep = pool.run_benchmarks(SPECS, NODES, runner)
+            assert all(run.ok for run in sweep.runs)
+        assert len(thread_starts) <= 2
+        pool.close()
+
+    def test_hung_thread_never_serves_a_later_sweep(self, thread_starts):
+        pool = ValidationPool(fast_config(max_workers=1, max_attempts=1))
+        hang = ScriptedRunner(hang={("n0", "bench-a")}, hang_seconds=1.5)
+        sweep = pool.run_benchmarks(SPECS[:1], NODES[:1], hang)
+        assert sweep.run_for("n0", "bench-a").timed_out
+        assert pool._executor is None
+        # The only worker of the abandoned executor is still asleep;
+        # the next sweep must not queue behind it.
+        start = time.monotonic()
+        sweep = pool.run_benchmarks(SPECS, NODES, ScriptedRunner())
+        assert all(run.ok for run in sweep.runs)
+        assert time.monotonic() - start < 1.0
+        assert len(thread_starts) == 2
+        pool.close()
+
+    def test_exception_out_of_a_sweep_drops_the_executor(self, monkeypatch):
+        pool = ValidationPool(fast_config(max_workers=1, max_attempts=1))
+        pool.run_benchmarks(SPECS, NODES, ScriptedRunner())
+        kept = pool._executor
+        assert kept is not None
+
+        class Interrupted(BaseException):
+            pass
+
+        def interrupted_wait(*args, **kwargs):
+            raise Interrupted()
+
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.service.pool.wait", interrupted_wait)
+            with pytest.raises(Interrupted):
+                pool.run_benchmarks(SPECS, NODES, ScriptedRunner())
+        assert pool._executor is None
+        with pytest.raises(RuntimeError):       # it was shut down
+            kept.submit(lambda: None)
+        assert all(run.ok for run in pool.run_benchmarks(
+            SPECS, NODES, ScriptedRunner()).runs)
+        pool.close()
+
+    def test_close_releases_threads_and_pool_stays_usable(self):
+        before = threading.active_count()
+        pools = [ValidationPool(fast_config(max_workers=2))
+                 for _ in range(50)]
+        for pool in pools:
+            pool.run_benchmarks(SPECS, NODES[:2], ScriptedRunner())
+            pool.close()
+            pool.close()    # idempotent
+        deadline = time.monotonic() + 5.0
+        while (threading.active_count() > before
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert threading.active_count() == before
+        sweep = pools[0].run_benchmarks(SPECS, NODES, ScriptedRunner())
+        assert all(run.ok for run in sweep.runs)
+        pools[0].close()
+
+
 class TestCircuitBreaker:
     def test_exact_transition_sequence(self):
         """CLOSED -(2 failures)-> OPEN -(cooldown)-> HALF_OPEN
