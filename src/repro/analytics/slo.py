@@ -79,6 +79,9 @@ class ServiceCountersReducer:
         self.queue_latency_total = 0.0
         self.queue_latency_max = 0.0
         self.validation_seconds_total = 0.0
+        #: Criteria *changes*: a snapshot is journaled only when its
+        #: content differs from the previous one (plus one per
+        #: compaction rewrite, which always carries the criteria).
         self.criteria_snapshots = 0
 
     def consume(self, record: JournalRecord) -> None:

@@ -25,6 +25,7 @@ criteria rollout's persistence story.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import zlib
@@ -36,7 +37,8 @@ from repro.core.validator import MetricCriteria, Validator
 from repro.exceptions import CriteriaError
 
 __all__ = ["save_criteria", "load_criteria", "criteria_payload",
-           "apply_criteria_payload"]
+           "criteria_from_payload", "apply_criteria_payload",
+           "criteria_fingerprint"]
 
 _FORMAT_VERSION = 3
 #: Version 1 files (no checksum) and version 2 files (no SKU axis;
@@ -73,15 +75,36 @@ def criteria_payload(validator: Validator) -> dict:
             "entries": entries}
 
 
-def apply_criteria_payload(validator: Validator, payload: dict, *,
-                           source: str = "<payload>") -> int:
-    """Restore criteria from a :func:`criteria_payload` document.
+def criteria_fingerprint(criteria: dict) -> bytes:
+    """Content hash of a ``(sku, benchmark, metric) -> MetricCriteria`` map.
+
+    Covers everything a snapshot persists -- keys, alpha, polarity and
+    the raw sample bytes (blake2b, as :func:`repro.core.sketch.fingerprint`
+    hashes windows) -- and nothing else, so two maps hash equal exactly
+    when their :func:`criteria_payload` documents would be equal, at
+    the cost of one pass over the arrays instead of a JSON encode.  An
+    array edited in place changes the hash; insertion order does not.
+    """
+    digest = hashlib.blake2b(digest_size=16)
+    for key in sorted(criteria):
+        entry = criteria[key]
+        values = np.ascontiguousarray(entry.criteria, dtype=float)
+        digest.update(repr((key, float(entry.alpha),
+                            bool(entry.higher_is_better),
+                            values.size)).encode())
+        digest.update(values.tobytes())
+    return digest.digest()
+
+
+def criteria_from_payload(validator: Validator, payload: dict, *,
+                          source: str = "<payload>") -> dict:
+    """The criteria map a :func:`criteria_payload` document holds for
+    ``validator``, without installing it.
 
     Entries for benchmarks outside the validator's suite are skipped
     (a shrunk suite must not resurrect stale criteria).  Pre-SKU
     entries (format versions 1 and 2) restore into the ``"unknown"``
-    namespace, where legacy windows score against them.  Returns the
-    number of entries loaded.
+    namespace, where legacy windows score against them.
     """
     try:
         version = payload.get("version")
@@ -102,7 +125,7 @@ def apply_criteria_payload(validator: Validator, payload: dict, *,
         raise CriteriaError(f"malformed criteria file {source}: {error}") from error
 
     suite_names = {spec.name for spec in validator.suite}
-    loaded = 0
+    restored: dict[tuple[str, str, str], MetricCriteria] = {}
     for entry in entries:
         try:
             benchmark = entry["benchmark"]
@@ -117,13 +140,24 @@ def apply_criteria_payload(validator: Validator, payload: dict, *,
             ) from error
         if benchmark not in suite_names:
             continue
-        validator.criteria[(sku, benchmark, metric)] = MetricCriteria(
+        restored[(sku, benchmark, metric)] = MetricCriteria(
             benchmark=benchmark, metric=metric, criteria=criteria,
             alpha=alpha, higher_is_better=higher_is_better, learning=None,
             sku=sku,
         )
-        loaded += 1
-    return loaded
+    return restored
+
+
+def apply_criteria_payload(validator: Validator, payload: dict, *,
+                           source: str = "<payload>") -> int:
+    """Restore criteria from a :func:`criteria_payload` document into
+    ``validator`` (see :func:`criteria_from_payload` for what is
+    skipped); a malformed document installs nothing.  Returns the
+    number of entries loaded.
+    """
+    restored = criteria_from_payload(validator, payload, source=source)
+    validator.criteria.update(restored)
+    return len(restored)
 
 
 def _backup_path(path: Path) -> Path:

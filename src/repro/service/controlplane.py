@@ -54,7 +54,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.core.persistence import apply_criteria_payload, criteria_payload
+from repro.core.persistence import (
+    criteria_fingerprint,
+    criteria_from_payload,
+    criteria_payload,
+)
 from repro.core.system import (
     FULL_VALIDATION_KINDS,
     Anubis,
@@ -106,8 +110,12 @@ class ServiceConfig:
     pool:
         Parallel-executor configuration (including circuit breakers).
     snapshot_every:
-        Journal a fresh criteria snapshot every N completed events
-        (cheap insurance against criteria refreshed out-of-band).
+        Every N completed events the learned criteria are
+        fingerprinted (a content hash, no encode) and journaled as a
+        ``criteria-snapshot`` only if they differ from the newest
+        snapshot the journal holds -- which is what catches criteria
+        refreshed out-of-band -- and the ``pipeline-stats`` counters
+        are journaled.
     full_validation_priority:
         Queue priority for kinds that bypass the Selector
         (incident-reported, node-added, software-upgraded); above the
@@ -334,14 +342,17 @@ class ValidationService:
         self._breaker_seen: dict[str, int] = {}
         self._completed_since_snapshot = 0
         self._completed_since_compaction = 0
-        self._have_snapshot = False
+        #: :func:`criteria_fingerprint` of the newest criteria snapshot
+        #: this journal holds; ``None`` while it holds none.
+        self._journaled_criteria: bytes | None = None
         self._recovering = False
         self.store = (JournalStore(journal_dir,
                                    fsync=self.config.journal_fsync)
                       if journal_dir is not None else None)
         if self.store is not None:
             self._recover()
-            self._maybe_snapshot(force=not self._have_snapshot)
+            if self._journaled_criteria is None:
+                self._snapshot()
 
     # ------------------------------------------------------------------
     # Ingest
@@ -604,7 +615,7 @@ class ValidationService:
                 >= self.config.compact_every):
             self.compact_journal()
         elif self._completed_since_snapshot >= self.config.snapshot_every:
-            self._maybe_snapshot(force=True)
+            self._snapshot()
         return TickResult(
             event_id=entry.event_id,
             outcome=outcome,
@@ -838,7 +849,7 @@ class ValidationService:
                     "reason": decision.reason,
                     "learn_path": learn_path,
                 })
-        self._maybe_snapshot(force=True)
+        self._snapshot()
         return decisions
 
     def _learn_path(self, key: tuple[str, str, str]) -> str:
@@ -870,22 +881,33 @@ class ValidationService:
             "learned": entries,
         })
 
-    def _maybe_snapshot(self, *, force: bool = False) -> None:
+    def _snapshot(self) -> None:
+        """Journal the criteria if they are not what the journal's
+        newest snapshot holds.
+
+        Called at start-up over a journal without a snapshot, after
+        every learn and every ``snapshot_every`` completed events.  The
+        comparison is by content, so a learn that changed nothing (or
+        whose candidates were all rolled back) writes nothing, while a
+        key replaced or an array edited out-of-band is journaled at
+        the next call.
+        """
         if self.store is None or self._recovering:
             return
-        if not self.anubis.validator.criteria:
+        validator = self.anubis.validator
+        if not validator.criteria:
             return
-        if not force:
-            return
-        self.store.append(RecordKind.CRITERIA_SNAPSHOT,
-                          criteria_payload(self.anubis.validator))
+        fingerprint = criteria_fingerprint(validator.criteria)
+        if fingerprint != self._journaled_criteria:
+            self.store.append(RecordKind.CRITERIA_SNAPSHOT,
+                              criteria_payload(validator))
+            self._journaled_criteria = fingerprint
         # Snapshot moments double as the cadence for journaling the
         # measurement spine's stage counters (analytics reads these;
         # recovery ignores them), so the read path sees pipeline cost
         # without a per-event record.
         self._journal_best_effort(RecordKind.PIPELINE_STATS,
                                   {"stages": self.anubis.pipeline_stats()})
-        self._have_snapshot = True
         self._completed_since_snapshot = 0
 
     # ------------------------------------------------------------------
@@ -904,9 +926,10 @@ class ValidationService:
         if self.store is None or self._recovering:
             return 0
         records: list[tuple[str, dict]] = []
-        if self.anubis.validator.criteria:
+        validator = self.anubis.validator
+        if validator.criteria:
             records.append((RecordKind.CRITERIA_SNAPSHOT,
-                            criteria_payload(self.anubis.validator)))
+                            criteria_payload(validator)))
         records.append((RecordKind.STATE_SNAPSHOT, self._state_snapshot()))
         records.append((RecordKind.PIPELINE_STATS,
                         {"stages": self.anubis.pipeline_stats()}))
@@ -914,7 +937,9 @@ class ValidationService:
             records.append((RecordKind.EVENT_ENQUEUED, entry.to_payload()))
         count = self.store.rewrite(records)
         self.metrics.journal_compactions += 1
-        self._have_snapshot = bool(self.anubis.validator.criteria)
+        self._journaled_criteria = (
+            criteria_fingerprint(validator.criteria)
+            if validator.criteria else None)
         self._completed_since_snapshot = 0
         self._completed_since_compaction = 0
         return count
@@ -1049,14 +1074,16 @@ class ValidationService:
         records = self.store.replay()
         self._recovering = True
         state = QueueState()
+        validator = self.anubis.validator
+        newest_snapshot = None
         try:
             for record in records:
                 state.apply(record)
                 payload = record.payload
                 if record.kind == RecordKind.CRITERIA_SNAPSHOT:
-                    apply_criteria_payload(self.anubis.validator, payload,
-                                           source=str(self.store.path))
-                    self._have_snapshot = True
+                    newest_snapshot = criteria_from_payload(
+                        validator, payload, source=str(self.store.path))
+                    validator.criteria.update(newest_snapshot)
                 elif record.kind == RecordKind.STATE_SNAPSHOT:
                     self._apply_state_snapshot(payload)
                 elif record.kind == RecordKind.TRANSITION:
@@ -1092,6 +1119,8 @@ class ValidationService:
             self.queue.reserve_ids(state.last_event_id)
         finally:
             self._recovering = False
+        if newest_snapshot is not None:
+            self._journaled_criteria = criteria_fingerprint(newest_snapshot)
         self._reset_interrupted_nodes()
 
     def _apply_state_snapshot(self, payload: dict) -> None:

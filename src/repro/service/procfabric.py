@@ -776,9 +776,10 @@ class _WorkerHandle(ShardTransport):
         self._journal().append(kind, payload)
 
     def _journal(self) -> JournalStore:
-        """The dead shard's journal, opened (one replay) on first use
-        and then held: a failover appends one record per pending
-        entry, and a store per record would replay the journal for
+        """The dead shard's journal, opened on first use and then held:
+        the store reads the journal once (for :meth:`queue_state`, or
+        to number its first append), a failover appends one record
+        per pending entry, and a store per record would read it for
         each."""
         if self._dead_journal is None:
             self._dead_journal = JournalStore(self.journal_dir)

@@ -3,8 +3,8 @@
 Everything the control plane must survive a restart with is journaled
 as one JSON object per line in ``journal.jsonl`` under the store
 directory: enqueued/coalesced/completed/failed events, lifecycle
-transitions, dead-letter parkings and periodic learned-criteria
-snapshots (embedded via
+transitions, dead-letter parkings and a learned-criteria snapshot
+whenever the criteria change (embedded via
 :func:`~repro.core.persistence.criteria_payload`, the same document
 ``save_criteria`` writes).  Recovery replays the journal in order --
 transitions re-apply (forced where fault-tolerant continuation left a
@@ -38,6 +38,12 @@ handle is reopened on the path, so a record is never written into an
 orphaned file.  The file is opened ``O_APPEND``: stores interleaving
 appends on one path each land whole lines at the end.  :meth:`close`
 releases the handle; the next append reopens it.
+
+**The journal is decoded once on the way up.**  Opening a store reads
+nothing but the last byte (the torn-tail check).  The next sequence
+number is 1 + the highest seq of any valid record on disk, and the
+store learns that from the first full read it performs -- recovery's
+:meth:`replay` -- or, when an append comes first, from one scan then.
 
 A crash can truncate the final line mid-write.  Replay therefore
 *skips* undecodable lines with a logged warning instead of failing:
@@ -221,8 +227,11 @@ class JournalStore:
         #: opened on; ``None`` until the first append.
         self._handle = None
         self._inode: tuple[int, int] | None = None
+        #: Highest seq of any valid record on disk; ``None`` until the
+        #: first :meth:`replay`, :meth:`rewrite` or append has read or
+        #: set it.
+        self._seq: int | None = None
         self._heal_torn_tail()
-        self._seq = self._last_seq_on_disk()
 
     def _heal_torn_tail(self) -> None:
         """Seal a torn final line left by a real ``kill -9`` mid-write.
@@ -247,15 +256,14 @@ class JournalStore:
             raise JournalError(
                 f"cannot heal torn tail of {self.path}: {error}") from error
 
-    def _last_seq_on_disk(self) -> int:
-        last = 0
-        for record in self.replay():
-            last = max(last, record.seq)
-        return last
+    def _last_seq(self) -> int:
+        if self._seq is None:
+            self.replay()   # nothing has read the journal yet
+        return self._seq
 
     @property
     def next_seq(self) -> int:
-        return self._seq + 1
+        return self._last_seq() + 1
 
     def append(self, kind: str, payload: dict, *,
                fsync: bool | None = None) -> int:
@@ -266,7 +274,7 @@ class JournalStore:
         (``None`` keeps the store default).
         """
         kind = getattr(kind, "value", kind)
-        seq = self._seq + 1
+        seq = self._last_seq() + 1
         line = json.dumps({"seq": seq, "kind": kind, "payload": payload,
                            "crc": record_crc(seq, kind, payload)})
         effective_fsync = self.fsync if fsync is None else bool(fsync)
@@ -374,18 +382,22 @@ class JournalStore:
         see :class:`repro.analytics.reader.JournalReader`.
         """
         self.corrupt_records = 0
-        if not self.path.exists():
-            return []
         records: list[JournalRecord] = []
         try:
-            lines = self.path.read_text().splitlines()
+            lines = (self.path.read_text().splitlines()
+                     if self.path.exists() else [])
         except OSError as error:
             raise JournalError(f"cannot read {self.path}: {error}") from error
+        highest = 0
         for lineno, line in enumerate(lines, start=1):
             record, status = decode_journal_line(line, lineno=lineno,
                                                  path=self.path)
             if status == "crc-mismatch":
                 self.corrupt_records += 1
-            if record is not None and record.seq > start_seq:
-                records.append(record)
+            if record is not None:
+                highest = max(highest, record.seq)
+                if record.seq > start_seq:
+                    records.append(record)
+        if self._seq is None:
+            self._seq = highest
         return records

@@ -512,6 +512,12 @@ class Supervisor:
         """
         transport.state = ShardState.DEGRADED
         self.metrics.shards_degraded += 1
+        # Read before the first append: a dead shard's journal is read
+        # once, and that read is also what numbers the records below.
+        try:
+            state = transport.queue_state()
+        except JournalError:
+            state = None
         try:
             transport.append(RecordKind.SHARD_DEGRADED, {
                 "shard": transport.index,
@@ -525,9 +531,7 @@ class Supervisor:
         if not alive:
             raise ServiceError(
                 "every shard degraded; no failover target remains")
-        try:
-            state = transport.queue_state()
-        except JournalError:
+        if state is None:
             return  # unreadable: whatever is pending stays journaled there
         # Every origin this shard durably accepted is a delivery that
         # DID land -- only its ACK was lost.  Un-park those now, or

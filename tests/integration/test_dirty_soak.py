@@ -77,8 +77,9 @@ def soak():
 class TestContaminatedCampaign:
     def test_learning_completes_under_contamination(self, soak):
         criteria = soak["dirty_validator"].criteria
-        expected = {(spec.name, m.name) for spec in SUITE
-                    for m in spec.metrics}
+        skus = {node.sku for node in soak["nodes"]}
+        expected = {(sku, spec.name, m.name) for sku in skus
+                    for spec in SUITE for m in spec.metrics}
         assert set(criteria) == expected
 
     def test_faults_were_actually_injected(self, soak):

@@ -189,6 +189,39 @@ class TestKillAndRestart:
         assert fresh.event_id > first.event_id
 
 
+class TestRecoveryReadsTheJournalOnce:
+    def test_restart_decodes_each_line_once(self, fleet, risk_model,
+                                            tmp_path, monkeypatch):
+        from repro.service import store as store_module
+        _model, dataset = risk_model
+        journal = tmp_path / "journal"
+        service = build_service(fleet, risk_model, journal)
+        for i in range(6):
+            service.submit(make_event(fleet, dataset, [i],
+                                      EventKind.JOB_ALLOCATION))
+        service.tick()
+        service.tick()
+        lines = service.store.path.read_text().splitlines()
+        assert len(lines) > 12
+
+        decoded = []
+        decode = store_module.decode_journal_line
+
+        def counting(line, **kwargs):
+            decoded.append(line)
+            return decode(line, **kwargs)
+
+        monkeypatch.setattr(store_module, "decode_journal_line", counting)
+        recovered = build_service(fleet, risk_model, journal, learn=False)
+        assert decoded == lines     # each line once, in order
+        # ... and the seq that read found numbers the next record.
+        recovered.submit(make_event(fleet, dataset, [7],
+                                    EventKind.JOB_ALLOCATION))
+        assert decoded == lines
+        seqs = [record.seq for record in recovered.store.replay()]
+        assert seqs == list(range(1, len(seqs) + 1))
+
+
 class TestQuarantineFlow:
     def test_broken_node_is_quarantined_then_repaired(self, fleet,
                                                       risk_model, tmp_path):

@@ -379,3 +379,109 @@ class TestHeldAppendHandle:
                 store.close()       # else: dropped with its handle open
         del store
         assert open_descriptors() <= before
+
+
+class TestJournalIsReadOnce:
+    """Opening a store decodes nothing; the next seq (1 + the highest
+    seq of any valid record on disk) is learned from the first full
+    read, or from one scan when an append comes first."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        from repro.service import store as store_module
+        calls = []
+
+        def counting(line, **kwargs):
+            calls.append(line)
+            return decode_journal_line(line, **kwargs)
+
+        monkeypatch.setattr(store_module, "decode_journal_line", counting)
+        return calls
+
+    @staticmethod
+    def seed(directory, count=6):
+        store = JournalStore(directory)
+        for i in range(count):
+            store.append("noise", {"i": i})
+        store.close()
+
+    def test_open_then_replay_decodes_each_line_once(self, tmp_path,
+                                                     decodes):
+        self.seed(tmp_path)
+        del decodes[:]
+        store = JournalStore(tmp_path)
+        assert decodes == []
+        assert len(store.replay()) == 6
+        assert store.append("fresh", {}) == 7
+        assert store.next_seq == 8
+        assert len(decodes) == 6
+
+    def test_append_first_scans_once(self, tmp_path, decodes):
+        self.seed(tmp_path)
+        del decodes[:]
+        store = JournalStore(tmp_path)
+        assert store.append("fresh", {}) == 7
+        assert store.append("fresher", {}) == 8
+        assert len(decodes) == 6
+        assert [r.seq for r in JournalStore(tmp_path).replay()] == list(
+            range(1, 9))
+
+    def test_next_seq_first_scans_once(self, tmp_path, decodes):
+        self.seed(tmp_path)
+        del decodes[:]
+        store = JournalStore(tmp_path)
+        assert store.next_seq == 7
+        assert store.append("fresh", {}) == 7
+        assert len(decodes) == 6
+
+    def test_highest_seq_wins_not_the_last_line(self, tmp_path):
+        store = JournalStore(tmp_path)
+        with store.path.open("a") as handle:
+            for seq in (1, 9, 3):
+                handle.write(json.dumps({
+                    "seq": seq, "kind": "noise", "payload": {},
+                    "crc": record_crc(seq, "noise", {})}) + "\n")
+        assert JournalStore(tmp_path).append("fresh", {}) == 10
+
+    def test_append_first_after_a_torn_tail(self, tmp_path):
+        self.seed(tmp_path)
+        with (tmp_path / "journal.jsonl").open("a") as handle:
+            handle.write('{"seq": 99, "kind": "noi')    # kill -9 mid-write
+        store = JournalStore(tmp_path)
+        assert store.append("fresh", {}) == 7
+        records = JournalStore(tmp_path).replay()
+        assert [r.seq for r in records] == list(range(1, 8))
+        assert records[-1].kind == "fresh"
+
+    def test_append_first_after_rewrite(self, tmp_path, decodes):
+        self.seed(tmp_path)
+        del decodes[:]
+        store = JournalStore(tmp_path)
+        store.rewrite([("snapshot", {}), ("event-enqueued", {})])
+        assert store.append("fresh", {}) == 3
+        assert decodes == []        # the rewrite set the seq itself
+        assert JournalStore(tmp_path).append("reopened", {}) == 4
+
+    def test_append_first_on_a_missing_file(self, tmp_path):
+        store = JournalStore(tmp_path / "new")
+        assert not store.path.exists()
+        assert store.next_seq == 1
+        assert store.append("first", {}) == 1
+        assert JournalStore(tmp_path / "gone").replay() == []
+
+    def test_a_second_store_numbers_after_the_first(self, tmp_path):
+        first, second = JournalStore(tmp_path), JournalStore(tmp_path)
+        assert first.append("alpha", {}) == 1
+        assert first.append("beta", {}) == 2
+        # Opened before either record existed, but it reads the
+        # journal when it first needs the seq, not when it was built.
+        assert second.append("gamma", {}) == 3
+        assert [r.kind for r in first.replay()] == ["alpha", "beta", "gamma"]
+
+    def test_cursor_replay_as_the_first_read(self, tmp_path, decodes):
+        self.seed(tmp_path)
+        del decodes[:]
+        store = JournalStore(tmp_path)
+        assert [r.seq for r in store.replay(start_seq=4)] == [5, 6]
+        assert store.append("fresh", {}) == 7
+        assert len(decodes) == 6
