@@ -132,8 +132,9 @@ class DistanceBackend(Protocol):
 
     def rowwise_similarities(self, rows_a: np.ndarray,
                              rows_b: np.ndarray, *,
+                             signed_direction: int = 0,
                              assume_sorted: bool = False) -> np.ndarray:
-        """Eq. (3) similarity of row ``i`` of ``rows_a`` vs ``rows_b``."""
+        """Similarity of row ``i`` of ``rows_a`` vs row ``i`` of ``rows_b``."""
         ...
 
     def landmark_similarities(
@@ -211,11 +212,18 @@ class _BackendBase:
 
     def rowwise_similarities(self, rows_a: np.ndarray,
                              rows_b: np.ndarray, *,
+                             signed_direction: int = 0,
                              assume_sorted: bool = False) -> np.ndarray:
-        """Eq. (3) similarity of row ``i`` of ``rows_a`` vs ``rows_b``."""
+        """Similarity of row ``i`` of ``rows_a`` vs row ``i`` of ``rows_b``.
+
+        Eq. (3) by default; a non-zero ``signed_direction`` gives the
+        one-sided Eq. (4) with ``rows_a`` the observed side -- the
+        online filter's shape when every row has its own reference.
+        """
         batch_a = self._rows(rows_a, assume_sorted)
         batch_b = self._rows(rows_b, assume_sorted)
-        return 1.0 - _fast.batch_gap_integrals(batch_a, batch_b)
+        return 1.0 - _fast.batch_gap_integrals(
+            batch_a, batch_b, signed_direction=signed_direction)
 
     def landmark_similarities(
             self,

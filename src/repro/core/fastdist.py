@@ -256,15 +256,11 @@ def _gap_integrals_padded(a_data, a_sizes, a_mins, a_maxs,
     """
     width_a = a_data.shape[1]
     merged_width = width_a + b_data.shape[1]
-    rows = max(a_data.shape[0], b_data.shape[0])
-    concat = np.concatenate([
-        np.broadcast_to(a_data, (rows, width_a)),
-        np.broadcast_to(b_data, (rows, b_data.shape[1])),
-    ], axis=1)
+    concat = np.concatenate([a_data, b_data], axis=1)
     # A stable sort merges the two presorted runs (timsort detects
     # them), yielding each pair's full multiset breakpoint grid.
     order = np.argsort(concat, axis=1, kind="stable")
-    merged = np.take_along_axis(concat, order, axis=1)
+    merged = concat[np.arange(concat.shape[0])[:, None], order]
 
     # F_a at breakpoint k is the count of a-observations <= merged[k],
     # i.e. the running count of a-origin elements -- identical to
@@ -275,10 +271,8 @@ def _gap_integrals_padded(a_data, a_sizes, a_mins, a_maxs,
     count_a = np.cumsum(from_a, axis=1, dtype=np.float64)[:, :-1]
     count_b = np.arange(1.0, merged_width) - count_a
 
-    a_sizes = np.broadcast_to(a_sizes, (rows,)).astype(float)
-    b_sizes = np.broadcast_to(b_sizes, (rows,)).astype(float)
-    scaled_a = count_a * b_sizes[:, None]
-    scaled_b = count_b * a_sizes[:, None]
+    scaled_a = count_a * b_sizes[:, None].astype(float)
+    scaled_b = count_b * a_sizes[:, None].astype(float)
     numer = _signed_gap(scaled_a, scaled_b, signed_direction)
     denom = np.maximum(scaled_a, scaled_b)
     integrand = numer / denom

@@ -49,6 +49,10 @@ from repro.core.ecdf import as_sample
 
 __all__ = ["MetricCriteria", "Violation", "ValidationReport", "Validator"]
 
+# Ceiling on elements per stacked scoring operand (~32 MB of float64),
+# the same bound fastdist puts on its one-vs-many intermediates.
+_SCORE_BLOCK_ELEMENTS = 4_000_000
+
 
 def _learn_task(task) -> tuple[CriteriaResult, CriteriaState | None]:
     """Picklable unit of criteria learning for process fan-out.
@@ -374,7 +378,8 @@ class Validator:
     # ------------------------------------------------------------------
     def _criteria_reference(self, key: tuple[str, str, str],
                             criteria: MetricCriteria) -> np.ndarray:
-        """Presorted criteria sample, cached until the criteria changes."""
+        """The criteria sample validated and sorted, cached until the
+        criteria changes -- scoring never validates it again."""
         cached = self._criteria_cache.get(key)
         if cached is not None and cached[0] is criteria:
             return cached[1]
@@ -389,10 +394,14 @@ class Validator:
     def check_results(self, spec: BenchmarkSpec, results) -> list[Violation]:
         """Compare many nodes' results to the criteria in one pass.
 
-        Results are partitioned by SKU and each group's windows for
-        one metric are scored against that namespace's cached criteria
-        ECDF with one one-vs-many kernel call (Eq. 4) per group;
-        violations come back in the same node-major, metric order a
+        Every scoreable (result, metric) window is validated once and
+        paired with its own SKU namespace's cached criteria reference;
+        the pairs are then grouped by (window length, reference
+        length, polarity) and each group is scored by one call of the
+        row-wise kernel (Eq. 4, a different reference per row) -- so a
+        call costs as many kernel invocations as the spec has window
+        shapes, however many nodes, metrics and SKUs it covers.
+        Violations come back in the same node-major, metric order a
         :meth:`check_result` loop would produce.  Scoring a group
         against criteria stored under the wrong namespace raises
         :class:`~repro.exceptions.SkuMismatchError` -- a wrong verdict
@@ -410,11 +419,13 @@ class Validator:
         for index, result in enumerate(results):
             sku = getattr(result, "sku", "unknown")
             groups.setdefault(sku, []).append(index)
-        # metric name -> (per-result similarity by index, failure reasons)
-        scored: dict[str, tuple[dict[int, float], dict[int, str]]] = {}
+        # Both keyed (result index, metric name).
+        similarities: dict[tuple[int, str], float] = {}
+        failures: dict[tuple[int, str], str] = {}
+        # (window length, reference length, polarity) -> the rows of
+        # that shape: (cell, validated window, sorted reference).
+        shapes: dict[tuple[int, int, int], list[tuple]] = {}
         for metric in spec.metrics:
-            similarities: dict[int, float] = {}
-            failures: dict[int, str] = {}
             for sku in sorted(groups):
                 key = (sku, spec.name, metric.name)
                 if key not in self.criteria:
@@ -433,7 +444,7 @@ class Validator:
                         f"carry provenance {criteria.sku!r} for "
                         f"{spec.name}/{metric.name}")
                 reference = self._criteria_reference(key, criteria)
-                sorted_samples, indices = [], []
+                direction = +1 if criteria.higher_is_better else -1
                 for index in groups[sku]:
                     result = results[index]
                     if metric.name in getattr(result, "quarantined", ()):
@@ -445,37 +456,38 @@ class Validator:
                         # maskable.
                         sample = as_sample(result.sample(metric.name))
                     except (InvalidSampleError, KeyError) as error:
-                        failures[index] = str(error)
+                        failures[(index, metric.name)] = str(error)
                         continue
-                    sorted_samples.append(np.sort(sample))
-                    indices.append(index)
-                if indices:
-                    direction = +1 if criteria.higher_is_better else -1
-                    sims = backend.one_vs_many_similarities(
-                        sorted_samples, reference,
-                        signed_direction=direction, assume_sorted=True,
-                    )
-                    similarities.update(
-                        (idx, float(sim))
-                        for idx, sim in zip(indices, sims))
-            scored[metric.name] = (similarities, failures)
+                    shapes.setdefault(
+                        (sample.size, reference.size, direction), [],
+                    ).append(((index, metric.name), sample, reference))
+        for (width, reference_width, direction), rows in shapes.items():
+            # One kernel call per shape, in row blocks only when a
+            # fleet-sized batch meets a fleet-pooled reference.
+            block = max(1, _SCORE_BLOCK_ELEMENTS // (width + reference_width))
+            for start in range(0, len(rows), block):
+                cells, samples, references = zip(*rows[start:start + block])
+                sims = backend.rowwise_similarities(
+                    np.sort(np.array(samples), axis=1), np.array(references),
+                    signed_direction=direction, assume_sorted=True)
+                similarities.update(zip(cells, sims.tolist()))
 
         violations = []
         for index, result in enumerate(results):
             sku = getattr(result, "sku", "unknown")
             for metric in spec.metrics:
-                similarities, failures = scored[metric.name]
-                if index in failures:
+                cell = (index, metric.name)
+                if cell in failures:
                     violations.append(Violation(
                         node_id=result.node_id, benchmark=spec.name,
                         metric=metric.name, similarity=0.0,
-                        reason=f"execution-failure: {failures[index]}",
+                        reason=f"execution-failure: {failures[cell]}",
                         sku=sku,
                     ))
-                elif index in similarities and similarities[index] <= self.alpha:
+                elif cell in similarities and similarities[cell] <= self.alpha:
                     violations.append(Violation(
                         node_id=result.node_id, benchmark=spec.name,
-                        metric=metric.name, similarity=similarities[index],
+                        metric=metric.name, similarity=similarities[cell],
                         sku=sku,
                     ))
         self.stats.record("score", count=len(results) * len(spec.metrics),

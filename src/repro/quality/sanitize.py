@@ -35,6 +35,7 @@ Semantics the rest of the system relies on:
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -143,6 +144,17 @@ def sanitize_window(values, schema: MetricSchema, *, node_id: str,
     records: list[QuarantineRecord] = []
     if arr.size == 0:
         # Crash: no telemetry to sanitize; stays an execution failure.
+        return SanitizedWindow(arr, (), excluded=False)
+
+    # Clean windows are nearly all of them, and two reductions decide
+    # it: a NaN makes both extrema NaN, +-inf is one of them, and a
+    # median above ``upper`` (the unit-scale test) needs a value above
+    # it.  Anything else takes the full classification below.
+    low, high = float(arr.min()), float(arr.max())
+    if (arr.size >= schema.min_samples
+            and math.isfinite(low) and math.isfinite(high)
+            and (schema.lower is None or low >= schema.lower)
+            and (schema.upper is None or high <= schema.upper)):
         return SanitizedWindow(arr, (), excluded=False)
 
     finite = np.isfinite(arr)

@@ -470,11 +470,16 @@ class ValidationPool:
 
         Phase semantics are preserved exactly: single-node micro, then
         single-node end-to-end, then multi-node, with nodes flagged in
-        an earlier phase excluded from later phases.  Violations are
-        appended in the sequential engine's (benchmark, node) order, so
-        a fully-healthy parallel report is identical to a sequential
-        one.  Cells that exhausted retries or timed out become
-        ``execution-failure`` violations (defects by definition).
+        an earlier phase excluded from later phases.  Scoring is per
+        spec, as in the sequential engine: every remaining node's
+        result of a sweep goes to one
+        :meth:`~repro.core.validator.Validator.check_results` call.
+        Violations are appended in the sequential engine's (benchmark,
+        node, metric) order, so a fully-healthy parallel report is
+        identical to a sequential one.  Cells that exhausted retries
+        or timed out become ``execution-failure`` violations (defects
+        by definition) carrying the node's SKU, like every other
+        verdict.
 
         Cells short-circuited by an open breaker produce *no*
         violation -- an open breaker means the benchmark itself is
@@ -498,22 +503,30 @@ class ValidationPool:
             sweep = self.run_benchmarks(phase_specs, remaining, validator.runner)
             sweeps.append(sweep)
             for spec in phase_specs:
-                for node in remaining:
-                    run = sweep.run_for(node.node_id, spec.name)
-                    if run.short_circuited:
-                        short_circuited_benchmarks.add(spec.name)
-                        continue
-                    executed_benchmarks.add(spec.name)
+                cells = [(node, sweep.run_for(node.node_id, spec.name))
+                         for node in remaining]
+                executed = [(node, run) for node, run in cells
+                            if not run.short_circuited]
+                if len(executed) < len(cells):
+                    short_circuited_benchmarks.add(spec.name)
+                if not executed:
+                    continue
+                executed_benchmarks.add(spec.name)
+                scored: dict[str, list[Violation]] = {}
+                for violation in validator.check_results(
+                        spec, [run.result for _, run in executed if run.ok]):
+                    scored.setdefault(violation.node_id, []).append(violation)
+                for node, run in executed:
                     if run.ok:
-                        report.violations.extend(
-                            validator.check_result(spec, run.result))
-                    else:
-                        for metric in spec.metrics:
-                            report.violations.append(Violation(
-                                node_id=node.node_id, benchmark=spec.name,
-                                metric=metric.name, similarity=0.0,
-                                reason=f"execution-failure: {run.error}",
-                            ))
+                        report.violations.extend(scored.get(node.node_id, ()))
+                        continue
+                    for metric in spec.metrics:
+                        report.violations.append(Violation(
+                            node_id=node.node_id, benchmark=spec.name,
+                            metric=metric.name, similarity=0.0,
+                            reason=f"execution-failure: {run.error}",
+                            sku=getattr(node, "sku", "unknown"),
+                        ))
             flagged = set(report.defective_nodes)
             remaining = [n for n in remaining if n.node_id not in flagged]
         fully_skipped = short_circuited_benchmarks - executed_benchmarks

@@ -704,7 +704,12 @@ class TestServeGracefulDrain:
 
     def test_sigterm_seals_thread_serve(self, tmp_path):
         journal = tmp_path / "journal"
-        proc = spawn_serve(tmp_path, "--journal", str(journal))
+        # In-thread, the default 300 events are done ~0.2 s after the
+        # first enqueue -- inside one poll below -- and a serve that has
+        # finished has restored the default handler.  30 000 keep it
+        # busy for seven polls; the signal arrives during the first.
+        proc = spawn_serve(tmp_path, "--journal", str(journal),
+                           "--events", "30000")
         try:
             # The enqueue loop runs strictly after the drain handlers
             # are installed, so one enqueued record means SIGTERM now

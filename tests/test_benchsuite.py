@@ -1,5 +1,7 @@
 """Unit tests for the benchmark suite registry and measurement model."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.benchsuite.base import (
     E2eProfile,
     MetricSpec,
     Phase,
+    _node_metric_factor,
     measure_metric,
     run_benchmark,
 )
@@ -130,6 +133,31 @@ class TestMeasurementModel:
         # Same node: means within run-to-run variation, not node_cv apart.
         for name in a.metrics:
             assert a.metrics[name][0] == pytest.approx(b.metrics[name][0], rel=0.02)
+
+    def test_node_factor_is_the_seeded_draw_and_drawn_once(self, monkeypatch):
+        """The silicon-lottery factor is memoised: bit-identical to a
+        generator seeded from the three names, and the second run of a
+        benchmark on a node seeds no generator for it."""
+        spec = suite_by_name("gemm-flops")
+        node = Node(node_id="lottery-node")
+        seeded = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng",
+            lambda *args: (seeded.append(args), default_rng(*args))[1])
+        rng = default_rng(3)
+        first = run_benchmark(spec, node, rng)
+        assert len(seeded) == len(spec.metrics)
+        for metric in spec.metrics:
+            key = f"{node.node_id}/{spec.name}/{metric.name}".encode()
+            draw = default_rng(zlib.crc32(key)).standard_normal()
+            assert _node_metric_factor(node, spec, metric) == (
+                1.0 + metric.node_cv * float(draw))
+        again = run_benchmark(spec, node, default_rng(3))
+        assert len(seeded) == len(spec.metrics)
+        for name in first.metrics:
+            np.testing.assert_array_equal(first.metrics[name],
+                                          again.metrics[name])
 
     def test_series_length_override(self):
         spec = suite_by_name("resnet-models")

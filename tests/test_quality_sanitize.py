@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchsuite.base import BenchmarkResult
 from repro.benchsuite.faults import FaultInjectingRunner
@@ -16,6 +18,7 @@ from repro.quality import (
     FAULT_TRUNCATED,
     FAULT_UNIT_SCALE,
     MetricSchema,
+    QuarantineRecord,
     Sanitizer,
     TelemetryLedger,
     sanitize_window,
@@ -127,6 +130,114 @@ class TestSanitizeWindow:
                                  benchmark="b", metric="m")
         assert not window.excluded
         assert window.records == ()
+
+
+def _classify_in_full(values, schema, **where):
+    """The fault taxonomy applied step by step, with no shortcut for
+    clean windows: the oracle ``sanitize_window`` must agree with."""
+    arr = np.asarray(values, dtype=float).ravel()
+    records = []
+
+    def record(fault, count, example=None, detail=""):
+        records.append(QuarantineRecord(
+            fault=fault, count=count, example=example, detail=detail,
+            **where))
+
+    if arr.size == 0:
+        return arr, (), False
+    finite = np.isfinite(arr)
+    if not finite.all():
+        record(FAULT_NON_FINITE, int((~finite).sum()),
+               float(arr[~finite][0]))
+        arr = arr[finite]
+    if arr.size == 0:
+        return arr, tuple(records), False
+    if schema.upper is not None:
+        median = float(np.median(arr))
+        rescaled = median / schema.unit_scale_factor
+        if (median > schema.upper and rescaled <= schema.upper
+                and (schema.lower is None or rescaled >= schema.lower)):
+            record(FAULT_UNIT_SCALE, int(arr.size), median,
+                   f"median {median:.4g} is ~x{schema.unit_scale_factor:g} "
+                   f"above the plausible range")
+            return arr, tuple(records), True
+    out = np.zeros(arr.size, dtype=bool)
+    if schema.lower is not None:
+        out |= arr < schema.lower
+    if schema.upper is not None:
+        out |= arr > schema.upper
+    if out.any():
+        record(FAULT_OUT_OF_RANGE, int(out.sum()), float(arr[out][0]))
+        arr = arr[~out]
+    if arr.size < schema.min_samples:
+        record(FAULT_TRUNCATED, int(arr.size),
+               detail=f"{arr.size} clean value(s) < floor "
+                      f"{schema.min_samples}")
+        return arr, tuple(records), True
+    return arr, tuple(records), False
+
+
+# Values that sit on, just inside and just outside the bounds 1 and
+# 1000, a unit-scale multiple of the range, and every non-finite kind.
+_WINDOW_VALUES = st.one_of(
+    st.sampled_from([1.0, 1000.0, np.nextafter(1.0, 0.0),
+                     np.nextafter(1000.0, np.inf), 0.0, -5.0, 1e4, 5e5, 1e9,
+                     np.nan, np.inf, -np.inf]),
+    st.floats(min_value=1.0, max_value=1000.0),
+    st.floats(allow_nan=True, allow_infinity=True, width=64))
+
+
+class TestCleanWindowShortcut:
+    """Two reductions decide "clean"; every other window still gets the
+    full classification, record for record."""
+
+    WHERE = dict(node_id="n0", benchmark="b", metric="m")
+
+    @given(values=st.lists(_WINDOW_VALUES, max_size=12),
+           lower=st.sampled_from([None, 1.0]),
+           upper=st.sampled_from([None, 1000.0]),
+           min_samples=st.integers(min_value=1, max_value=6))
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_the_full_classification(self, values, lower, upper,
+                                                 min_samples):
+        schema = _schema(lower=lower, upper=upper, min_samples=min_samples)
+        expected_values, expected_records, expected_excluded = (
+            _classify_in_full(values, schema, **self.WHERE))
+        got = sanitize_window(values, schema, **self.WHERE)
+        np.testing.assert_array_equal(got.values, expected_values)
+        # By repr: a record's example may be NaN, which equals nothing.
+        assert repr(got.records) == repr(expected_records)
+        assert got.excluded == expected_excluded
+
+        # Through the layer's public entry point: same ledger counts.
+        sanitizer = Sanitizer({("b", "m"): schema})
+        sanitizer.sanitize_result(None, BenchmarkResult(
+            benchmark="b", node_id="n0", metrics={"m": np.array(values)}))
+        expected_ledger = TelemetryLedger()
+        for rec in expected_records:
+            expected_ledger.record(rec)
+        assert sanitizer.ledger.summary() == expected_ledger.summary()
+
+    @pytest.mark.parametrize("bounds", [
+        dict(lower=1.0, upper=1000.0), dict(lower=None, upper=1000.0),
+        dict(lower=1.0, upper=None), dict(lower=None, upper=None)])
+    def test_clean_window_costs_no_median_or_isfinite(self, monkeypatch,
+                                                      bounds):
+        calls = []
+        for name in ("median", "isfinite"):
+            original = getattr(np, name)
+            monkeypatch.setattr(
+                np, name, lambda *args, _name=name, _original=original, **kw:
+                (calls.append(_name), _original(*args, **kw))[1])
+        values = np.array([1.0, 20.0, 30.0, 1000.0])  # on both bounds
+        window = sanitize_window(values, _schema(**bounds), **self.WHERE)
+        assert not window.excluded and window.records == ()
+        np.testing.assert_array_equal(window.values, values)
+        assert calls == []
+        # ... and a dirty one still pays for its classification.
+        sanitize_window(np.array([1.0, np.nan, 30.0, 40.0, 50.0]),
+                        _schema(**bounds), **self.WHERE)
+        assert "isfinite" in calls
 
 
 class TestLedger:

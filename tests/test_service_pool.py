@@ -419,6 +419,61 @@ class TestSequentialEquivalence:
         assert sweeps and all(not s.failed_runs for s in sweeps)
 
 
+class TestScoringPerSpec:
+    def test_validate_scores_each_executed_spec_once_per_sweep(self):
+        """Scoring is by the spec, not by the cell: every remaining
+        node's result of a sweep reaches check_results in one call, a
+        failed cell's violations land in node order between them, and
+        short-circuited cells are not scored at all."""
+        fleet = build_fleet(6, seed=3)
+        suite = full_suite()
+        micro, second, e2e = (
+            suite[0], suite[1],
+            next(spec for spec in suite if spec.kind.value == "e2e"))
+        crashing = fleet.nodes[2].node_id
+
+        class CrashingRunner(SuiteRunner):
+            def run(self, spec, node):
+                if (node.node_id, spec.name) == (crashing, micro.name):
+                    raise RuntimeError("crashed")
+                return super().run(spec, node)
+
+        validator = Validator(suite, runner=CrashingRunner(seed=7))
+        validator.learn_criteria(
+            [node for node in fleet.nodes if node.node_id != crashing],
+            benchmarks=[micro, second, e2e])
+        validator.alpha = 2.0   # every scored window becomes a violation
+        calls = []
+        score = validator.check_results
+
+        def counting(spec, results):
+            calls.append((spec.name, [r.node_id for r in results]))
+            return score(spec, results)
+
+        validator.check_results = counting
+        pool = ValidationPool(PoolConfig(
+            max_workers=4, benchmark_timeout_seconds=None, max_attempts=1,
+            breaker_failure_threshold=1))
+        pool.breaker_for(second.name).record(True)    # open: probes next
+        nodes = fleet.nodes[:4]
+        report, sweeps = pool.validate(validator, nodes,
+                                       [micro, second, e2e])
+
+        ids = [node.node_id for node in nodes]
+        # One micro sweep: the three nodes that ran ``micro`` are scored
+        # together, the half-open ``second`` is scored on its one probe
+        # node, and with everyone flagged (alpha = 2) the e2e phase
+        # never starts.
+        assert calls == [(micro.name, [i for i in ids if i != crashing]),
+                         (second.name, ids[:1])]
+        assert len(sweeps) == 1
+        assert [(v.benchmark, v.node_id) for v in report.violations] == (
+            [(micro.name, i) for i in ids for _ in micro.metrics]
+            + [(second.name, ids[0]) for _ in second.metrics])
+        crashed = [v for v in report.violations if v.node_id == crashing]
+        assert all("execution-failure" in v.reason for v in crashed)
+
+
 class HangingSuiteRunner(SuiteRunner):
     """Real runner that hangs on one (node, benchmark) cell."""
 

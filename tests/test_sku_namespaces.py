@@ -25,8 +25,8 @@ from repro.core.persistence import (
     load_criteria,
     save_criteria,
 )
-from repro.core.selector import Selector
-from repro.core.system import Anubis
+from repro.core.selector import NodeStatus, Selector
+from repro.core.system import Anubis, EventKind, ValidationEvent
 from repro.core.validator import Validator
 from repro.exceptions import CriteriaError, SkuMismatchError
 from repro.hardware import (
@@ -42,10 +42,12 @@ from repro.hardware.components import defect_mode
 from repro.quality import RolloutConfig
 from repro.quality.sanitize import Sanitizer
 from repro.service import PoolConfig, ServiceConfig, ValidationService
+from repro.service.store import JournalStore, RecordKind
 from repro.simulation import analytic_coverage_table, suite_durations
 from repro.simulation.generator import generate_incident_trace
 from repro.survival import extract_status_samples
 from repro.survival.exponential import ExponentialModel
+from tests.test_service_pool import HangingSuiteRunner
 
 MIX = {"A100": 0.5, "H100": 0.3, "MI250X": 0.2}
 
@@ -240,6 +242,49 @@ class TestCrossSkuIsolation:
         results = [runner.run(spec, n) for n in h100]
         with pytest.raises(CriteriaError, match="H100"):
             validator.check_results(spec, results)
+
+
+class TestTimeoutVerdictProvenance:
+    def test_timed_out_cell_is_journaled_with_the_nodes_sku(self, tmp_path):
+        """A cell the pool gave up on is a verdict like any other: its
+        journaled violation names the node's hardware class, not
+        ``"unknown"``."""
+        suite = small_suite()
+        fleet = mixed_fleet(n=18, seed=3)
+        assert set(fleet.sku_counts()) == set(MIX)
+        hung = next(node for node in fleet.nodes if node.sku == "H100")
+        others = [next(node for node in fleet.nodes if node.sku == sku)
+                  for sku in ("A100", "MI250X")]
+        validator = Validator(suite, runner=HangingSuiteRunner(
+            hung.node_id, suite[0].name, hang_seconds=1.0, seed=3))
+        validator.learn_criteria([n for n in fleet.nodes if n is not hung])
+        trace = generate_incident_trace(50, 800.0, seed=11)
+        dataset = extract_status_samples(trace)
+        selector = Selector(ExponentialModel().fit(dataset),
+                            analytic_coverage_table(suite),
+                            suite_durations(suite), p0=0.05)
+        service = ValidationService(
+            Anubis(validator, selector), fleet.nodes,
+            journal_dir=tmp_path / "journal",
+            config=ServiceConfig(pool=PoolConfig(
+                max_workers=4, benchmark_timeout_seconds=0.2,
+                max_attempts=1, poll_interval_seconds=0.01)))
+        nodes = (others[0], hung, others[1])
+        service.submit(ValidationEvent(
+            kind=EventKind.NODE_ADDED, nodes=nodes,
+            statuses=tuple(NodeStatus(node_id=node.node_id,
+                                      covariates=dataset.covariates[i])
+                           for i, node in enumerate(nodes))))
+        assert hung.node_id in service.tick().quarantined
+
+        (completed,) = [
+            record for record in JournalStore(tmp_path / "journal").replay()
+            if record.kind == RecordKind.EVENT_COMPLETED]
+        timeouts = [row for row in completed.payload["violations"]
+                    if row[0] == hung.node_id and "timeout" in row[3]]
+        assert [row[1:3] for row in timeouts] == [
+            [suite[0].name, metric.name] for metric in suite[0].metrics]
+        assert {row[4] for row in timeouts} == {"H100"}
 
 
 class SkuPoisoningRunner(SuiteRunner):

@@ -1,5 +1,7 @@
 """Unit tests for the Validator: criteria learning and defect filtering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,11 @@ from repro.benchsuite.base import (
     Phase,
 )
 from repro.benchsuite.runner import SuiteRunner
+from repro.core import distance, fastdist
+from repro.core import validator as validator_module
+from repro.core.ecdf import as_sample
 from repro.core.validator import ValidationReport, Validator, Violation
-from repro.exceptions import CriteriaError
+from repro.exceptions import CriteriaError, SkuMismatchError
 from repro.hardware.components import Component, defect_mode
 from repro.hardware.node import Node
 
@@ -148,3 +153,148 @@ class TestValidationReport:
         ]
         grouped = report.violations_by_benchmark()
         assert grouped == {"x": {"a", "b"}, "y": {"a"}}
+
+
+def ragged_spec():
+    """One benchmark whose metrics differ in window length and polarity;
+    ``thr`` and ``thr2`` share a shape."""
+    def metric(name, length, higher=True):
+        return MetricSpec(name=name, unit="u", base_value=100.0,
+                          noise_cv=0.01, run_cv=0.002, node_cv=0.002,
+                          series_length=length, higher_is_better=higher)
+    return BenchmarkSpec(
+        name="ragged", kind=BenchmarkKind.MICRO, phase=Phase.SINGLE_NODE,
+        duration_minutes=1.0, sensitivity={Component.NIC: 1.0},
+        metrics=(metric("bw", 1), metric("lat", 1, higher=False),
+                 metric("thr", 48), metric("thr2", 48),
+                 metric("jit", 32, higher=False)))
+
+
+def violation_rows(violations):
+    return [(v.node_id, v.benchmark, v.metric, v.reason, v.sku)
+            for v in violations]
+
+
+class TestBatchedScoring:
+    """check_results(spec, k results) is a loop of check_result -- same
+    verdicts, same order -- at a kernel call per window shape."""
+
+    SKUS = ("A100", "H100", "MI250X")
+
+    @pytest.fixture()
+    def scored(self):
+        spec = ragged_spec()
+        nodes = [Node(node_id=f"{sku}-{i}", sku=sku)
+                 for sku in self.SKUS for i in range(4)]
+        validator = Validator((spec,), runner=SuiteRunner(seed=11))
+        validator.learn_criteria(nodes)
+        results = [validator.runner.run(spec, node) for node in nodes]
+        return spec, validator, results
+
+    @staticmethod
+    def with_window(result, metric, **changes):
+        return result.with_windows(tuple(
+            dataclasses.replace(window, **changes)
+            if window.metric == metric else window
+            for window in result.windows))
+
+    def dirty(self, results):
+        """The clean results plus every window the scorer must treat
+        specially: shorter, quarantined, empty, non-finite."""
+        results = list(results)
+        results[1] = self.with_window(
+            results[1], "thr", values=results[1].sample("thr")[:40])
+        results[2] = self.with_window(results[2], "bw", quarantined=True)
+        results[5] = self.with_window(results[5], "thr2", values=np.array([]))
+        results[9] = self.with_window(
+            results[9], "jit", values=np.full(32, np.nan))
+        return results
+
+    def test_equals_a_check_result_loop_and_the_scalar_oracle(self, scored):
+        spec, validator, results = scored
+        results = self.dirty(results)
+        validator.alpha = 2.0   # every scored window reports its similarity
+        batched = validator.check_results(spec, results)
+        looped = [violation for result in results
+                  for violation in validator.check_result(spec, result)]
+        assert violation_rows(batched) == violation_rows(looped)
+        assert [v.similarity for v in batched] == [v.similarity
+                                                   for v in looped]
+
+        by_cell = {(v.node_id, v.metric): v for v in batched}
+        for result in results:
+            for metric in spec.metrics:
+                verdict = by_cell.get((result.node_id, metric.name))
+                window = result.window(metric.name)
+                if window.quarantined:
+                    assert verdict is None
+                elif not window.n or not np.isfinite(window.values).all():
+                    assert verdict.reason.startswith("execution-failure")
+                    assert verdict.similarity == 0.0
+                else:
+                    criteria = validator.criteria[
+                        (result.sku, spec.name, metric.name)]
+                    oracle = distance.one_sided_similarity(
+                        window.values, criteria.criteria,
+                        higher_is_better=metric.higher_is_better)
+                    assert verdict.reason == "below-threshold"
+                    assert verdict.sku == result.sku
+                    assert abs(verdict.similarity - oracle) <= 1e-12
+        # Node-major, then the spec's metric order.
+        nodes = [result.node_id for result in results]
+        metrics = [metric.name for metric in spec.metrics]
+        order = [(nodes.index(v.node_id), metrics.index(v.metric))
+                 for v in batched]
+        assert order == sorted(order)
+
+    def test_real_threshold_flags_the_same_cells(self, scored):
+        spec, validator, results = scored
+        results = self.dirty(results)
+        batched = validator.check_results(spec, results)
+        looped = [violation for result in results
+                  for violation in validator.check_result(spec, result)]
+        assert violation_rows(batched) == violation_rows(looped)
+        assert {(v.node_id, v.metric) for v in batched} >= {
+            (results[5].node_id, "thr2"), (results[9].node_id, "jit")}
+
+    def test_missing_namespace_and_misfiled_criteria_still_raise(self, scored):
+        spec, validator, results = scored
+        misfiled = dict(validator.criteria)
+        misfiled[("H100", "ragged", "thr")] = misfiled[
+            ("A100", "ragged", "thr")]
+        validator.criteria = misfiled
+        with pytest.raises(SkuMismatchError):
+            validator.check_results(spec, results)
+        del misfiled[("H100", "ragged", "thr")]
+        with pytest.raises(CriteriaError, match="H100/ragged/thr"):
+            validator.check_results(spec, results)
+
+    def test_one_kernel_call_per_window_shape(self, scored, monkeypatch):
+        spec, validator, results = scored
+        calls = []
+        for name in ("batch_gap_integrals", "one_vs_many_distances"):
+            original = getattr(fastdist, name)
+            monkeypatch.setattr(
+                fastdist, name, lambda *args, _original=original, **kw:
+                (calls.append(1), _original(*args, **kw))[1])
+        validator.check_results(spec, results)
+        # 12 nodes x 5 metrics x 3 SKUs score in one call per (window
+        # length, reference length, polarity).
+        shapes = {(result.window(metric.name).n,
+                   validator.criteria[(result.sku, spec.name,
+                                       metric.name)].criteria.size,
+                   metric.higher_is_better)
+                  for result in results for metric in spec.metrics}
+        assert 1 <= len(calls) <= len(shapes) < len(spec.metrics) * 3
+
+    def test_cached_reference_is_never_validated_again(self, scored,
+                                                       monkeypatch):
+        spec, validator, results = scored
+        validator.check_results(spec, results)      # fills the cache
+        validated = []
+        for module in (validator_module, fastdist):
+            monkeypatch.setattr(
+                module, "as_sample", lambda values, _original=as_sample, **kw:
+                (validated.append(1), _original(values, **kw))[1])
+        validator.check_results(spec, results)
+        assert len(validated) == len(results) * len(spec.metrics)
