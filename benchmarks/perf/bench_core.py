@@ -12,9 +12,8 @@ to ``BENCH_core.json``.  Three workloads are timed per fleet size:
 A separate *learn-scaling* sweep (``--learn-sizes``) compares the exact
 ``learn_criteria`` against the incremental engine
 (``repro.core.incremental``) on fleets with planted defects: the full
-sketch+coreset learn, a delta re-learn after perturbing a few percent
-of the fleet, and -- up to ``--learn-exact-max`` nodes -- the exact
-learn itself.  Whenever the exact path runs, the sweep *asserts* that
+sketch+coreset learn and -- up to ``--learn-exact-max`` nodes -- the
+exact learn itself.  Whenever the exact path runs, the sweep *asserts* that
 both engines produce the identical defect set and that the maximum
 similarity deviation stays inside the sketch ``distance_bound``; a
 violation fails the run.
@@ -262,18 +261,6 @@ def make_defective_fleet(
     return fleet
 
 
-def _perturb(fleet: np.ndarray, rng: np.random.Generator,
-             fraction: float = 0.02) -> list[np.ndarray]:
-    """Redraw a small fraction of windows (the delta re-learn input)."""
-
-    out = fleet.copy()
-    d = max(int(fleet.shape[0] * fraction), 1)
-    rows = rng.choice(fleet.shape[0], size=d, replace=False)
-    out[rows] = 100.0 + rng.normal(0.0, 0.5, size=(d, 1)) + rng.normal(
-        0.0, 2.0, size=(d, fleet.shape[1]))
-    return [out[i] for i in range(out.shape[0])]
-
-
 def bench_learn_scaling(
     nodes: int, window: int, repeats: int, exact_max: int
 ) -> dict:
@@ -292,26 +279,10 @@ def bench_learn_scaling(
     full_s = best_of(
         lambda: learn_criteria_incremental(
             samples, 0.95, centroid="hybrid", config=config), repeats)
-    result, state = learn_criteria_incremental(
+    result, _ = learn_criteria_incremental(
         samples, 0.95, centroid="hybrid", config=config)
-
-    # Delta re-learns need fresh perturbations per repetition, or the
-    # fingerprint short-circuit would time the cached path instead.
-    delta_s = float("inf")
-    delta_path = None
-    for rep in range(max(repeats, 1) + 1):  # +1 warmup
-        perturbed = _perturb(fleet, np.random.default_rng(1000 + rep))
-        start = time.perf_counter()
-        _, delta_state = learn_criteria_incremental(
-            perturbed, 0.95, centroid="hybrid", config=config, state=state)
-        elapsed = time.perf_counter() - start
-        if rep:  # skip warmup timing
-            delta_s = min(delta_s, elapsed)
-        delta_path = delta_state.path
     entry["incremental"] = {
         "full_s": full_s,
-        "delta_s": delta_s,
-        "delta_path": delta_path,
         "sketch_size": config.sketch_size,
     }
 
@@ -527,9 +498,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
             result["learn_scaling"][str(nodes)] = entry
             inc = entry["incremental"]
-            line = (f"  incremental full {inc['full_s'] * 1e3:8.1f} ms, "
-                    f"delta {inc['delta_s'] * 1e3:8.1f} ms "
-                    f"({inc['delta_path']})")
+            line = f"  incremental full {inc['full_s'] * 1e3:8.1f} ms"
             if "exact" in entry:
                 line += (f", exact {entry['exact']['exact_s'] * 1e3:9.1f} ms "
                          f"({entry['exact']['speedup']:.1f}x), max dev "

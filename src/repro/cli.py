@@ -94,11 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "load-shed) instead of growing without bound")
     serve.add_argument("--incremental-criteria", action="store_true",
                        help="learn criteria through the incremental engine "
-                            "(sketches + landmark medoids + delta re-learn) "
-                            "and run a gated re-learn after the event "
-                            "stream, so the per-path learn stages "
-                            "(learn-exact/full/delta/cached) show up in "
-                            "the pipeline stats and the journal report")
+                            "(sketches + landmark medoids) and run a gated "
+                            "re-learn after the event stream, so the "
+                            "per-path learn stages (learn-exact/full) show "
+                            "up in the pipeline stats and the journal "
+                            "report")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--chaos-seed", type=int, default=None, metavar="SEED",
                        help="install the seeded chaos harness (executor "
@@ -480,10 +480,9 @@ def _cmd_serve(args) -> int:
                                             config=config)
                 install(service)
         if args.incremental_criteria:
-            # Post-stream re-learn: the control plane resolves delta
-            # vs full from the nodes measured since the first learn,
-            # walks the candidates through the rollout gate, and
-            # journals the realized per-key engine path
+            # Post-stream re-learn: the control plane re-runs the
+            # learning nodes, walks the candidates through the rollout
+            # gate, and journals each key's engine path, exact or full
             # (criteria-learn record).
             print(f"\nre-learning criteria on {args.learn_on} nodes "
                   f"(incremental engine)...")

@@ -1,10 +1,10 @@
-"""Incremental criteria engine: sketches, landmark medoids, delta re-learning.
+"""Incremental criteria engine: sketches and landmark medoids.
 
 :func:`repro.core.criteria.learn_criteria` is pairwise-dominated: the
 Algorithm 2 medoid seed needs the full ``O(n^2)`` similarity matrix,
-which caps exact re-learns near 1k nodes.  This module keeps the same
-clustering semantics but replaces the quadratic structure with three
-bounded approximations, each with an exact escape hatch:
+which caps exact learns near 1k nodes.  This module keeps the same
+clustering semantics but replaces the quadratic structure with two
+bounded approximations, with the exact learner as the escape hatch:
 
 1. **Sketches** (:mod:`repro.core.sketch`) -- every node window is
    summarized by a ``k``-point equi-depth sketch, so the whole fleet's
@@ -23,27 +23,18 @@ bounded approximations, each with an exact escape hatch:
    re-adjudicated with the exact ``fastdist`` kernel against the
    medoid's *raw* window, so borderline verdicts never ride on the
    approximation.
-3. **Delta re-learning** -- a persistent :class:`CriteriaState` caches
-   per-window fingerprints, the sketch batch and the candidate/
-   landmark profile.  A re-learn touching ``d`` windows re-sketches
-   only those rows and patches only the profile entries they back --
-   ``O(d * n)`` work -- before re-running the cheap exclusion loop.
-   Unchanged fingerprints short-circuit to the cached result outright.
 
-Fallback triggers (state machine)
----------------------------------
-``auto`` mode resolves to, in order:
+The ladder
+----------
+Every learn is from scratch -- the product re-executes the fleet on
+each learn, so no window survives from one learn to the next -- and
+takes one of two rungs:
 
-* ``cached``  -- params + every fingerprint unchanged;
-* ``exact``   -- fleet at or below ``exact_below`` (small fleets are
+* ``exact`` -- fleet at or below ``exact_below`` (small fleets are
   cheapest and bit-exact on the classic path), or ``mode="exact"``
   forced by the caller (the control plane does this after a shadow
   -evaluation rollback);
-* ``delta``   -- a compatible sketch state exists, the changed
-  fraction is at most ``delta_threshold``, no window flipped its
-  usable-telemetry status, and fewer than ``max_delta_steps``
-  consecutive deltas have already run (coreset staleness bound);
-* ``full``    -- everything else: sketches + coreset from scratch.
+* ``full``  -- everything else: sketches + coreset.
 
 Approximate results never go live on their own authority: the
 validator routes every candidate -- exact or approximate -- through
@@ -55,7 +46,7 @@ candidate both rolls back and forces the next learn for that
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +65,6 @@ from repro.core.fastdist import (
     landmark_similarities,
     one_vs_many_similarities,
 )
-from repro.core.measurement import NONFINITE_REJECT
 from repro.exceptions import CriteriaError
 
 __all__ = [
@@ -86,22 +76,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IncrementalConfig:
-    """Knobs of the incremental engine (all with production defaults).
-
-    ``verification_band`` defaults to the sketch's property-tested
-    distance bound; widening it trades exact-kernel work for extra
-    safety margin, narrowing it below the bound voids the borderline
-    guarantee.
-    """
+    """Knobs of the incremental engine (all with production defaults)."""
 
     sketch_size: int = _sketch.DEFAULT_SKETCH_SIZE
     n_landmarks: int = 32
     n_candidates: int = 128
     exact_below: int = 256
-    delta_threshold: float = 0.25
-    max_delta_steps: int = 16
     max_criteria_size: int = 4096
-    verification_band: float | None = None
 
     def __post_init__(self) -> None:
         if self.sketch_size < 2:
@@ -113,64 +94,25 @@ class IncrementalConfig:
         if self.n_candidates < 1:
             raise CriteriaError(
                 f"n_candidates must be >= 1, got {self.n_candidates}")
-        if not 0.0 <= self.delta_threshold <= 1.0:
-            raise CriteriaError(
-                f"delta_threshold must be in [0, 1], got {self.delta_threshold}")
         if self.max_criteria_size < 2:
             raise CriteriaError(
                 f"max_criteria_size must be >= 2, got {self.max_criteria_size}")
 
     @property
     def band(self) -> float:
-        """Half-width of the exact re-adjudication band around alpha."""
-        if self.verification_band is not None:
-            return self.verification_band
+        """Half-width of the exact re-adjudication band around alpha:
+        the sketch's property-tested distance bound."""
         return _sketch.distance_bound(self.sketch_size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CriteriaState:
-    """Persistent cache between re-learns of one (sku, benchmark, metric).
+    """How one (sku, benchmark, metric) learn ran: the rung it took
+    (``"exact"`` or ``"full"``) and the seconds spent inside it."""
 
-    Holds everything a delta re-learn needs and nothing it does not:
-    fingerprints to find the changed windows, the sketch batch to
-    patch, and the candidate/landmark profile that seeds the medoid --
-    ``O(n * sketch_size + C * L)`` floats, bounded regardless of
-    window length.  Exact-path states carry only fingerprints + the
-    result (``sketch_data`` is ``None``).
-    """
-
-    params: tuple
-    n_input: int
-    fingerprints: np.ndarray
-    result: CriteriaResult
-    exact: bool
     path: str
     seconds: float
-    delta_steps: int = 0
-    kept: np.ndarray | None = None
-    excluded: tuple = ()
-    sizes_raw: np.ndarray | None = None
-    sketch_data: np.ndarray | None = None
-    sketch_sizes: np.ndarray | None = None
-    candidate_indices: np.ndarray | None = None
-    landmark_indices: np.ndarray | None = None
-    landmark_sims: np.ndarray | None = None
-
-    def sketch_batch(self) -> SortedSampleBatch:
-        """The cached per-window sketches as a kernel-ready batch."""
-        if self.sketch_data is None or self.sketch_sizes is None:
-            raise CriteriaError("exact-path state carries no sketch batch")
-        return SortedSampleBatch(self.sketch_data, self.sketch_sizes)
-
-
-def _engine_params(alpha: float, centroid: str, contamination: float,
-                   backend: DistanceBackend, min_sample_size: int,
-                   config: IncrementalConfig) -> tuple:
-    """The compatibility key: a state only serves re-learns that match."""
-    return (float(alpha), centroid, float(contamination), backend.nonfinite,
-            max(min_sample_size, 1), config.sketch_size, config.n_landmarks,
-            config.n_candidates, config.max_criteria_size, config.band)
+    exact: bool
 
 
 def _stratified(batch: SortedSampleBatch, count: int,
@@ -247,17 +189,17 @@ class _MedoidSeeder:
 
 
 def _run_sketch_loop(batch: SortedSampleBatch, seeder: _MedoidSeeder,
-                     sizes_raw: np.ndarray, cleaned_row, alpha: float,
-                     centroid: str, config: IncrementalConfig):
+                     cleaned, alpha: float, centroid: str,
+                     config: IncrementalConfig):
     """Algorithm 2 on sketches, with exact adjudication of the band.
 
-    ``cleaned_row(i)`` lazily yields window ``i``'s raw sorted clean
-    values (the delta path only materializes the few rows this loop
-    actually touches).  Returns ``(surviving, sims, medoid,
-    iterations, criteria, criteria_idx)`` in kept-index space.
+    ``cleaned[i]`` is window ``i``'s raw sorted clean values.  Returns
+    ``(surviving, sims, iterations, criteria, criteria_idx)`` in
+    kept-index space.
     """
-    n = batch.n
-    all_idx = np.arange(n)
+    all_idx = np.arange(batch.n)
+    sizes_raw = np.fromiter((row.size for row in cleaned), dtype=np.intp,
+                            count=len(cleaned))
     iteration_centroid = "medoid" if centroid == "hybrid" else centroid
 
     def centroid_of(active: np.ndarray):
@@ -300,13 +242,13 @@ def _run_sketch_loop(batch: SortedSampleBatch, seeder: _MedoidSeeder,
     # verdict can only differ from the exact path where the two sims
     # legitimately disagree by more than the bound.
     if medoid is not None:
-        reference = cleaned_row(medoid)
+        reference = cleaned[medoid]
     else:
-        reference = _pooled_sample([cleaned_row(i) for i in range(n)], active)
+        reference = _pooled_sample(cleaned, active)
     border = np.flatnonzero(np.abs(sims - alpha) <= config.band)
     if border.size:
         border_batch = SortedSampleBatch.from_sorted(
-            [cleaned_row(int(i)) for i in border])
+            [cleaned[i] for i in border])
         sims = sims.copy()
         sims[border] = one_vs_many_similarities(border_batch, reference,
                                                 assume_sorted=True)
@@ -319,14 +261,14 @@ def _run_sketch_loop(batch: SortedSampleBatch, seeder: _MedoidSeeder,
         active = surviving
 
     if centroid == "medoid":
-        criteria = cleaned_row(medoid).copy()
+        criteria = cleaned[medoid].copy()
         criteria_idx = medoid
     else:
         criteria = _sketch.merge_sketches(
             [batch.row(i) for i in active], sizes_raw[active],
             config.max_criteria_size)
         criteria_idx = None
-    return active, sims, medoid, iterations, criteria, criteria_idx
+    return active, sims, iterations, criteria, criteria_idx
 
 
 def _assemble(samples, kept_arr: np.ndarray, excluded, surviving: np.ndarray,
@@ -366,137 +308,22 @@ def _sketch_batch_from_cleaned(cleaned, k: int) -> SortedSampleBatch:
         [_sketch.sketch_sorted(row, k) for row in cleaned])
 
 
-def _full_sketch_learn(samples, fingerprints, alpha, centroid, contamination,
-                       backend, min_sample_size, config, params, t0):
+def _full_sketch_learn(samples, alpha, centroid, contamination, backend,
+                       min_sample_size, config) -> CriteriaResult:
     """Sketches + coreset from scratch (the ``full`` path)."""
     cleaned, kept, excluded = _clean_and_warn(
         samples, backend, min_sample_size, stacklevel=4)
     kept_arr = np.asarray(kept, dtype=np.intp)
-    sizes_raw = np.fromiter((row.size for row in cleaned), dtype=np.intp,
-                            count=len(cleaned))
     batch = _sketch_batch_from_cleaned(cleaned, config.sketch_size)
     cand_idx = _stratified(batch, config.n_candidates)
     lm_idx = _stratified(batch, config.n_landmarks)
     lm_sims = landmark_similarities(batch.take(cand_idx),
                                     batch.take(lm_idx))
     seeder = _MedoidSeeder(batch, cand_idx, lm_idx, lm_sims, contamination)
-    surviving, sims, medoid, iterations, criteria, criteria_idx = (
-        _run_sketch_loop(batch, seeder, sizes_raw, lambda i: cleaned[i],
-                         alpha, centroid, config))
-    result = _assemble(samples, kept_arr, excluded, surviving, sims,
-                       criteria, criteria_idx, iterations, alpha)
-    state = CriteriaState(
-        params=params, n_input=len(samples), fingerprints=fingerprints,
-        result=result, exact=False, path="full",
-        seconds=time.perf_counter() - t0, delta_steps=0, kept=kept_arr,
-        excluded=tuple(int(i) for i in excluded), sizes_raw=sizes_raw,
-        sketch_data=batch.data, sketch_sizes=batch.sizes,
-        candidate_indices=seeder.cand_idx, landmark_indices=seeder.lm_idx,
-        landmark_sims=seeder.lm_sims,
-    )
-    return result, state
-
-
-def _clean_one(sample, backend: DistanceBackend,
-               min_sample_size: int) -> np.ndarray | None:
-    """One window through the quarantine pass; ``None`` when excluded."""
-    arr = np.asarray(sample, dtype=float).ravel()
-    if backend.nonfinite == NONFINITE_REJECT:
-        finite = backend.clean(arr)
-    else:
-        finite = arr[np.isfinite(arr)]
-    if finite.size < max(min_sample_size, 1):
-        return None
-    return np.sort(finite)
-
-
-def _delta_learn(samples, fingerprints, state: CriteriaState, alpha, centroid,
-                 contamination, backend, min_sample_size, config, params, t0):
-    """Patch the cached state for the changed windows, then re-cluster.
-
-    Returns ``None`` when the delta turns out to be structurally
-    ineligible mid-flight (a window flipped its usable-telemetry
-    status, or a re-sketched row outgrew the batch), in which case the
-    caller falls back to the full path.
-    """
-    changed_input = np.flatnonzero(fingerprints != state.fingerprints)
-    kept_arr = state.kept
-    kept_pos = np.full(state.n_input, -1, dtype=np.intp)
-    kept_pos[kept_arr] = np.arange(kept_arr.size)
-
-    cleaned_cache: dict[int, np.ndarray] = {}
-    changed_kept: list[int] = []
-    for idx in changed_input.tolist():
-        row = _clean_one(samples[idx], backend, min_sample_size)
-        pos = int(kept_pos[idx])
-        if (row is None) != (pos < 0):
-            return None  # usable-telemetry flip: membership changed
-        if row is not None:
-            cleaned_cache[pos] = row
-            changed_kept.append(pos)
-
-    data = state.sketch_data.copy()
-    sizes = state.sketch_sizes.copy()
-    for pos in changed_kept:
-        sk = _sketch.sketch_sorted(cleaned_cache[pos], config.sketch_size)
-        if sk.size > data.shape[1]:
-            return None  # row outgrew the padded batch: rebuild from scratch
-        data[pos] = np.inf
-        data[pos, :sk.size] = sk
-        sizes[pos] = sk.size
-    batch = SortedSampleBatch(data, sizes)
-    sizes_raw = state.sizes_raw.copy()
-    for pos in changed_kept:
-        sizes_raw[pos] = cleaned_cache[pos].size
-
-    # Patch the coreset profile: a changed landmark invalidates its
-    # column, a changed candidate its row; changed rows that back
-    # neither cost nothing here.  O(d * (C + L) * k) kernel work.
-    cand_idx = state.candidate_indices
-    lm_idx = state.landmark_indices
-    lm_sims = state.landmark_sims.copy()
-    changed_set = set(changed_kept)
-    stale_cols = [j for j, lm in enumerate(lm_idx.tolist())
-                  if lm in changed_set]
-    stale_rows = [i for i, cand in enumerate(cand_idx.tolist())
-                  if cand in changed_set]
-    cand_batch = batch.take(cand_idx)
-    for j in stale_cols:
-        lm_sims[:, j] = one_vs_many_similarities(
-            cand_batch, batch.row(int(lm_idx[j])), assume_sorted=True)
-    if stale_rows:
-        fresh_cols = [j for j in range(lm_idx.size) if j not in stale_cols]
-        if fresh_cols:
-            patch = landmark_similarities(
-                batch.take(cand_idx[stale_rows]),
-                batch.take(lm_idx[fresh_cols]))
-            lm_sims[np.ix_(stale_rows, fresh_cols)] = patch
-
-    def cleaned_row(pos: int) -> np.ndarray:
-        row = cleaned_cache.get(pos)
-        if row is None:
-            row = _clean_one(samples[int(kept_arr[pos])], backend,
-                             min_sample_size)
-            cleaned_cache[pos] = row
-        return row
-
-    seeder = _MedoidSeeder(batch, cand_idx, lm_idx, lm_sims, contamination)
-    surviving, sims, medoid, iterations, criteria, criteria_idx = (
-        _run_sketch_loop(batch, seeder, sizes_raw, cleaned_row, alpha,
-                         centroid, config))
-    result = _assemble(samples, kept_arr, state.excluded, surviving, sims,
-                       criteria, criteria_idx, iterations, alpha)
-    new_state = CriteriaState(
-        params=params, n_input=state.n_input, fingerprints=fingerprints,
-        result=result, exact=False, path="delta",
-        seconds=time.perf_counter() - t0,
-        delta_steps=state.delta_steps + 1, kept=kept_arr,
-        excluded=state.excluded, sizes_raw=sizes_raw,
-        sketch_data=data, sketch_sizes=sizes,
-        candidate_indices=seeder.cand_idx, landmark_indices=seeder.lm_idx,
-        landmark_sims=seeder.lm_sims,
-    )
-    return result, new_state
+    surviving, sims, iterations, criteria, criteria_idx = _run_sketch_loop(
+        batch, seeder, cleaned, alpha, centroid, config)
+    return _assemble(samples, kept_arr, excluded, surviving, sims,
+                     criteria, criteria_idx, iterations, alpha)
 
 
 def learn_criteria_incremental(samples, alpha: float = 0.95, *,
@@ -505,58 +332,30 @@ def learn_criteria_incremental(samples, alpha: float = 0.95, *,
                                backend: DistanceBackend | None = None,
                                min_sample_size: int = 1,
                                config: IncrementalConfig | None = None,
-                               state: CriteriaState | None = None,
                                mode: str = "auto"):
-    """Algorithm 2 with sketches, a landmark coreset and delta re-learning.
+    """Algorithm 2 with sketches and a landmark coreset.
 
     Drop-in alternative to :func:`repro.core.criteria.learn_criteria`
-    that returns ``(result, state)``: pass the returned state back on
-    the next re-learn of the same (sku, benchmark, metric) stream to unlock
-    the delta path.  ``mode`` is a hint -- ``"auto"`` (resolve by the
-    state machine in the module docstring), ``"exact"`` (force the
-    classic exact learn, used after a rollout rollback), ``"full"``
-    (rebuild sketches, skip delta) or ``"delta"`` (prefer delta; still
-    falls back to full when structurally ineligible).
+    that returns ``(result, state)``, where ``state`` says which rung
+    ran and how long it took.  ``mode`` is ``"auto"`` (exact at or
+    below ``config.exact_below``, the sketch path above it) or
+    ``"exact"`` (force the classic exact learn, used after a rollout
+    rollback).
     """
-    if mode not in ("auto", "exact", "full", "delta"):
+    if mode not in ("auto", "exact"):
         raise CriteriaError(f"unknown learn mode {mode!r}")
     config = config or IncrementalConfig()
     backend = backend or default_backend()
     _validate_learn_args(samples, alpha, centroid, contamination)
     t0 = time.perf_counter()
-    params = _engine_params(alpha, centroid, contamination, backend,
-                            min_sample_size, config)
-    fingerprints = _sketch.fingerprint_rows(samples)
-
-    compatible = (state is not None and state.params == params
-                  and state.n_input == len(samples))
-    if (compatible and np.array_equal(state.fingerprints, fingerprints)
-            and (state.exact or mode != "exact")):
-        return state.result, replace(
-            state, path="cached", seconds=time.perf_counter() - t0)
-
-    if mode == "exact" or len(samples) <= config.exact_below:
+    exact = mode == "exact" or len(samples) <= config.exact_below
+    if exact:
         result = learn_criteria(
             samples, alpha, centroid=centroid, contamination=contamination,
             backend=backend, min_sample_size=min_sample_size)
-        new_state = CriteriaState(
-            params=params, n_input=len(samples), fingerprints=fingerprints,
-            result=result, exact=True, path="exact",
-            seconds=time.perf_counter() - t0,
-        )
-        return result, new_state
-
-    if (mode in ("auto", "delta") and compatible and not state.exact
-            and centroid != "mean"
-            and state.delta_steps < config.max_delta_steps):
-        changed = int(np.count_nonzero(fingerprints != state.fingerprints))
-        if changed <= config.delta_threshold * len(samples):
-            out = _delta_learn(samples, fingerprints, state, alpha, centroid,
-                               contamination, backend, min_sample_size,
-                               config, params, t0)
-            if out is not None:
-                return out
-
-    return _full_sketch_learn(samples, fingerprints, alpha, centroid,
-                              contamination, backend, min_sample_size,
-                              config, params, t0)
+    else:
+        result = _full_sketch_learn(samples, alpha, centroid, contamination,
+                                    backend, min_sample_size, config)
+    return result, CriteriaState(path="exact" if exact else "full",
+                                 seconds=time.perf_counter() - t0,
+                                 exact=exact)

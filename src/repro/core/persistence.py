@@ -79,11 +79,11 @@ def criteria_fingerprint(criteria: dict) -> bytes:
     """Content hash of a ``(sku, benchmark, metric) -> MetricCriteria`` map.
 
     Covers everything a snapshot persists -- keys, alpha, polarity and
-    the raw sample bytes (blake2b, as :func:`repro.core.sketch.fingerprint`
-    hashes windows) -- and nothing else, so two maps hash equal exactly
-    when their :func:`criteria_payload` documents would be equal, at
-    the cost of one pass over the arrays instead of a JSON encode.  An
-    array edited in place changes the hash; insertion order does not.
+    the raw sample bytes (blake2b) -- and nothing else, so two maps
+    hash equal exactly when their :func:`criteria_payload` documents
+    would be equal, at the cost of one pass over the arrays instead of
+    a JSON encode.  An array edited in place changes the hash;
+    insertion order does not.
     """
     digest = hashlib.blake2b(digest_size=16)
     for key in sorted(criteria):

@@ -1,8 +1,8 @@
 """Mergeable equi-depth quantile sketches for bounded-memory windows.
 
-The incremental criteria engine (``repro.core.incremental``) never
-holds the full fleet's raw windows in its persistent state.  Each node
-window is summarized by a *k-point equi-depth sketch*: the sorted
+The incremental criteria engine (``repro.core.incremental``) clusters
+the fleet on summaries instead of raw windows.  Each node window is
+summarized by a *k-point equi-depth sketch*: the sorted
 values at the midpoint quantiles ``(j + 0.5) / k`` with the true
 minimum and maximum preserved.  A sketch is itself a plain sorted
 sample, so every existing Eq. 2-4 kernel in :mod:`repro.core.fastdist`
@@ -25,22 +25,15 @@ Design properties
   integral of Eq. 2 between two sketches deviates from the exact
   distance by at most :func:`distance_bound` (property-tested against
   the scalar oracle in ``tests/test_sketch.py``).
-* **Fingerprintable** -- :func:`fingerprint` hashes a window's raw
-  bytes to a 64-bit value so delta re-learning can detect *which*
-  windows changed without retaining them.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_SKETCH_SIZE",
     "distance_bound",
-    "fingerprint",
-    "fingerprint_rows",
     "merge_sketches",
     "sketch_rows",
     "sketch_sorted",
@@ -172,35 +165,3 @@ def merge_sketches(rows, counts, k: int = DEFAULT_SKETCH_SIZE) -> np.ndarray:
     out[-1] = points[-1]
     return out
 
-
-def fingerprint(values: np.ndarray) -> int:
-    """64-bit content hash of a raw window (order-sensitive).
-
-    Hashes the float64 byte image, so any value edit, reorder, append
-    or truncation changes the fingerprint.  Delta re-learning compares
-    fingerprints against the persisted ``CriteriaState`` to find the
-    ``d`` changed windows without storing the windows themselves.
-    """
-    arr = np.ascontiguousarray(np.asarray(values, dtype=float).ravel())
-    digest = hashlib.blake2b(arr.tobytes(), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
-
-
-def fingerprint_rows(samples) -> np.ndarray:
-    """Per-window :func:`fingerprint` over a sequence of raw windows.
-
-    Accepts either a 2-D array (uniform windows, hashed row-wise
-    without per-row conversion overhead) or any sequence of 1-D
-    windows.  Returns a uint64 array aligned with the input order.
-    """
-    if isinstance(samples, np.ndarray) and samples.ndim == 2:
-        data = np.ascontiguousarray(samples, dtype=float)
-        out = np.empty(data.shape[0], dtype=np.uint64)
-        for i in range(data.shape[0]):
-            digest = hashlib.blake2b(data[i].tobytes(), digest_size=8).digest()
-            out[i] = int.from_bytes(digest, "little")
-        return out
-    out = np.empty(len(samples), dtype=np.uint64)
-    for i, sample in enumerate(samples):
-        out[i] = fingerprint(sample)
-    return out

@@ -59,12 +59,11 @@ def _learn_task(task) -> tuple[CriteriaResult, CriteriaState | None]:
 
     The non-finite policy travels as a string (resolved per batch from
     measurement provenance) so the task tuple stays picklable, and the
-    incremental engine's config/state/mode ride along the same way
-    (both are plain dataclasses of arrays).  Returns ``(result,
-    state)`` with ``state is None`` on the classic exact-only path, so
-    the caller can tell whether there is engine state to persist.
+    incremental engine's config and mode ride along the same way.
+    Returns ``(result, state)`` with ``state is None`` on the classic
+    exact-only path, so the caller can tell whether the engine ran.
     """
-    samples, alpha, centroid, contamination, policy, config, state, mode = task
+    samples, alpha, centroid, contamination, policy, config, mode = task
     if config is None:
         result = learn_criteria(samples, alpha, centroid=centroid,
                                 contamination=contamination,
@@ -72,7 +71,7 @@ def _learn_task(task) -> tuple[CriteriaResult, CriteriaState | None]:
         return result, None
     return learn_criteria_incremental(
         samples, alpha, centroid=centroid, contamination=contamination,
-        backend=get_backend(policy), config=config, state=state, mode=mode)
+        backend=get_backend(policy), config=config, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -155,11 +154,10 @@ class Validator:
     incremental:
         When set, criteria learning routes through the incremental
         engine (:func:`repro.core.incremental.learn_criteria_incremental`)
-        with this config: sketches + landmark medoids for large fleets,
-        delta re-learns against the persisted per-(sku, benchmark,
-        metric) :class:`~repro.core.incremental.CriteriaState`, and the
-        classic exact path below ``exact_below``.  ``None`` (the
-        default) keeps every learn on the exact Algorithm 2 path.
+        with this config: sketches + landmark medoids for large fleets
+        and the classic exact path at or below ``exact_below``.
+        ``None`` (the default) keeps every learn on the exact
+        Algorithm 2 path.
     """
 
     def __init__(self, suite: tuple[BenchmarkSpec, ...], *,
@@ -175,9 +173,9 @@ class Validator:
         self.contamination = float(contamination)
         self.incremental = incremental
         self.criteria: dict[tuple[str, str, str], MetricCriteria] = {}
-        # Incremental-engine state per (sku, benchmark, metric):
-        # fingerprints + sketch batch + coreset profile from the last
-        # learn.  Only populated when ``incremental`` is set.
+        # Per (sku, benchmark, metric): which engine path the last
+        # learn took and its seconds.  Only populated when
+        # ``incremental`` is set.
         self.criteria_states: dict[tuple[str, str, str], CriteriaState] = {}
         # Keys whose next learn is pinned to the exact path -- the
         # control plane adds a key here when the rollout gate rejects
@@ -275,60 +273,52 @@ class Validator:
         if state is not None:
             self.criteria_states[key] = state
             self._force_exact.discard(key)
-            # Per-path learn accounting: "learn-exact", "learn-full",
-            # "learn-delta" and "learn-cached" show up as distinct
-            # pipeline stages so `repro report` exposes where re-learn
-            # time actually goes.  ``state.seconds`` is measured inside
-            # the (possibly worker-process) learn itself.
+            # Per-path learn accounting: "learn-exact" and "learn-full"
+            # show up as distinct pipeline stages so `repro report`
+            # exposes where learn time actually goes.
+            # ``state.seconds`` is measured inside the (possibly
+            # worker-process) learn itself.
             self.stats.record(f"learn-{state.path}", count=1,
                               seconds=state.seconds)
 
     def invalidate_criteria_state(self, key: tuple[str, str, str]) -> None:
-        """Drop the incremental state for ``key`` and pin its next learn.
+        """Forget ``key``'s last learn path and pin its next learn.
 
         Called by the control plane when the rollout gate rejects a
-        candidate: the cached sketches/coreset are no longer trusted,
-        and the next learn for this (sku, benchmark, metric) runs on
-        the exact Algorithm 2 path regardless of fleet size.  The pin
-        is per-namespace: rejecting one SKU's candidate never touches
-        a sibling SKU's state.
+        candidate: the next learn for this (sku, benchmark, metric)
+        runs on the exact Algorithm 2 path regardless of fleet size.
+        The pin is per-namespace: rejecting one SKU's candidate never
+        touches a sibling SKU's state.
         """
         self.criteria_states.pop(key, None)
         self._force_exact.add(key)
 
     def _learn_inputs(self, key: tuple[str, str, str],
-                      mode: str) -> tuple[IncrementalConfig | None,
-                                          CriteriaState | None, str]:
-        """Resolve (config, state, mode) for one learning task."""
-        if self.incremental is None:
-            return None, None, "auto"
-        if key in self._force_exact:
-            return self.incremental, None, "exact"
-        return self.incremental, self.criteria_states.get(key), mode
+                      ) -> tuple[IncrementalConfig | None, str]:
+        """Resolve (config, mode) for one learning task."""
+        return self.incremental, ("exact" if key in self._force_exact
+                                  else "auto")
 
     def learn_criteria_from_results(self, spec: BenchmarkSpec,
-                                    results: dict[str, object], *,
-                                    mode: str = "auto") -> None:
+                                    results: dict[str, object]) -> None:
         """Learn criteria for one benchmark from node -> result samples.
 
         ``results`` maps node id to a :class:`BenchmarkResult`; nodes
         whose samples are invalid are skipped for learning (they will
-        be flagged online).  ``mode`` is the incremental engine's learn
-        hint (ignored on the classic path).
+        be flagged online).
         """
         with self.stats.timed("learn"):
             for sku, metric, samples, centroid, policy in self._learning_tasks(
                     spec, results):
-                key = (sku, spec.name, metric.name)
-                config, state, key_mode = self._learn_inputs(key, mode)
-                learned, new_state = _learn_task(
+                config, mode = self._learn_inputs(
+                    (sku, spec.name, metric.name))
+                learned, state = _learn_task(
                     (samples, self.alpha, centroid, self.contamination,
-                     policy, config, state, key_mode))
-                self._store_criteria(spec, metric, learned, new_state,
-                                     sku=sku)
+                     policy, config, mode))
+                self._store_criteria(spec, metric, learned, state, sku=sku)
 
     def learn_criteria(self, nodes, benchmarks=None, *,
-                       workers: int | None = None, mode: str = "auto",
+                       workers: int | None = None,
                        ) -> dict[tuple[str, str, str], list]:
         """Build-out flow: run benchmarks on ``nodes`` and learn criteria.
 
@@ -339,11 +329,9 @@ class Validator:
         defaults to the ``REPRO_WORKERS`` environment variable, else 1;
         results are identical at any width.
 
-        ``mode`` hints the incremental engine (when the Validator was
-        built with one): ``"auto"`` resolves per key via the state
-        machine, ``"delta"``/``"full"``/``"exact"`` force a path.  Keys
-        pinned by :meth:`invalidate_criteria_state` learn exactly
-        regardless of the hint.
+        With the incremental engine, keys pinned by
+        :meth:`invalidate_criteria_state` learn exactly; every other
+        key takes the engine's size-based ladder.
 
         Returns the per-(sku, benchmark, metric) learning windows so
         callers can shadow-evaluate the freshly learned criteria
@@ -359,17 +347,16 @@ class Validator:
         with self.stats.timed("learn"):
             payloads = []
             for sku, spec, metric, samples, centroid, policy in tasks:
-                config, state, key_mode = self._learn_inputs(
-                    (sku, spec.name, metric.name), mode)
+                config, mode = self._learn_inputs(
+                    (sku, spec.name, metric.name))
                 payloads.append((samples, self.alpha, centroid,
-                                 self.contamination, policy, config, state,
-                                 key_mode))
+                                 self.contamination, policy, config, mode))
             learned_results = process_map(_learn_task, payloads,
                                           workers=workers)
         windows: dict[tuple[str, str, str], list] = {}
-        for (sku, spec, metric, samples, _, _), (learned, new_state) in zip(
+        for (sku, spec, metric, samples, _, _), (learned, state) in zip(
                 tasks, learned_results):
-            self._store_criteria(spec, metric, learned, new_state, sku=sku)
+            self._store_criteria(spec, metric, learned, state, sku=sku)
             windows[(sku, spec.name, metric.name)] = samples
         return windows
 

@@ -86,10 +86,10 @@ class RolloutDecision:
 
     ``baseline_rate`` is ``None`` on bootstrap (no active criteria to
     compare against).  ``learn_path`` records which engine path
-    produced the candidate (``"exact"``, ``"full"``, ``"delta"``,
-    ``"cached"``, or ``""`` when the classic learner ran) -- the
-    control plane threads it through so a rollback can be attributed
-    to the approximation that produced the candidate.
+    produced the candidate (``"exact"``, ``"full"``, or ``""`` when
+    the classic learner ran) -- the control plane threads it through
+    so a rollback can be attributed to the approximation that produced
+    the candidate.
     """
 
     benchmark: str

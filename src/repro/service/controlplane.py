@@ -333,11 +333,6 @@ class ValidationService:
         # in memory only -- after a restart the first re-learn falls
         # back to the bootstrap self-consistency check.
         self._shadow_windows: dict[tuple[str, str, str], list] = {}
-        # Node ids whose telemetry changed since the last learn --
-        # fed by batch provenance on every validated event, consumed
-        # by learn_criteria() to pick the delta vs full re-learn path
-        # when the validator runs the incremental engine.
-        self._nodes_measured_since_learn: set[str] = set()
         # Per-benchmark count of breaker transitions already journaled.
         self._breaker_seen: dict[str, int] = {}
         self._completed_since_snapshot = 0
@@ -564,8 +559,6 @@ class ValidationService:
                 run.benchmark for sweep in sweeps
                 for run in sweep.short_circuited_runs})
             self.anubis.selector.record_validation(report)
-            self._nodes_measured_since_learn.update(
-                node.node_id for node in eligible)
             self._journal_provenance(entry.event_id, sweeps)
             self._journal_breaker_transitions()
             outcome = ValidationOutcome(
@@ -747,29 +740,7 @@ class ValidationService:
     # ------------------------------------------------------------------
     # Criteria management
     # ------------------------------------------------------------------
-    def _resolve_learn_mode(self, nodes) -> str:
-        """Pick the incremental engine's learn-mode hint from provenance.
-
-        First learn (no engine state yet) resolves ``"auto"`` -- the
-        engine's own state machine picks exact vs full.  On a re-learn,
-        the set of nodes that produced new telemetry since the last
-        learn (tracked from validated events) bounds how many windows
-        can have changed: at or below the engine's ``delta_threshold``
-        the service hints ``"delta"`` (the engine still falls back to
-        full when structurally ineligible), above it ``"full"`` --
-        there is no point fingerprint-diffing a mostly-changed fleet.
-        """
-        validator = self.anubis.validator
-        if validator.incremental is None or not validator.criteria_states:
-            return "auto"
-        node_ids = {node.node_id for node in nodes}
-        changed = len(node_ids & self._nodes_measured_since_learn)
-        if changed <= validator.incremental.delta_threshold * len(node_ids):
-            return "delta"
-        return "full"
-
-    def learn_criteria(self, nodes, benchmarks=None, *,
-                       mode: str | None = None) -> list[RolloutDecision]:
+    def learn_criteria(self, nodes, benchmarks=None) -> list[RolloutDecision]:
         """Offline criteria learning with guarded rollout.
 
         Freshly learned criteria are *candidates*: with a rollout guard
@@ -794,12 +765,8 @@ class ValidationService:
         """
         validator = self.anubis.validator
         previous = dict(validator.criteria)
-        resolved_mode = mode if mode is not None else (
-            self._resolve_learn_mode(nodes))
-        windows = validator.learn_criteria(nodes, benchmarks,
-                                           mode=resolved_mode)
-        self._nodes_measured_since_learn.clear()
-        self._journal_learn(windows, resolved_mode)
+        windows = validator.learn_criteria(nodes, benchmarks)
+        self._journal_learn(windows)
         decisions: list[RolloutDecision] = []
         if self.config.rollout is None:
             self._shadow_windows.update(windows)
@@ -835,10 +802,9 @@ class ValidationService:
                     validator.criteria[key] = prior
                 else:
                     del validator.criteria[key]
-                # The rejected candidate's engine state is tainted --
-                # drop it and pin the next learn for this key to the
-                # exact path, so a poisoned approximation can never
-                # seed the next delta.
+                # Pin the next learn for this key to the exact path:
+                # after a rejection the approximation does not get a
+                # second try.
                 validator.invalidate_criteria_state(key)
                 self._journal_best_effort(RecordKind.CRITERIA_ROLLBACK, {
                     "sku": key[0],
@@ -857,29 +823,24 @@ class ValidationService:
         state = self.anubis.validator.criteria_states.get(key)
         return state.path if state is not None else ""
 
-    def _journal_learn(self, windows, mode: str) -> None:
+    def _journal_learn(self, windows) -> None:
         """Journal one compact record per learning pass (best-effort).
 
-        Records the resolved mode hint plus each key's realized engine
-        path and in-learn seconds, so the analytics plane can tell how
-        often re-learns actually ride the delta path and what each
-        path costs.  Skipped entirely for classic exact-only learns
-        (no engine state to report).
+        Records each key's engine path and in-learn seconds, so the
+        analytics plane can tell what each path costs.  Skipped
+        entirely for classic exact-only learns (no engine path to
+        report).
         """
         states = self.anubis.validator.criteria_states
         entries = [
             {"sku": key[0], "benchmark": key[1], "metric": key[2],
              "path": states[key].path,
-             "seconds": states[key].seconds,
-             "delta_steps": states[key].delta_steps}
+             "seconds": states[key].seconds}
             for key in sorted(windows) if key in states
         ]
-        if not entries:
-            return
-        self._journal_best_effort(RecordKind.CRITERIA_LEARN, {
-            "mode": mode,
-            "learned": entries,
-        })
+        if entries:
+            self._journal_best_effort(RecordKind.CRITERIA_LEARN,
+                                      {"learned": entries})
 
     def _snapshot(self) -> None:
         """Journal the criteria if they are not what the journal's

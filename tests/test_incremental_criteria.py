@@ -1,19 +1,21 @@
 """The incremental criteria engine vs. the exact Algorithm 2 path.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 * **Agreement** -- on a fleet with separated healthy/defective
   populations, the sketch + landmark-coreset learn produces the same
   verdict set as the exact learn, and every per-window similarity
   (and the criteria itself) deviates from the exact/scalar value by
   less than the sketch's property-tested ``distance_bound``.
-* **Delta stability** (hypothesis property) -- a delta re-learn over
+* **Stability** (hypothesis property) -- a full-path learn over
   perturbed inputs matches a from-scratch exact learn on those same
   inputs: identical ``excluded_indices``/``defect_indices``, criteria
   within the bound.
-* **State machine** -- cached short-circuit, exact floor, forced
-  exact mode, and every structural fallback from delta to full; plus
-  the service-level guarantee that a forced-bad approximation is
+* **History-free** -- a learn depends on its inputs only: a Validator
+  that learned another window set first ends up bit-identical to a
+  fresh one.
+* **Ladder** -- exact floor and forced exact mode; plus the
+  service-level guarantee that a forced-bad approximation is
   journaled as ``criteria-rollback`` and pins the next learn to the
   exact path.
 """
@@ -26,7 +28,6 @@ from hypothesis import strategies as st
 from repro.core.criteria import learn_criteria
 from repro.core.distance import similarity
 from repro.core.incremental import (
-    CriteriaState,
     IncrementalConfig,
     learn_criteria_incremental,
 )
@@ -121,118 +122,33 @@ class TestStateMachine:
         assert state.path == "exact" and state.exact
         assert result.defect_indices == (3,)
 
-    def test_cached_short_circuit(self):
-        windows = fleet_windows(n=60)
-        _, state = learn_criteria_incremental(windows, ALPHA, config=CONFIG)
-        result2, state2 = learn_criteria_incremental(windows, ALPHA,
-                                                     config=CONFIG,
-                                                     state=state)
-        assert state2.path == "cached"
-        assert result2 is state.result
-
     def test_forced_exact_mode(self):
         windows = fleet_windows(n=60)
         _, state = learn_criteria_incremental(windows, ALPHA, config=CONFIG)
         assert state.path == "full"
-        # Same inputs, but mode="exact" must not serve the cached
-        # approximate result -- this is the post-rollback path.
+        # Same inputs above the exact floor, but mode="exact" must run
+        # Algorithm 2 itself -- this is the post-rollback path.
         result, state2 = learn_criteria_incremental(windows, ALPHA,
                                                     config=CONFIG,
-                                                    state=state,
                                                     mode="exact")
         assert state2.path == "exact" and state2.exact
         exact = learn_criteria(windows, ALPHA)
         assert result.defect_indices == exact.defect_indices
 
-    def test_delta_path_taken_for_small_changes(self):
-        windows = fleet_windows()
-        _, state = learn_criteria_incremental(windows, ALPHA, config=CONFIG)
-        rng = np.random.default_rng(9)
-        windows[10] = rng.normal(100.0, 1.0, 160)
-        _, state2 = learn_criteria_incremental(windows, ALPHA, config=CONFIG,
-                                               state=state)
-        assert state2.path == "delta"
-        assert state2.delta_steps == 1
-
-    def test_delta_threshold_falls_back_to_full(self):
-        windows = fleet_windows(n=100)
-        _, state = learn_criteria_incremental(windows, ALPHA, config=CONFIG)
-        rng = np.random.default_rng(10)
-        for i in range(40):  # 40% > delta_threshold=0.25
-            windows[i] = rng.normal(100.0, 1.0, 160)
-        _, state2 = learn_criteria_incremental(windows, ALPHA, config=CONFIG,
-                                               state=state)
-        assert state2.path == "full"
-
-    def test_telemetry_flip_falls_back_to_full(self):
-        from repro.core.backend import get_backend
-
-        backend = get_backend("mask")
-        windows = fleet_windows(n=100)
-        _, state = learn_criteria_incremental(windows, ALPHA,
-                                              backend=backend, config=CONFIG)
-        windows[7] = np.full(160, np.nan)  # usable -> unusable flip
-        with pytest.warns(RuntimeWarning):
-            result, state2 = learn_criteria_incremental(
-                windows, ALPHA, backend=backend, config=CONFIG, state=state)
-        assert state2.path == "full"
-        assert 7 in result.excluded_indices
-
-    def test_max_delta_steps_bounds_staleness(self):
-        config = IncrementalConfig(exact_below=16, n_candidates=64,
-                                   n_landmarks=16, max_delta_steps=2)
-        windows = fleet_windows(n=100)
-        _, state = learn_criteria_incremental(windows, ALPHA, config=config)
-        rng = np.random.default_rng(11)
-        paths = []
-        for step in range(3):
-            windows[step] = rng.normal(100.0, 1.0, 160)
-            _, state = learn_criteria_incremental(windows, ALPHA,
-                                                  config=config, state=state)
-            paths.append(state.path)
-        assert paths == ["delta", "delta", "full"]
-        assert state.delta_steps == 0  # full learn resets the counter
-
-    def test_grown_window_falls_back_to_full(self):
-        # A changed row that outgrows the padded sketch batch cannot be
-        # patched in place.
-        config = IncrementalConfig(exact_below=16, n_candidates=32,
-                                   n_landmarks=8, sketch_size=128)
-        windows = fleet_windows(n=60, steps=64)  # sketches stored exactly
-        _, state = learn_criteria_incremental(windows, ALPHA, config=config)
-        windows[3] = np.random.default_rng(12).normal(100.0, 1.0, 100)
-        _, state2 = learn_criteria_incremental(windows, ALPHA, config=config,
-                                               state=state)
-        assert state2.path == "full"
-
-    def test_incompatible_params_ignore_state(self):
-        windows = fleet_windows(n=60)
-        _, state = learn_criteria_incremental(windows, ALPHA, config=CONFIG)
-        _, state2 = learn_criteria_incremental(windows, 0.9, config=CONFIG,
-                                               state=state)
-        assert state2.path == "full"  # alpha changed: state unusable
-
     def test_unknown_mode_rejected(self):
-        with pytest.raises(CriteriaError):
-            learn_criteria_incremental([[1.0]], ALPHA, mode="bogus")
+        for mode in ("bogus", "full", "delta"):
+            with pytest.raises(CriteriaError):
+                learn_criteria_incremental([[1.0]], ALPHA, mode=mode)
 
     def test_config_validation(self):
         for kwargs in ({"sketch_size": 1}, {"n_landmarks": 0},
-                       {"n_candidates": 0}, {"delta_threshold": 1.5},
-                       {"max_criteria_size": 1}):
+                       {"n_candidates": 0}, {"max_criteria_size": 1}):
             with pytest.raises(CriteriaError):
                 IncrementalConfig(**kwargs)
 
-    def test_exact_state_carries_no_sketches(self):
-        windows = fleet_windows(n=8, defects=())
-        _, state = learn_criteria_incremental(windows, ALPHA, config=CONFIG)
-        assert state.exact
-        with pytest.raises(CriteriaError):
-            state.sketch_batch()
-
 
 # ----------------------------------------------------------------------
-# Delta-vs-exact stability (the satellite property test)
+# Full-vs-exact stability (the satellite property test)
 # ----------------------------------------------------------------------
 
 perturbation = st.fixed_dictionaries({
@@ -243,18 +159,17 @@ perturbation = st.fixed_dictionaries({
 })
 
 
-class TestDeltaStability:
+class TestFullPathStability:
     @given(perturbation)
     @settings(max_examples=15, deadline=None)
-    def test_delta_relearn_matches_fresh_exact_learn(self, p):
-        """Exact learn vs. delta re-learn over the same inputs agree.
+    def test_full_learn_matches_fresh_exact_learn(self, p):
+        """Exact learn vs. full-path learn over the same inputs agree.
 
         ``excluded_indices`` and ``defect_indices`` must be identical,
         and the two criteria must be within the sketch distance bound
         of each other -- the engine's whole contract in one property.
         """
         windows = fleet_windows(n=260, defects=(5, 77, 150), seed=3)
-        _, state = learn_criteria_incremental(windows, ALPHA, config=CONFIG)
 
         rng = np.random.default_rng(p["seed"])
         for idx in rng.choice(260, size=p["n_redraw"], replace=False):
@@ -264,16 +179,59 @@ class TestDeltaStability:
         if p["break_one"]:
             windows[30] = rng.normal(80.0, 1.0, 160)
 
-        delta_result, delta_state = learn_criteria_incremental(
-            windows, ALPHA, config=CONFIG, state=state)
-        assert delta_state.path in ("delta", "cached")
+        full_result, full_state = learn_criteria_incremental(
+            windows, ALPHA, config=CONFIG)
+        assert full_state.path == "full"
 
         exact = learn_criteria(windows, ALPHA)
-        assert delta_result.excluded_indices == exact.excluded_indices
-        assert delta_result.defect_indices == exact.defect_indices
-        assert similarity(np.sort(np.asarray(delta_result.criteria)),
+        assert full_result.excluded_indices == exact.excluded_indices
+        assert full_result.defect_indices == exact.defect_indices
+        assert similarity(np.sort(np.asarray(full_result.criteria)),
                           np.sort(np.asarray(exact.criteria))) \
             > 1.0 - distance_bound(CONFIG.sketch_size)
+
+
+# ----------------------------------------------------------------------
+# A learn depends on its inputs only
+# ----------------------------------------------------------------------
+
+class TestHistoryFree:
+    @pytest.mark.parametrize("exact_below, path", [(2, "full"),
+                                                   (256, "exact")])
+    def test_learning_a_then_b_equals_learning_b(self, exact_below, path):
+        from repro.benchsuite.runner import SuiteRunner
+        from repro.benchsuite.suite import suite_by_name
+        from repro.core.validator import Validator
+        from repro.hardware.fleet import build_fleet
+
+        spec = suite_by_name("mem-bw")
+        nodes = build_fleet(24, seed=5).nodes
+        runner = SuiteRunner(seed=9)
+        # Two runs of the same nodes: the repeat counter gives B new
+        # noise, as a product re-learn does.
+        results_a = runner.run_on_nodes(spec, nodes)
+        results_b = runner.run_on_nodes(spec, nodes)
+
+        def validator():
+            return Validator((spec,), incremental=IncrementalConfig(
+                exact_below=exact_below, n_candidates=8, n_landmarks=4))
+
+        seasoned, fresh = validator(), validator()
+        seasoned.learn_criteria_from_results(spec, results_a)
+        after_a = {key: np.array(entry.criteria)
+                   for key, entry in seasoned.criteria.items()}
+        seasoned.learn_criteria_from_results(spec, results_b)
+        fresh.learn_criteria_from_results(spec, results_b)
+
+        assert seasoned.criteria.keys() == fresh.criteria.keys()
+        for key, entry in fresh.criteria.items():
+            np.testing.assert_array_equal(seasoned.criteria[key].criteria,
+                                          entry.criteria)
+            assert (seasoned.criteria_states[key].path
+                    == fresh.criteria_states[key].path == path)
+        # A and B really differ, so the equality above is not vacuous.
+        assert any(not np.array_equal(after_a[key], entry.criteria)
+                   for key, entry in fresh.criteria.items())
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +291,7 @@ class TestApproximateRollback:
         assert rollbacks
         # The journal attributes each rollback to the approximate path
         # that produced the rejected candidate.
-        assert all(r.payload["learn_path"] in ("full", "delta")
+        assert all(r.payload["learn_path"] in ("full",)
                    for r in rollbacks)
 
         # The tainted engine state is gone and the next learn for every
@@ -349,6 +307,22 @@ class TestApproximateRollback:
         learns = [r for r in service.store.replay()
                   if r.kind == "criteria-learn"]
         assert len(learns) == 1
+        assert set(learns[0].payload) == {"learned"}
         entries = learns[0].payload["learned"]
         assert entries and all(e["path"] == "full" for e in entries)
         assert all(e["seconds"] >= 0.0 for e in entries)
+        # Pinned keys learn exactly; the record's shape is the same on
+        # both rungs of the ladder.
+        for key in service.anubis.validator.criteria:
+            service.anubis.validator.invalidate_criteria_state(key)
+        service.learn_criteria(fleet.nodes)
+        learns = [r for r in service.store.replay()
+                  if r.kind == "criteria-learn"]
+        assert len(learns) == 2
+        for learn in learns:
+            for entry in learn.payload["learned"]:
+                assert set(entry) == {"sku", "benchmark", "metric", "path",
+                                      "seconds"}
+                assert entry["path"] in {"exact", "full"}
+        assert all(e["path"] == "exact"
+                   for e in learns[1].payload["learned"])

@@ -17,8 +17,6 @@ from repro.core.distance import similarity
 from repro.core.sketch import (
     DEFAULT_SKETCH_SIZE,
     distance_bound,
-    fingerprint,
-    fingerprint_rows,
     merge_sketches,
     sketch_rows,
     sketch_sorted,
@@ -112,36 +110,6 @@ class TestMergeSketches:
             merge_sketches([np.arange(4.0)], [2], k=8)  # count < points
         with pytest.raises(ValueError):
             merge_sketches([np.array([])], [0], k=8)
-
-
-class TestFingerprints:
-    def test_sensitive_to_any_edit(self):
-        base = np.arange(32.0)
-        fp = fingerprint(base)
-        edited = base.copy()
-        edited[7] += 1e-9
-        assert fingerprint(edited) != fp
-        assert fingerprint(base[::-1]) != fp          # reorder
-        assert fingerprint(base[:-1]) != fp           # truncate
-        assert fingerprint(np.append(base, 0.0)) != fp  # append
-
-    def test_deterministic(self):
-        values = np.random.default_rng(7).normal(size=64)
-        assert fingerprint(values) == fingerprint(values.copy())
-
-    def test_rows_fast_path_matches_generic(self):
-        rng = np.random.default_rng(8)
-        data = rng.normal(size=(6, 40))
-        fast = fingerprint_rows(data)
-        generic = fingerprint_rows([row for row in data])
-        np.testing.assert_array_equal(fast, generic)
-        assert fast.dtype == np.uint64
-
-    def test_ragged_rows(self):
-        rows = [np.arange(3.0), np.arange(5.0)]
-        out = fingerprint_rows(rows)
-        assert out.size == 2
-        assert out[0] != out[1]
 
 
 # ----------------------------------------------------------------------
