@@ -13,9 +13,11 @@ importer).
 The default :class:`DispatchBackend` picks the implementation by
 shape: single-pair calls go to the scalar reference (cheapest for one
 pair, and bit-identical to the paper's equations), collection calls go
-to the vectorized kernels, which internally select the compiled C
-merge, the Abel-summation table kernel, or the ragged row-block kernel
-by batch shape and availability.
+to the vectorized kernels: the compiled C merge or the Abel-summation
+table kernel for uniform pairwise matrices, the prefix-integral
+one-vs-many kernel for scoring against a reference (and for ragged
+pairwise matrices, row by row), and the merged-grid row-wise kernel
+for pairs that each carry their own reference.
 
 The non-finite policy is a property of the backend *instance* --
 ``get_backend("reject")`` / ``get_backend("mask")`` -- resolved once
@@ -137,16 +139,6 @@ class DistanceBackend(Protocol):
         """Similarity of row ``i`` of ``rows_a`` vs row ``i`` of ``rows_b``."""
         ...
 
-    def landmark_similarities(
-            self,
-            samples: Iterable[np.ndarray | Sequence[float]]
-            | SortedSampleBatch,
-            landmarks: Iterable[np.ndarray | Sequence[float]]
-            | SortedSampleBatch, *,
-            assume_sorted: bool = False) -> np.ndarray:
-        """``(n, L)`` Eq. (3) matrix of every sample vs each landmark."""
-        ...
-
 
 class _BackendBase:
     """Shared policy plumbing for the concrete backends."""
@@ -225,28 +217,6 @@ class _BackendBase:
         return 1.0 - _fast.batch_gap_integrals(
             batch_a, batch_b, signed_direction=signed_direction)
 
-    def landmark_similarities(
-            self,
-            samples: Iterable[np.ndarray | Sequence[float]]
-            | SortedSampleBatch,
-            landmarks: Iterable[np.ndarray | Sequence[float]]
-            | SortedSampleBatch, *,
-            assume_sorted: bool = False) -> np.ndarray:
-        """``(n, L)`` Eq. (3) matrix of every sample vs each landmark.
-
-        One one-vs-many pass per landmark, routed through this
-        backend's own ``one_vs_many_similarities`` -- so the scalar
-        backend yields the oracle landmark profile and the vectorized
-        backend the production kernel, with identical semantics.
-        """
-        batch = self.prepare(samples, assume_sorted=assume_sorted)
-        landmark_batch = self.prepare(landmarks, assume_sorted=assume_sorted)
-        out = np.empty((batch.n, landmark_batch.n))
-        for j in range(landmark_batch.n):
-            out[:, j] = self.one_vs_many_similarities(  # type: ignore[attr-defined]
-                batch, landmark_batch.row(j), assume_sorted=True)
-        return out
-
 
 class ScalarBackend(_BackendBase):
     """The Eq. (2)--(4) reference semantics, one scalar call per pair.
@@ -307,10 +277,9 @@ class ScalarBackend(_BackendBase):
 class VectorizedBackend(_BackendBase):
     """The batched :mod:`repro.core.fastdist` kernels.
 
-    ``fastdist`` itself picks the compiled C merge, the Abel-summation
-    table kernel, or the ragged row-block kernel by batch shape and
-    host capability; this class only adapts the protocol surface and
-    applies the instance policy.
+    ``fastdist`` itself picks the kernel by batch shape and host
+    capability (see the module docstring); this class only adapts the
+    protocol surface and applies the instance policy.
     """
 
     def cdf_distance(self, sample_a: np.ndarray | Sequence[float],

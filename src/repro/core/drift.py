@@ -24,26 +24,50 @@ import numpy as np
 
 from repro.core.backend import DistanceBackend, get_backend
 from repro.core.ecdf import as_sample
+from repro.core.fastdist import SortedSampleBatch, reference_similarities
 from repro.core.measurement import NONFINITE_MASK
 from repro.core.repeatability import pairwise_repeatability
 from repro.exceptions import InvalidSampleError
 
-__all__ = ["DriftReport", "evaluate_drift", "predicted_eviction_rate"]
+__all__ = ["DriftReport", "evaluate_drift", "predicted_eviction_rate",
+           "shadow_evictions"]
 
 
-def predicted_eviction_rate(windows, criteria, *, alpha: float,
-                            higher_is_better: bool = True,
-                            backend: DistanceBackend | None = None) -> float:
-    """Fraction of ``windows`` the one-sided filter would evict.
+def _scoreable(windows) -> tuple[SortedSampleBatch, np.ndarray]:
+    """Sort the windows that get a similarity; flag which ones those are.
+
+    A window is scored when it is non-empty and entirely finite -- the
+    rows :meth:`~repro.core.validator.Validator.check_results` accepts;
+    it reports every other window as an execution failure.  Uniform
+    windows are checked and sorted as one matrix.
+    """
+    arrays = [np.asarray(window, dtype=float).ravel() for window in windows]
+    width = arrays[0].size
+    if width and all(arr.size == width for arr in arrays):
+        data = np.vstack(arrays)
+        scored = np.isfinite(data).all(axis=1)
+        data = np.sort(data[scored], axis=1)
+        return (SortedSampleBatch(data, np.full(data.shape[0], width)),
+                scored)
+    scored = np.array([arr.size > 0 and bool(np.isfinite(arr).all())
+                       for arr in arrays])
+    return (SortedSampleBatch.from_sorted(
+        [np.sort(arr) for arr, ok in zip(arrays, scored) if ok]), scored)
+
+
+def shadow_evictions(windows, references, *, alpha: float,
+                     higher_is_better: bool = True) -> np.ndarray:
+    """Which ``windows`` the online filter would evict, per reference.
 
     The shadow-evaluation primitive of guarded criteria rollout
-    (:mod:`repro.quality.rollout`): before a freshly learned criteria
-    goes live, it is scored against the previous measurement window's
-    per-node samples exactly as the online filter would score them
-    (Eq. 4), and the predicted fleet-wide eviction rate is compared to
-    the active criteria's.  Non-finite values in the windows are
-    masked, and windows with nothing finite left are counted as
-    evictions (they would fail online as execution failures).
+    (:mod:`repro.quality.rollout`).  Returns a ``(len(references),
+    len(windows))`` boolean matrix holding, for each criteria sample,
+    the decision :meth:`~repro.core.validator.Validator.check_results`
+    makes for each window: an empty window or one with any non-finite
+    value is an execution failure (evicted); any other is evicted when
+    its Eq. (4) similarity is at most ``alpha``.  The windows are
+    checked and sorted once, and every reference is scored against
+    that one batch in a single kernel call.
 
     Raises :class:`InvalidSampleError` when ``windows`` is empty --
     a rollout decision needs at least one shadow window.
@@ -52,23 +76,23 @@ def predicted_eviction_rate(windows, criteria, *, alpha: float,
     if not windows:
         raise InvalidSampleError(
             "predicted eviction rate needs at least one window")
-    backend = backend or get_backend(NONFINITE_MASK)
-    usable, dead = [], 0
-    for window in windows:
-        arr = np.asarray(window, dtype=float).ravel()
-        arr = arr[np.isfinite(arr)]
-        if arr.size:
-            usable.append(np.sort(arr))
-        else:
-            dead += 1
-    if not usable:
-        return 1.0
-    reference = np.sort(backend.clean(criteria))
-    direction = +1 if higher_is_better else -1
-    sims = backend.one_vs_many_similarities(
-        usable, reference, signed_direction=direction, assume_sorted=True)
-    evicted = int(np.count_nonzero(sims <= alpha)) + dead
-    return evicted / len(windows)
+    batch, scored = _scoreable(windows)
+    references = SortedSampleBatch.from_samples(references,
+                                                nonfinite=NONFINITE_MASK)
+    evicted = np.ones((references.n, len(windows)), dtype=bool)
+    sims = reference_similarities(
+        batch, references, signed_direction=+1 if higher_is_better else -1)
+    evicted[:, scored] = sims.T <= alpha
+    return evicted
+
+
+def predicted_eviction_rate(windows, criteria, *, alpha: float,
+                            higher_is_better: bool = True) -> float:
+    """Fraction of ``windows`` the online filter would evict under
+    ``criteria`` (see :func:`shadow_evictions`)."""
+    evicted = shadow_evictions(windows, [criteria], alpha=alpha,
+                               higher_is_better=higher_is_better)[0]
+    return np.count_nonzero(evicted) / evicted.size
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,20 @@ This module computes the identical integrals batch-wise:
   ``x * (F(before) - F(after))``), driven by a single global stable
   argsort instead of any per-pair sorting.  When a C compiler is on
   the host, :mod:`repro.core._cmerge` replaces even that with a
-  register-resident two-pointer merge per pair; ragged batches fall
-  back to the general row-block kernel.
+  register-resident two-pointer merge per pair; ragged batches score
+  each row against the rest with the one-vs-many kernel below (Eq. (2)
+  is symmetric, so either side may be the reference).
 * :func:`one_vs_many_distances` scores every sample of a batch against
   one presorted reference ECDF in a single call -- the online-filter
-  shape, where the reference is a learned criteria.
+  shape, where the reference is a learned criteria -- and
+  :func:`reference_similarities` scores a batch against several
+  references in one call (the incremental engine's landmark profile,
+  the rollout gate's candidate and active criteria).  Neither merges
+  grids: the reference's count function is integrated once into
+  cumulative tables, and each row interval reads its integral off them
+  in closed form, so a 4096-point pooled criteria costs one
+  ``searchsorted`` per row element instead of a 4096-wide merge per
+  row.
 
 Exactness
 ---------
@@ -45,7 +54,11 @@ a pair's support have zero integrand, and the per-pair CDF values and
 segment widths are bit-identical to the scalar path's.  Only the final
 summation order differs, so results agree with the scalar reference to
 floating-point accumulation error (enforced at <= 1e-9 by the property
-suite and the perf-smoke CI job; observed deviation is ~1e-15).
+suite and the perf-smoke CI job; observed deviation is ~1e-15).  The
+one-vs-many kernel integrates the same piecewise-constant integrand
+exactly, as differences of cumulative integrals; its rounding error is
+of the same order (<= 1e-12 against the scalar reference in the tests,
+~1e-15 observed).
 
 Padding convention: rows are right-padded with ``+inf`` so real
 observations always sort before padding; a segment is integrable iff
@@ -53,6 +66,9 @@ its right endpoint is finite.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,18 +79,14 @@ from repro.exceptions import InvalidSampleError
 __all__ = [
     "SortedSampleBatch",
     "batch_gap_integrals",
-    "landmark_similarities",
     "one_vs_many_distances",
     "one_vs_many_similarities",
     "pairwise_distances",
     "pairwise_similarities",
+    "reference_similarities",
 ]
 
 _PAD = np.inf
-
-# Ceiling on elements per kernel intermediate (~32 MB of float64) used to
-# chunk one-vs-many scoring against very large pooled references.
-_CHUNK_ELEMENTS = 4_000_000
 
 
 class SortedSampleBatch:
@@ -175,73 +187,166 @@ def _signed_gap(scaled_a, scaled_b, signed_direction: int) -> np.ndarray:
     return np.maximum(0.0, scaled_b - scaled_a)
 
 
-def _gap_integrals_vs_fixed(fixed: np.ndarray, data: np.ndarray,
-                            sizes: np.ndarray, signed_direction: int,
-                            fixed_is_a: bool) -> np.ndarray:
-    """Unnormalized gap integrals of B padded rows against one sample.
+@lru_cache(maxsize=64)
+def _ranks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``1..n`` and ``1/1..1/n`` as floats (read-only, shared).
 
-    ``fixed`` is a sorted, unpadded 1-D sample shared by every pair;
-    ``data`` holds B sorted rows right-padded with ``+inf``.  The pair
-    grids are built without sorting: one ``searchsorted`` locates every
-    row element inside ``fixed``, which fixes each element's slot in
-    its pair's merged grid; the rest is scatters and a running count.
-
-    The integrand is evaluated on cross-scaled counts,
-    ``|count_row * n_fixed - count_fixed * n_row|`` over
-    ``max(count_row * n_fixed, count_fixed * n_row)``: counts and sizes
-    are small integers, so the scaled products are *exact* in float64
-    and the integrand rounds exactly once -- at least as accurate as
-    the reference's ``count/size`` CDF evaluations.
-
-    ``fixed_is_a`` assigns the Eq. (4) roles: ``True`` makes ``fixed``
-    the observed (``a``) side for one-sided directions.
+    Reference sizes repeat (a window length, a sketch size, the
+    criteria cap), and against a small reference the kernel's cost is
+    per call, so the two vectors are built once per size.
     """
-    n_rows, width = data.shape
-    n_fixed = fixed.size
-    merged_width = width + n_fixed
+    ranks = np.arange(1.0, n + 1)
+    inverse = 1.0 / ranks
+    ranks.flags.writeable = inverse.flags.writeable = False
+    return ranks, inverse
 
-    # Merged-grid slot of data[r, t]: t row elements precede it, plus
-    # every fixed element sorting before it.  Ties break fixed-first,
-    # which only reorders inside zero-width segments.
-    slots = np.searchsorted(fixed, data.ravel(), side="right")
-    slots = slots.reshape(n_rows, width)
-    slots += np.arange(width)
 
-    row_index = np.arange(n_rows)[:, None]
-    from_rows = np.zeros((n_rows, merged_width), dtype=bool)
-    from_rows[row_index, slots] = True
-    merged = np.empty((n_rows, merged_width))
-    merged[row_index, slots] = data
-    # Boolean assignment fills row-major, i.e. each row's free slots
-    # ascending -- exactly where the (sorted) fixed sample belongs.
-    merged[~from_rows] = np.broadcast_to(fixed, (n_rows, n_fixed)).reshape(-1)
+def _reference_table(refs: np.ndarray, padded: bool,
+                     signed_direction: int) -> np.ndarray:
+    """What the one-vs-many kernel reads off each reference, per count.
 
-    # count_rows[k] = data-observations <= merged[k]  (row padding is
-    # +inf, so it only ever occupies trailing slots); the fixed-side
-    # count is the complement of the slot index.
-    count_rows = np.cumsum(from_rows, axis=1, dtype=np.float64)[:, :-1]
-    positions = np.arange(1.0, merged_width)
-    # Cross-scale instead of dividing: exact small-integer arithmetic.
-    scaled_rows = count_rows * float(n_fixed)
-    scaled_fixed = (positions - count_rows) * sizes[:, None].astype(float)
-    if fixed_is_a:
-        numer = _signed_gap(scaled_fixed, scaled_rows, signed_direction)
+    For sorted references ``b_1..b_n`` with count function
+    ``c(x) = #{b <= x}``, column ``j * (n + 1) + c`` describes the
+    stretch of reference ``j`` where the count is ``c``: row 0 is its
+    anchor ``b_c`` (0 for ``c = 0``, where every term it enters vanishes
+    or cancels), then one row per side the direction needs holds a
+    cumulative integral ``F`` at ``b_c``, then one row per side the
+    slope of ``F`` there, so ``F(x) = F(b_c) + slope * (x - b_c)``:
+
+    * lower side (``signed_direction >= 0``): the integral of ``c(x)``
+      from ``b_1``, slope ``c``;
+    * upper side (``signed_direction <= 0``): the integral of
+      ``1 / c(x)`` up to ``b_n``, slope ``-1 / c``.  It runs from the
+      right so each value the kernel subtracts is at most ``span / c``:
+      the kernel scales those differences by about ``c``, so
+      cancellation stays at float64 epsilon times the span.
+
+    Padding (``+inf``) adds zero-width gaps.
+    """
+    n_refs, n = refs.shape
+    lower, upper = signed_direction >= 0, signed_direction <= 0
+    sides = lower + upper
+    ranks, inverse = _ranks(n)
+    table = np.zeros((1 + 2 * sides, n_refs, n + 1))
+    table[0, :, 1:] = refs
+    if lower:
+        table[1 + sides, :, 1:] = ranks
+    if upper:
+        np.negative(inverse, out=table[2 * sides, :, 1:])
+    if n > 1:
+        if padded:
+            with np.errstate(invalid="ignore"):
+                gaps = refs[:, 1:] - refs[:, :-1]
+            gaps[~np.isfinite(gaps)] = 0.0
+        else:
+            gaps = refs[:, 1:] - refs[:, :-1]
+        if lower:
+            np.add.accumulate(gaps * ranks[:-1], axis=1, out=table[1, :, 2:])
+        if upper:
+            np.add.accumulate((gaps * inverse[:-1])[:, ::-1], axis=1,
+                              out=table[sides, :, n - 1:0:-1])
+    return table.reshape(len(table), -1)
+
+
+def _gap_integrals_vs_sorted(refs: np.ndarray, ref_sizes: np.ndarray,
+                             batch: SortedSampleBatch,
+                             signed_direction: int) -> np.ndarray:
+    """Unnormalized gap integrals of every batch row against every reference.
+
+    ``refs`` holds L sorted references right-padded with ``+inf`` and
+    ``ref_sizes`` their lengths.  Returns ``(L, R)`` for the R rows of
+    ``batch``, which take the observed (``a``) side of Eq. (4).  No
+    merged grid is built.  On the row interval ``[a_k, a_{k+1})`` the
+    row count is ``k`` and only the reference count ``c`` moves, so the
+    integrand on cross-scaled counts, ``|k n - c m| / max(k n, c m)``,
+    is ``1 - c m / (k n)`` below the crossing index ``ceil(k n / m)``
+    and ``1 - k n / (c m)`` from it on.  Each side integrates in closed
+    form off :func:`_reference_table`: one ``searchsorted`` per
+    reference, then O(1) gathers per row element -- O(L R w log n) after
+    O(L n), where a merged grid costs O(R (w + n)) per reference.
+
+    The last interval ``[a_m, max(a_m, b_n))`` has ``k = m`` and only
+    the lower side.  Before ``a_1`` the integrand is 1 wherever the
+    reference has started, which the symmetric and ``-1`` directions
+    count; in the symmetric direction the "1" parts add up to the width
+    of the union support.  A side whose interval is empty evaluates the
+    same expression at both ends and contributes exactly zero.
+    """
+    data, sizes = batch.data, batch.sizes
+    n_refs, n = refs.shape
+    width = data.shape[1]
+    padded = int(ref_sizes.min()) < n
+    table = _reference_table(refs, padded, signed_direction)
+    sides = (len(table) - 1) // 2
+    # counts[j, r, t] = c_j(a_{r, t+1}); row padding counts n_j.
+    counts = np.empty((n_refs,) + data.shape, dtype=np.intp)
+    for j in range(n_refs):
+        counts[j] = np.searchsorted(refs[j, :ref_sizes[j]], data,
+                                    side="right")
+
+    ragged = int(sizes.min()) < width
+    m = sizes[:, None] if ragged else width
+    n_j = ref_sizes[:, None, None]
+    scale = np.arange(1, width + 1) * n_j           # k n
+    cross = (scale + (m - 1)) // m
+    if ragged:
+        np.minimum(cross, n_j, out=cross)           # padded intervals only
+    # The crossing clipped into interval k, [a_k, a_{k+1}), and its
+    # count; the last interval (and row padding) is open to the right.
+    split_count = np.maximum(cross, counts)
+    if n_refs > 1:
+        columns = np.arange(n_refs)[:, None, None] * (n + 1)
+        cross, counts, split_count = (cross + columns, counts + columns,
+                                      split_count + columns)
+    split = np.maximum(table[0].take(cross), data)
+    if width > 1:
+        np.minimum(split_count[..., :-1], counts[..., 1:],
+                   out=split_count[..., :-1])
+        np.minimum(split[..., :-1], data[:, 1:], out=split[..., :-1])
+    at = table.take(counts, axis=1)
+    at_split = table.take(split_count, axis=1)
+
+    # Each side's cumulative integral at every row point and at every
+    # crossing; their differences integrate c m / (k n) below the
+    # crossing and k n / (c m) from it on (the integrand is 1 minus
+    # these), the last interval having no upper side.
+    with np.errstate(invalid="ignore") if ragged else nullcontext():
+        at = at[1:1 + sides] + at[1 + sides:] * (data - at[0])
+        at_split = (at_split[1:1 + sides]
+                    + at_split[1 + sides:] * (split - at_split[0]))
+        below = above = None
+        if signed_direction >= 0:
+            below = (m / scale) * (at_split[0] - at[0])
+            if signed_direction:
+                below = (split - data) - below
+        if signed_direction <= 0 and width > 1:
+            above = (scale[..., :-1] / m) * (at_split[-1][..., :-1]
+                                             - at[-1][..., 1:])
+            if signed_direction:
+                above = (data[:, 1:] - split[..., :-1]) - above
+    if ragged:
+        if below is not None:
+            below = np.where(np.arange(width) < m, below, 0.0)
+        if above is not None:
+            above = np.where(np.arange(1, width) < m, above, 0.0)
+    if signed_direction == 0:
+        if above is not None:
+            below[..., :-1] += above
+        ref_maxs = (refs[np.arange(n_refs), ref_sizes - 1] if padded
+                    else refs[:, -1])
+        support = (np.maximum(batch.maxs, ref_maxs[:, None])
+                   - np.minimum(batch.mins, refs[:, :1]))
+        total = support - below.sum(axis=-1)
+    elif signed_direction > 0:
+        total = below.sum(axis=-1)
     else:
-        numer = _signed_gap(scaled_rows, scaled_fixed, signed_direction)
-    # max(count_a, count_b) >= 1 everywhere on the grid (the first
-    # breakpoint already belongs to one sample), so the division needs
-    # no guard.
-    denom = np.maximum(scaled_rows, scaled_fixed)
-    integrand = numer / denom
-
-    if width > int(sizes.min()):
-        # At least one padded row: zero out segments ending in padding.
-        with np.errstate(invalid="ignore"):
-            widths = np.where(np.isfinite(merged[:, 1:]),
-                              np.diff(merged, axis=1), 0.0)
-    else:
-        widths = np.diff(merged, axis=1)
-    return np.einsum("ij,ij->i", integrand, widths)
+        total = np.maximum(0.0, batch.mins - refs[:, :1])
+        if above is not None:
+            total += above.sum(axis=-1)
+    # Each side is a difference of cumulative integrals; clamp the
+    # rounding residue of an all-zero integrand (a row scored against
+    # itself) so a distance never reads below 0.
+    return np.maximum(total, 0.0)
 
 
 def _gap_integrals_padded(a_data, a_sizes, a_mins, a_maxs,
@@ -332,24 +437,8 @@ def one_vs_many_distances(batch: SortedSampleBatch, reference, *,
     ref = _as_reference(reference, assume_sorted, nonfinite)
     if batch.n == 0:
         return np.empty(0)
-    # Chunk rows so the (rows, width + ref.size) kernel intermediates
-    # stay cache-friendly and bounded even against a huge pooled
-    # reference (e.g. a criteria pooled from a whole fleet).
-    merged_width = batch.width + ref.size
-    block = max(1, _CHUNK_ELEMENTS // max(merged_width, 1))
-    if batch.n <= block:
-        integrals = _gap_integrals_vs_fixed(
-            ref, batch.data, batch.sizes, signed_direction, fixed_is_a=False,
-        )
-    else:
-        integrals = np.concatenate([
-            _gap_integrals_vs_fixed(
-                ref, batch.data[start:start + block],
-                batch.sizes[start:start + block],
-                signed_direction, fixed_is_a=False,
-            )
-            for start in range(0, batch.n, block)
-        ])
+    integrals = _gap_integrals_vs_sorted(
+        ref[None, :], np.array([ref.size]), batch, signed_direction)[0]
     return _normalize(integrals, batch.mins, batch.maxs, ref[0], ref[-1])
 
 
@@ -364,23 +453,25 @@ def one_vs_many_similarities(batch: SortedSampleBatch, reference, *,
     )
 
 
-def landmark_similarities(batch: SortedSampleBatch,
-                          landmark_batch: SortedSampleBatch) -> np.ndarray:
-    """Eq. (3) similarity of every batch row to each landmark row.
+def reference_similarities(batch: SortedSampleBatch,
+                           references: SortedSampleBatch, *,
+                           signed_direction: int = 0) -> np.ndarray:
+    """Similarity of every batch row to each reference row, in one call.
 
-    The cross-set kernel of the incremental criteria engine: instead of
-    the full ``O(n^2)`` pairwise matrix, score all ``n`` rows against
-    ``L << n`` landmark rows (one chunked one-vs-many pass per
-    landmark), giving the ``(n, L)`` similarity profile that seeds the
-    approximate medoid.  A row that *is* a landmark scores exactly 1.0
-    against itself (zero gap integral), so no diagonal fix-up is
-    needed.
+    Returns ``(n, L)``: column ``j`` is :func:`one_vs_many_similarities`
+    against ``references.row(j)``.  Two callers hold several references
+    over one batch: the incremental engine's landmark profile (``C``
+    candidate sketches against ``L`` landmark sketches, Eq. (3)) and the
+    rollout gate (a key's shadow windows against the candidate and the
+    active criteria, Eq. (4)).
     """
-    out = np.empty((batch.n, landmark_batch.n))
-    for j in range(landmark_batch.n):
-        out[:, j] = one_vs_many_similarities(
-            batch, landmark_batch.row(j), assume_sorted=True)
-    return out
+    if batch.n == 0 or references.n == 0:
+        return np.empty((batch.n, references.n))
+    integrals = _gap_integrals_vs_sorted(references.data, references.sizes,
+                                         batch, signed_direction)
+    return 1.0 - _normalize(integrals.T, batch.mins[:, None],
+                            batch.maxs[:, None], references.mins[None, :],
+                            references.maxs[None, :])
 
 
 def _integrand_table(m: int) -> np.ndarray:
@@ -478,9 +569,10 @@ def pairwise_distances(batch: SortedSampleBatch) -> np.ndarray:
     out = np.zeros((n, n), dtype=float)
     for i in range(n - 1):
         rest = slice(i + 1, n)
-        integrals = _gap_integrals_vs_fixed(
-            batch.row(i), data[rest], sizes[rest], 0, fixed_is_a=True,
-        )
+        # Eq. (2) is symmetric, so row i may take the reference side.
+        integrals = _gap_integrals_vs_sorted(
+            data[i:i + 1], sizes[i:i + 1],
+            SortedSampleBatch(data[rest], sizes[rest]), 0)[0]
         row = _normalize(integrals, mins[i], maxs[i], mins[rest], maxs[rest])
         out[i, rest] = row
         out[rest, i] = row

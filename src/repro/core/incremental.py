@@ -16,13 +16,13 @@ bounded approximations, with the exact learner as the escape hatch:
    median order) is scored against ``L`` *landmark* windows, and the
    medoid is the candidate maximizing its (contamination-trimmed)
    landmark profile sum -- ``O(C * L * k)`` work in place of
-   ``O(n^2 * m)``.  The alpha-exclusion loop then runs one chunked
-   one-vs-many pass per iteration over the sketch batch, ``O(n * k)``,
-   mirroring the exact loop's semantics.  Windows whose similarity
-   lands inside the ``distance_bound`` band around ``alpha`` are
-   re-adjudicated with the exact ``fastdist`` kernel against the
-   medoid's *raw* window, so borderline verdicts never ride on the
-   approximation.
+   ``O(n^2 * m)``, built in one kernel call.  The alpha-exclusion loop
+   then runs one one-vs-many pass per iteration over the sketch batch,
+   ``O(n * k)``, mirroring the exact loop's semantics.  Windows whose
+   similarity lands inside the ``distance_bound`` band around
+   ``alpha`` are re-adjudicated with the exact ``fastdist`` kernel
+   against the medoid's *raw* window, so borderline verdicts never
+   ride on the approximation.
 
 The ladder
 ----------
@@ -62,8 +62,8 @@ from repro.core.criteria import (
 )
 from repro.core.fastdist import (
     SortedSampleBatch,
-    landmark_similarities,
     one_vs_many_similarities,
+    reference_similarities,
 )
 from repro.exceptions import CriteriaError
 
@@ -170,7 +170,7 @@ class _MedoidSeeder:
             # the survivors (rare; bounded by the iteration cap).
             self.cand_idx = _stratified(self.batch, self.cand_idx.size,
                                         within=active)
-            self.lm_sims = landmark_similarities(
+            self.lm_sims = reference_similarities(
                 self.batch.take(self.cand_idx),
                 self.batch.take(self.lm_idx))
             cand_rows = np.arange(self.cand_idx.size)
@@ -317,8 +317,8 @@ def _full_sketch_learn(samples, alpha, centroid, contamination, backend,
     batch = _sketch_batch_from_cleaned(cleaned, config.sketch_size)
     cand_idx = _stratified(batch, config.n_candidates)
     lm_idx = _stratified(batch, config.n_landmarks)
-    lm_sims = landmark_similarities(batch.take(cand_idx),
-                                    batch.take(lm_idx))
+    lm_sims = reference_similarities(batch.take(cand_idx),
+                                     batch.take(lm_idx))
     seeder = _MedoidSeeder(batch, cand_idx, lm_idx, lm_sims, contamination)
     surviving, sims, iterations, criteria, criteria_idx = _run_sketch_loop(
         batch, seeder, cleaned, alpha, centroid, config)

@@ -16,16 +16,17 @@ criteria as a *candidate* and walks it through a small state machine:
                                               rollback journaled)
 
 The shadow evaluation replays the one-sided online filter
-(:func:`repro.core.drift.predicted_eviction_rate`) over the *previous
+(:func:`repro.core.drift.shadow_evictions`) over the *previous
 measurement window's* per-node samples, under both the candidate and
-the currently active criteria.  Scoring against the previous window
-(not the one the candidate was learned from) is deliberate: a
-coherently poisoned learning pass produces criteria that agree
-perfectly with their own windows, and only the last trusted window
-exposes the skew.  If the candidate's predicted fleet-wide eviction
-rate jumps past the active rate by more than the configured budget
-(or past the bootstrap cap when no criteria are active yet), the
-candidate is rejected.
+the currently active criteria, deciding each window exactly as
+:meth:`~repro.core.validator.Validator.check_results` would.  Scoring
+against the previous window (not the one the candidate was learned
+from) is deliberate: a coherently poisoned learning pass produces
+criteria that agree perfectly with their own windows, and only the
+last trusted window exposes the skew.  If the candidate's predicted
+fleet-wide eviction rate jumps past the active rate by more than the
+configured budget (or past the bootstrap cap when no criteria are
+active yet), the candidate is rejected.
 
 The service integration (:meth:`repro.service.controlplane.
 ValidationService.learn_criteria`) applies the decision: rejected
@@ -38,7 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.drift import predicted_eviction_rate
+import numpy as np
+
+from repro.core.drift import shadow_evictions
 from repro.exceptions import ReproError
 
 __all__ = ["RolloutConfig", "RolloutDecision", "evaluate_rollout"]
@@ -125,8 +128,14 @@ def evaluate_rollout(windows, candidate, previous, *, alpha: float,
             reason=f"abstained: only {len(windows)} shadow window(s)",
             learn_path=learn_path, sku=sku)
 
-    candidate_rate = predicted_eviction_rate(
-        windows, candidate, alpha=alpha, higher_is_better=higher_is_better)
+    # One batch, two references: the candidate and the active criteria
+    # are scored against the same cleaned, sorted shadow windows.
+    references = [candidate] if previous is None else [candidate, previous]
+    rates = [np.count_nonzero(evicted) / len(windows)
+             for evicted in shadow_evictions(
+                 windows, references, alpha=alpha,
+                 higher_is_better=higher_is_better)]
+    candidate_rate = rates[0]
     if previous is None:
         accepted = candidate_rate <= config.max_bootstrap_eviction_rate
         reason = (
@@ -138,8 +147,7 @@ def evaluate_rollout(windows, candidate, previous, *, alpha: float,
             candidate_rate=candidate_rate, baseline_rate=None, reason=reason,
             learn_path=learn_path, sku=sku)
 
-    baseline_rate = predicted_eviction_rate(
-        windows, previous, alpha=alpha, higher_is_better=higher_is_better)
+    baseline_rate = rates[1]
     accepted = candidate_rate <= baseline_rate + config.max_eviction_jump
     reason = (
         "within eviction budget" if accepted else

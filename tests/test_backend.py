@@ -112,15 +112,26 @@ class TestCollectionSemantics:
             backend.pairwise_similarities(samples), atol=TOL)
 
     def test_one_vs_many_matches_scalar_loop(self):
-        samples = fleet(5, seed=6)
-        reference = np.sort(samples[0])
+        rng = np.random.default_rng(6)
+        uniform = fleet(5, seed=6)
+        ragged = [rng.normal(100.0, 2.0, n) for n in (1, 9, 40, 3)]
+        width_one = [rng.normal(100.0, 2.0, 1) for _ in range(5)]
+        ties = [rng.integers(98, 103, n).astype(float) for n in (10, 10, 4)]
+        references = [
+            np.sort(uniform[0]),
+            np.array([100.0]),
+            np.sort(rng.normal(100.0, 2.0, 4096)),
+            np.sort(rng.integers(98, 103, 4096).astype(float)),
+        ]
         backend = default_backend()
-        for direction in (0, 1, -1):
-            got = backend.one_vs_many_distances(
-                samples, reference, signed_direction=direction)
-            want = ScalarBackend().one_vs_many_distances(
-                samples, reference, signed_direction=direction)
-            np.testing.assert_allclose(got, want, atol=TOL)
+        for samples in (uniform, ragged, width_one, ties):
+            for reference in references:
+                for direction in (0, 1, -1):
+                    got = backend.one_vs_many_distances(
+                        samples, reference, signed_direction=direction)
+                    want = ScalarBackend().one_vs_many_distances(
+                        samples, reference, signed_direction=direction)
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_one_vs_many_similarities_complement(self):
         samples = fleet(4, seed=7)

@@ -92,27 +92,45 @@ class TestDispatchPaths:
         assert np.max(np.abs(got - want)) < 1e-9
 
     def test_one_vs_many_directions(self):
-        samples = self._fleet(seed=4)
-        batch = SortedSampleBatch.from_samples(samples)
-        ref = np.sort(samples[0])
-        for direction, higher in ((1, True), (-1, False)):
-            got = one_vs_many_similarities(
-                batch, ref, signed_direction=direction, assume_sorted=True
-            )
-            want = [
-                one_sided_similarity(s, ref, higher_is_better=higher)
-                for s in samples
-            ]
-            assert np.max(np.abs(got - np.array(want))) < 1e-9
-
-    def test_one_vs_many_chunked_matches_unchunked(self, monkeypatch):
-        samples = self._fleet(seed=5, n=12, m=20)
-        batch = SortedSampleBatch.from_samples(samples)
-        ref = np.sort(np.concatenate(samples))
-        plain = one_vs_many_similarities(batch, ref, assume_sorted=True)
-        monkeypatch.setattr(fastdist, "_CHUNK_ELEMENTS", 64)
-        chunked = one_vs_many_similarities(batch, ref, assume_sorted=True)
-        assert np.array_equal(plain, chunked)
+        rng = np.random.default_rng(4)
+        uniform = self._fleet(seed=4)
+        ragged = [rng.normal(100, 3, size=k) for k in (1, 7, 25, 2, 60)]
+        width_one = [rng.normal(100, 3, size=1) for _ in range(6)]
+        # Tie-heavy: small integers, so rows and references share values.
+        ties = [rng.integers(95, 106, size=k).astype(float)
+                for k in (12, 12, 3, 40)]
+        references = [
+            np.sort(uniform[0]),
+            np.array([100.0]),                               # n = 1
+            np.sort(rng.normal(100, 3, size=4096)),          # n = 4096
+            np.sort(rng.integers(95, 106, size=4096).astype(float)),
+            np.repeat([97.0, 100.0, 103.0], [5, 30, 5]),     # duplicates
+        ]
+        for samples in (uniform, ragged, width_one, ties):
+            batch = SortedSampleBatch.from_samples(samples)
+            for ref in references:
+                for direction in (0, 1, -1):
+                    got = one_vs_many_similarities(
+                        batch, ref, signed_direction=direction,
+                        assume_sorted=True)
+                    if direction:
+                        want = [one_sided_similarity(
+                            s, ref, higher_is_better=direction > 0)
+                            for s in samples]
+                    else:
+                        want = [similarity(s, ref) for s in samples]
+                    assert np.max(np.abs(got - np.array(want))) <= 1e-12
+            # Several references in one call equal one call per reference.
+            stacked = SortedSampleBatch.from_sorted(references)
+            for direction in (0, 1, -1):
+                profile = fastdist.reference_similarities(
+                    batch, stacked, signed_direction=direction)
+                loop = np.column_stack([
+                    one_vs_many_similarities(batch, ref,
+                                             signed_direction=direction,
+                                             assume_sorted=True)
+                    for ref in references])
+                assert np.max(np.abs(profile - loop)) <= 1e-12
 
     def test_batch_rowwise_matches_scalar(self):
         samples = self._fleet(seed=6, n=6)

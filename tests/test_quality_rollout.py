@@ -5,7 +5,8 @@ import pytest
 
 from repro.benchsuite.runner import SuiteRunner
 from repro.benchsuite.suite import suite_by_name
-from repro.core.drift import predicted_eviction_rate
+from repro.benchsuite.base import BenchmarkResult
+from repro.core.drift import predicted_eviction_rate, shadow_evictions
 from repro.core.selector import Selector
 from repro.core.system import Anubis
 from repro.core.validator import Validator
@@ -18,6 +19,7 @@ from repro.simulation.dirty import poisoned_windows
 from repro.simulation.generator import generate_incident_trace
 from repro.survival import extract_status_samples
 from repro.survival.exponential import ExponentialModel
+from tests.test_validator import make_fleet, tiny_suite
 
 ALPHA = 0.95
 
@@ -45,15 +47,53 @@ class TestPredictedEvictionRate:
         rate = predicted_eviction_rate(windows, criteria, alpha=ALPHA)
         assert rate == pytest.approx(1 / 5)
 
-    def test_partially_non_finite_windows_masked(self):
+    def test_partially_non_finite_windows_evicted(self):
+        # Online, one NaN in a window is an execution failure; the gate
+        # predicts the same instead of scoring the finite rest.
         windows = healthy_windows(n=6)
         criteria = np.concatenate(windows)
         windows[0] = np.concatenate([windows[0], [np.nan, np.inf]])
-        assert predicted_eviction_rate(windows, criteria, alpha=ALPHA) == 0.0
+        rate = predicted_eviction_rate(windows, criteria, alpha=ALPHA)
+        assert rate == pytest.approx(1 / 6)
 
     def test_empty_window_list_rejected(self):
         with pytest.raises(InvalidSampleError):
             predicted_eviction_rate([], np.arange(4.0), alpha=ALPHA)
+
+
+class TestGateMatchesVerdict:
+    """The gate decides each shadow window as the online filter would."""
+
+    def test_shadow_evictions_equal_check_results(self):
+        validator = Validator(tiny_suite(), runner=SuiteRunner(seed=3))
+        fleet = make_fleet(n_healthy=10, defects=("ib_hca_degraded",))
+        validator.learn_criteria(fleet)
+        for spec in validator.suite:
+            metric = spec.metrics[0]
+            results = [validator.runner.run(spec, node) for node in fleet]
+            width = results[0].sample(metric.name).size
+            with_nan = results[0].sample(metric.name).copy()
+            with_nan[width // 2] = np.nan
+            dirty = (with_nan, np.full(width, np.nan), np.empty(0))
+            results += [
+                BenchmarkResult(benchmark=spec.name, node_id=f"dirty-{i}",
+                                metrics={metric.name: window})
+                for i, window in enumerate(dirty)]
+            criteria = validator.criteria[("unknown", spec.name, metric.name)]
+            gate = shadow_evictions(
+                [result.sample(metric.name) for result in results],
+                [criteria.criteria], alpha=criteria.alpha,
+                higher_is_better=criteria.higher_is_better)[0]
+            flagged = {violation.node_id for violation
+                       in validator.check_results(spec, results)
+                       if violation.metric == metric.name}
+            verdicts = [result.node_id in flagged for result in results]
+            assert gate.tolist() == verdicts
+            # The three dirty windows are execution failures; the
+            # degraded NIC is scored out of the loopback benchmark.
+            assert verdicts[-3:] == [True] * 3
+            assert verdicts[len(fleet) - 1] == (spec.name == "tiny-loopback")
+            assert not any(verdicts[:len(fleet) - 1])
 
 
 class TestEvaluateRollout:
