@@ -1,8 +1,9 @@
 """Process fan-out helpers and the ``REPRO_WORKERS`` knob.
 
 Criteria learning is embarrassingly parallel across (sku, benchmark, metric)
-tasks, and the control-plane pool's width is a deployment decision, not
-a code change.  Both read their default parallelism from one place:
+tasks, and its width is a deployment decision, not a code change.  The
+service pool's width is not read from here: its callers set
+:attr:`~repro.service.pool.PoolConfig.max_workers`.
 
 * ``resolve_workers(None)`` -> the ``REPRO_WORKERS`` environment
   variable when set, else the caller's default (1 for learning, so the

@@ -212,9 +212,10 @@ class ChaosRunner:
                            node.node_id, spec.name, call):
                 self._monkey.count("executor_hang")
                 # A hang is a sleep well past the pool's benchmark
-                # timeout; the pool abandons the cell (Python threads
-                # cannot be killed) and this thread finishes late into
-                # a discarded future.  It must fail rather than run:
+                # timeout; the pool abandons the node's task (Python
+                # threads cannot be killed) and this thread finishes
+                # late into it, recording nothing.  It must fail rather
+                # than run:
                 # a late execution through the wrapped runner would
                 # race later sweeps of the same cell for its repeat
                 # counter and perturb the keyed measurement stream.

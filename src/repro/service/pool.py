@@ -3,14 +3,21 @@
 The synchronous :class:`~repro.core.validator.Validator` runs one
 benchmark on one node at a time; a fleet sweep is a long serial loop
 and a single hung execution stalls everything behind it.
-:class:`ValidationPool` fans the same work out across a thread pool
-with four operational guarantees:
+:class:`ValidationPool` fans the same work out across a thread pool,
+one unit of work per node, with five operational guarantees:
 
-* **per-benchmark timeouts** -- a (node, benchmark) execution that
-  exceeds its deadline is abandoned and recorded as an execution
-  failure; the sweep keeps going;
+* **one benchmark per node at a time** -- a node's runnable benchmarks
+  of a sweep run in spec order on one worker thread, so two benchmarks
+  never share a node's GPUs and NICs at once and contaminate each
+  other's windows (the paper runs a node's set one after another);
+* **per-benchmark timeouts** -- a benchmark that exceeds its deadline,
+  measured from its own start, is abandoned together with the task
+  running it, and the node resumes on a new task: at the same
+  benchmark while attempts are left, else at the next one with the
+  hung cell recorded as an execution failure; the sweep keeps going;
 * **bounded retries with exponential backoff** -- transient crashes
-  (raised exceptions) are retried up to ``max_attempts`` times;
+  (raised exceptions) are retried in place, up to ``max_attempts``
+  times;
 * **crash isolation** -- an exception or hang in one execution never
   propagates to other nodes' work;
 * **per-benchmark circuit breakers** -- a benchmark whose executions
@@ -27,9 +34,11 @@ per-(node, benchmark) child streams, a parallel sweep is bit-identical
 to a sequential one for every execution that succeeds on its first
 attempt -- scheduling order does not leak into results.
 
-Python threads cannot be killed, so a timed-out execution's thread
+Python threads cannot be killed, so a timed-out benchmark's thread
 keeps running in the background until its benchmark returns; the pool
-merely stops waiting for it.  The executor is kept from one sweep to
+stops waiting for it, and when it wakes it records nothing and starts
+none of the node's later benchmarks -- the node's new task owns them.
+The executor is kept from one sweep to
 the next -- starting threads per sweep costs more than a cheap sweep's
 benchmarks do, and on a machine with busy cores a new thread waits for
 a time slice where an idle one is woken in place -- and is dropped by
@@ -41,12 +50,12 @@ releases the idle threads.
 from __future__ import annotations
 
 import enum
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
-from repro.benchsuite.base import BenchmarkResult, BenchmarkSpec
-from repro.core.parallel import resolve_workers
+from repro.benchsuite.base import BenchmarkResult
 from repro.core.validator import ValidationReport, Validator, Violation
 from repro.exceptions import ServiceError
 
@@ -61,23 +70,25 @@ class PoolConfig:
     Attributes
     ----------
     max_workers:
-        Thread-pool width per sweep.  ``None`` (the default) reads the
-        ``REPRO_WORKERS`` environment variable, falling back to 8 --
-        the same knob that widens criteria learning, so one deployment
-        setting sizes the whole control plane.
+        Thread-pool width: how many nodes a sweep validates at once
+        (each node's benchmarks run one after another on one thread).
+        Every caller sets it -- ``serve --workers``, a process worker's
+        ``pool`` spec -- so no environment variable is read.
     benchmark_timeout_seconds:
         Deadline for one (node, benchmark) execution, measured from
-        the moment it starts on a worker; ``None`` disables timeouts.
+        the moment it starts on a worker; must be positive, ``None``
+        disables timeouts.
     max_attempts:
         Total tries per execution (1 = no retries).
     backoff_base_seconds / backoff_multiplier:
         Retry *i* (i >= 2) sleeps ``base * multiplier**(i - 2)``
         before re-running.
     sweep_timeout_seconds:
-        Hard deadline for a whole sweep; unresolved executions are
-        abandoned as timed out when it passes.  Guards the pathological
-        case of every worker hanging at once.  ``None`` disables it.
-        When set, it must be at least ``benchmark_timeout_seconds`` --
+        Hard deadline for a whole sweep; every unfinished execution,
+        started or not, is abandoned as timed out when it passes.
+        Guards the pathological case of every worker hanging at once.
+        ``None`` disables it.  When set, it must be positive and at
+        least ``benchmark_timeout_seconds`` --
         a sweep deadline shorter than one execution's deadline would
         silently make the per-benchmark timeout unreachable.
     poll_interval_seconds:
@@ -90,7 +101,7 @@ class PoolConfig:
         Sweeps an open breaker skips before half-opening to probe.
     """
 
-    max_workers: int | None = None
+    max_workers: int = 8
     benchmark_timeout_seconds: float | None = 30.0
     max_attempts: int = 3
     backoff_base_seconds: float = 0.05
@@ -101,11 +112,15 @@ class PoolConfig:
     breaker_cooldown_sweeps: int = 1
 
     def __post_init__(self):
-        if self.max_workers is None:
-            object.__setattr__(self, "max_workers",
-                               resolve_workers(None, default=8))
         if self.max_workers < 1:
             raise ServiceError("max_workers must be at least 1")
+        # A zero or negative deadline expires every started cell on the
+        # first scan (and costs each sweep its executor); the values can
+        # arrive from a worker spec, so they are checked here.
+        for name in ("benchmark_timeout_seconds", "sweep_timeout_seconds"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ServiceError(f"{name} must be positive or None")
         if self.max_attempts < 1:
             raise ServiceError("max_attempts must be at least 1")
         if self.backoff_base_seconds < 0 or self.backoff_multiplier < 1.0:
@@ -253,13 +268,21 @@ class SweepResult:
 
 
 @dataclass
-class _Task:
-    run: BenchmarkRun
-    spec: BenchmarkSpec
+class _NodeTask:
+    """One node's runnable cells of a sweep, run in order from ``position``.
+
+    The worker thread advances ``position`` / ``attempt`` and holds
+    ``started_at`` while a benchmark runs; the coordinator sets
+    ``abandoned``.  Both write under the sweep's lock, so recording a
+    cell's outcome and giving up on the task exclude each other.
+    """
+
     node: object
+    cells: list            # [(spec, BenchmarkRun)] in spec order
+    position: int
     attempt: int
-    submitted_at: float
-    started_at: list  # single-slot box written by the worker thread
+    started_at: float | None = None
+    abandoned: bool = False
 
 
 class ValidationPool:
@@ -316,7 +339,8 @@ class ValidationPool:
     # Raw sweeps
     # ------------------------------------------------------------------
     def run_benchmarks(self, specs, nodes, runner) -> SweepResult:
-        """Run every benchmark in ``specs`` on every node, in parallel.
+        """Run every benchmark in ``specs`` on every node, the nodes in
+        parallel and each node's benchmarks in spec order on one thread.
 
         Never raises for per-cell failures: each cell ends with either
         a result, an ``error``/``timed_out`` record, or a
@@ -358,70 +382,72 @@ class ValidationPool:
         executor, self._executor = self._executor, None
         if executor is None:
             executor = ThreadPoolExecutor(max_workers=cfg.max_workers)
+        lock = threading.Lock()
         abandoned = False
         active: dict = {}
 
-        def submit(spec, node, attempt):
-            run = by_cell[(node.node_id, spec.name)]
-            run.attempts = attempt
-            task = _Task(run=run, spec=spec, node=node, attempt=attempt,
-                         submitted_at=time.monotonic(), started_at=[None])
-            future = executor.submit(self._execute, runner, task)
-            active[future] = task
+        def submit(node, cells, position, attempt):
+            if position < len(cells):
+                task = _NodeTask(node, cells, position, attempt)
+                future = executor.submit(self._run_node, runner, task, lock,
+                                         sweep_start)
+                active[future] = task
 
         try:
-            for spec in specs:
-                for node in nodes:
-                    if runnable(spec, node):
-                        submit(spec, node, attempt=1)
+            for node in nodes:
+                submit(node, [(spec, by_cell[(node.node_id, spec.name)])
+                              for spec in specs if runnable(spec, node)],
+                       position=0, attempt=1)
 
             while active:
                 done, _ = wait(list(active), timeout=cfg.poll_interval_seconds,
                                return_when=FIRST_COMPLETED)
-                now = time.monotonic()
                 for future in done:
-                    task = active.pop(future)
-                    error = future.exception()
-                    if error is None:
-                        task.run.result = future.result()
-                        task.run.error = None
-                        task.run.wall_seconds = now - sweep_start
-                    elif task.attempt < cfg.max_attempts:
-                        submit(task.spec, task.node, task.attempt + 1)
-                    else:
-                        task.run.error = f"{type(error).__name__}: {error}"
-                        task.run.wall_seconds = now - sweep_start
-                # Deadline scan: abandon cells whose execution started
-                # too long ago (the thread itself cannot be killed).
-                for future, task in list(active.items()):
-                    started = task.started_at[0]
-                    expired = (
-                        cfg.benchmark_timeout_seconds is not None
-                        and started is not None
-                        and now - started > cfg.benchmark_timeout_seconds
-                    )
-                    sweep_expired = (
-                        cfg.sweep_timeout_seconds is not None
-                        and now - sweep_start > cfg.sweep_timeout_seconds
-                    )
-                    if not expired and not sweep_expired:
-                        continue
                     del active[future]
-                    future.cancel()
-                    abandoned = True
-                    if expired and task.attempt < cfg.max_attempts:
-                        submit(task.spec, task.node, task.attempt + 1)
-                        continue
-                    task.run.timed_out = True
-                    task.run.error = (
-                        f"timeout after {cfg.benchmark_timeout_seconds}s"
-                        if expired else
-                        f"sweep timeout after {cfg.sweep_timeout_seconds}s"
-                    )
-                    task.run.wall_seconds = now - sweep_start
+                    future.result()   # cell failures are recorded, not raised
+                now = time.monotonic()
+                sweep_expired = (
+                    cfg.sweep_timeout_seconds is not None
+                    and now - sweep_start > cfg.sweep_timeout_seconds
+                )
+                # Deadline scan: abandon a task whose benchmark started
+                # too long ago (the thread itself cannot be killed) and
+                # resume its node on a new task.
+                with lock:
+                    for future, task in list(active.items()):
+                        started = task.started_at
+                        expired = (
+                            cfg.benchmark_timeout_seconds is not None
+                            and started is not None
+                            and now - started > cfg.benchmark_timeout_seconds
+                        )
+                        if not expired and not sweep_expired:
+                            continue
+                        del active[future]
+                        future.cancel()
+                        task.abandoned = True
+                        abandoned = True
+                        if sweep_expired:
+                            unfinished = task.cells[task.position:]
+                            error = (f"sweep timeout after "
+                                     f"{cfg.sweep_timeout_seconds}s")
+                        elif task.attempt < cfg.max_attempts:
+                            submit(task.node, task.cells, task.position,
+                                   task.attempt + 1)
+                            continue
+                        else:
+                            unfinished = [task.cells[task.position]]
+                            error = (f"timeout after "
+                                     f"{cfg.benchmark_timeout_seconds}s")
+                            submit(task.node, task.cells, task.position + 1,
+                                   attempt=1)
+                        for _spec, run in unfinished:
+                            run.timed_out = True
+                            run.error = error
+                            run.wall_seconds = now - sweep_start
         finally:
             # Keep the executor only if every thread in it is idle: not
-            # after abandoning a cell (its thread may hang for ever) or
+            # after abandoning a task (its thread may hang for ever) or
             # an exception out of the loop above (cells still running).
             if abandoned or active or self._executor is not None:
                 executor.shutdown(wait=False, cancel_futures=True)
@@ -446,20 +472,55 @@ class ValidationPool:
         return SweepResult(runs=runs,
                            wall_seconds=time.monotonic() - sweep_start)
 
-    def _execute(self, runner, task: _Task):
-        backoff = self.config.backoff_seconds(task.attempt)
-        if backoff > 0.0:
-            time.sleep(backoff)
-        # The deadline clock starts when the benchmark actually starts,
-        # not when the cell was queued behind a busy pool.
-        task.started_at[0] = time.monotonic()
-        result = runner.run(task.spec, task.node)
-        if self.sanitizer is not None:
-            # Idempotent by provenance: windows the runner already
-            # sanitized carry sanitized=True and pass through untouched,
-            # so no window is ever schema-checked or quarantined twice.
-            result = self.sanitizer.sanitize_result(task.spec, result)
-        return result
+    def _run_node(self, runner, task: _NodeTask, lock, sweep_start: float):
+        """Run ``task``'s cells in spec order on this thread, retrying a
+        raising cell in place.
+
+        Outcomes are recorded under ``lock`` and only while the task is
+        not abandoned: a thread the coordinator gave up on records
+        nothing when its benchmark finally returns and starts no later
+        cell, which the node's new task owns -- two benchmarks on one
+        node at once would contaminate both windows.
+        """
+        cfg = self.config
+        while task.position < len(task.cells):
+            spec, run = task.cells[task.position]
+            backoff = cfg.backoff_seconds(task.attempt)
+            if backoff > 0.0:
+                time.sleep(backoff)
+            with lock:
+                if task.abandoned:
+                    return
+                run.attempts = task.attempt
+                # The deadline clock starts when the benchmark actually
+                # starts, not when the node was queued behind a busy
+                # pool or slept out a backoff.
+                task.started_at = time.monotonic()
+            error = None
+            try:
+                result = runner.run(spec, task.node)
+                if self.sanitizer is not None:
+                    # Idempotent by provenance: windows the runner
+                    # already sanitized carry sanitized=True and pass
+                    # through untouched, so no window is ever
+                    # schema-checked or quarantined twice.
+                    result = self.sanitizer.sanitize_result(spec, result)
+            except Exception as exc:   # recorded on the cell, never raised
+                # Only the text is kept: the exception's traceback holds
+                # this frame, and the cycle would keep the pool and its
+                # threads alive until a garbage collection.
+                result, error = None, f"{type(exc).__name__}: {exc}"
+            with lock:
+                if task.abandoned:
+                    return
+                task.started_at = None
+                if error is not None and task.attempt < cfg.max_attempts:
+                    task.attempt += 1
+                    continue
+                run.result, run.error = result, error
+                run.wall_seconds = time.monotonic() - sweep_start
+                task.position += 1
+                task.attempt = 1
 
     # ------------------------------------------------------------------
     # Validator-equivalent sweeps

@@ -1,8 +1,10 @@
 """Unit tests: the parallel validation pool (timeouts, retries,
 sequential equivalence)."""
 
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import pytest
@@ -33,10 +35,12 @@ class FakeNode:
 class ScriptedRunner:
     """Fake runner: fails / hangs per (node, benchmark) as scripted."""
 
-    def __init__(self, *, fail_times=None, hang=None, hang_seconds=5.0):
+    def __init__(self, *, fail_times=None, hang=None, hang_seconds=5.0,
+                 hang_once=False):
         self.fail_times = dict(fail_times or {})  # cell -> failures left
         self.hang = set(hang or ())
         self.hang_seconds = hang_seconds
+        self.hang_once = hang_once  # only a cell's first run hangs
         self.calls = []
         self._lock = threading.Lock()
 
@@ -47,9 +51,12 @@ class ScriptedRunner:
             failures_left = self.fail_times.get(cell, 0)
             if failures_left > 0:
                 self.fail_times[cell] = failures_left - 1
+            hangs = cell in self.hang
+            if hangs and self.hang_once:
+                self.hang.discard(cell)
         if failures_left > 0:
             raise RuntimeError(f"transient fault on {cell}")
-        if cell in self.hang:
+        if hangs:
             time.sleep(self.hang_seconds)
         return f"result:{node.node_id}:{spec.name}"
 
@@ -84,6 +91,10 @@ class TestPoolConfig:
         {"sweep_timeout_seconds": 1.0, "benchmark_timeout_seconds": 2.0},
         {"breaker_failure_threshold": 0},
         {"breaker_cooldown_sweeps": 0},
+        {"benchmark_timeout_seconds": 0},
+        {"benchmark_timeout_seconds": -1.0},
+        {"benchmark_timeout_seconds": None, "sweep_timeout_seconds": 0.0},
+        {"benchmark_timeout_seconds": None, "sweep_timeout_seconds": -5.0},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ServiceError):
@@ -227,6 +238,131 @@ class TestExecutorKeptBetweenSweeps:
         sweep = pools[0].run_benchmarks(SPECS, NODES, ScriptedRunner())
         assert all(run.ok for run in sweep.runs)
         pools[0].close()
+
+
+class OccupancyRunner(ScriptedRunner):
+    """Scripted runner whose cells take a while, recording the most
+    cells of one node ever in flight together."""
+
+    def __init__(self, *, work_seconds=0.02, **kwargs):
+        super().__init__(**kwargs)
+        self.work_seconds = work_seconds
+        self.in_flight = {}
+        self.peak = {}
+
+    def run(self, spec, node):
+        with self._lock:
+            count = self.in_flight.get(node.node_id, 0) + 1
+            self.in_flight[node.node_id] = count
+            self.peak[node.node_id] = max(self.peak.get(node.node_id, 0),
+                                          count)
+        try:
+            time.sleep(self.work_seconds)
+            return super().run(spec, node)
+        finally:
+            with self._lock:
+                self.in_flight[node.node_id] -= 1
+
+
+FOUR_SPECS = [FakeSpec(f"bench-{letter}") for letter in "abcd"]
+
+
+def node_calls(runner, node_id):
+    return [bench for node, bench in runner.calls if node == node_id]
+
+
+class TestNodeTasks:
+    """A node's cells are one unit of work: they run in spec order on
+    one thread, and the timeout / retry / abandon rules act on that
+    unit (DESIGN §5a)."""
+
+    def test_no_two_cells_of_a_node_in_flight_together(self):
+        runner = OccupancyRunner()
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)    # more thread interleavings
+        try:
+            sweep = ValidationPool(fast_config(max_workers=4)).run_benchmarks(
+                FOUR_SPECS, NODES[:2], runner)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert all(run.ok and run.attempts == 1 for run in sweep.runs)
+        assert runner.peak == {"n0": 1, "n1": 1}
+
+    def test_a_nodes_cells_run_in_spec_order(self):
+        runner = OccupancyRunner(work_seconds=0.005)
+        ValidationPool(fast_config(max_workers=4)).run_benchmarks(
+            FOUR_SPECS, NODES, runner)
+        for node in NODES:
+            assert node_calls(runner, node.node_id) == [
+                spec.name for spec in FOUR_SPECS]
+
+    def test_hung_cell_with_attempts_left_is_retried_in_place(self):
+        runner = ScriptedRunner(hang={("n0", "bench-a")}, hang_seconds=0.6,
+                                hang_once=True)
+        sweep = ValidationPool(fast_config(max_attempts=3)).run_benchmarks(
+            FOUR_SPECS[:3], NODES[:2], runner)
+        hung = sweep.run_for("n0", "bench-a")
+        assert hung.ok and hung.attempts == 2 and not hung.timed_out
+        assert node_calls(runner, "n0") == ["bench-a", "bench-a",
+                                            "bench-b", "bench-c"]
+        others = [run for run in sweep.runs if run is not hung]
+        assert all(run.ok and run.attempts == 1 for run in others)
+
+    def test_abandoned_task_starts_no_further_cell(self):
+        runner = ScriptedRunner(hang={("n0", "bench-a")}, hang_seconds=0.5)
+        start = time.monotonic()
+        sweep = ValidationPool(fast_config(max_attempts=1)).run_benchmarks(
+            FOUR_SPECS[:3], NODES[:2], runner)
+        assert sweep.run_for("n0", "bench-a").timed_out
+        # Wait out the hang: the woken thread must neither record its
+        # late result nor run the node's later cells a second time.
+        time.sleep(max(0.0, start + 0.5 + 0.3 - time.monotonic()))
+        assert node_calls(runner, "n0") == ["bench-a", "bench-b", "bench-c"]
+        hung = sweep.run_for("n0", "bench-a")
+        assert hung.timed_out and hung.result is None
+        assert sweep.run_for("n0", "bench-b").ok
+        assert sweep.run_for("n0", "bench-c").ok
+
+    def test_sweep_deadline_times_out_unstarted_cells(self):
+        runner = ScriptedRunner(hang={("n0", "bench-a")}, hang_seconds=1.0)
+        pool = ValidationPool(fast_config(
+            max_workers=1, benchmark_timeout_seconds=None,
+            sweep_timeout_seconds=0.3))
+        start = time.monotonic()
+        sweep = pool.run_benchmarks(SPECS, NODES[:2], runner)
+        assert time.monotonic() - start < 0.9
+        assert runner.calls == [("n0", "bench-a")]
+        for run in sweep.runs:
+            assert run.timed_out and not run.ok
+            assert "sweep timeout" in run.error
+            # Only the hung cell ever started.
+            started = (run.node_id, run.benchmark) == ("n0", "bench-a")
+            assert run.attempts == (1 if started else 0)
+        assert pool._executor is None
+
+    def test_one_future_per_runnable_node(self, monkeypatch):
+        submitted = []
+        submit = ThreadPoolExecutor.submit
+
+        def counting_submit(executor, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return submit(executor, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+        pool = ValidationPool(fast_config(breaker_failure_threshold=1))
+        sweep = pool.run_benchmarks(SPECS, NODES, ScriptedRunner())
+        assert all(run.ok for run in sweep.runs)
+        assert len(submitted) == len(NODES)
+
+        # Both breakers open, so the next sweep half-opens them and
+        # probes the first node only: one runnable node, one future.
+        for spec in SPECS:
+            pool.breaker_for(spec.name).record(True)
+        submitted.clear()
+        sweep = pool.run_benchmarks(SPECS, NODES, ScriptedRunner())
+        assert len(sweep.short_circuited_runs) == len(SPECS) * (len(NODES) - 1)
+        assert len(submitted) == 1
+        pool.close()
 
 
 class TestCircuitBreaker:
