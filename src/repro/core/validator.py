@@ -115,11 +115,7 @@ class ValidationReport:
     @property
     def defective_nodes(self) -> list[str]:
         """Node ids with at least one violation, in first-seen order."""
-        seen: list[str] = []
-        for violation in self.violations:
-            if violation.node_id not in seen:
-                seen.append(violation.node_id)
-        return seen
+        return list(dict.fromkeys(v.node_id for v in self.violations))
 
     @property
     def healthy_nodes(self) -> list[str]:
@@ -379,20 +375,28 @@ class Validator:
         return self.check_results(spec, [result])
 
     def check_results(self, spec: BenchmarkSpec, results) -> list[Violation]:
-        """Compare many nodes' results to the criteria in one pass.
+        """Compare many nodes' results for one benchmark to the
+        criteria: a :meth:`check_sweep` of that one spec."""
+        return self.check_sweep([(spec, results)])
 
-        Every scoreable (result, metric) window is validated once and
-        paired with its own SKU namespace's cached criteria reference;
-        the pairs are then grouped by (window length, reference
-        length, polarity) and each group is scored by one call of the
-        row-wise kernel (Eq. 4, a different reference per row) -- so a
-        call costs as many kernel invocations as the spec has window
-        shapes, however many nodes, metrics and SKUs it covers.
-        Violations come back in the same node-major, metric order a
-        :meth:`check_result` loop would produce.  Scoring a group
-        against criteria stored under the wrong namespace raises
-        :class:`~repro.exceptions.SkuMismatchError` -- a wrong verdict
-        is never an acceptable fallback.
+    def check_sweep(self, sweep) -> list[Violation]:
+        """Score a whole phase -- ``[(spec, results), ...]`` -- in one pass.
+
+        Every scoreable (spec, result, metric) window is validated once
+        and paired with its own SKU namespace's cached criteria
+        reference; the pairs of *all* the phase's specs are then
+        grouped by (window length, reference length, polarity) and
+        each group is scored by one call of the row-wise kernel (Eq. 4,
+        a different reference per row) -- so a call costs as many
+        kernel invocations as the phase has window shapes, however
+        many specs, nodes, metrics and SKUs it covers.  Violations come
+        back in (benchmark, node, metric) order: the order a loop of
+        :meth:`check_result` over the specs, then the results, would
+        produce.  Scoring a group against criteria stored under the
+        wrong namespace raises :class:`~repro.exceptions.SkuMismatchError`
+        and a namespace with no criteria raises
+        :class:`~repro.exceptions.CriteriaError` -- a wrong verdict is
+        never an acceptable fallback.
 
         Metrics quarantined by the sanitization layer yield *no*
         verdict: quarantined telemetry indicts the measurement
@@ -400,54 +404,56 @@ class Validator:
         coin-flip eviction.
         """
         started = time.perf_counter()
-        results = list(results)
+        sweep = [(spec, list(results)) for spec, results in sweep]
         backend = get_backend(NONFINITE_REJECT)
-        groups: dict[str, list[int]] = {}
-        for index, result in enumerate(results):
-            sku = getattr(result, "sku", "unknown")
-            groups.setdefault(sku, []).append(index)
-        # Both keyed (result index, metric name).
-        similarities: dict[tuple[int, str], float] = {}
-        failures: dict[tuple[int, str], str] = {}
+        # Both keyed (spec position, result index, metric name).
+        similarities: dict[tuple[int, int, str], float] = {}
+        failures: dict[tuple[int, int, str], str] = {}
         # (window length, reference length, polarity) -> the rows of
         # that shape: (cell, validated window, sorted reference).
         shapes: dict[tuple[int, int, int], list[tuple]] = {}
-        for metric in spec.metrics:
-            for sku in sorted(groups):
-                key = (sku, spec.name, metric.name)
-                if key not in self.criteria:
-                    raise CriteriaError(
-                        f"no criteria learned for "
-                        f"{sku}/{spec.name}/{metric.name}"
-                    )
-                criteria = self.criteria[key]
-                if criteria.sku != sku:
-                    # The namespace key and the stored provenance
-                    # disagree (a mis-filed criteria object); scoring
-                    # would silently judge one class by another's
-                    # normal.
-                    raise SkuMismatchError(
-                        f"criteria stored under SKU namespace {sku!r} "
-                        f"carry provenance {criteria.sku!r} for "
-                        f"{spec.name}/{metric.name}")
-                reference = self._criteria_reference(key, criteria)
-                direction = +1 if criteria.higher_is_better else -1
-                for index in groups[sku]:
-                    result = results[index]
-                    if metric.name in getattr(result, "quarantined", ()):
-                        continue
-                    try:
-                        # Scoring stays strictly per-window: an empty or
-                        # non-finite online sample is an execution
-                        # failure (a defect by definition), never
-                        # maskable.
-                        sample = as_sample(result.sample(metric.name))
-                    except (InvalidSampleError, KeyError) as error:
-                        failures[(index, metric.name)] = str(error)
-                        continue
-                    shapes.setdefault(
-                        (sample.size, reference.size, direction), [],
-                    ).append(((index, metric.name), sample, reference))
+        for position, (spec, results) in enumerate(sweep):
+            groups: dict[str, list[int]] = {}
+            for index, result in enumerate(results):
+                groups.setdefault(getattr(result, "sku", "unknown"),
+                                  []).append(index)
+            for metric in spec.metrics:
+                for sku in sorted(groups):
+                    key = (sku, spec.name, metric.name)
+                    if key not in self.criteria:
+                        raise CriteriaError(
+                            f"no criteria learned for "
+                            f"{sku}/{spec.name}/{metric.name}"
+                        )
+                    criteria = self.criteria[key]
+                    if criteria.sku != sku:
+                        # The namespace key and the stored provenance
+                        # disagree (a mis-filed criteria object);
+                        # scoring would silently judge one class by
+                        # another's normal.
+                        raise SkuMismatchError(
+                            f"criteria stored under SKU namespace {sku!r} "
+                            f"carry provenance {criteria.sku!r} for "
+                            f"{spec.name}/{metric.name}")
+                    reference = self._criteria_reference(key, criteria)
+                    direction = +1 if criteria.higher_is_better else -1
+                    for index in groups[sku]:
+                        result = results[index]
+                        if metric.name in getattr(result, "quarantined", ()):
+                            continue
+                        cell = (position, index, metric.name)
+                        try:
+                            # Scoring stays strictly per-window: an empty
+                            # or non-finite online sample is an execution
+                            # failure (a defect by definition), never
+                            # maskable.
+                            sample = as_sample(result.sample(metric.name))
+                        except (InvalidSampleError, KeyError) as error:
+                            failures[cell] = str(error)
+                            continue
+                        shapes.setdefault(
+                            (sample.size, reference.size, direction), [],
+                        ).append((cell, sample, reference))
         for (width, reference_width, direction), rows in shapes.items():
             # One kernel call per shape, in row blocks only when a
             # fleet-sized batch meets a fleet-pooled reference.
@@ -460,25 +466,29 @@ class Validator:
                 similarities.update(zip(cells, sims.tolist()))
 
         violations = []
-        for index, result in enumerate(results):
-            sku = getattr(result, "sku", "unknown")
-            for metric in spec.metrics:
-                cell = (index, metric.name)
-                if cell in failures:
-                    violations.append(Violation(
-                        node_id=result.node_id, benchmark=spec.name,
-                        metric=metric.name, similarity=0.0,
-                        reason=f"execution-failure: {failures[cell]}",
-                        sku=sku,
-                    ))
-                elif cell in similarities and similarities[cell] <= self.alpha:
-                    violations.append(Violation(
-                        node_id=result.node_id, benchmark=spec.name,
-                        metric=metric.name, similarity=similarities[cell],
-                        sku=sku,
-                    ))
-        self.stats.record("score", count=len(results) * len(spec.metrics),
-                          seconds=time.perf_counter() - started)
+        for position, (spec, results) in enumerate(sweep):
+            for index, result in enumerate(results):
+                sku = getattr(result, "sku", "unknown")
+                for metric in spec.metrics:
+                    cell = (position, index, metric.name)
+                    if cell in failures:
+                        violations.append(Violation(
+                            node_id=result.node_id, benchmark=spec.name,
+                            metric=metric.name, similarity=0.0,
+                            reason=f"execution-failure: {failures[cell]}",
+                            sku=sku,
+                        ))
+                    elif (cell in similarities
+                          and similarities[cell] <= self.alpha):
+                        violations.append(Violation(
+                            node_id=result.node_id, benchmark=spec.name,
+                            metric=metric.name, similarity=similarities[cell],
+                            sku=sku,
+                        ))
+        self.stats.record(
+            "score", count=sum(len(results) * len(spec.metrics)
+                               for spec, results in sweep),
+            seconds=time.perf_counter() - started)
         return violations
 
     def validate(self, nodes, benchmarks=None) -> ValidationReport:
@@ -487,7 +497,8 @@ class Validator:
         Benchmarks execute phase by phase (single-node micro, then
         single-node end-to-end, then multi-node) and nodes flagged in
         an earlier phase are excluded from later phases, matching the
-        paper's §4 execution order.
+        paper's §4 execution order.  Each phase is scored by one
+        :meth:`check_sweep` call once all of its benchmarks have run.
         """
         selected = self.resolve(benchmarks)
         report = ValidationReport(
@@ -496,9 +507,9 @@ class Validator:
         )
         remaining = list(nodes)
         for phase_specs in self.execution_phases(selected):
-            for spec in phase_specs:
-                results = [self.runner.run(spec, node) for node in remaining]
-                report.violations.extend(self.check_results(spec, results))
+            report.violations.extend(self.check_sweep(
+                [(spec, [self.runner.run(spec, node) for node in remaining])
+                 for spec in phase_specs]))
             flagged = set(report.defective_nodes)
             remaining = [node for node in remaining if node.node_id not in flagged]
         return report

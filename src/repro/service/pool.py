@@ -260,11 +260,7 @@ class SweepResult:
 
     @property
     def failed_node_ids(self) -> list[str]:
-        seen: list[str] = []
-        for run in self.failed_runs:
-            if run.node_id not in seen:
-                seen.append(run.node_id)
-        return seen
+        return list(dict.fromkeys(run.node_id for run in self.failed_runs))
 
 
 @dataclass
@@ -532,15 +528,16 @@ class ValidationPool:
         Phase semantics are preserved exactly: single-node micro, then
         single-node end-to-end, then multi-node, with nodes flagged in
         an earlier phase excluded from later phases.  Scoring is per
-        spec, as in the sequential engine: every remaining node's
-        result of a sweep goes to one
-        :meth:`~repro.core.validator.Validator.check_results` call.
-        Violations are appended in the sequential engine's (benchmark,
-        node, metric) order, so a fully-healthy parallel report is
-        identical to a sequential one.  Cells that exhausted retries
-        or timed out become ``execution-failure`` violations (defects
-        by definition) carrying the node's SKU, like every other
-        verdict.
+        phase, as in the sequential engine: every successful result of
+        a sweep, for every spec that executed, goes to one
+        :meth:`~repro.core.validator.Validator.check_sweep` call, and a
+        phase that executed nothing is not scored.  Violations are
+        appended in the sequential engine's (benchmark, node, metric)
+        order, so a fully-healthy parallel report is identical to a
+        sequential one.  Cells that exhausted retries or timed out
+        become ``execution-failure`` violations (defects by definition)
+        carrying the node's SKU, like every other verdict, in their
+        node's place among the scored ones.
 
         Cells short-circuited by an open breaker produce *no*
         violation -- an open breaker means the benchmark itself is
@@ -563,6 +560,8 @@ class ValidationPool:
                 break
             sweep = self.run_benchmarks(phase_specs, remaining, validator.runner)
             sweeps.append(sweep)
+            # (spec, [(node, run)]) for every spec that ran on a node.
+            phase: list[tuple] = []
             for spec in phase_specs:
                 cells = [(node, sweep.run_for(node.node_id, spec.name))
                          for node in remaining]
@@ -570,16 +569,21 @@ class ValidationPool:
                             if not run.short_circuited]
                 if len(executed) < len(cells):
                     short_circuited_benchmarks.add(spec.name)
-                if not executed:
-                    continue
-                executed_benchmarks.add(spec.name)
-                scored: dict[str, list[Violation]] = {}
-                for violation in validator.check_results(
-                        spec, [run.result for _, run in executed if run.ok]):
-                    scored.setdefault(violation.node_id, []).append(violation)
+                if executed:
+                    executed_benchmarks.add(spec.name)
+                    phase.append((spec, executed))
+            scored: dict[tuple[str, str], list[Violation]] = {}
+            if phase:
+                for violation in validator.check_sweep(
+                        [(spec, [run.result for _, run in executed if run.ok])
+                         for spec, executed in phase]):
+                    scored.setdefault((violation.benchmark, violation.node_id),
+                                      []).append(violation)
+            for spec, executed in phase:
                 for node, run in executed:
                     if run.ok:
-                        report.violations.extend(scored.get(node.node_id, ()))
+                        report.violations.extend(
+                            scored.get((spec.name, node.node_id), ()))
                         continue
                     for metric in spec.metrics:
                         report.violations.append(Violation(

@@ -15,9 +15,11 @@ from repro.core.validator import Validator
 from repro.exceptions import ServiceError
 from repro.hardware.fleet import build_fleet
 from repro.service import (
+    BenchmarkRun,
     BreakerState,
     CircuitBreaker,
     PoolConfig,
+    SweepResult,
     ValidationPool,
 )
 
@@ -132,6 +134,11 @@ class TestRunBenchmarks:
         assert not run.ok and run.attempts == 2
         assert "transient fault" in run.error
         assert sweep.failed_node_ids == ["n0"]
+        # First-seen order over many failed cells.
+        many = SweepResult(runs=[
+            BenchmarkRun(node_id=f"n{(7 * i) % 64}", benchmark=f"b{i}",
+                         error="crashed") for i in range(4096)])
+        assert many.failed_node_ids == [f"n{(7 * i) % 64}" for i in range(64)]
 
     def test_crash_isolation(self):
         runner = ScriptedRunner(fail_times={("n1", "bench-b"): 99})
@@ -555,17 +562,17 @@ class TestSequentialEquivalence:
         assert sweeps and all(not s.failed_runs for s in sweeps)
 
 
-class TestScoringPerSpec:
-    def test_validate_scores_each_executed_spec_once_per_sweep(self):
-        """Scoring is by the spec, not by the cell: every remaining
-        node's result of a sweep reaches check_results in one call, a
-        failed cell's violations land in node order between them, and
-        short-circuited cells are not scored at all."""
+class TestScoringPerPhase:
+    def test_validate_scores_each_sweep_in_one_call(self):
+        """Scoring is by the phase, not by the spec or the cell: every
+        executed spec's results of a sweep reach check_sweep in one
+        call, a failed cell's violations land in node order between
+        them, short-circuited cells are not scored at all, and a phase
+        that ran nothing makes no call."""
         fleet = build_fleet(6, seed=3)
         suite = full_suite()
-        micro, second, e2e = (
-            suite[0], suite[1],
-            next(spec for spec in suite if spec.kind.value == "e2e"))
+        micro, probed, skipped = suite[0], suite[1], suite[2]
+        e2e = next(spec for spec in suite if spec.kind.value == "e2e")
         crashing = fleet.nodes[2].node_id
 
         class CrashingRunner(SuiteRunner):
@@ -574,40 +581,61 @@ class TestScoringPerSpec:
                     raise RuntimeError("crashed")
                 return super().run(spec, node)
 
+        # ``skipped`` learns nothing: scoring it would raise.
         validator = Validator(suite, runner=CrashingRunner(seed=7))
         validator.learn_criteria(
             [node for node in fleet.nodes if node.node_id != crashing],
-            benchmarks=[micro, second, e2e])
+            benchmarks=[micro, probed, e2e])
         validator.alpha = 2.0   # every scored window becomes a violation
         calls = []
-        score = validator.check_results
+        score = validator.check_sweep
 
-        def counting(spec, results):
-            calls.append((spec.name, [r.node_id for r in results]))
-            return score(spec, results)
+        def counting(sweep):
+            sweep = [(spec, list(results)) for spec, results in sweep]
+            calls.append([(spec.name, [r.node_id for r in results])
+                          for spec, results in sweep])
+            return score(sweep)
 
-        validator.check_results = counting
+        validator.check_sweep = counting
         pool = ValidationPool(PoolConfig(
             max_workers=4, benchmark_timeout_seconds=None, max_attempts=1,
-            breaker_failure_threshold=1))
-        pool.breaker_for(second.name).record(True)    # open: probes next
+            breaker_failure_threshold=1, breaker_cooldown_sweeps=2))
+        # Open breakers: ``probed`` has sat out one sweep and half-opens
+        # on the next; ``skipped`` and ``e2e`` sit the next one out.
+        for spec in (probed, skipped, e2e):
+            pool.breaker_for(spec.name).record(True)
+        assert pool.breaker_for(probed.name).before_sweep() == "skip"
+        before = validator.stats.snapshot().get("score", {})
         nodes = fleet.nodes[:4]
         report, sweeps = pool.validate(validator, nodes,
-                                       [micro, second, e2e])
+                                       [micro, probed, skipped, e2e])
 
         ids = [node.node_id for node in nodes]
-        # One micro sweep: the three nodes that ran ``micro`` are scored
-        # together, the half-open ``second`` is scored on its one probe
-        # node, and with everyone flagged (alpha = 2) the e2e phase
-        # never starts.
-        assert calls == [(micro.name, [i for i in ids if i != crashing]),
-                         (second.name, ids[:1])]
+        # One micro sweep, one call: the three nodes that ran ``micro``
+        # and the half-open ``probed``'s one probe node, and nothing of
+        # the short-circuited ``skipped``.  With everyone flagged
+        # (alpha = 2) the e2e phase never starts.
+        assert calls == [[(micro.name, [i for i in ids if i != crashing]),
+                          (probed.name, ids[:1])]]
         assert len(sweeps) == 1
         assert [(v.benchmark, v.node_id) for v in report.violations] == (
             [(micro.name, i) for i in ids for _ in micro.metrics]
-            + [(second.name, ids[0]) for _ in second.metrics])
+            + [(probed.name, ids[0]) for _ in probed.metrics])
         crashed = [v for v in report.violations if v.node_id == crashing]
-        assert all("execution-failure" in v.reason for v in crashed)
+        assert crashed and all("execution-failure" in v.reason
+                               for v in crashed)
+        assert skipped.name not in report.benchmarks_run
+        # The program's own score stage counts every scored cell once.
+        after = validator.stats.snapshot()["score"]
+        assert after["count"] - before.get("count", 0) == (
+            3 * len(micro.metrics) + 1 * len(probed.metrics))
+        assert after["seconds"] > before.get("seconds", 0.0)
+
+        # A phase whose every spec is short-circuited is not scored.
+        report, sweeps = pool.validate(validator, nodes, [e2e])
+        assert len(calls) == 1
+        assert len(sweeps) == 1 and not report.violations
+        assert report.benchmarks_run == []
 
 
 class HangingSuiteRunner(SuiteRunner):

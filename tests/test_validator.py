@@ -1,6 +1,7 @@
 """Unit tests for the Validator: criteria learning and defect filtering."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from repro.benchsuite.base import (
     Phase,
 )
 from repro.benchsuite.runner import SuiteRunner
+from repro.benchsuite.suite import full_suite
 from repro.core import distance, fastdist
 from repro.core import validator as validator_module
+from repro.core.backend import ScalarBackend
 from repro.core.ecdf import as_sample
 from repro.core.validator import ValidationReport, Validator, Violation
 from repro.exceptions import CriteriaError, SkuMismatchError
@@ -138,6 +141,11 @@ class TestValidationReport:
             Violation("b", "y", "m", 0.4),
         ]
         assert report.defective_nodes == ["b", "a"]
+        # 4 096 violations over 64 nodes, first seen in a stride order.
+        report.violations = [Violation(f"n{(7 * i) % 64}", "x", "m", 0.5)
+                             for i in range(4096)]
+        assert report.defective_nodes == [f"n{(7 * i) % 64}"
+                                          for i in range(64)]
 
     def test_healthy_nodes_complement(self):
         report = ValidationReport(validated_nodes=["a", "b", "c"])
@@ -298,3 +306,136 @@ class TestBatchedScoring:
                 (validated.append(1), _original(values, **kw))[1])
         validator.check_results(spec, results)
         assert len(validated) == len(results) * len(spec.metrics)
+
+
+class TestPhaseScoring:
+    """check_sweep scores a whole phase -- every spec's windows -- with
+    one kernel call per window shape, and returns exactly the verdicts
+    of a per-spec check_results loop, bit for bit."""
+
+    SKUS = ("A100", "H100", "MI250X")
+    PARTS = (slice(0, 1), slice(1, 3), slice(3, 6), slice(5, 12))
+
+    @pytest.fixture(scope="class")
+    def learned(self):
+        suite = full_suite()
+        # SKUs interleaved, so every part of three or more nodes spans
+        # all three namespaces.
+        nodes = [Node(node_id=f"{sku}-{i}", sku=sku)
+                 for i in range(4) for sku in self.SKUS]
+        validator = Validator(suite, runner=SuiteRunner(seed=13))
+        validator.learn_criteria(nodes)
+        validator.alpha = 2.0   # every scored window reports its similarity
+        return suite, nodes, validator
+
+    def phases(self, learned):
+        """Every phase of the suite on every part, the seven-node part's
+        micro phase holding a quarantined metric, an empty window and a
+        NaN window."""
+        suite, nodes, validator = learned
+        for part in self.PARTS:
+            part = nodes[part]
+            for number, specs in enumerate(validator.execution_phases(suite)):
+                phase = [(spec, [validator.runner.run(spec, node)
+                                 for node in part]) for spec in specs]
+                if len(part) == 7 and number == 0:
+                    dirty = TestBatchedScoring.with_window
+                    (_, kernel), (_, gemm), (_, burn) = (
+                        phase[0], phase[1], phase[4])
+                    kernel[1] = dirty(kernel[1], kernel[1].windows[0].metric,
+                                      quarantined=True)
+                    gemm[3] = dirty(gemm[3], gemm[3].windows[0].metric,
+                                    values=np.array([]))
+                    burn[5] = dirty(burn[5], burn[5].windows[0].metric,
+                                    values=np.full(60, np.nan))
+                yield phase
+
+    def test_equals_a_per_spec_loop_and_the_scalar_oracle(self, learned):
+        _suite, _nodes, validator = learned
+        oracle = ScalarBackend()
+        dirty_seen = set()
+        for phase in self.phases(learned):
+            swept = validator.check_sweep(phase)
+            looped = [violation for spec, results in phase
+                      for violation in validator.check_results(spec, results)]
+            assert violation_rows(swept) == violation_rows(looped)
+            assert ([v.similarity.hex() for v in swept]
+                    == [v.similarity.hex() for v in looped])
+
+            by_cell = {(v.benchmark, v.node_id, v.metric): v for v in swept}
+            cells = []
+            for spec, results in phase:
+                for result in results:
+                    for metric in spec.metrics:
+                        cell = (spec.name, result.node_id, metric.name)
+                        verdict = by_cell.get(cell)
+                        window = result.window(metric.name)
+                        if window.quarantined:
+                            assert verdict is None
+                            dirty_seen.add("quarantined")
+                            continue
+                        cells.append(cell)
+                        if (not window.n
+                                or not np.isfinite(window.values).all()):
+                            assert verdict.reason.startswith(
+                                "execution-failure")
+                            assert verdict.similarity == 0.0
+                            dirty_seen.add("empty" if not window.n
+                                           else "non-finite")
+                            continue
+                        criteria = validator.criteria[
+                            (result.sku, spec.name, metric.name)]
+                        expected = oracle.one_sided_similarity(
+                            window.values, criteria.criteria,
+                            higher_is_better=metric.higher_is_better)
+                        assert verdict.reason == "below-threshold"
+                        assert verdict.sku == result.sku
+                        assert abs(verdict.similarity - expected) <= 1e-12
+            # Every unquarantined window is reported, in (benchmark,
+            # node, metric) order.
+            assert [(v.benchmark, v.node_id, v.metric)
+                    for v in swept] == cells
+        assert dirty_seen == {"quarantined", "empty", "non-finite"}
+
+    def test_one_kernel_call_per_window_shape_across_specs(self, learned,
+                                                           monkeypatch):
+        suite, nodes, validator = learned
+        calls = []
+        original = fastdist.batch_gap_integrals
+        monkeypatch.setattr(
+            fastdist, "batch_gap_integrals", lambda *args, **kw:
+            (calls.append(1), original(*args, **kw))[1])
+        phase = [(spec, [validator.runner.run(spec, node)
+                         for node in nodes[:3]])
+                 for spec in validator.execution_phases(suite)[0]]
+        validator.check_sweep(phase)
+
+        def shapes(spec, results):
+            return {(result.window(metric.name).n,
+                     validator.criteria[(result.sku, spec.name,
+                                         metric.name)].criteria.size,
+                     metric.higher_is_better)
+                    for result in results for metric in spec.metrics}
+
+        per_spec = sum(len(shapes(spec, results)) for spec, results in phase)
+        across = set().union(*(shapes(spec, results)
+                               for spec, results in phase))
+        assert len(calls) == len(across) < per_spec
+
+    def test_missing_namespace_and_misfiled_criteria_raise(self, learned):
+        suite, nodes, validator = learned
+        specs = validator.execution_phases(suite)[0]
+        phase = [(spec, [validator.runner.run(spec, node)
+                         for node in nodes[:3]]) for spec in specs]
+        key = ("H100", specs[-1].name, specs[-1].metrics[0].name)
+        criteria = validator.criteria
+        try:
+            validator.criteria = dict(criteria)
+            validator.criteria[key] = criteria[("A100",) + key[1:]]
+            with pytest.raises(SkuMismatchError):
+                validator.check_sweep(phase)
+            del validator.criteria[key]
+            with pytest.raises(CriteriaError, match=re.escape("/".join(key))):
+                validator.check_sweep(phase)
+        finally:
+            validator.criteria = criteria
