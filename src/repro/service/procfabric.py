@@ -42,6 +42,12 @@ cannot see) raises :class:`WorkerUnresponsive` -- on that idle probe,
 or on the next command sent to it.  A pipe can lose an ACK, so every
 delivery carries an ``origin`` the worker dedupes on.
 
+**Start-up.**  :class:`ProcessFabric` starts every worker (process
+plus :class:`WorkerSpec` frame) before it awaits any ready frame, so
+the boots -- imports, builder, journal recovery -- overlap instead of
+queueing, and each worker's spawn deadline counts from its own start.
+A restart boots one worker the same way in one call.
+
 **Single-writer discipline.**  The parent touches a shard's journal
 *only* after :meth:`_WorkerHandle.ensure_dead` has SIGKILLed and
 reaped whatever remained of its process, through one
@@ -81,6 +87,7 @@ from repro.service.chaos import ProcessChaosPlan
 from repro.service.controlplane import ServiceConfig, ValidationService
 from repro.service.queue import QueueState, as_origin, replay_queue_state
 from repro.service.shard import (
+    ShardState,
     ShardStatus,
     ShardTransport,
     TransportFault,
@@ -557,6 +564,10 @@ class _WorkerHandle(ShardTransport):
         self.spawn_deadline = spawn_deadline
         self.drain_timeout = drain_timeout
         self.proc: subprocess.Popen | None = None
+        #: Between :meth:`start` and the ready frame: the process's next
+        #: frame is that ready frame, never the reply to a request.
+        self._booting = False
+        self._started_at = 0.0
         #: Processes started for this shard so far, minus one; unlike
         #: ``restarts`` it is never forgiven.
         self.incarnation = 0
@@ -610,21 +621,26 @@ class _WorkerHandle(ShardTransport):
                     f"writing: {error}") from error
             data = data[written:]
 
-    def _recv(self, deadline_seconds: float) -> dict:
+    def _recv(self, deadline_seconds: float, *,
+              since: float | None = None) -> dict:
+        """Read one frame within ``deadline_seconds`` of ``since`` (a
+        ``time.monotonic()`` reading; default now).  What is already in
+        the pipe is read even once the deadline has passed: a worker
+        that answered in time is not failed for being read late."""
         fd = self.proc.stdout.fileno()
-        end = time.monotonic() + deadline_seconds
+        end = (time.monotonic() if since is None else since) + deadline_seconds
         while True:
             frame = self._try_decode()
             if frame is not None:
                 return frame
             remaining = end - time.monotonic()
-            if remaining <= 0:
-                raise WorkerUnresponsive(
-                    f"worker {self.shard_index} missed its "
-                    f"{deadline_seconds:.1f}s deadline")
             ready, _, _ = select.select([fd], [], [],
-                                        min(remaining, 0.25))
+                                        min(max(remaining, 0.0), 0.25))
             if not ready:
+                if remaining <= 0:
+                    raise WorkerUnresponsive(
+                        f"worker {self.shard_index} missed its "
+                        f"{deadline_seconds:.1f}s deadline")
                 continue
             chunk = os.read(fd, 1 << 16)
             if not chunk:
@@ -647,7 +663,13 @@ class _WorkerHandle(ShardTransport):
 
     # -- process lifecycle ---------------------------------------------
     def spawn(self) -> None:
-        """Start the process, ship the spec, await the ready frame."""
+        """Start the process and await its ready frame."""
+        self.start()
+        self.await_ready()
+
+    def start(self) -> None:
+        """Start the process and ship it the spec; its spawn deadline
+        runs from here."""
         env = os.environ.copy()
         import repro
         src_root = str(Path(repro.__file__).resolve().parents[1])
@@ -665,13 +687,20 @@ class _WorkerHandle(ShardTransport):
              "sys.exit(worker_main())"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             stderr=None, bufsize=0, env=env)
+        self._started_at = time.monotonic()
+        self._booting = True
         os.set_blocking(self.proc.stdin.fileno(), False)
         spec = dataclasses.replace(self.spec, incarnation=self.incarnation)
         self._send(spec.to_payload(), self.spawn_deadline)
-        ready = self._recv(self.spawn_deadline)
+
+    def await_ready(self) -> None:
+        """Read the ready frame of the worker :meth:`start` launched,
+        by the end of its spawn deadline."""
+        ready = self._recv(self.spawn_deadline, since=self._started_at)
         if not ready.get("ok") or not ready.get("ready"):
             raise WorkerFault(
                 f"worker {self.shard_index} failed to start: {ready}")
+        self._booting = False
         self.sku_index.update(ready.get("skus", {}))
 
     def ensure_dead(self, *, reap_seconds: float = 10.0) -> None:
@@ -796,16 +825,21 @@ class _WorkerHandle(ShardTransport):
         """Ask for a ``seal`` over RPC (journal the ``fabric-drain``
         record, fsync, exit 0); if the worker cannot be spoken to,
         fall back to ``SIGTERM`` (its signal handler runs the same
-        seal).  True when the worker exited within its drain window;
-        the caller escalates to ``SIGKILL`` via :meth:`ensure_dead`."""
+        seal).  A worker still booting is signalled without an RPC: its
+        next frame is the ready frame, which would be read as the reply.
+        True when the worker exited within its drain window; the caller
+        escalates to ``SIGKILL`` via :meth:`ensure_dead`."""
         if not self.alive():
             return False
         clean = False
-        try:
-            reply = self.request({"cmd": "seal", "reason": reason},
-                                 self.drain_timeout)
-            clean = bool(reply.get("sealed"))
-        except WorkerFault:
+        if not self._booting:
+            try:
+                reply = self.request({"cmd": "seal", "reason": reason},
+                                     self.drain_timeout)
+                clean = bool(reply.get("sealed"))
+            except WorkerFault:
+                pass
+        if not clean:
             try:
                 self.proc.terminate()
             except OSError:
@@ -834,6 +868,15 @@ class ProcessFabric(Supervisor):
     """The fabric with one OS worker process per shard, supervised as
     a true parent.
 
+    Construction starts every worker, then awaits each one's ready
+    frame, so the workers boot side by side and the fabric is up about
+    one boot after it began, not one per shard.  A worker missing its
+    ready frame ``spawn_deadline_seconds`` after its own start has
+    failed to start.  Without ``chaos`` that fails construction: every
+    worker is put away (one still booting is signalled, not sent a
+    ``seal``) and the fault is raised.  With ``chaos`` it is a death
+    to contain, restarted like any other.
+
     Parameters
     ----------
     builder / builder_args:
@@ -852,9 +895,9 @@ class ProcessFabric(Supervisor):
     status_deadline_seconds / tick_deadline_seconds /
     spawn_deadline_seconds / drain_timeout_seconds:
         RPC deadlines: liveness probe, one tick (bounded by real
-        validation work), process start (imports + journal recovery),
-        and graceful drain before escalation to ``SIGKILL``.  All
-        must be positive.
+        validation work), process start (imports + journal recovery,
+        from that worker's start), and graceful drain before
+        escalation to ``SIGKILL``.  All must be positive.
     """
 
     def __init__(self, *, builder: str, builder_args: dict | None = None,
@@ -898,20 +941,30 @@ class ProcessFabric(Supervisor):
             for index in range(self.config.shard_count)
         ]
         self._sealed = False
-        for handle in self.workers:
-            try:
-                handle.spawn()
-            except WorkerFault as fault:
-                # A worker can die during its very first journal
-                # appends (a chaos kill at prefix 1 lands here).  With
-                # fault injection armed that is a death to contain,
-                # not a construction error; without it, fail fast --
-                # a spawn that dies with no fault injected is a bad
-                # builder, and a restart loop would only obscure it.
-                if self.chaos is None:
-                    self.shutdown(reason="startup-failure")
-                    raise
-                self._note_fault(handle, fault)
+        try:
+            # Every worker is started before any is awaited, so the
+            # boots overlap; each one's spawn deadline runs from its
+            # own start.
+            for step in (_WorkerHandle.start, _WorkerHandle.await_ready):
+                for handle in self.workers:
+                    if handle.state is not ShardState.RUNNING:
+                        continue    # its fault is already contained
+                    try:
+                        step(handle)
+                    except WorkerFault as fault:
+                        # A worker can die during its very first journal
+                        # appends (a chaos kill at prefix 1 lands here).
+                        # With fault injection armed that is a death to
+                        # contain, not a construction error; without
+                        # it, fail fast -- a spawn that dies with no
+                        # fault injected is a bad builder, and a restart
+                        # loop would only obscure it.
+                        if self.chaos is None:
+                            raise
+                        self._note_fault(handle, fault)
+        except BaseException:
+            self.shutdown(reason="startup-failure")
+            raise
         self.reconcile_handoffs()
 
     def shutdown(self, *, reason: str = "shutdown") -> dict[int, bool]:

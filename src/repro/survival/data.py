@@ -23,6 +23,7 @@ from repro.survival.base import SurvivalDataset
 __all__ = ["extract_status_samples", "STATUS_FEATURES"]
 
 _CATEGORIES = tuple(c.value for c in IncidentCategory)
+_CATEGORY_INDEX = {cat: index for index, cat in enumerate(_CATEGORIES)}
 
 #: Feature schema of the extracted covariates, in column order.
 STATUS_FEATURES: tuple[str, ...] = (
@@ -32,20 +33,6 @@ STATUS_FEATURES: tuple[str, ...] = (
     *(f"count_{cat}" for cat in _CATEGORIES),
     *(f"mtbi_{cat}" for cat in _CATEGORIES),
 )
-
-
-def _snapshot(observe_hour: float, up_time: float, last_end: float | None,
-              counts: dict[str, int]) -> list[float]:
-    """Covariate row for one observation instant."""
-    time_since_last = observe_hour - last_end if last_end is not None else observe_hour
-    total = sum(counts.values())
-    row = [up_time, time_since_last, float(total)]
-    for cat in _CATEGORIES:
-        row.append(float(counts.get(cat, 0)))
-    for cat in _CATEGORIES:
-        count = counts.get(cat, 0)
-        row.append(up_time / count if count else up_time)
-    return row
 
 
 def extract_status_samples(trace: IncidentTrace, *,
@@ -70,6 +57,23 @@ def extract_status_samples(trace: IncidentTrace, *,
         model fitting), ``"horizon"`` stores the full trace length --
         the paper's Table 3 convention, where "no incident within the
         trace" counts as the 2,400-hour cap for the accuracy metric.
+
+    Rows come node by node (in ``trace.node_ids`` order), each node's in
+    time order.  An instant strictly inside one of the node's incidents
+    is skipped (the node is down); so is a censored instant with
+    ``include_censored=False`` or no time left before the horizon.  A
+    row's ``up_time`` is the instant minus the summed durations of the
+    incidents resolved by then (floored at 0), its per-category MTBI
+    ``up_time / count`` (``up_time`` for a category never seen), and
+    ``time_since_last`` runs from the latest resolution (from 0 before
+    the first).  A trace that yields no row gives an empty dataset.
+
+    Each node is one pass of array work over its incidents, grouped
+    from ``trace.records`` once: a broadcast mask drops the instants
+    inside an incident and ``searchsorted`` finds the next incident.
+    Downtime is one ``np.sum`` per distinct resolved set, over that set
+    in record order, so the output is bit for bit that of a
+    per-snapshot loop.
     """
     if snapshot_interval_hours <= 0:
         raise ValueError("snapshot_interval_hours must be positive")
@@ -81,61 +85,72 @@ def extract_status_samples(trace: IncidentTrace, *,
         keys = {k for attrs in trace.node_attributes.values() for k in attrs}
         attribute_names = tuple(sorted(keys))
 
-    rows: list[list[float]] = []
-    durations: list[float] = []
-    events: list[float] = []
+    horizon = trace.horizon_hours
+    grid = np.arange(0.0, horizon, snapshot_interval_hours)
+    by_node: dict[str, list] = {}
+    for record in trace.records:
+        by_node.setdefault(record.node_id, []).append(record)
 
+    blocks: list[np.ndarray] = []
+    durations: list[np.ndarray] = []
+    events: list[np.ndarray] = []
     for node_id in trace.node_ids:
-        attrs = trace.node_attributes.get(node_id, {})
-        attribute_row = [float(attrs.get(name, 0.0)) for name in attribute_names]
-        incidents = trace.for_node(node_id)
+        incidents = by_node.get(node_id, [])
+        starts = np.array([r.start_hour for r in incidents], dtype=float)
+        ends = np.array([r.end_hour for r in incidents], dtype=float)
         # Observation instants: trace start, periodic grid, and each
         # incident resolution.
-        observation_hours = set(
-            np.arange(0.0, trace.horizon_hours, snapshot_interval_hours).tolist()
-        )
-        observation_hours.update(r.end_hour for r in incidents
-                                 if r.end_hour < trace.horizon_hours)
+        observe = np.union1d(grid, ends[ends < horizon])
 
-        starts = np.array([r.start_hour for r in incidents])
-        ends = np.array([r.end_hour for r in incidents])
-        categories = [r.category for r in incidents]
+        down = ((starts < observe[:, None])
+                & (ends > observe[:, None])).any(axis=1)
+        next_starts = np.append(np.sort(starts), np.inf)
+        upcoming = np.searchsorted(next_starts, observe)
+        observed = upcoming < starts.size
+        keep = ~down & (observed | (include_censored
+                                    & (horizon - observe > 0)))
+        observe, upcoming, observed = (observe[keep], upcoming[keep],
+                                       observed[keep])
 
-        for observe in sorted(observation_hours):
-            # Skip instants inside an ongoing incident: the node is down.
-            inside = (np.any((starts < observe) & (ends > observe))
-                      if incidents else False)
-            if inside:
-                continue
-            resolved = np.flatnonzero(ends <= observe)
-            counts: dict[str, int] = {}
-            for idx in resolved:
-                counts[categories[idx]] = counts.get(categories[idx], 0) + 1
-            downtime = float(np.sum(ends[resolved] - starts[resolved]))
-            up_time = max(observe - downtime, 0.0)
-            last_end = float(ends[resolved].max()) if resolved.size else None
+        # Incidents resolved by each instant: a prefix of the
+        # resolution order (ties enter together).
+        order = np.argsort(ends)
+        last_ends = np.append(0.0, ends[order])
+        resolved = np.searchsorted(last_ends[1:], observe, side="right")
+        lengths = ends - starts
+        downtime = np.zeros(starts.size + 1)
+        for count in np.unique(resolved[resolved > 0]):
+            downtime[count] = np.sum(lengths[ends <= last_ends[count]])
+        up_time = np.maximum(observe - downtime[resolved], 0.0)
 
-            upcoming = starts[starts >= observe]
-            if upcoming.size:
-                durations.append(float(upcoming.min() - observe))
-                events.append(1.0)
-            else:
-                if not include_censored:
-                    continue
-                censor_time = trace.horizon_hours - observe
-                if censor_time <= 0:
-                    continue
-                if censored_tbni == "horizon":
-                    durations.append(float(trace.horizon_hours))
-                else:
-                    durations.append(float(censor_time))
-                events.append(0.0)
-            rows.append(_snapshot(observe, up_time, last_end, counts)
-                        + attribute_row)
+        categories = np.array([_CATEGORY_INDEX.get(r.category, -1)
+                               for r in incidents], dtype=int)
+        hits = categories[order][:, None] == np.arange(len(_CATEGORIES))
+        counts = np.vstack([np.zeros(len(_CATEGORIES)),
+                            np.cumsum(hits, axis=0)])[resolved]
+        mtbi = np.divide(up_time[:, None], counts,
+                         out=np.repeat(up_time[:, None], len(_CATEGORIES),
+                                       axis=1),
+                         where=counts > 0)
+        attrs = trace.node_attributes.get(node_id, {})
+        attribute_row = [float(attrs.get(name, 0.0))
+                         for name in attribute_names]
+        blocks.append(np.column_stack([
+            up_time, observe - last_ends[resolved], resolved.astype(float),
+            counts, mtbi,
+            np.broadcast_to(attribute_row, (observe.size,
+                                            len(attribute_names)))]))
 
+        censored = (horizon if censored_tbni == "horizon"
+                    else horizon - observe)
+        durations.append(np.where(observed, next_starts[upcoming] - observe,
+                                  censored))
+        events.append(observed.astype(float))
+
+    width = len(STATUS_FEATURES) + len(attribute_names)
     return SurvivalDataset(
-        covariates=np.asarray(rows, dtype=float),
-        durations=np.asarray(durations, dtype=float),
-        events=np.asarray(events, dtype=float),
+        covariates=np.concatenate(blocks or [np.empty((0, width))]),
+        durations=np.concatenate(durations or [np.empty(0)]),
+        events=np.concatenate(events or [np.empty(0)]),
         feature_names=STATUS_FEATURES + attribute_names,
     )

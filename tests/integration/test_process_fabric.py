@@ -41,9 +41,16 @@ from repro.service import (
     SupervisorConfig,
 )
 from repro.service import store as store_module
+from repro.service.procfabric import (
+    ShardWorker,
+    WorkerFault,
+    _WorkerHandle,
+    default_builder,
+)
 from repro.service.shard import HashRing, ShardState
 from repro.service.store import JournalStore, RecordKind
 
+REPO = Path(__file__).resolve().parents[2]
 SUITE_NAMES = ["ib-loopback", "mem-bw"]
 FLEET_SIZE = 12
 FLEET_SEED = 5
@@ -203,6 +210,125 @@ class TestProcessFabricBasics:
                 assert entry["queue_depth"] == 0
         finally:
             fabric.shutdown()
+
+
+def own_shard_index() -> int:
+    """The shard of the worker a builder runs in (a builder is handed
+    only its args)."""
+    frame = sys._getframe()
+    while not isinstance(frame.f_locals.get("self"), ShardWorker):
+        frame = frame.f_back
+    return frame.f_locals["self"].spec.shard_index
+
+
+def staged_builder(args: dict):
+    """:func:`default_builder` behind a scripted start-up.
+
+    Each worker touches ``started-<shard>`` under ``args["markers"]``,
+    then does what ``args["stages"][shard]`` says: ``"build"`` at
+    once, ``"rendezvous"`` once every shard has started, ``"block"``
+    never, ``"raise"`` fail.  A waiting worker gives up after two
+    minutes, so none outlives a broken test for long."""
+    index = own_shard_index()
+    markers, stages = Path(args["markers"]), args["stages"]
+    (markers / f"started-{index}").touch()
+    stage = stages[index]
+    if stage == "raise":
+        raise RuntimeError(f"shard {index} cannot build")
+    give_up = time.monotonic() + 120.0
+    while stage != "build" and not (
+            stage == "rendezvous"
+            and all((markers / f"started-{other}").exists()
+                    for other in range(len(stages)))):
+        if time.monotonic() > give_up:
+            raise RuntimeError(f"shard {index} waited in vain")
+        time.sleep(0.02)
+    return default_builder(args["default"])
+
+
+class TestStartUp:
+    """Construction starts every worker before it awaits any, each
+    spawn deadline runs from its own worker's start, and a start-up
+    failure without fault injection leaves no process behind."""
+
+    @pytest.fixture
+    def staged_fabric(self, tmp_path, criteria_path, monkeypatch):
+        # Workers resolve the builder by module name.
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            [str(REPO), os.environ.get("PYTHONPATH", "")]))
+        markers = tmp_path / "markers"
+        markers.mkdir()
+
+        def make(stages, **kwargs):
+            return ProcessFabric(
+                builder="tests.integration.test_process_fabric:"
+                        "staged_builder",
+                builder_args={"markers": str(markers), "stages": stages,
+                              "default": builder_args(criteria_path)},
+                journal_root=tmp_path / "j",
+                config=SupervisorConfig(shard_count=len(stages)),
+                **kwargs)
+
+        return make
+
+    def test_workers_boot_side_by_side(self, staged_fabric):
+        # Every builder waits until every worker has started: awaiting
+        # shard 0 before starting shard 1 would never see it ready.
+        fabric = staged_fabric(["rendezvous"] * SHARDS,
+                               spawn_deadline_seconds=20.0)
+        try:
+            assert all(handle.alive() for handle in fabric.workers)
+            assert fabric.metrics.shard_crashes == 0
+        finally:
+            sealed = fabric.shutdown()
+        assert all(sealed.values())
+
+    def test_spawn_deadline_counts_from_each_workers_own_start(
+            self, staged_fabric):
+        # No worker ever gets ready.  A plan that injects nothing still
+        # makes start-up faults contained, so both are awaited, one
+        # after the other, on deadlines that ran side by side: one
+        # deadline in all, not one per shard.
+        deadline = 4.0
+        started = time.monotonic()
+        fabric = staged_fabric(["block"] * SHARDS,
+                               chaos=ProcessChaosPlan(seed=0),
+                               spawn_deadline_seconds=deadline)
+        elapsed = time.monotonic() - started
+        try:
+            assert fabric.metrics.rpc_timeouts == SHARDS
+            assert all(handle.state is ShardState.RESTARTING
+                       for handle in fabric.workers)
+            assert deadline <= elapsed < 1.5 * deadline
+        finally:
+            fabric.shutdown()
+
+    def test_start_up_failure_fails_fast_and_reaps_every_worker(
+            self, staged_fabric, tmp_path, monkeypatch):
+        # Shard 1 fails; shard 0 is ready by then and shard 2 is still
+        # booting.  A booting worker is signalled: a `seal` RPC would
+        # wait out the drain timeout for a reply it never sends.
+        handles = []
+        start = _WorkerHandle.start
+
+        def recording_start(handle):
+            handles.append(handle)
+            start(handle)
+
+        monkeypatch.setattr(_WorkerHandle, "start", recording_start)
+        drain = 30.0
+        started = time.monotonic()
+        with pytest.raises(WorkerFault):
+            staged_fabric(["build", "raise", "block"],
+                          drain_timeout_seconds=drain)
+        assert time.monotonic() - started < drain
+        assert [handle.shard_index for handle in handles] == [0, 1, 2]
+        for handle in handles:
+            assert handle.proc.returncode is not None
+            with pytest.raises(ProcessLookupError):
+                os.kill(handle.proc.pid, 0)
+        assert last_kind(tmp_path / "j" / "shard-00") == \
+            RecordKind.FABRIC_DRAIN
 
 
 class TestExternalSigkill:

@@ -423,19 +423,30 @@ class TestConfigValidation:
         assert fn is default_builder
 
 
+def run_probe(probe: str) -> subprocess.CompletedProcess:
+    """``probe`` in a fresh interpreter that imports from this tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]]
+                 if os.environ.get("PYTHONPATH") else []))}
+    return subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestWorkerImportCost:
     def test_worker_entrypoint_does_not_import_networkx(self):
         """Every worker spawn, set-up probe and CLI start imports this
         module; only topology code, when it builds a tree, may pay for
         networkx."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]]
-                     if os.environ.get("PYTHONPATH") else []))}
-        probe = ("import sys; import repro.service.procfabric; "
-                 "assert 'networkx' not in sys.modules, 'eager'; "
-                 "from repro.topology import FatTree; FatTree(); "
-                 "assert 'networkx' in sys.modules, 'never'")
-        done = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = run_probe("import sys; import repro.service.procfabric; "
+                         "assert 'networkx' not in sys.modules, 'eager'; "
+                         "from repro.topology import FatTree; FatTree(); "
+                         "assert 'networkx' in sys.modules, 'never'")
+        assert done.returncode == 0, done.stderr
+
+    def test_worker_entrypoint_does_not_import_scipy(self):
+        """Nor does the worker entrypoint import scipy: a worker's boot
+        is its builder and journal recovery, not library imports."""
+        done = run_probe("import sys; import repro.service.procfabric; "
+                         "assert 'scipy' not in sys.modules, 'eager'")
         assert done.returncode == 0, done.stderr
