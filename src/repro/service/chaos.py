@@ -47,6 +47,7 @@ kind, so tests can assert the storm really happened.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 import zlib
@@ -369,6 +370,14 @@ _CORRUPTIBLE_KINDS = ("shard-heartbeat", "pipeline-stats",
                       "event-completed")
 
 
+def _line_kind(line: str) -> str | None:
+    """The ``kind`` of one journal line, whatever its formatting."""
+    try:
+        return json.loads(line).get("kind")
+    except (ValueError, AttributeError):
+        return None
+
+
 @dataclass(frozen=True)
 class ShardChaosPlan:
     """Shard-fabric faults, seeded and keyed like :class:`ChaosPlan`.
@@ -389,8 +398,8 @@ class ShardChaosPlan:
     * ``journal_corrupt_rate`` -- one already-written line of the
       shard's journal is corrupted in place (restricted to
       observability/replay-redundant kinds, see
-      ``_CORRUPTIBLE_KINDS``), exercising the CRC skip-and-warn path
-      on the next recovery.
+      ``_CORRUPTIBLE_KINDS``) by truncating it, exercising the
+      corrupt-line skip-and-warn path on the next recovery.
 
     ``target_shards`` limits every fault to the given shard indexes --
     the blast-radius soak targets one shard and asserts the others
@@ -569,11 +578,8 @@ class ShardChaosMonkey:
         if path is None or not path.exists():
             return False
         lines = path.read_text().splitlines()
-        candidates = [
-            index for index, line in enumerate(lines)
-            if any(f'"kind": "{kind}"' in line
-                   for kind in _CORRUPTIBLE_KINDS)
-        ]
+        candidates = [index for index, line in enumerate(lines)
+                      if _line_kind(line) in _CORRUPTIBLE_KINDS]
         if not candidates:
             return False
         victim = candidates[self.plan.pick(

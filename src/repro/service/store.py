@@ -17,7 +17,13 @@ Three hardening layers keep the journal trustworthy and bounded:
   its canonical JSON body, so a line that is *decodable but corrupted*
   (bit rot, partial overwrite that still parses) is detected and
   skipped instead of silently replayed.  Records written before
-  checksumming existed (no ``crc`` field) still replay.
+  checksumming existed (no ``crc`` field) still replay.  A record's
+  payload is encoded once, canonically (sorted keys, no whitespace),
+  as ``P``: the line is ``{"seq":S,"kind":K,"payload":P,"crc":C}`` and
+  ``C`` is the CRC32 of ``[S,K,P]`` -- the same body, and so the same
+  value, :func:`record_crc` derives from a parsed record.  A line of
+  exactly that shape is verified against its own ``P`` bytes; any
+  other line (older journals, hand-written ones) by re-encoding.
 * **Optional fsync-on-append** -- by default appends are flushed to
   the OS (at most the final record is lost to a *process* crash);
   with ``fsync=True`` each record is forced to stable storage before
@@ -141,15 +147,43 @@ def event_from_payload(payload: dict, fleet_index: dict) -> ValidationEvent:
     return ValidationEvent.from_payload(payload, fleet_index)
 
 
+#: The canonical JSON form: sorted keys, no whitespace.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def record_crc(seq: int, kind: str, payload: dict) -> int:
     """Checksum over one record's canonical JSON body.
 
     Canonical form (sorted keys, no whitespace) makes the checksum
     independent of how the surrounding line happened to be formatted.
     """
-    body = json.dumps([seq, kind, payload], sort_keys=True,
-                      separators=(",", ":"))
-    return zlib.crc32(body.encode())
+    return zlib.crc32(_CANONICAL.encode([seq, kind, payload]).encode())
+
+
+def _line_parts(seq: int, kind_json: str, crc: int) -> tuple[str, str]:
+    """The head and tail a canonical line wraps around its payload."""
+    return f'{{"seq":{seq},"kind":{kind_json},"payload":', f',"crc":{crc}}}'
+
+
+def _encode_record(seq: int, kind: str, payload: dict) -> str:
+    """One record's journal line, its payload encoded once for both
+    the line and the checksum."""
+    kind_json, body = _CANONICAL.encode(kind), _CANONICAL.encode(payload)
+    crc = zlib.crc32(f"[{seq},{kind_json},{body}]".encode())
+    head, tail = _line_parts(seq, kind_json, crc)
+    return head + body + tail
+
+
+def _crc_matches(line: str, record: "JournalRecord", crc: int) -> bool:
+    """Whether ``crc`` checks out: against the line's own payload bytes
+    when it has the canonical shape, else by re-encoding the payload."""
+    kind_json = _CANONICAL.encode(record.kind)
+    head, tail = _line_parts(record.seq, kind_json, crc)
+    if line.startswith(head) and line.endswith(tail):
+        body = line[len(head):len(line) - len(tail)]
+        if zlib.crc32(f"[{record.seq},{kind_json},{body}]".encode()) == crc:
+            return True
+    return crc == record_crc(record.seq, record.kind, record.payload)
 
 
 @dataclass(frozen=True)
@@ -193,8 +227,7 @@ def decode_journal_line(line: str, *, lineno: int = 0,
         return None, "corrupt-line"
     # Records from before checksumming carry no "crc"; accept them
     # rather than invalidating every pre-existing journal.
-    if "crc" in raw and int(raw["crc"]) != record_crc(
-            record.seq, record.kind, record.payload):
+    if "crc" in raw and not _crc_matches(line, record, int(raw["crc"])):
         logger.warning(
             "skipping checksum-mismatched journal line %d of %s "
             "(seq %d, kind %r)", lineno, path, record.seq, record.kind)
@@ -275,8 +308,7 @@ class JournalStore:
         """
         kind = getattr(kind, "value", kind)
         seq = self._last_seq() + 1
-        line = json.dumps({"seq": seq, "kind": kind, "payload": payload,
-                           "crc": record_crc(seq, kind, payload)})
+        line = _encode_record(seq, kind, payload)
         effective_fsync = self.fsync if fsync is None else bool(fsync)
         try:
             handle = self._append_handle()
@@ -350,10 +382,7 @@ class JournalStore:
                 for kind, payload in records:
                     kind = getattr(kind, "value", kind)
                     count += 1
-                    line = json.dumps({
-                        "seq": count, "kind": kind, "payload": payload,
-                        "crc": record_crc(count, kind, payload)})
-                    handle.write(line + "\n")
+                    handle.write(_encode_record(count, kind, payload) + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
             self.close()    # the held handle names the file replaced

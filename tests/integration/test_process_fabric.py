@@ -801,10 +801,19 @@ def journal_has_enqueue(path: Path) -> bool:
     if not path.exists():
         return False
     try:
-        text = path.read_text()
+        lines = path.read_text().splitlines()
     except OSError:
         return False
-    return '"kind": "event-enqueued"' in text
+    return any(line_kind(line) == "event-enqueued" for line in lines)
+
+
+def line_kind(line: str) -> str | None:
+    """The decoded ``kind`` of one line of a journal being written (a
+    torn last line has none)."""
+    try:
+        return json.loads(line).get("kind")
+    except (ValueError, AttributeError):
+        return None
 
 
 def last_kind(directory: Path) -> str | None:

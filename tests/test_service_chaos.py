@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.analytics.reader import JournalReader
 from repro.core.selector import NodeStatus
 from repro.core.system import EventKind, ValidationEvent
 from repro.exceptions import ChaosError, JournalError, ServiceError
@@ -19,7 +20,13 @@ from repro.service import (
     SimulatedKill,
     install_chaos,
 )
-from repro.service.chaos import ChaosJournalStore, ChaosMonkey, poison_key
+from repro.service.chaos import (
+    ChaosJournalStore,
+    ChaosMonkey,
+    ShardChaosMonkey,
+    ShardChaosPlan,
+    poison_key,
+)
 
 
 @dataclass(frozen=True)
@@ -186,6 +193,31 @@ class TestChaosJournalStore:
                                   make_monkey(ChaosPlan(seed=0)))
         assert [r.kind for r in store.replay()] == ["a"]
         assert store.path == inner.path
+
+
+class TestShardJournalCorruption:
+    """``journal_corrupt_rate`` picks its victim by each line's decoded
+    kind, so it fires whatever separators the journal was written with."""
+
+    def test_corrupt_rate_one_truncates_a_redundant_line(self, tmp_path):
+        store = JournalStore(tmp_path)
+        store.append("event-enqueued", {"event_id": 1})
+        store.append("shard-heartbeat", {"depth": 0})
+        store.append("event-completed", {"event_id": 1})
+        shard = SimpleNamespace(index=0, restarts=0,
+                                service=SimpleNamespace(store=store))
+        monkey = ShardChaosMonkey(SimpleNamespace(shards=[shard]),
+                                  ShardChaosPlan(seed=0,
+                                                 journal_corrupt_rate=1.0))
+        assert monkey.heartbeat_filter(shard)
+        assert monkey.injections["journal_corruption"] >= 1
+
+        replayed = [r.kind for r in JournalStore(tmp_path).replay()]
+        assert len(replayed) == 2
+        assert replayed[0] == "event-enqueued"   # never a victim
+        reader = JournalReader(tmp_path)
+        assert [r.kind for r in reader.read_all()] == replayed
+        assert reader.corrupt_lines == 1
 
 
 class TestInstallUninstall:

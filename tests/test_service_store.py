@@ -3,10 +3,14 @@
 import json
 import logging
 import os
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.measurement import (
     NONFINITE_MASK,
@@ -18,7 +22,7 @@ from repro.core.selector import NodeStatus
 from repro.core.system import EventKind, ValidationEvent
 from repro.exceptions import JournalError
 from repro.service import JournalStore, event_from_payload, event_to_payload
-from repro.service.store import decode_journal_line, record_crc
+from repro.service.store import _encode_record, decode_journal_line, record_crc
 
 
 @dataclass(frozen=True)
@@ -197,7 +201,9 @@ class TestChecksums:
         store.append("alpha", {"x": 1})
         store.append("beta", {"x": 2})
         lines = store.path.read_text().splitlines()
-        lines[0] = lines[0].replace('"x": 1', '"x": 7')  # still valid JSON
+        raw = json.loads(lines[0])
+        raw["payload"]["x"] = 7             # still valid JSON, old crc
+        lines[0] = json.dumps(raw)
         store.path.write_text("\n".join(lines) + "\n")
         reopened = JournalStore(tmp_path)
         with caplog.at_level(logging.WARNING):
@@ -219,6 +225,71 @@ class TestChecksums:
         assert (record_crc(1, "k", {"a": 1, "b": 2})
                 == record_crc(1, "k", {"b": 2, "a": 1}))
         assert record_crc(1, "k", {"a": 1}) != record_crc(2, "k", {"a": 1})
+
+
+_json_leaves = (st.none() | st.booleans() | st.text(max_size=8)
+                | st.integers(-2**53, 2**53)
+                | st.floats(allow_nan=False, allow_infinity=False))
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), children,
+                                        max_size=4)),
+    max_leaves=12)
+_kinds = st.one_of(st.sampled_from(['q"uote', "ünï-kind", "back\\slash"]),
+                   st.text(min_size=1, max_size=10))
+
+
+class TestRecordCodec:
+    """The line codec: the payload is encoded once for the line and its
+    checksum, and every reader -- new, pre-change, or an independent
+    re-derivation of the CRC -- agrees on what the line holds."""
+
+    @given(seq=st.integers(1, 10**9), kind=_kinds,
+           payload=st.dictionaries(st.text(max_size=6), _json_values,
+                                   max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_and_compatibility(self, seq, kind, payload):
+        line = _encode_record(seq, kind, payload)
+        raw = json.loads(line)
+        # (a) the CRC is the one the parsed record re-derives.
+        assert raw["crc"] == record_crc(seq, kind, raw["payload"])
+        # (b) the shared decoder accepts it, payload intact.
+        record, status = decode_journal_line(line)
+        assert status == "ok"
+        assert (record.seq, record.kind, record.payload) == (
+            seq, kind, payload)
+        # (c) the same record in the pre-change line format still decodes.
+        old = json.dumps({"seq": seq, "kind": kind, "payload": payload,
+                          "crc": record_crc(seq, kind, payload)})
+        assert decode_journal_line(old) == (record, "ok")
+        # (e) append and rewrite write byte-identical lines.
+        with tempfile.TemporaryDirectory() as directory:
+            appended = JournalStore(Path(directory) / "appended")
+            appended.append(kind, payload)
+            appended.append(kind, payload)
+            appended.close()
+            rewritten = JournalStore(Path(directory) / "rewritten")
+            rewritten.rewrite([(kind, payload)] * 2)
+            assert (appended.path.read_bytes()
+                    == rewritten.path.read_bytes())
+
+    @given(payload=st.dictionaries(
+        st.text("abxyz", max_size=6),
+        st.integers(0, 10**6) | st.lists(st.integers(0, 10**6), min_size=1),
+        min_size=1, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_a_changed_digit_is_a_crc_mismatch(self, payload):
+        # (d) one digit inside the payload bytes changes; the line still
+        # parses, so only the checksum can catch it.
+        line = _encode_record(4, "k", payload)
+        start = line.index('"payload":') + len('"payload":')
+        end = line.rindex(',"crc":')
+        digit = next(i for i in range(start, end) if line[i].isdigit())
+        flipped = "2" if line[digit] == "1" else "1"    # never a leading 0
+        tampered = line[:digit] + flipped + line[digit + 1:]
+        assert json.loads(tampered)["payload"] != payload
+        assert decode_journal_line(tampered) == (None, "crc-mismatch")
 
 
 class TestFsync:
