@@ -301,13 +301,40 @@ def measure_metric(spec: BenchmarkSpec, metric: MetricSpec, node: Node,
     latency metrics divide instead of multiply so degradation always
     means "worse" and faster silicon always means "better".
     """
-    multiplier = node.performance_multiplier(spec.metric_sensitivity(metric))
-    multiplier *= _node_metric_factor(node, spec, metric)
-    multiplier *= performance_factor(node.sku)
-    run_factor = 1.0 + metric.run_cv * float(rng.standard_normal())
+    length = _series_length(metric, n_steps)
+    return _metric_series(spec, metric, node,
+                          rng.standard_normal(1 + length), length, 0)
+
+
+def _series_length(metric: MetricSpec, n_steps: int | None) -> int:
     length = int(n_steps) if n_steps is not None else metric.series_length
     if length < 1:
         raise BenchmarkError("n_steps must be at least 1")
+    return length
+
+
+@functools.lru_cache(maxsize=256)
+def _e2e_shape(profile: E2eProfile, n_steps: int) -> np.ndarray:
+    """:meth:`E2eProfile.shape`, computed once per (profile, length) and
+    shared read-only by every run of that length."""
+    shape = profile.shape(n_steps)
+    shape.setflags(write=False)
+    return shape
+
+
+def _metric_series(spec: BenchmarkSpec, metric: MetricSpec, node: Node,
+                   draws: np.ndarray, length: int, start: int) -> np.ndarray:
+    """Steps ``start:length`` of one metric's run from its ``1 + length``
+    standard normals: the run-factor draw, then the per-step noise.
+
+    Every step is elementwise, so the steps before ``start`` (a
+    measurement window's warm-up) are never built, and the kept ones
+    equal the same slice of the full series bit for bit.
+    """
+    multiplier = node.performance_multiplier(spec.metric_sensitivity(metric))
+    multiplier *= _node_metric_factor(node, spec, metric)
+    multiplier *= performance_factor(node.sku)
+    run_factor = 1.0 + metric.run_cv * float(draws[0])
 
     if metric.higher_is_better:
         level = metric.base_value * multiplier
@@ -315,10 +342,14 @@ def measure_metric(spec: BenchmarkSpec, metric: MetricSpec, node: Node,
         level = metric.base_value / max(multiplier, 1e-6)
     level *= max(run_factor, 0.01)
 
-    noise = 1.0 + metric.noise_cv * rng.standard_normal(length)
-    series = level * noise
+    if length == 1 and spec.e2e_profile is None:
+        # The same IEEE operations as the array path, in float
+        # arithmetic: a single-value metric skips four array calls.
+        noise = 1.0 + metric.noise_cv * float(draws[1])
+        return np.array([max(level * noise, 1e-9)])
+    series = level * (1.0 + metric.noise_cv * draws[1 + start:1 + length])
     if spec.e2e_profile is not None and metric.higher_is_better:
-        series = series * spec.e2e_profile.shape(length)
+        series = series * _e2e_shape(spec.e2e_profile, length)[start:]
     return np.maximum(series, 1e-9)
 
 
@@ -330,12 +361,29 @@ def run_benchmark(spec: BenchmarkSpec, node: Node, rng: np.random.Generator,
     direction decisions downstream come from measurement provenance,
     not from re-looking-up the spec.
     """
-    windows = tuple(
-        MetricWindow(
+    return _run_windowed(spec, node, rng, n_steps, 0)
+
+
+def _run_windowed(spec: BenchmarkSpec, node: Node, rng: np.random.Generator,
+                  n_steps: int | None, start: int) -> BenchmarkResult:
+    """:func:`run_benchmark` keeping only steps ``start:`` of each series.
+
+    One ``standard_normal`` call draws the whole run in the order the
+    metrics would draw it one by one -- spec order, each metric's
+    run-factor draw, then its noise -- so the windows are bit-identical
+    to sampling each metric with :func:`measure_metric` and slicing.
+    """
+    lengths = [_series_length(metric, n_steps) for metric in spec.metrics]
+    draws = rng.standard_normal(len(lengths) + sum(lengths))
+    windows = []
+    offset = 0
+    for metric, length in zip(spec.metrics, lengths):
+        values = _metric_series(spec, metric, node,
+                                draws[offset:offset + 1 + length], length, start)
+        offset += 1 + length
+        windows.append(MetricWindow(
             node_id=node.node_id, benchmark=spec.name, metric=metric.name,
-            values=measure_metric(spec, metric, node, rng, n_steps=n_steps),
-            higher_is_better=metric.higher_is_better, sku=node.sku)
-        for metric in spec.metrics
-    )
+            values=values, higher_is_better=metric.higher_is_better,
+            sku=node.sku))
     return BenchmarkResult(benchmark=spec.name, node_id=node.node_id,
-                           windows=windows, sku=node.sku)
+                           windows=tuple(windows), sku=node.sku)

@@ -11,6 +11,7 @@ plug in.
 
 from __future__ import annotations
 
+import time
 import zlib
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from repro.benchsuite.base import (
     BenchmarkKind,
     BenchmarkResult,
     BenchmarkSpec,
+    _run_windowed,
     run_benchmark,
 )
 from repro.core.measurement import PipelineStats
@@ -117,6 +119,11 @@ class SuiteRunner:
                    zlib.crc32(node.node_id.encode()),
                    zlib.crc32(spec.name.encode()),
                    repeat)
+        if all(0 <= value < 1 << 32 for value in entropy):
+            # The words SeedSequence reads such a tuple as -- one uint32
+            # per int -- handed over ready: the same stream, without
+            # the per-int coercion that was half of seeding a run.
+            entropy = np.array(entropy, dtype=np.uint32)
         return np.random.default_rng(np.random.SeedSequence(entropy))
 
     def reset_streams(self) -> None:
@@ -148,6 +155,8 @@ class SuiteRunner:
     def _execute(self, spec: BenchmarkSpec, node: Node) -> BenchmarkResult:
         """Raw execution of one benchmark, window policy applied.
 
+        An end-to-end benchmark draws its whole window's steps and keeps
+        the measured ones; the warm-up is never built into a window.
         Subclasses that corrupt executions (fault injection) override
         this, not :meth:`run`, so their corruption happens *before*
         sanitization -- exactly where real telemetry faults originate.
@@ -155,18 +164,28 @@ class SuiteRunner:
         window = self.window_for(spec)
         rng = self._measurement_rng(spec, node)
         if spec.kind is BenchmarkKind.E2E and window is not None:
-            raw = run_benchmark(spec, node, rng, n_steps=window.total_steps)
-            return raw.with_windows(tuple(
-                w.with_values(window.apply(w.values)) for w in raw.windows))
+            return _run_windowed(spec, node, rng, window.total_steps,
+                                 window.warmup)
         return run_benchmark(spec, node, rng)
 
     def run(self, spec: BenchmarkSpec, node: Node) -> BenchmarkResult:
-        """One benchmark on one node: execute, then sanitize."""
-        with self.stats.timed("execute"):
+        """One benchmark on one node: execute, then sanitize.
+
+        Each stage's time goes to :attr:`stats` -- execute's even when
+        it raises -- read off one clock.
+        """
+        start = time.perf_counter()
+        try:
             result = self._execute(spec, node)
+        finally:
+            executed = time.perf_counter()
+            self.stats.record("execute", seconds=executed - start)
         if self.sanitizer is not None:
-            with self.stats.timed("sanitize"):
+            try:
                 result = self.sanitizer.sanitize_result(spec, result)
+            finally:
+                self.stats.record("sanitize",
+                                  seconds=time.perf_counter() - executed)
         return result
 
     def run_on_nodes(self, spec: BenchmarkSpec, nodes) -> dict[str, BenchmarkResult]:

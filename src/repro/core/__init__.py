@@ -57,9 +57,6 @@ _EXPORTS = {
     "one_vs_many_similarities": "fastdist",
     "pairwise_distances": "fastdist",
     "pairwise_similarities": "fastdist",
-    # parallel
-    "process_map": "parallel",
-    "resolve_workers": "parallel",
     # persistence
     "apply_criteria_payload": "persistence",
     "criteria_payload": "persistence",

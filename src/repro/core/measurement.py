@@ -41,7 +41,7 @@ import time
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,7 +136,8 @@ class MetricWindow:
 
     def with_values(self, values: object) -> "MetricWindow":
         """Same provenance, new values (window slicing, fault injection)."""
-        return replace(self, values=np.asarray(values, dtype=float).ravel())
+        return self._derive(values, self.sanitized, self.quarantined,
+                            self.faults)
 
     def mark_sanitized(self, *, values: object | None = None,
                        quarantined: bool = False,
@@ -147,14 +148,17 @@ class MetricWindow:
         window was quarantined, in which case the raw series stays for
         forensics.
         """
-        new_values = self.values if values is None else values
-        return replace(
-            self,
-            values=np.asarray(new_values, dtype=float).ravel(),
-            sanitized=True,
-            quarantined=bool(quarantined),
-            faults=self.faults + tuple(faults),
-        )
+        return self._derive(self.values if values is None else values, True,
+                            bool(quarantined), self.faults + tuple(faults))
+
+    def _derive(self, values: object, sanitized: bool, quarantined: bool,
+                faults: tuple[str, ...]) -> "MetricWindow":
+        """This window's identity and polarity with new state, built by
+        one constructor call (``dataclasses.replace`` re-reads the
+        field list on every call)."""
+        return MetricWindow(self.node_id, self.benchmark, self.metric, values,
+                            self.higher_is_better, sanitized, quarantined,
+                            faults, self.schema_version, self.sku)
 
     def to_payload(self) -> dict:
         """Plain-JSON-types payload (journal serialization)."""

@@ -119,6 +119,12 @@ def select_benchmarks(node_probabilities, durations: dict[str, float],
                                residual_probability=p, total_time_minutes=0.0,
                                skipped=True)
 
+    # The union of all defects is taken once and the subset's covered
+    # defects grow in place, so a candidate's coverage costs one set
+    # difference -- the same integer ratio ``coverage.coverage(subset +
+    # [name])`` computes by re-unioning every defect set.
+    total = len(coverage.all_defects())
+    covered: set = set()
     subset: list[str] = []
     current_coverage = 0.0
     residual = p
@@ -126,7 +132,8 @@ def select_benchmarks(node_probabilities, durations: dict[str, float],
     while residual > p0 and remaining:
         best_name, best_gain_rate, best_coverage = None, 0.0, current_coverage
         for name in remaining:
-            new_coverage = coverage.coverage(subset + [name])
+            gained = len(coverage.found[name] - covered)
+            new_coverage = (len(covered) + gained) / total if total else 0.0
             delta_p = p * (new_coverage - current_coverage)
             gain_rate = delta_p / max(durations[name], 1e-9)
             if gain_rate > best_gain_rate:
@@ -137,6 +144,7 @@ def select_benchmarks(node_probabilities, durations: dict[str, float],
             break
         subset.append(best_name)
         remaining.remove(best_name)
+        covered |= coverage.found[best_name]
         current_coverage = best_coverage
         residual = p * (1.0 - current_coverage)
 

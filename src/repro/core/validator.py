@@ -43,7 +43,6 @@ from repro.core.measurement import (
     MeasurementBatch,
     PipelineStats,
 )
-from repro.core.parallel import process_map
 from repro.exceptions import CriteriaError, InvalidSampleError, SkuMismatchError
 from repro.core.ecdf import as_sample
 
@@ -52,26 +51,6 @@ __all__ = ["MetricCriteria", "Violation", "ValidationReport", "Validator"]
 # Ceiling on elements per stacked scoring operand (~32 MB of float64),
 # the same bound fastdist puts on its one-vs-many intermediates.
 _SCORE_BLOCK_ELEMENTS = 4_000_000
-
-
-def _learn_task(task) -> tuple[CriteriaResult, CriteriaState | None]:
-    """Picklable unit of criteria learning for process fan-out.
-
-    The non-finite policy travels as a string (resolved per batch from
-    measurement provenance) so the task tuple stays picklable, and the
-    incremental engine's config and mode ride along the same way.
-    Returns ``(result, state)`` with ``state is None`` on the classic
-    exact-only path, so the caller can tell whether the engine ran.
-    """
-    samples, alpha, centroid, contamination, policy, config, mode = task
-    if config is None:
-        result = learn_criteria(samples, alpha, centroid=centroid,
-                                contamination=contamination,
-                                backend=get_backend(policy))
-        return result, None
-    return learn_criteria_incremental(
-        samples, alpha, centroid=centroid, contamination=contamination,
-        backend=get_backend(policy), config=config, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -272,8 +251,7 @@ class Validator:
             # Per-path learn accounting: "learn-exact" and "learn-full"
             # show up as distinct pipeline stages so `repro report`
             # exposes where learn time actually goes.
-            # ``state.seconds`` is measured inside the (possibly
-            # worker-process) learn itself.
+            # ``state.seconds`` is measured inside the learn itself.
             self.stats.record(f"learn-{state.path}", count=1,
                               seconds=state.seconds)
 
@@ -289,11 +267,28 @@ class Validator:
         self.criteria_states.pop(key, None)
         self._force_exact.add(key)
 
-    def _learn_inputs(self, key: tuple[str, str, str],
-                      ) -> tuple[IncrementalConfig | None, str]:
-        """Resolve (config, mode) for one learning task."""
-        return self.incremental, ("exact" if key in self._force_exact
-                                  else "auto")
+    def _learn_key(self, sku: str, spec: BenchmarkSpec, metric, samples,
+                   centroid, policy: str) -> None:
+        """Learn and store one (sku, benchmark, metric) key's criteria.
+
+        With the incremental engine, a key pinned by
+        :meth:`invalidate_criteria_state` learns exactly and every other
+        key takes the engine's size-based ladder.
+        """
+        backend = get_backend(policy)
+        if self.incremental is None:
+            learned = learn_criteria(samples, self.alpha, centroid=centroid,
+                                     contamination=self.contamination,
+                                     backend=backend)
+            state = None
+        else:
+            key = (sku, spec.name, metric.name)
+            learned, state = learn_criteria_incremental(
+                samples, self.alpha, centroid=centroid,
+                contamination=self.contamination, backend=backend,
+                config=self.incremental,
+                mode="exact" if key in self._force_exact else "auto")
+        self._store_criteria(spec, metric, learned, state, sku=sku)
 
     def learn_criteria_from_results(self, spec: BenchmarkSpec,
                                     results: dict[str, object]) -> None:
@@ -304,30 +299,15 @@ class Validator:
         be flagged online).
         """
         with self.stats.timed("learn"):
-            for sku, metric, samples, centroid, policy in self._learning_tasks(
-                    spec, results):
-                config, mode = self._learn_inputs(
-                    (sku, spec.name, metric.name))
-                learned, state = _learn_task(
-                    (samples, self.alpha, centroid, self.contamination,
-                     policy, config, mode))
-                self._store_criteria(spec, metric, learned, state, sku=sku)
+            for sku, metric, *task in self._learning_tasks(spec, results):
+                self._learn_key(sku, spec, metric, *task)
 
-    def learn_criteria(self, nodes, benchmarks=None, *,
-                       workers: int | None = None,
-                       ) -> dict[tuple[str, str, str], list]:
+    def learn_criteria(self, nodes,
+                       benchmarks=None) -> dict[tuple[str, str, str], list]:
         """Build-out flow: run benchmarks on ``nodes`` and learn criteria.
 
-        Benchmark execution stays sequential (the runner owns the
-        deterministic per-(node, benchmark) RNG streams), but the
-        Algorithm 2 learning tasks -- independent per (sku, benchmark,
-        metric) -- fan out across worker processes.  ``workers``
-        defaults to the ``REPRO_WORKERS`` environment variable, else 1;
-        results are identical at any width.
-
-        With the incremental engine, keys pinned by
-        :meth:`invalidate_criteria_state` learn exactly; every other
-        key takes the engine's size-based ladder.
+        Every benchmark runs first, then each (sku, benchmark, metric)
+        key learns in turn (see :meth:`_learn_key`).
 
         Returns the per-(sku, benchmark, metric) learning windows so
         callers can shadow-evaluate the freshly learned criteria
@@ -340,20 +320,11 @@ class Validator:
             for sku, metric, samples, centroid, policy in self._learning_tasks(
                     spec, results):
                 tasks.append((sku, spec, metric, samples, centroid, policy))
-        with self.stats.timed("learn"):
-            payloads = []
-            for sku, spec, metric, samples, centroid, policy in tasks:
-                config, mode = self._learn_inputs(
-                    (sku, spec.name, metric.name))
-                payloads.append((samples, self.alpha, centroid,
-                                 self.contamination, policy, config, mode))
-            learned_results = process_map(_learn_task, payloads,
-                                          workers=workers)
         windows: dict[tuple[str, str, str], list] = {}
-        for (sku, spec, metric, samples, _, _), (learned, state) in zip(
-                tasks, learned_results):
-            self._store_criteria(spec, metric, learned, state, sku=sku)
-            windows[(sku, spec.name, metric.name)] = samples
+        with self.stats.timed("learn"):
+            for sku, spec, metric, samples, centroid, policy in tasks:
+                self._learn_key(sku, spec, metric, samples, centroid, policy)
+                windows[(sku, spec.name, metric.name)] = samples
         return windows
 
     # ------------------------------------------------------------------

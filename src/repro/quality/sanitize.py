@@ -149,8 +149,12 @@ def sanitize_window(values, schema: MetricSchema, *, node_id: str,
     # Clean windows are nearly all of them, and two reductions decide
     # it: a NaN makes both extrema NaN, +-inf is one of them, and a
     # median above ``upper`` (the unit-scale test) needs a value above
-    # it.  Anything else takes the full classification below.
-    low, high = float(arr.min()), float(arr.max())
+    # it.  Anything else takes the full classification below.  A
+    # single value is both extrema, read without two array reductions.
+    if arr.size == 1:
+        low = high = float(arr[0])
+    else:
+        low, high = float(arr.min()), float(arr.max())
     if (arr.size >= schema.min_samples
             and math.isfinite(low) and math.isfinite(high)
             and (schema.lower is None or low >= schema.lower)
@@ -253,15 +257,19 @@ class Sanitizer:
         and pass through untouched -- no re-check, no double-counted
         ledger entries, no second quarantine verdict.  Metrics without
         a schema also pass untouched (and unmarked: nothing was
-        checked, so nothing may claim to have been).  Quarantined
-        (no-verdict) windows keep their raw series for forensics.
+        checked, so nothing may claim to have been).  A result in
+        which no window needs a crossing is returned as it came, so the
+        pool's pass over a runner-sanitized result allocates nothing.
+        Quarantined (no-verdict) windows keep their raw series for
+        forensics.
         """
-        windows = []
-        for metric_window in result.windows:
+        windows = None
+        for index, metric_window in enumerate(result.windows):
+            if metric_window.sanitized:
+                continue
             schema = self.schema_for(result.benchmark, metric_window.metric,
                                      metric_window.sku)
-            if metric_window.sanitized or schema is None:
-                windows.append(metric_window)
+            if schema is None:
                 continue
             outcome = sanitize_window(metric_window.values, schema,
                                       node_id=result.node_id,
@@ -270,10 +278,14 @@ class Sanitizer:
             for rec in outcome.records:
                 self.ledger.record(rec)
             faults = tuple(rec.fault for rec in outcome.records)
+            if windows is None:
+                windows = list(result.windows)
             if outcome.excluded:
-                windows.append(metric_window.mark_sanitized(
-                    quarantined=True, faults=faults))
+                windows[index] = metric_window.mark_sanitized(
+                    quarantined=True, faults=faults)
             else:
-                windows.append(metric_window.mark_sanitized(
-                    values=outcome.values, faults=faults))
+                windows[index] = metric_window.mark_sanitized(
+                    values=outcome.values, faults=faults)
+        if windows is None:
+            return result
         return result.with_windows(tuple(windows))

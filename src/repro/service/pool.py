@@ -290,6 +290,8 @@ class ValidationPool:
     windows a runner-side sanitizer already cleaned flow through
     untouched, so every window leaving a sweep crossed the
     sanitization layer exactly once no matter which runner produced it.
+    A result the runner sanitized whole comes back as the same object:
+    the pool's pass then costs a flag check per window.
     """
 
     def __init__(self, config: PoolConfig | None = None, *, sanitizer=None):
@@ -499,7 +501,8 @@ class ValidationPool:
                     # Idempotent by provenance: windows the runner
                     # already sanitized carry sanitized=True and pass
                     # through untouched, so no window is ever
-                    # schema-checked or quarantined twice.
+                    # schema-checked or quarantined twice (and a fully
+                    # sanitized result is returned as it came).
                     result = self.sanitizer.sanitize_result(spec, result)
             except Exception as exc:   # recorded on the cell, never raised
                 # Only the text is kept: the exception's traceback holds

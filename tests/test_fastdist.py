@@ -1,4 +1,4 @@
-"""Unit tests for the batched distance layer, caching and worker knobs."""
+"""Unit tests for the batched distance layer, caching and the pool width."""
 
 import numpy as np
 import pytest
@@ -17,9 +17,8 @@ from repro.core.fastdist import (
     one_vs_many_similarities,
     pairwise_similarities,
 )
-from repro.core.parallel import process_map, resolve_workers
 from repro.core.validator import Validator
-from repro.exceptions import InvalidSampleError, ServiceError
+from repro.exceptions import InvalidSampleError
 from repro.service.pool import PoolConfig
 from tests.test_validator import make_fleet, tiny_suite
 
@@ -196,52 +195,12 @@ class TestCriteriaCache:
 
 
 class TestWorkers:
-    def test_resolve_workers_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert resolve_workers(2) == 2
-
-    def test_resolve_workers_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_workers() == 3
-
-    def test_resolve_workers_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers(default=5) == 5
-
-    def test_resolve_workers_rejects_bad_values(self, monkeypatch):
-        with pytest.raises(ServiceError):
-            resolve_workers(0)
-        monkeypatch.setenv("REPRO_WORKERS", "zero")
-        with pytest.raises(ServiceError):
-            resolve_workers()
-        monkeypatch.setenv("REPRO_WORKERS", "-1")
-        with pytest.raises(ServiceError):
-            resolve_workers()
-
-    def test_process_map_inline(self):
-        assert process_map(abs, [-1, 2, -3], workers=1) == [1, 2, 3]
-
-    def test_process_map_parallel(self):
-        assert process_map(abs, [-1, 2, -3], workers=2) == [1, 2, 3]
-
     def test_pool_config_ignores_env(self, monkeypatch):
-        # The pool's width is set by its callers; the env var sizes
-        # criteria learning only.
+        # The pool's width is set by its callers, never by the
+        # environment.
         monkeypatch.setenv("REPRO_WORKERS", "2")
         assert PoolConfig().max_workers == 8
         assert PoolConfig(max_workers=3).max_workers == 3
-
-    def test_validator_parallel_learning_is_deterministic(self):
-        fleet = make_fleet()
-        reference = Validator(tiny_suite(), runner=SuiteRunner(seed=9))
-        reference.learn_criteria(fleet)
-        wide = Validator(tiny_suite(), runner=SuiteRunner(seed=9))
-        wide.learn_criteria(fleet, workers=2)
-        assert set(reference.criteria) == set(wide.criteria)
-        for key, want in reference.criteria.items():
-            got = wide.criteria[key]
-            assert np.array_equal(got.criteria, want.criteria)
-            assert got.higher_is_better == want.higher_is_better
 
 
 class TestProfileFlag:
