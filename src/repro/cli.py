@@ -583,11 +583,7 @@ def _serve_processes(args, validator, events) -> int:
     from pathlib import Path
 
     from repro.core.persistence import save_criteria
-    from repro.service import (
-        ProcessChaosPlan,
-        ProcessFabric,
-        SupervisorConfig,
-    )
+    from repro.service import ChaosPlan, ProcessFabric, SupervisorConfig
 
     root = Path(args.journal)
     root.mkdir(parents=True, exist_ok=True)
@@ -596,8 +592,8 @@ def _serve_processes(args, validator, events) -> int:
 
     chaos = None
     if args.chaos_seed is not None:
-        chaos = ProcessChaosPlan(seed=args.chaos_seed, kill_rate=0.01,
-                                 stop_rate=0.002)
+        chaos = ChaosPlan(seed=args.chaos_seed, kill_rate=0.01,
+                          hang_rate=0.002)
     builder_args = {
         "fleet_size": args.nodes,
         "fleet_seed": args.seed,

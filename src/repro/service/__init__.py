@@ -33,10 +33,12 @@ around the in-process facade:
     length-prefixed JSON pipe protocol, PID/deadline liveness, and
     graceful signal-driven drain -- real crash containment.
 ``repro.service.chaos``
-    Deterministic, seeded fault injection against all of the above,
-    including shard-level faults against the supervised fabric and
-    real-signal (``SIGKILL``/``SIGSTOP``) plans for the process
-    fabric.
+    Deterministic, seeded fault injection against all of the above:
+    one :class:`ChaosPlan`, injected per transport -- inline into one
+    service, through the supervisor's seams into in-thread shards, and
+    as real ``SIGKILL``/``SIGSTOP`` signals inside worker processes.
+    ``chaos.TRANSPORT_FIELDS`` is the support table: a plan that sets
+    a fault its transport cannot inject is refused.
 """
 
 from repro.service.chaos import (
@@ -44,14 +46,9 @@ from repro.service.chaos import (
     ChaosMonkey,
     ChaosPlan,
     ChaosRunner,
-    ProcessChaosPlan,
-    ShardChaosJournalStore,
-    ShardChaosMonkey,
-    ShardChaosPlan,
     ShardCrash,
     SimulatedKill,
     install_chaos,
-    install_shard_chaos,
 )
 from repro.service.controlplane import (
     ServiceConfig,
@@ -124,16 +121,12 @@ __all__ = [
     "NodeState",
     "PARENT_ORIGIN",
     "PoolConfig",
-    "ProcessChaosPlan",
     "ProcessFabric",
     "QueueState",
     "QueuedEvent",
     "ServiceConfig",
     "ServiceMetrics",
     "Shard",
-    "ShardChaosJournalStore",
-    "ShardChaosMonkey",
-    "ShardChaosPlan",
     "ShardCrash",
     "ShardState",
     "ShardSupervisor",
@@ -153,6 +146,5 @@ __all__ = [
     "event_from_payload",
     "event_to_payload",
     "install_chaos",
-    "install_shard_chaos",
     "replay_queue_state",
 ]

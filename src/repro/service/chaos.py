@@ -4,32 +4,69 @@ The paper's central claim is that proactive validation catches the
 failures reactive monitoring misses (§3.4 counts crashes and hangs as
 defects in their own right).  That claim obligates the validator to
 survive the same failure modes itself -- so this module turns the
-control plane's own machinery against it, deterministically:
+control plane's own machinery against it, deterministically, on every
+execution mode.
 
-* **executor faults** -- benchmark executions crash or hang
-  (:class:`ChaosRunner` wraps the Validator's runner);
-* **journal write faults** -- ``append`` raises
-  :class:`~repro.exceptions.JournalError`
-  (:class:`ChaosJournalStore` wraps the service's store);
-* **simulated process kills** -- ``append`` raises
-  :class:`SimulatedKill` *instead of writing*, modelling ``kill -9``
-  between any two journal records.  ``SimulatedKill`` subclasses
-  ``BaseException`` so no ``except Exception`` handler in the service
-  can accidentally "survive" its own death;
-* **poison events and tick faults** -- the service's ``tick_hook``
-  raises before processing;
-* **repair faults** -- the service's ``repair_hook`` raises before a
-  lifecycle advance.
-
-Everything is driven by a :class:`ChaosPlan`: a frozen, seeded
-description of *what* to inject at *which* rate.  Every probabilistic
-draw uses a keyed RNG -- ``SeedSequence((seed, crc32(part), ...))``
-over the identity of the decision point (node, benchmark, call index,
-append counter, ...) -- the same idiom
+**One plan.**  A :class:`ChaosPlan` is a frozen, seeded description of
+*what* to inject at *which* rate.  Every probabilistic draw uses a
+keyed RNG -- ``SeedSequence((seed, crc32(part), ...))`` over the
+identity of the decision point (node, benchmark, shard, incarnation,
+call or append counter, ...) -- the same idiom
 :class:`~repro.benchsuite.runner.SuiteRunner` uses for measurement
 noise.  Two runs with the same plan therefore inject the *same*
 faults at the *same* points regardless of thread scheduling, so a
-chaos soak is replayable and its assertions can be exact.
+chaos soak is replayable and its assertions can be exact.  The plan
+is pure data (:meth:`ChaosPlan.to_payload`), so it also crosses the
+process fabric's spawn boundary.
+
+**Per-transport injectors.**  Each execution mode injects the plan's
+faults its own way, and dies its own way:
+
+* ``inline`` -- one :class:`~repro.service.controlplane.
+  ValidationService` (:func:`install_chaos` returns a
+  :class:`ChaosMonkey`): :class:`ChaosRunner` crashes or hangs
+  benchmark executions, the ``tick_hook`` fails poison events and
+  ticks, the ``repair_hook`` fails lifecycle advances, and the
+  journal dies by :class:`SimulatedKill` -- a ``BaseException``, so no
+  ``except Exception`` handler in the service can "survive" its own
+  death;
+* ``thread`` -- a :class:`~repro.service.supervisor.ShardSupervisor`
+  (:func:`install_chaos` returns a :class:`ShardChaosMonkey`): shards
+  crash mid-tick, stop answering until restarted, lose heartbeats and
+  have journal lines corrupted through the supervisor's seams, and a
+  shard's journal dies by :class:`ShardCrash` -- the shard dies, the
+  supervisor lives;
+* ``process`` -- :class:`~repro.service.procfabric.ProcessFabric`
+  ``(chaos=plan)``: each worker faults *itself* with real signals,
+  ``SIGKILL`` before a journal append and ``SIGSTOP`` before a tick.
+
+All three share one journal wrapper, :class:`ChaosJournalStore`.  It
+decides each fault *before* the underlying write, from this
+incarnation's append counter: a kill models the process dying between
+two durable records, an injected :class:`~repro.exceptions.
+JournalError` a full disk or I/O error the process survives.
+
+**What each transport honours** (``seed`` always; the code reads
+:data:`TRANSPORT_FIELDS`):
+
+==========  ========================================================
+inline      ``executor_crash_rate``, ``executor_hang_rate``,
+            ``hang_seconds``, ``fault_nodes``, ``broken_benchmarks``,
+            ``broken_benchmark_crashes``, ``poison_event_keys``,
+            ``tick_error_rate``, ``repair_failure_rate``,
+            ``journal_error_rate``, ``kill_rate``,
+            ``kill_after_appends``
+thread      ``target_shards``, ``crash_rate``, ``hang_rate``,
+            ``heartbeat_loss_rate``, ``journal_error_rate``,
+            ``journal_corrupt_rate``, ``kill_rate``
+process     ``target_shards``, ``kill_rate``, ``kill_after_appends``,
+            ``hang_rate``, ``hang_after_ticks``, ``incarnation``
+==========  ========================================================
+
+A plan that sets a field its transport does not honour is refused
+with :class:`~repro.exceptions.ServiceError` when it is installed
+(``ProcessFabric``: when it is constructed, before any spawn), rather
+than silently injecting nothing.
 
 Usage::
 
@@ -52,7 +89,7 @@ import threading
 import time
 import zlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,9 +97,8 @@ from repro.core.system import ValidationEvent
 from repro.exceptions import ChaosError, JournalError, ServiceError
 
 __all__ = ["SimulatedKill", "ShardCrash", "ChaosPlan", "ChaosRunner",
-           "ChaosJournalStore", "ChaosMonkey", "install_chaos", "poison_key",
-           "ShardChaosPlan", "ShardChaosJournalStore", "ShardChaosMonkey",
-           "install_shard_chaos", "ProcessChaosPlan"]
+           "ChaosJournalStore", "ChaosMonkey", "ShardChaosMonkey",
+           "install_chaos", "poison_key", "TRANSPORT_FIELDS"]
 
 
 class SimulatedKill(BaseException):
@@ -107,66 +143,188 @@ def _entropy(parts) -> list[int]:
             for part in parts]
 
 
+def _frozen(value):
+    """A JSON list back in its plan form (nested lists become tuples)."""
+    return tuple(_frozen(item) for item in value) if isinstance(
+        value, list) else value
+
+
+#: The plan fields each transport honours (``seed`` always is).  See
+#: the module docstring for what each transport does with them.
+TRANSPORT_FIELDS = {
+    "inline": frozenset({
+        "executor_crash_rate", "executor_hang_rate", "hang_seconds",
+        "fault_nodes", "broken_benchmarks", "broken_benchmark_crashes",
+        "poison_event_keys", "tick_error_rate", "repair_failure_rate",
+        "journal_error_rate", "kill_rate", "kill_after_appends"}),
+    "thread": frozenset({
+        "target_shards", "crash_rate", "hang_rate", "heartbeat_loss_rate",
+        "journal_error_rate", "journal_corrupt_rate", "kill_rate"}),
+    "process": frozenset({
+        "target_shards", "kill_rate", "kill_after_appends", "hang_rate",
+        "hang_after_ticks", "incarnation"}),
+}
+
+
 @dataclass(frozen=True)
 class ChaosPlan:
     """What to inject, at which rate, under which seed.
 
-    All rates are probabilities in [0, 1] drawn from a keyed RNG, so
-    the same plan injects identically across runs.  Deterministic
-    (non-probabilistic) faults:
+    Every ``*_rate`` is a per-decision-point probability in [0, 1]
+    drawn from a keyed RNG, so the same plan injects identically
+    across runs.
 
-    * ``kill_after_appends=N`` kills the process on the (N+1)-th
-      journal append of this incarnation -- drive N over every value
-      up to the uninterrupted run's append count and you have tested a
-      crash between *every* pair of journal records;
-    * ``poison_event_keys`` always fail in the tick hook (until the
-      service dead-letters them);
+    * ``executor_crash_rate`` / ``executor_hang_rate`` -- a benchmark
+      execution raises, or sleeps ``hang_seconds`` and then raises,
+      on ``fault_nodes`` (``None``: every node);
     * ``broken_benchmarks`` crash their first
       ``broken_benchmark_crashes`` executions, then heal -- the exact
       shape circuit breakers exist for (harness regression, then a
-      fixed image).
+      fixed image);
+    * ``poison_event_keys`` always fail in the tick hook (until the
+      service dead-letters them); ``tick_error_rate`` and
+      ``repair_failure_rate`` fail one tick / lifecycle advance;
+    * ``journal_error_rate`` -- one journal append raises
+      :class:`~repro.exceptions.JournalError`;
+    * ``kill_rate`` -- the process (or shard) dies before one journal
+      append;
+    * ``kill_after_appends=N`` kills it before append N+1 of
+      ``incarnation`` -- drive N over every value up to the
+      uninterrupted run's append count and you have tested a crash
+      between *every* pair of journal records; a respawned
+      incarnation does not die at the same append forever;
+    * ``crash_rate`` -- a ticked event crashes its shard;
+    * ``hang_rate`` -- a shard stops answering until it is restarted
+      (only the watchdog or an RPC deadline recovers it);
+      ``hang_after_ticks=N`` does so before tick N+1 of
+      ``incarnation``;
+    * ``heartbeat_loss_rate`` -- one heartbeat is dropped on the way
+      to the supervisor;
+    * ``journal_corrupt_rate`` -- one already-written,
+      replay-redundant line of a shard's journal is truncated in
+      place, exercising the corrupt-line skip-and-warn path.
+
+    ``target_shards`` limits every shard fault to the given shard
+    indexes -- the blast-radius soak targets one shard and asserts the
+    others never notice.
     """
 
     seed: int
+    target_shards: frozenset | None = None
     executor_crash_rate: float = 0.0
     executor_hang_rate: float = 0.0
     hang_seconds: float = 1.0
-    journal_error_rate: float = 0.0
-    kill_rate: float = 0.0
-    kill_after_appends: int | None = None
-    repair_failure_rate: float = 0.0
-    tick_error_rate: float = 0.0
-    poison_event_keys: frozenset = frozenset()
+    fault_nodes: frozenset | None = None
     broken_benchmarks: frozenset = frozenset()
     broken_benchmark_crashes: int = 0
-    fault_nodes: frozenset | None = None
+    poison_event_keys: frozenset = frozenset()
+    tick_error_rate: float = 0.0
+    repair_failure_rate: float = 0.0
+    journal_error_rate: float = 0.0
+    journal_corrupt_rate: float = 0.0
+    kill_rate: float = 0.0
+    kill_after_appends: int | None = None
+    crash_rate: float = 0.0
+    hang_rate: float = 0.0
+    hang_after_ticks: int | None = None
+    heartbeat_loss_rate: float = 0.0
+    incarnation: int = 0
 
     def __post_init__(self):
-        for name in ("executor_crash_rate", "executor_hang_rate",
-                     "journal_error_rate", "kill_rate",
-                     "repair_failure_rate", "tick_error_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ServiceError(f"{name} must be in [0, 1], got {rate}")
-        if self.hang_seconds < 0:
-            raise ServiceError("hang_seconds must be non-negative")
-        if self.kill_after_appends is not None and self.kill_after_appends < 0:
-            raise ServiceError("kill_after_appends must be non-negative")
-        if self.broken_benchmark_crashes < 0:
-            raise ServiceError("broken_benchmark_crashes must be non-negative")
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.name.endswith("_rate"):
+                if not 0.0 <= value <= 1.0:
+                    raise ServiceError(
+                        f"{spec.name} must be in [0, 1], got {value}")
+            elif isinstance(value, (int, float)) and value < 0:
+                raise ServiceError(f"{spec.name} must be non-negative")
+        if self.target_shards is not None:
+            object.__setattr__(self, "target_shards",
+                               frozenset(self.target_shards))
 
+    # -- fit to a transport -------------------------------------------
+    def check_transport(self, transport: str) -> None:
+        """Refuse a plan that sets a fault ``transport`` cannot inject."""
+        honoured = TRANSPORT_FIELDS[transport]
+        unsupported = [spec.name for spec in fields(self)
+                       if spec.name != "seed"
+                       and spec.name not in honoured
+                       and getattr(self, spec.name) != spec.default]
+        if unsupported:
+            raise ServiceError(
+                f"the {transport} transport cannot inject "
+                f"{', '.join(unsupported)}")
+
+    def to_payload(self) -> dict:
+        """JSON form for the spawn boundary: the fields that differ
+        from their defaults."""
+        payload = {}
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.name == "seed" or value != spec.default:
+                payload[spec.name] = (sorted(value)
+                                      if isinstance(value, frozenset)
+                                      else value)
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "ChaosPlan":
+        return cls(**{name: (frozenset(_frozen(item) for item in value)
+                             if isinstance(value, list) else value)
+                      for name, value in payload.items()})
+
+    # -- keyed draws ----------------------------------------------------
     def chance(self, rate: float, *key) -> bool:
         """One keyed Bernoulli draw: does the fault at ``key`` fire?
 
         ``key`` identifies the decision point (fault kind plus node /
-        benchmark / counter parts); equal keys always draw the same
-        answer for the same plan.
+        benchmark / shard / counter parts); equal keys always draw the
+        same answer for the same plan.
         """
         if rate <= 0.0:
             return False
         rng = np.random.default_rng(
             np.random.SeedSequence((self.seed, *_entropy(key))))
         return bool(rng.random() < rate)
+
+    def pick(self, upper: int, *key) -> int:
+        """One keyed uniform draw in ``[0, upper)``."""
+        rng = np.random.default_rng(
+            np.random.SeedSequence((self.seed, *_entropy(key))))
+        return int(rng.integers(upper))
+
+    def targets(self, shard_index: int) -> bool:
+        return (self.target_shards is None
+                or shard_index in self.target_shards)
+
+    def kills(self, append: int, *key, incarnation: int = 0) -> bool:
+        """Die before journal append ``append``?  Either the
+        deterministic prefix kill (in ``incarnation`` only) or one
+        keyed draw at ``(*key, append)``."""
+        if (self.kill_after_appends is not None
+                and incarnation == self.incarnation
+                and append > self.kill_after_appends):
+            return True
+        return self.chance(self.kill_rate, *key, append)
+
+    def should_kill(self, shard: int, incarnation: int, append: int) -> bool:
+        """A worker process: ``SIGKILL`` itself before journal append
+        ``append``?"""
+        return self.targets(shard) and self.kills(
+            append, "proc-kill", shard, incarnation, incarnation=incarnation)
+
+    def should_stop(self, shard: int, incarnation: int, tick: int) -> bool:
+        """A worker process: ``SIGSTOP`` itself before handling tick
+        number ``tick``?"""
+        if not self.targets(shard):
+            return False
+        if (self.hang_after_ticks is not None
+                and incarnation == self.incarnation
+                and tick > self.hang_after_ticks):
+            return True
+        return self.chance(self.hang_rate, "proc-stop", shard, incarnation,
+                           tick)
 
 
 class ChaosRunner:
@@ -230,40 +388,52 @@ class ChaosRunner:
 
 
 class ChaosJournalStore:
-    """Delegating journal wrapper injecting write faults and kills.
+    """Delegating journal wrapper: kills and write faults, every transport.
 
-    Both are decided *before* the underlying write, per this
-    incarnation's append counter: a :class:`SimulatedKill` models the
-    process dying between two durable records, an injected
-    :class:`~repro.exceptions.JournalError` models a full disk or I/O
-    error the process survives.  Replay, rewrite and every attribute
-    besides :meth:`append` pass through untouched.
+    Each fault is decided *before* the underlying write, from this
+    incarnation's append counter.  A kill calls ``die(append)``, which
+    must not return: the inline service raises :class:`SimulatedKill`,
+    an in-thread shard :class:`ShardCrash`, a worker process sends
+    itself ``SIGKILL``.  An injected
+    :class:`~repro.exceptions.JournalError` is counted through
+    ``tally`` and raised.  Replay, rewrite and every attribute besides
+    :meth:`append` pass through untouched.
+
+    Each transport keeps its own draw keys, so its seeded soaks keep
+    their fault points: inline draws (``shard is None``) key on the
+    append counter and ``str(kind)``; shard draws prefix ``tag``
+    (``"shard-"``, ``"proc-"``), add (shard, incarnation) and key on
+    ``kind.value``.
     """
 
-    def __init__(self, store, plan: ChaosPlan, monkey: "ChaosMonkey"):
+    def __init__(self, store, plan: ChaosPlan, die, *, tally=None,
+                 tag: str = "", shard: int | None = None,
+                 incarnation: int = 0):
         self._store = store
         self.plan = plan
-        self._monkey = monkey
+        self._die = die
+        self._tally = tally
+        self._tag = tag
+        self._scope = () if shard is None else (shard, incarnation)
+        self._incarnation = incarnation
         self.appends = 0
 
     def append(self, kind: str, payload: dict, *, fsync=None) -> int:
         self.appends += 1
         count = self.appends
         plan = self.plan
-        if (plan.kill_after_appends is not None
-                and count > plan.kill_after_appends):
-            self._monkey.count("kill")
-            raise SimulatedKill(
-                f"simulated process kill before journal append #{count}")
-        if plan.chance(plan.kill_rate, "kill", count):
-            self._monkey.count("kill")
-            raise SimulatedKill(
-                f"simulated process kill before journal append #{count}")
-        if plan.chance(plan.journal_error_rate, "journal-error", count, kind):
-            self._monkey.count("journal_error")
+        if plan.kills(count, f"{self._tag}kill", *self._scope,
+                      incarnation=self._incarnation):
+            self._die(count)
+        kind_key = kind if not self._scope else getattr(kind, "value", kind)
+        if plan.chance(plan.journal_error_rate, f"{self._tag}journal-error",
+                       *self._scope, count, kind_key):
+            if self._tally is not None:
+                self._tally("journal_error")
+            where = f" on shard {self._scope[0]}" if self._scope else ""
             raise JournalError(
-                f"injected journal write fault (append #{count}, "
-                f"kind {kind!r})")
+                f"injected journal write fault{where} (append #{count}, "
+                f"kind {kind_key!r})")
         return self._store.append(kind, payload, fsync=fsync)
 
     def __getattr__(self, name):
@@ -271,7 +441,7 @@ class ChaosJournalStore:
 
 
 class ChaosMonkey:
-    """One installed chaos plan: the hooks, wrappers and tally.
+    """The inline injector: one plan installed on one service.
 
     ``injections`` counts every fault that actually fired, keyed by
     kind (``executor_crash``, ``executor_hang``, ``journal_error``,
@@ -281,6 +451,7 @@ class ChaosMonkey:
     """
 
     def __init__(self, service, plan: ChaosPlan):
+        plan.check_transport("inline")
         self.service = service
         self.plan = plan
         self.injections: Counter = Counter()
@@ -293,6 +464,11 @@ class ChaosMonkey:
     def count(self, kind: str) -> None:
         with self._lock:
             self.injections[kind] += 1
+
+    def _die(self, append: int) -> None:
+        self.count("kill")
+        raise SimulatedKill(
+            f"simulated process kill before journal append #{append}")
 
     # -- hooks wired into the service ----------------------------------
     def tick_hook(self, entry) -> None:
@@ -328,7 +504,7 @@ class ChaosMonkey:
         if self.service.store is not None:
             self._original_store = self.service.store
             self.service.store = ChaosJournalStore(
-                self.service.store, self.plan, self)
+                self.service.store, self.plan, self._die, tally=self.count)
         self.service.tick_hook = self.tick_hook
         self.service.repair_hook = self.repair_hook
         self._installed = True
@@ -345,17 +521,6 @@ class ChaosMonkey:
         self.service.repair_hook = None
         self._installed = False
 
-
-def install_chaos(service, plan: ChaosPlan) -> ChaosMonkey:
-    """Wrap ``service``'s collaborators per ``plan``; returns the
-    installed :class:`ChaosMonkey` (call :meth:`ChaosMonkey.uninstall`
-    to restore)."""
-    return ChaosMonkey(service, plan).install()
-
-
-# ----------------------------------------------------------------------
-# Shard-level chaos (against the supervised shard fabric)
-# ----------------------------------------------------------------------
 
 #: Record kinds whose journal lines shard chaos may corrupt.  All are
 #: observability or replay-redundant records: losing one costs at most
@@ -378,124 +543,19 @@ def _line_kind(line: str) -> str | None:
         return None
 
 
-@dataclass(frozen=True)
-class ShardChaosPlan:
-    """Shard-fabric faults, seeded and keyed like :class:`ChaosPlan`.
-
-    All rates are per-decision-point probabilities in [0, 1]:
-
-    * ``crash_rate`` -- a ticked event raises :class:`ShardCrash`
-      (the shard process dies mid-tick; the supervisor survives);
-    * ``hang_rate`` -- the shard stops responding to ticks *until its
-      next restart* (only the watchdog's stall detection recovers it);
-    * ``slow_tick_rate`` / ``slow_tick_seconds`` -- a tick stalls for
-      ``slow_tick_seconds`` before processing (latency, not failure);
-    * ``heartbeat_loss_rate`` -- one heartbeat is dropped on the way
-      to the supervisor;
-    * ``journal_error_rate`` / ``kill_rate`` -- per-append journal
-      write faults / shard kills, like :class:`ChaosJournalStore`
-      but raising :class:`ShardCrash` so the blast stops at the shard;
-    * ``journal_corrupt_rate`` -- one already-written line of the
-      shard's journal is corrupted in place (restricted to
-      observability/replay-redundant kinds, see
-      ``_CORRUPTIBLE_KINDS``) by truncating it, exercising the
-      corrupt-line skip-and-warn path on the next recovery.
-
-    ``target_shards`` limits every fault to the given shard indexes --
-    the blast-radius soak targets one shard and asserts the others
-    never notice.
-    """
-
-    seed: int
-    target_shards: frozenset | None = None
-    crash_rate: float = 0.0
-    hang_rate: float = 0.0
-    slow_tick_rate: float = 0.0
-    slow_tick_seconds: float = 0.0
-    heartbeat_loss_rate: float = 0.0
-    journal_error_rate: float = 0.0
-    journal_corrupt_rate: float = 0.0
-    kill_rate: float = 0.0
-
-    def __post_init__(self):
-        for name in ("crash_rate", "hang_rate", "slow_tick_rate",
-                     "heartbeat_loss_rate", "journal_error_rate",
-                     "journal_corrupt_rate", "kill_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ServiceError(f"{name} must be in [0, 1], got {rate}")
-        if self.slow_tick_seconds < 0:
-            raise ServiceError("slow_tick_seconds must be non-negative")
-
-    def chance(self, rate: float, *key) -> bool:
-        """One keyed Bernoulli draw (same idiom as
-        :meth:`ChaosPlan.chance`)."""
-        if rate <= 0.0:
-            return False
-        rng = np.random.default_rng(
-            np.random.SeedSequence((self.seed, *_entropy(key))))
-        return bool(rng.random() < rate)
-
-    def pick(self, upper: int, *key) -> int:
-        """One keyed uniform draw in ``[0, upper)``."""
-        rng = np.random.default_rng(
-            np.random.SeedSequence((self.seed, *_entropy(key))))
-        return int(rng.integers(upper))
-
-
-class ShardChaosJournalStore:
-    """Per-shard journal wrapper: write faults and *shard* kills.
-
-    Like :class:`ChaosJournalStore`, but draws are keyed by (shard,
-    incarnation, append counter) so every restart re-draws fresh, and
-    a kill raises :class:`ShardCrash` -- the shard dies, the
-    supervisor lives.
-    """
-
-    def __init__(self, store, plan: ShardChaosPlan, monkey,
-                 shard_index: int, incarnation: int):
-        self._store = store
-        self.plan = plan
-        self._monkey = monkey
-        self.shard_index = shard_index
-        self.incarnation = incarnation
-        self.appends = 0
-
-    def append(self, kind: str, payload: dict, *, fsync=None) -> int:
-        self.appends += 1
-        count = self.appends
-        plan = self.plan
-        kind_name = getattr(kind, "value", kind)
-        if plan.chance(plan.kill_rate, "shard-kill", self.shard_index,
-                       self.incarnation, count):
-            self._monkey.count("shard_kill")
-            raise ShardCrash(
-                f"injected shard {self.shard_index} kill before journal "
-                f"append #{count}")
-        if plan.chance(plan.journal_error_rate, "shard-journal-error",
-                       self.shard_index, self.incarnation, count, kind_name):
-            self._monkey.count("journal_error")
-            raise JournalError(
-                f"injected journal write fault on shard {self.shard_index} "
-                f"(append #{count}, kind {kind_name!r})")
-        return self._store.append(kind, payload, fsync=fsync)
-
-    def __getattr__(self, name):
-        return getattr(self._store, name)
-
-
 class ShardChaosMonkey:
-    """One installed shard-chaos plan against a supervisor.
+    """The thread injector: one plan installed on a shard supervisor.
 
     Wires the supervisor's three chaos seams (``tick_filter``,
     ``heartbeat_filter``, ``on_restart``) plus per-shard tick hooks
-    and journal wrappers.  ``injections`` tallies what fired
-    (``shard_crash``, ``shard_hang``, ``slow_tick``,
-    ``heartbeat_loss``, ``journal_error``, ``journal_corruption``,
-    ``shard_kill``).
+    and journal wrappers.  Draws are keyed by (shard, incarnation,
+    counter), so every restart re-draws fresh.  ``injections`` tallies
+    what fired (``shard_crash``, ``shard_hang``, ``heartbeat_loss``,
+    ``journal_error``, ``journal_corruption``, ``shard_kill``).
     """
 
-    def __init__(self, supervisor, plan: ShardChaosPlan):
+    def __init__(self, supervisor, plan: ChaosPlan):
+        plan.check_transport("thread")
         self.supervisor = supervisor
         self.plan = plan
         self.injections: Counter = Counter()
@@ -515,20 +575,12 @@ class ShardChaosMonkey:
             self._counters[key] += 1
         return value
 
-    def targets(self, shard) -> bool:
-        return (self.plan.target_shards is None
-                or shard.index in self.plan.target_shards)
-
     # -- seams ----------------------------------------------------------
     def _tick_hook_for(self, shard):
         plan = self.plan
 
         def hook(entry):
             call = self._next("tick", shard.index, shard.restarts)
-            if plan.chance(plan.slow_tick_rate, "slow-tick", shard.index,
-                           shard.restarts, call):
-                self.count("slow_tick")
-                time.sleep(plan.slow_tick_seconds)
             if plan.chance(plan.crash_rate, "shard-crash", shard.index,
                            shard.restarts, call):
                 self.count("shard_crash")
@@ -538,8 +590,17 @@ class ShardChaosMonkey:
 
         return hook
 
+    def _die_for(self, shard):
+        def die(append: int) -> None:
+            self.count("shard_kill")
+            raise ShardCrash(
+                f"injected shard {shard.index} kill before journal "
+                f"append #{append}")
+
+        return die
+
     def tick_filter(self, shard) -> bool:
-        if not self.targets(shard):
+        if not self.plan.targets(shard.index):
             return True
         if shard.index in self.hung:
             return False
@@ -552,7 +613,7 @@ class ShardChaosMonkey:
         return True
 
     def heartbeat_filter(self, shard) -> bool:
-        if not self.targets(shard):
+        if not self.plan.targets(shard.index):
             return True
         call = self._next("corrupt", shard.index)
         if self.plan.chance(self.plan.journal_corrupt_rate,
@@ -594,12 +655,14 @@ class ShardChaosMonkey:
         self._arm(shard)
 
     def _arm(self, shard) -> None:
-        if not self.targets(shard):
+        if not self.plan.targets(shard.index):
             return
         service = shard.service
         if service.store is not None:
-            service.store = ShardChaosJournalStore(
-                service.store, self.plan, self, shard.index, shard.restarts)
+            service.store = ChaosJournalStore(
+                service.store, self.plan, self._die_for(shard),
+                tally=self.count, tag="shard-", shard=shard.index,
+                incarnation=shard.restarts)
         service.tick_hook = self._tick_hook_for(shard)
 
     # -- install / uninstall -------------------------------------------
@@ -620,7 +683,7 @@ class ShardChaosMonkey:
             return
         for shard in self.supervisor.shards:
             service = shard.service
-            if isinstance(service.store, ShardChaosJournalStore):
+            if isinstance(service.store, ChaosJournalStore):
                 service.store = service.store._store
             service.tick_hook = None
         self.supervisor.tick_filter = None
@@ -630,126 +693,22 @@ class ShardChaosMonkey:
         self._installed = False
 
 
-def install_shard_chaos(supervisor, plan: ShardChaosPlan) -> ShardChaosMonkey:
-    """Wrap ``supervisor``'s shards per ``plan``; returns the installed
-    :class:`ShardChaosMonkey` (call
-    :meth:`ShardChaosMonkey.uninstall` to restore)."""
-    return ShardChaosMonkey(supervisor, plan).install()
+def install_chaos(target, plan: ChaosPlan) -> ChaosMonkey | ShardChaosMonkey:
+    """Install ``plan`` on ``target`` with its transport's injector.
 
-
-# ----------------------------------------------------------------------
-# Process-level chaos (real signals against worker processes)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProcessChaosPlan:
-    """Real OS-level faults a worker *process* inflicts on itself.
-
-    Unlike :class:`ChaosPlan`/:class:`ShardChaosPlan`, nothing here is
-    simulated: the worker built by
-    :mod:`repro.service.procfabric` sends itself genuine signals --
-    ``SIGKILL`` (uncatchable death between two journal appends, the
-    real ``kill -9``) and ``SIGSTOP`` (an uncatchable hang only the
-    parent's watchdog can detect).  The plan is **pure JSON data**
-    (:meth:`to_payload`/:meth:`from_payload`) because it must cross
-    the spawn boundary inside the worker spec; no callables, no
-    pickling.
-
-    Deterministic faults (the prefix-sweep drivers):
-
-    * ``kill_after_appends=N`` -- the worker SIGKILLs itself *before*
-      journal append N+1, but only while ``incarnation ==
-      kill_incarnation`` -- a respawned worker must not die at the
-      same append forever;
-    * ``stop_before_ticks=N`` -- the worker SIGSTOPs itself before
-      handling its (N+1)-th tick command of ``stop_incarnation``.
-
-    Probabilistic faults (``kill_rate`` per append, ``stop_rate`` per
-    tick) draw from the same keyed-RNG idiom as every other plan,
-    keyed by (shard, incarnation, counter) so each respawn re-draws
-    fresh and a soak stays replayable.  ``target_shards`` scopes every
-    fault to the given shard indexes.
+    ``target`` is a :class:`~repro.service.controlplane.
+    ValidationService` (returns a :class:`ChaosMonkey`) or a
+    :class:`~repro.service.supervisor.ShardSupervisor` (returns a
+    :class:`ShardChaosMonkey`); call ``uninstall()`` on the result to
+    restore.  A :class:`~repro.service.procfabric.ProcessFabric` takes
+    its plan at construction instead (``chaos=plan``): its workers
+    fault themselves.  Raises :class:`~repro.exceptions.ServiceError`
+    if the plan sets a fault the transport cannot inject.
     """
-
-    seed: int
-    target_shards: frozenset | None = None
-    kill_after_appends: int | None = None
-    kill_incarnation: int = 0
-    kill_rate: float = 0.0
-    stop_before_ticks: int | None = None
-    stop_incarnation: int = 0
-    stop_rate: float = 0.0
-
-    def __post_init__(self):
-        for name in ("kill_rate", "stop_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ServiceError(f"{name} must be in [0, 1], got {rate}")
-        for name in ("kill_after_appends", "stop_before_ticks"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ServiceError(f"{name} must be non-negative")
-
-    def targets(self, shard_index: int) -> bool:
-        return (self.target_shards is None
-                or shard_index in self.target_shards)
-
-    def chance(self, rate: float, *key) -> bool:
-        """One keyed Bernoulli draw (same idiom as
-        :meth:`ChaosPlan.chance`)."""
-        if rate <= 0.0:
-            return False
-        rng = np.random.default_rng(
-            np.random.SeedSequence((self.seed, *_entropy(key))))
-        return bool(rng.random() < rate)
-
-    def should_kill(self, shard: int, incarnation: int, append: int) -> bool:
-        """Die (for real) before performing journal append ``append``?"""
-        if not self.targets(shard):
-            return False
-        if (self.kill_after_appends is not None
-                and incarnation == self.kill_incarnation
-                and append > self.kill_after_appends):
-            return True
-        return self.chance(self.kill_rate, "proc-kill", shard, incarnation,
-                           append)
-
-    def should_stop(self, shard: int, incarnation: int, tick: int) -> bool:
-        """Freeze (for real) before handling tick number ``tick``?"""
-        if not self.targets(shard):
-            return False
-        if (self.stop_before_ticks is not None
-                and incarnation == self.stop_incarnation
-                and tick > self.stop_before_ticks):
-            return True
-        return self.chance(self.stop_rate, "proc-stop", shard, incarnation,
-                           tick)
-
-    def to_payload(self) -> dict:
-        """JSON-serializable form for the spawn boundary."""
-        return {
-            "seed": self.seed,
-            "target_shards": (None if self.target_shards is None
-                              else sorted(self.target_shards)),
-            "kill_after_appends": self.kill_after_appends,
-            "kill_incarnation": self.kill_incarnation,
-            "kill_rate": self.kill_rate,
-            "stop_before_ticks": self.stop_before_ticks,
-            "stop_incarnation": self.stop_incarnation,
-            "stop_rate": self.stop_rate,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ProcessChaosPlan":
-        targets = payload.get("target_shards")
-        return cls(
-            seed=int(payload["seed"]),
-            target_shards=(None if targets is None
-                           else frozenset(int(t) for t in targets)),
-            kill_after_appends=payload.get("kill_after_appends"),
-            kill_incarnation=int(payload.get("kill_incarnation", 0)),
-            kill_rate=float(payload.get("kill_rate", 0.0)),
-            stop_before_ticks=payload.get("stop_before_ticks"),
-            stop_incarnation=int(payload.get("stop_incarnation", 0)),
-            stop_rate=float(payload.get("stop_rate", 0.0)),
-        )
+    if hasattr(target, "shards"):
+        return ShardChaosMonkey(target, plan).install()
+    if hasattr(target, "anubis"):
+        return ChaosMonkey(target, plan).install()
+    raise ServiceError(
+        f"cannot install chaos on a {type(target).__name__}; a process "
+        f"fabric takes its plan as ProcessFabric(chaos=plan)")

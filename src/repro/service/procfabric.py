@@ -62,9 +62,9 @@ parent's :meth:`ProcessFabric.shutdown` seals every live worker (RPC
 first, signal as fallback) so ``repro report`` can tell a clean
 shutdown from a crash for every shard.
 
-Real fault *injection* is the worker's own job:
-:class:`~repro.service.chaos.ProcessChaosPlan` crosses the spawn
-boundary as JSON and the worker sends **itself** ``SIGKILL`` before a
+Real fault *injection* is the worker's own job: the
+:class:`~repro.service.chaos.ChaosPlan` crosses the spawn boundary as
+JSON and the worker sends **itself** ``SIGKILL`` before a
 chosen journal append or ``SIGSTOP`` before a chosen tick -- the
 deterministic drivers of the kill-at-every-prefix property test.
 """
@@ -83,7 +83,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.exceptions import JournalError, ServiceError
-from repro.service.chaos import ProcessChaosPlan
+from repro.service.chaos import ChaosJournalStore, ChaosPlan
 from repro.service.controlplane import ServiceConfig, ValidationService
 from repro.service.queue import QueueState, as_origin, replay_queue_state
 from repro.service.shard import (
@@ -287,36 +287,6 @@ class _DrainRequested(BaseException):
         self.signum = signum
 
 
-class _SelfKillJournal:
-    """Journal wrapper that SIGKILLs its own process, for real.
-
-    The process-chaos analogue of
-    :class:`~repro.service.chaos.ChaosJournalStore`: when the plan
-    says append ``N+1`` must not happen, the worker sends itself an
-    uncatchable ``SIGKILL`` *before* writing -- the exact semantics of
-    ``kill -9`` landing between two durable records.  Appends 1..N are
-    already flushed to the OS, which keeps them; nothing here is
-    simulated.
-    """
-
-    def __init__(self, store, plan: ProcessChaosPlan, shard: int,
-                 incarnation: int):
-        self._store = store
-        self.plan = plan
-        self.shard = shard
-        self.incarnation = incarnation
-        self.appends = 0
-
-    def append(self, kind: str, payload: dict, *, fsync=None) -> int:
-        self.appends += 1
-        if self.plan.should_kill(self.shard, self.incarnation, self.appends):
-            os.kill(os.getpid(), signal.SIGKILL)
-        return self._store.append(kind, payload, fsync=fsync)
-
-    def __getattr__(self, name):
-        return getattr(self._store, name)
-
-
 class ShardWorker:
     """One shard's control plane, spoken to over the frame protocol."""
 
@@ -325,7 +295,7 @@ class ShardWorker:
         self.proto_in = proto_in
         self.proto_out = proto_out
         self.chaos = (None if spec.chaos is None
-                      else ProcessChaosPlan.from_payload(spec.chaos))
+                      else ChaosPlan.from_payload(spec.chaos))
         self.service: ValidationService | None = None
         self.ticks = 0
         self.statuses = 0
@@ -334,7 +304,8 @@ class ShardWorker:
     def build(self) -> None:
         builder = _resolve_builder(self.spec.builder)
         anubis, nodes, config = builder(self.spec.builder_args)
-        if self.chaos is None:
+        shard = self.spec.shard_index
+        if self.chaos is None or not self.chaos.targets(shard):
             self.service = ValidationService(
                 anubis, nodes, journal_dir=self.spec.journal_dir,
                 config=config)
@@ -344,15 +315,18 @@ class ShardWorker:
         # recovery bookkeeping) are kill points too, so the wrapper
         # must be in place before construction, not bolted on after.
         # Patching the constructor controlplane resolves is safe here:
-        # this is a dedicated worker process.
+        # this is a dedicated worker process.  A kill is real: the
+        # worker sends itself ``SIGKILL`` before the write, the exact
+        # semantics of ``kill -9`` landing between two durable records.
         from repro.service import controlplane as _controlplane
         original = _controlplane.JournalStore
-        chaos, shard = self.chaos, self.spec.shard_index
-        incarnation = self.spec.incarnation
+        chaos, incarnation = self.chaos, self.spec.incarnation
 
         def armed(directory, **kwargs):
-            return _SelfKillJournal(original(directory, **kwargs),
-                                    chaos, shard, incarnation)
+            return ChaosJournalStore(
+                original(directory, **kwargs), chaos,
+                lambda _append: os.kill(os.getpid(), signal.SIGKILL),
+                tag="proc-", shard=shard, incarnation=incarnation)
 
         _controlplane.JournalStore = armed
         try:
@@ -890,8 +864,10 @@ class ProcessFabric(Supervisor):
     config:
         :class:`~repro.service.supervisor.SupervisorConfig`.
     chaos:
-        Optional :class:`~repro.service.chaos.ProcessChaosPlan`
-        shipped to every worker (workers fault *themselves*).
+        Optional :class:`~repro.service.chaos.ChaosPlan` shipped to
+        every worker (workers fault *themselves*).  A plan setting a
+        fault the process transport cannot inject is refused here,
+        before any worker spawns.
     status_deadline_seconds / tick_deadline_seconds /
     spawn_deadline_seconds / drain_timeout_seconds:
         RPC deadlines: liveness probe, one tick (bounded by real
@@ -902,7 +878,7 @@ class ProcessFabric(Supervisor):
 
     def __init__(self, *, builder: str, builder_args: dict | None = None,
                  journal_root, config: SupervisorConfig | None = None,
-                 chaos: ProcessChaosPlan | None = None,
+                 chaos: ChaosPlan | None = None,
                  heartbeat_every: int = 1,
                  status_deadline_seconds: float = 10.0,
                  tick_deadline_seconds: float = 120.0,
@@ -921,6 +897,8 @@ class ProcessFabric(Supervisor):
                 raise ServiceError(f"{name} must be positive, got {value}")
         if heartbeat_every < 0:
             raise ServiceError("heartbeat_every must be non-negative")
+        if chaos is not None:
+            chaos.check_transport("process")
         super().__init__(config or SupervisorConfig(), {})
         self.journal_root = Path(journal_root)
         self.chaos = chaos

@@ -4,7 +4,7 @@ Everything the thread fabric proves against :class:`SimulatedKill`,
 proven here against the operating system: workers are genuine child
 processes, ``kill -9`` is a genuine ``SIGKILL`` between two journal
 appends (injected by the worker against itself via
-:class:`ProcessChaosPlan`), hangs are genuine ``SIGSTOP`` freezes,
+:class:`ChaosPlan`), hangs are genuine ``SIGSTOP`` freezes,
 and graceful drain is a genuine ``SIGTERM`` against a live
 ``python -m repro serve`` parent.
 
@@ -36,7 +36,7 @@ from repro.core.validator import Validator
 from repro.hardware.fleet import build_fleet
 from repro.service import (
     PARENT_ORIGIN,
-    ProcessChaosPlan,
+    ChaosPlan,
     ProcessFabric,
     SupervisorConfig,
 )
@@ -292,7 +292,7 @@ class TestStartUp:
         deadline = 4.0
         started = time.monotonic()
         fabric = staged_fabric(["block"] * SHARDS,
-                               chaos=ProcessChaosPlan(seed=0),
+                               chaos=ChaosPlan(seed=0),
                                spawn_deadline_seconds=deadline)
         elapsed = time.monotonic() - started
         try:
@@ -424,8 +424,8 @@ def run_kill_prefix(root, fleet, criteria_path, cut: int, shard: int):
     """One fabric run where ``shard`` SIGKILLs itself before its
     journal append number ``cut``."""
     events = make_events(fleet, 4, seed=3)
-    plan = ProcessChaosPlan(seed=7, target_shards=(shard,),
-                            kill_after_appends=cut - 1)
+    plan = ChaosPlan(seed=7, target_shards=(shard,),
+                     kill_after_appends=cut - 1)
     fabric = make_fabric(root, criteria_path, chaos=plan)
     try:
         for event in events:
@@ -498,8 +498,8 @@ class TestSigstopHang:
                                                        fleet,
                                                        criteria_path):
         events = make_events(fleet, 4, seed=4)
-        plan = ProcessChaosPlan(seed=5, target_shards=(0,),
-                                stop_before_ticks=1)
+        plan = ChaosPlan(seed=5, target_shards=(0,),
+                         hang_after_ticks=1)
         fabric = make_fabric(tmp_path / "j", criteria_path, chaos=plan,
                              status_deadline_seconds=20.0,
                              tick_deadline_seconds=5.0)
@@ -772,7 +772,7 @@ class TestProcessChaosStormSoak:
     def test_storm_accounting_balances(self, tmp_path, fleet,
                                        criteria_path):
         events = make_events(fleet, 10, seed=6)
-        plan = ProcessChaosPlan(seed=13, kill_rate=0.02, stop_rate=0.01)
+        plan = ChaosPlan(seed=13, kill_rate=0.02, hang_rate=0.01)
         fabric = make_fabric(tmp_path / "j", criteria_path, chaos=plan,
                              tick_deadline_seconds=10.0)
         try:

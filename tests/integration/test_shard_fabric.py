@@ -32,17 +32,17 @@ from repro.core.system import Anubis, EventKind, ValidationEvent
 from repro.core.validator import Validator
 from repro.hardware.fleet import build_fleet
 from repro.service import (
+    ChaosPlan,
     JournalStore,
     NodeState,
     PoolConfig,
     ServiceConfig,
-    ShardChaosPlan,
     ShardState,
     ShardSupervisor,
     SimulatedKill,
     SupervisorConfig,
     ValidationService,
-    install_shard_chaos,
+    install_chaos,
 )
 from repro.simulation import analytic_coverage_table, suite_durations
 from repro.simulation.generator import generate_incident_trace
@@ -474,7 +474,7 @@ class TestShardChaosSoak:
             fleet, risk_model, root, shards=3, watchdog_stall_ticks=2,
             restart_backoff_base_ticks=1, max_shard_restarts=2,
             max_queue_depth=8)
-        monkey = install_shard_chaos(supervisor, ShardChaosPlan(
+        monkey = install_chaos(supervisor, ChaosPlan(
             seed=SOAK_SEED,
             target_shards=frozenset({0}),
             crash_rate=0.25,

@@ -26,14 +26,14 @@ from repro.core.system import Anubis, EventKind, ValidationEvent
 from repro.core.validator import Validator
 from repro.hardware.fleet import build_fleet
 from repro.service import (
+    ChaosPlan,
     JournalStore,
     PoolConfig,
     ServiceConfig,
-    ShardChaosPlan,
     ShardState,
     ShardSupervisor,
     SupervisorConfig,
-    install_shard_chaos,
+    install_chaos,
 )
 from repro.simulation import analytic_coverage_table, suite_durations
 from repro.simulation.generator import generate_incident_trace
@@ -138,7 +138,7 @@ class TestSkuHandoffSoak:
         # Aim the chaos at the shard owning H100 (crashes exhaust its
         # restart budget so the watchdog degrades it).
         (target_shard,) = before["H100"]
-        monkey = install_shard_chaos(supervisor, ShardChaosPlan(
+        monkey = install_chaos(supervisor, ChaosPlan(
             seed=SOAK_SEED,
             target_shards=frozenset({target_shard}),
             crash_rate=0.30,

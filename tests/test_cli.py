@@ -1,5 +1,10 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -104,3 +109,21 @@ class TestCommands:
         assert main(["report", "--journal", str(journal_dir)]) == 0
         report_out = capsys.readouterr().out
         assert "learn-" in report_out
+
+
+class TestServeChaosPin:
+    def test_seeded_chaos_run_is_pinned(self, tmp_path):
+        """``python -m repro serve --chaos-seed`` injects the same faults
+        on every run; its tally line is pinned exactly."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]]
+                     if os.environ.get("PYTHONPATH") else []))}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--events", "40",
+             "--nodes", "16", "--seed", "1", "--chaos-seed", "5",
+             "--journal", str(tmp_path / "journal")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert ("chaos injections: executor_crash=2 journal_error=9 kill=3 "
+                "(restarts=3)") in done.stdout.splitlines()

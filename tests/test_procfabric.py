@@ -9,6 +9,7 @@ live in ``tests/integration/test_process_fabric.py``.
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +17,10 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import JournalError, ReproError, ServiceError
-from repro.service.chaos import ProcessChaosPlan
+from repro.service.chaos import ChaosPlan, SimulatedKill
 from repro.service.procfabric import (
     ProcessFabric,
+    ShardWorker,
     WorkerFault,
     WorkerSpec,
     read_frame,
@@ -113,19 +115,19 @@ class TestWorkerSpec:
 
 class TestProcessChaosPlan:
     def test_payload_round_trip(self):
-        plan = ProcessChaosPlan(seed=11, target_shards=(0, 2),
-                                kill_after_appends=5, kill_incarnation=1,
-                                kill_rate=0.25, stop_before_ticks=3,
-                                stop_rate=0.1)
-        clone = ProcessChaosPlan.from_payload(
+        plan = ChaosPlan(seed=11, target_shards=(0, 2),
+                         kill_after_appends=5, incarnation=1,
+                         kill_rate=0.25, hang_after_ticks=3,
+                         hang_rate=0.1)
+        clone = ChaosPlan.from_payload(
             json.loads(json.dumps(plan.to_payload())))
         assert clone.seed == plan.seed
         assert clone.targets(0) and clone.targets(2) and not clone.targets(1)
         assert clone.kill_after_appends == 5
-        assert clone.kill_incarnation == 1
+        assert clone.incarnation == 1
 
     def test_deterministic_kill_fires_once_per_incarnation(self):
-        plan = ProcessChaosPlan(seed=1, kill_after_appends=2)
+        plan = ChaosPlan(seed=1, kill_after_appends=2)
         assert not plan.should_kill(0, 0, 1)
         assert not plan.should_kill(0, 0, 2)
         assert plan.should_kill(0, 0, 3)
@@ -134,20 +136,19 @@ class TestProcessChaosPlan:
         assert not plan.should_kill(0, 1, 3)
 
     def test_deterministic_stop_gated_by_incarnation(self):
-        plan = ProcessChaosPlan(seed=1, stop_before_ticks=1,
-                                stop_incarnation=2)
+        plan = ChaosPlan(seed=1, hang_after_ticks=1, incarnation=2)
         assert not plan.should_stop(0, 0, 2)
         assert plan.should_stop(0, 2, 2)
 
     def test_target_scoping(self):
-        plan = ProcessChaosPlan(seed=1, target_shards=(1,),
-                                kill_after_appends=0)
+        plan = ChaosPlan(seed=1, target_shards=(1,),
+                         kill_after_appends=0)
         assert plan.should_kill(1, 0, 1)
         assert not plan.should_kill(0, 0, 1)
 
     def test_probabilistic_draws_are_reproducible(self):
-        a = ProcessChaosPlan(seed=9, kill_rate=0.5)
-        b = ProcessChaosPlan(seed=9, kill_rate=0.5)
+        a = ChaosPlan(seed=9, kill_rate=0.5)
+        b = ChaosPlan(seed=9, kill_rate=0.5)
         draws = [(s, i, n) for s in range(2) for i in range(2)
                  for n in range(1, 20)]
         assert ([a.should_kill(*d) for d in draws]
@@ -156,11 +157,57 @@ class TestProcessChaosPlan:
 
     def test_rate_validation(self):
         with pytest.raises(ServiceError):
-            ProcessChaosPlan(seed=1, kill_rate=1.5)
+            ChaosPlan(seed=1, kill_rate=1.5)
         with pytest.raises(ServiceError):
-            ProcessChaosPlan(seed=1, stop_rate=-0.1)
+            ChaosPlan(seed=1, hang_rate=-0.1)
         with pytest.raises(ServiceError):
-            ProcessChaosPlan(seed=1, kill_after_appends=-1)
+            ChaosPlan(seed=1, kill_after_appends=-1)
+
+    @pytest.mark.parametrize("shard", [0, 1])
+    def test_worker_journal_dies_where_should_kill_says(self, tmp_path,
+                                                        monkeypatch, shard):
+        # The worker arms its own journal: its SIGKILLs must land on
+        # exactly the appends the plan's process decision names, and
+        # never on an untargeted shard.
+        plan = ChaosPlan(seed=1, target_shards=(1,), kill_rate=0.3)
+        spec = WorkerSpec(
+            shard_index=shard, journal_dir=str(tmp_path),
+            builder="repro.service.procfabric:default_builder",
+            builder_args={"fleet_size": 6, "suite": ["ib-loopback"],
+                          "learn_on": 3, "trace_nodes": 10,
+                          "trace_hours": 200.0},
+            incarnation=2, chaos=plan.to_payload())
+        signals = []
+
+        def fake_kill(pid, signum):
+            signals.append(signum)
+            raise SimulatedKill
+
+        monkeypatch.setattr(os, "kill", fake_kill)
+        worker = ShardWorker(spec, -1, -1)
+        worker.build()
+        store = worker.service.store
+        first = len(store.replay()) + 1   # construction's appends landed
+        killed = set()
+        for n in range(first, first + 20):
+            try:
+                store.append(RecordKind.PROC_HEARTBEAT, {})
+            except SimulatedKill:
+                killed.add(n)
+        expected = {n for n in range(1, first + 20)
+                    if plan.should_kill(shard, 2, n)}
+        assert killed == expected
+        assert bool(expected) == (shard == 1)
+        assert signals == [signal.SIGKILL] * len(killed)
+
+    def test_fabric_refuses_faults_it_cannot_inject(self, tmp_path):
+        # Refused at construction, before any worker spawns.
+        with pytest.raises(ServiceError, match="process transport cannot "
+                                               "inject heartbeat_loss_rate"):
+            ProcessFabric(builder="repro.service.procfabric:default_builder",
+                          journal_root=tmp_path / "j",
+                          chaos=ChaosPlan(seed=1, heartbeat_loss_rate=0.1))
+        assert not (tmp_path / "j").exists()
 
 
 class TestReplayQueueState:

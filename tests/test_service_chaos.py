@@ -1,6 +1,7 @@
 """Unit tests: the deterministic chaos harness (plan, wrappers,
 install/uninstall)."""
 
+import json
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -24,9 +25,10 @@ from repro.service.chaos import (
     ChaosJournalStore,
     ChaosMonkey,
     ShardChaosMonkey,
-    ShardChaosPlan,
+    ShardCrash,
     poison_key,
 )
+from repro.service.store import RecordKind
 
 
 @dataclass(frozen=True)
@@ -60,12 +62,37 @@ def make_event(node_ids, kind=EventKind.JOB_ALLOCATION):
                            duration_hours=24.0)
 
 
+class RecordingStore:
+    """Stand-in journal: records the appends that reach it."""
+
+    def __init__(self):
+        self.kinds = []
+
+    def append(self, kind, payload, *, fsync=None):
+        self.kinds.append(kind)
+        return len(self.kinds)
+
+
+def stand_in_service(store=None):
+    return SimpleNamespace(
+        anubis=SimpleNamespace(validator=SimpleNamespace(runner=EchoRunner())),
+        store=store, tick_hook=None, repair_hook=None)
+
+
+def stand_in_shard(index, restarts=0):
+    return SimpleNamespace(
+        index=index, restarts=restarts,
+        service=SimpleNamespace(store=RecordingStore(), tick_hook=None))
+
+
+def journal_kinds(count):
+    kinds = list(RecordKind)
+    return [(n, kinds[n % len(kinds)]) for n in range(1, count + 1)]
+
+
 def make_monkey(plan):
     """A ChaosMonkey over a minimal stand-in service object."""
-    service = SimpleNamespace(
-        anubis=SimpleNamespace(validator=SimpleNamespace(runner=EchoRunner())),
-        store=None, tick_hook=None, repair_hook=None)
-    return ChaosMonkey(service, plan)
+    return ChaosMonkey(stand_in_service(), plan)
 
 
 class TestChaosPlan:
@@ -79,6 +106,9 @@ class TestChaosPlan:
         {"hang_seconds": -1.0},
         {"kill_after_appends": -1},
         {"broken_benchmark_crashes": -1},
+        {"hang_rate": 1.5},
+        {"hang_after_ticks": -1},
+        {"incarnation": -1},
     ])
     def test_invalid_plan_rejected(self, kwargs):
         with pytest.raises(ServiceError):
@@ -103,6 +133,14 @@ class TestChaosPlan:
         a = [ChaosPlan(seed=1).chance(0.5, *key) for key in keys]
         b = [ChaosPlan(seed=2).chance(0.5, *key) for key in keys]
         assert a != b
+
+    def test_payload_round_trip_keeps_set_fields(self):
+        plan = ChaosPlan(
+            seed=3, target_shards=(2, 0), fault_nodes=frozenset({"n1"}),
+            poison_event_keys=frozenset({("job-allocation", ("a", "b"))}))
+        payload = json.loads(json.dumps(plan.to_payload()))
+        assert ChaosPlan.from_payload(payload) == plan
+        assert ChaosPlan.from_payload({"seed": 3}) == ChaosPlan(seed=3)
 
     def test_poison_key_matches_coalescing_identity(self):
         event = make_event(["b", "a"])
@@ -160,10 +198,17 @@ class TestChaosRunner:
         assert monkey.injections["broken_benchmark_crash"] == 3
 
 
+def armed_store(tmp_path, plan):
+    """An inline-armed journal over ``tmp_path`` and its monkey."""
+    service = stand_in_service(JournalStore(tmp_path))
+    monkey = install_chaos(service, plan)
+    return service.store, monkey
+
+
 class TestChaosJournalStore:
     def test_kill_after_appends_is_exact(self, tmp_path):
-        monkey = make_monkey(ChaosPlan(seed=0, kill_after_appends=2))
-        store = ChaosJournalStore(JournalStore(tmp_path), monkey.plan, monkey)
+        store, monkey = armed_store(tmp_path,
+                                    ChaosPlan(seed=0, kill_after_appends=2))
         assert store.append("a", {}) == 1
         assert store.append("b", {}) == 2
         with pytest.raises(SimulatedKill):
@@ -173,26 +218,24 @@ class TestChaosJournalStore:
         assert monkey.injections["kill"] == 1
 
     def test_kill_after_zero_appends_dies_immediately(self, tmp_path):
-        monkey = make_monkey(ChaosPlan(seed=0, kill_after_appends=0))
-        store = ChaosJournalStore(JournalStore(tmp_path), monkey.plan, monkey)
+        store, _ = armed_store(tmp_path,
+                               ChaosPlan(seed=0, kill_after_appends=0))
         with pytest.raises(SimulatedKill):
             store.append("a", {})
         assert JournalStore(tmp_path).replay() == []
 
     def test_journal_error_rate_one_always_raises(self, tmp_path):
-        monkey = make_monkey(ChaosPlan(seed=0, journal_error_rate=1.0))
-        store = ChaosJournalStore(JournalStore(tmp_path), monkey.plan, monkey)
+        store, monkey = armed_store(tmp_path,
+                                    ChaosPlan(seed=0, journal_error_rate=1.0))
         with pytest.raises(JournalError, match="injected journal write"):
             store.append("a", {})
         assert monkey.injections["journal_error"] == 1
 
     def test_replay_and_attributes_pass_through(self, tmp_path):
-        inner = JournalStore(tmp_path)
-        inner.append("a", {"x": 1})
-        store = ChaosJournalStore(inner, ChaosPlan(seed=0),
-                                  make_monkey(ChaosPlan(seed=0)))
+        JournalStore(tmp_path).append("a", {"x": 1})
+        store, _ = armed_store(tmp_path, ChaosPlan(seed=0))
         assert [r.kind for r in store.replay()] == ["a"]
-        assert store.path == inner.path
+        assert store.path == JournalStore(tmp_path).path
 
 
 class TestShardJournalCorruption:
@@ -207,8 +250,8 @@ class TestShardJournalCorruption:
         shard = SimpleNamespace(index=0, restarts=0,
                                 service=SimpleNamespace(store=store))
         monkey = ShardChaosMonkey(SimpleNamespace(shards=[shard]),
-                                  ShardChaosPlan(seed=0,
-                                                 journal_corrupt_rate=1.0))
+                                  ChaosPlan(seed=0,
+                                            journal_corrupt_rate=1.0))
         assert monkey.heartbeat_filter(shard)
         assert monkey.injections["journal_corruption"] >= 1
 
@@ -218,6 +261,31 @@ class TestShardJournalCorruption:
         reader = JournalReader(tmp_path)
         assert [r.kind for r in reader.read_all()] == replayed
         assert reader.corrupt_lines == 1
+
+
+class TestTransportFit:
+    """A plan setting a fault its transport cannot inject is refused on
+    install, not silently ignored (the process transport's twin is in
+    ``tests/test_procfabric.py``)."""
+
+    def test_inline_refuses_shard_faults(self):
+        service = stand_in_service()
+        with pytest.raises(ServiceError,
+                           match="inline transport cannot inject crash_rate"):
+            install_chaos(service, ChaosPlan(seed=1, crash_rate=0.1))
+        assert service.tick_hook is None
+
+    def test_thread_refuses_prefix_kill(self):
+        supervisor = SimpleNamespace(shards=[stand_in_shard(0)],
+                                     tick_filter=None)
+        with pytest.raises(ServiceError, match="thread transport cannot "
+                                               "inject kill_after_appends"):
+            install_chaos(supervisor, ChaosPlan(seed=1, kill_after_appends=3))
+        assert supervisor.tick_filter is None
+
+    def test_unknown_target_is_refused(self):
+        with pytest.raises(ServiceError, match="ProcessFabric"):
+            install_chaos(object(), ChaosPlan(seed=1))
 
 
 class TestInstallUninstall:
@@ -254,3 +322,171 @@ class TestInstallUninstall:
         with pytest.raises(ChaosError, match="injected repair failure"):
             monkey.repair_hook("n0", NodeState.IN_REPAIR)
         assert monkey.injections["repair_failure"] == 1
+
+
+#: The decision points the oracle below pins (measured once; frozen).
+EXECUTOR_FIRED = {
+    ("crash", "n0", "b1", 2), ("crash", "n0", "b1", 3),
+    ("crash", "n0", "b2", 1), ("crash", "n1", "b0", 1),
+    ("crash", "n1", "b1", 1), ("crash", "n1", "b2", 1),
+    ("crash", "n1", "b2", 3), ("hang", "n0", "b2", 2),
+    ("hang", "n1", "b0", 3), ("hang", "n2", "b0", 0),
+}
+INLINE_JOURNAL_FIRED = {
+    ("error", 1), ("error", 3), ("error", 4), ("error", 9), ("error", 10),
+    ("error", 12), ("error", 18), ("error", 25), ("error", 28),
+    ("kill", 14), ("kill", 19), ("kill", 33),
+}
+TICK_FIRED = {
+    ("incident-reported", ("a",), 0), ("incident-reported", ("a",), 4),
+    ("incident-reported", ("a", "b"), 0),
+    ("incident-reported", ("a", "b"), 3),
+    ("incident-reported", ("a", "b"), 4),
+    ("incident-reported", ("b", "d"), 2),
+    ("incident-reported", ("c",), 1), ("incident-reported", ("c",), 3),
+}
+REPAIR_FIRED = {
+    ("n1", "in-repair", 0), ("n1", "returning", 1), ("n1", "returning", 2),
+    ("n1", "returning", 3), ("n2", "healthy", 0), ("n2", "returning", 3),
+    ("n3", "in-repair", 2), ("n3", "in-repair", 3),
+}
+SHARD_FIRED = {
+    ("crash", 0, 0, 0), ("crash", 1, 1, 0), ("crash", 1, 1, 3),
+    ("crash", 1, 2, 3),
+    ("error", 0, 0, 11), ("error", 0, 1, 10), ("error", 0, 1, 11),
+    ("error", 1, 0, 5), ("error", 1, 1, 5), ("error", 1, 1, 11),
+    ("error", 1, 2, 2), ("error", 1, 2, 7), ("error", 1, 2, 9),
+    ("error", 1, 2, 10),
+    ("hang", 0, 0, 0), ("hang", 0, 2, 6),
+    ("heartbeat", 0, 1), ("heartbeat", 0, 4), ("heartbeat", 1, 0),
+    ("heartbeat", 1, 5),
+    ("kill", 0, 0, 2),
+}
+CORRUPT_PICKS = [5, 5, 1, 0, 4, 4, 0, 2, 5, 6, 2, 1]
+PROCESS_KILLS = {
+    (0, 1, 1), (0, 1, 7), (0, 1, 8), (0, 1, 9), (0, 1, 10),
+    (1, 1, 1), (1, 1, 2), (1, 1, 7), (1, 1, 8), (1, 1, 9), (1, 1, 10),
+    (1, 2, 8), (1, 2, 9),
+}
+PROCESS_STOPS = {
+    (0, 1, 1), (0, 1, 5), (0, 1, 6), (0, 1, 7), (0, 1, 8), (0, 1, 9),
+    (0, 1, 10), (1, 0, 9), (1, 1, 5), (1, 1, 6), (1, 1, 7), (1, 1, 8),
+    (1, 1, 9), (1, 1, 10),
+}
+
+
+class TestDecisionOracle:
+    """Every seeded decision point, pinned to the exact set that fires.
+
+    The literals were measured once and must never change: a refactor
+    of the chaos harness that keeps them keeps every seeded soak
+    injecting the same faults at the same points.
+    """
+
+    def test_executor_crash_and_hang(self):
+        service = stand_in_service()
+        install_chaos(service, ChaosPlan(
+            seed=11, executor_crash_rate=0.15, executor_hang_rate=0.15,
+            hang_seconds=0.0))
+        runner = service.anubis.validator.runner
+        fired = set()
+        for node in ("n0", "n1", "n2", "n3"):
+            for bench in ("b0", "b1", "b2"):
+                for call in range(4):
+                    try:
+                        runner.run(FakeSpec(bench), FakeNode(node))
+                    except ChaosError as error:
+                        fault = "crash" if "crash" in str(error) else "hang"
+                        fired.add((fault, node, bench, call))
+        assert fired == EXECUTOR_FIRED
+
+    def test_inline_journal_kill_and_error(self):
+        service = stand_in_service(RecordingStore())
+        install_chaos(service, ChaosPlan(seed=5, kill_rate=0.08,
+                                         journal_error_rate=0.15))
+        fired = set()
+        for n, kind in journal_kinds(40):
+            try:
+                service.store.append(kind, {})
+            except SimulatedKill:
+                fired.add(("kill", n))
+            except JournalError:
+                fired.add(("error", n))
+        assert fired == INLINE_JOURNAL_FIRED
+
+    def test_tick_and_repair_hooks(self):
+        service = stand_in_service()
+        monkey = install_chaos(service, ChaosPlan(
+            seed=17, tick_error_rate=0.2, repair_failure_rate=0.25))
+        ticks = set()
+        for kind in (EventKind.JOB_ALLOCATION, EventKind.INCIDENT_REPORTED):
+            for nodes in (("a",), ("a", "b"), ("c",), ("b", "d")):
+                for attempts in range(5):
+                    entry = QueuedEvent(event_id=1,
+                                        event=make_event(nodes, kind),
+                                        priority=0.5, attempts=attempts)
+                    try:
+                        monkey.tick_hook(entry)
+                    except ChaosError:
+                        ticks.add((kind.value, nodes, attempts))
+        repairs = set()
+        for node in ("n0", "n1", "n2", "n3"):
+            for target in (NodeState.IN_REPAIR, NodeState.RETURNING,
+                           NodeState.HEALTHY):
+                for attempt in range(4):
+                    try:
+                        monkey.repair_hook(node, target)
+                    except ChaosError:
+                        repairs.add((node, target.value, attempt))
+        assert ticks == TICK_FIRED
+        assert repairs == REPAIR_FIRED
+
+    def test_shard_faults(self):
+        shards = [stand_in_shard(0), stand_in_shard(1)]
+        supervisor = SimpleNamespace(shards=shards, tick_filter=None,
+                                     heartbeat_filter=None, on_restart=None)
+        monkey = install_chaos(supervisor, ChaosPlan(
+            seed=23, crash_rate=0.1, hang_rate=0.1, heartbeat_loss_rate=0.2,
+            journal_error_rate=0.1, kill_rate=0.05))
+        fired = set()
+        for index, shard in enumerate(shards):
+            for restarts in range(3):
+                if restarts:
+                    shards[index] = shard = stand_in_shard(index, restarts)
+                    monkey.on_restart(shard)
+                for call in range(8):
+                    try:
+                        shard.service.tick_hook(SimpleNamespace(event_id=call))
+                    except ShardCrash:
+                        fired.add(("crash", index, restarts, call))
+                for call in range(8):
+                    before = monkey.injections["shard_hang"]
+                    monkey.tick_filter(shard)
+                    if monkey.injections["shard_hang"] > before:
+                        fired.add(("hang", index, restarts, call))
+                for n, kind in journal_kinds(12):
+                    try:
+                        shard.service.store.append(kind, {})
+                    except ShardCrash:
+                        fired.add(("kill", index, restarts, n))
+                    except JournalError:
+                        fired.add(("error", index, restarts, n))
+            for beat in range(10):
+                if not monkey.heartbeat_filter(shard):
+                    fired.add(("heartbeat", index, beat))
+        assert fired == SHARD_FIRED
+        picks = [monkey.plan.pick(7, "corrupt-line", index, call)
+                 for index in range(2) for call in range(6)]
+        assert picks == CORRUPT_PICKS
+
+    def test_process_kill_and_stop(self):
+        plan = ChaosPlan(seed=31, target_shards=(0, 1),
+                         kill_after_appends=6, incarnation=1,
+                         kill_rate=0.05, hang_after_ticks=4,
+                         hang_rate=0.05)
+        grid = [(shard, incarnation, counter) for shard in range(3)
+                for incarnation in range(3) for counter in range(1, 11)]
+        kills = {point for point in grid if plan.should_kill(*point)}
+        stops = {point for point in grid if plan.should_stop(*point)}
+        assert kills == PROCESS_KILLS
+        assert stops == PROCESS_STOPS
