@@ -1,5 +1,10 @@
 """Unit tests: SLO reducers and the deterministic report builder."""
 
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.analytics import (
     AvailabilityOverheadReducer,
     DLQReducer,
@@ -7,6 +12,8 @@ from repro.analytics import (
     MTBIReducer,
     SanitizationReducer,
     build_report,
+    default_reducers,
+    reduce_records,
     render_json,
     render_markdown,
 )
@@ -221,3 +228,166 @@ class TestBuildReport:
         report = build_report([rec(1, RecordKind.MEASUREMENT_BATCH, {
             "benchmark": "gemm", "metric": "gflops", "windows": []})])
         assert report["journal"]["records"] == 1
+
+
+# ----------------------------------------------------------------------
+# The routed fold against a broadcast fold
+# ----------------------------------------------------------------------
+_nodes = st.sampled_from(["n0", "n1", "n2", "n3"])
+_states = st.sampled_from(["healthy", "quarantined", "in-repair",
+                           "returning", "in-validation"])
+_skus = st.sampled_from(["H100", "A100"])
+_names = st.sampled_from(["gemm", "nccl"])
+_small = st.integers(0, 5)
+_seconds = st.floats(0.0, 50.0, allow_nan=False)
+
+
+def _optional(key, values):
+    """A one-entry dict or an empty one: the field may be absent."""
+    return st.one_of(st.just({}), values.map(lambda v: {key: v}))
+
+
+def _with(base, **optional):
+    """``base`` fixed-dict strategy merged with optional fields."""
+    parts = [st.fixed_dictionaries(base)]
+    parts += [_optional(key, values) for key, values in optional.items()]
+    return st.tuples(*parts).map(
+        lambda dicts: {k: v for d in dicts for k, v in d.items()})
+
+
+_provenance_entry = _with(
+    {"benchmark": _names, "metric": st.just("m"), "windows": _small,
+     "sanitized": _small, "quarantined": _small,
+     "faults": st.dictionaries(st.sampled_from(["nan", "scale"]), _small,
+                               max_size=2)},
+    sku=_skus)
+
+#: One payload strategy per record kind, shaped like what the writers
+#: journal (fields a reducer reads may be missing, as in old journals).
+_PAYLOADS = {
+    RecordKind.EVENT_ENQUEUED: st.fixed_dictionaries({"event": _optional(
+        "kind", st.sampled_from(["periodic", "job-allocation"]))}),
+    RecordKind.EVENT_COALESCED: st.just({}),
+    RecordKind.EVENT_COMPLETED: _with(
+        {"validated_nodes": st.lists(_nodes, max_size=3, unique=True),
+         "defective": st.lists(_nodes, max_size=2, unique=True)},
+        skipped=st.booleans(), queue_latency_seconds=_seconds,
+        validation_seconds=_seconds,
+        duration_hours=st.sampled_from([0.0, 12.0, 24.0])),
+    RecordKind.EVENT_FAILED: st.just({}),
+    RecordKind.EVENT_DEAD_LETTERED: st.just({}),
+    RecordKind.TRANSITION: _with(
+        {"node_id": _nodes, "new": _states,
+         "reason": st.sampled_from(["repair-complete", "event-1"])},
+        sku=_skus),
+    RecordKind.CRITERIA_SNAPSHOT: st.just({}),
+    RecordKind.CRITERIA_ROLLBACK: _with(
+        {"benchmark": _names, "metric": st.just("m"),
+         "reason": st.sampled_from(["", "budget"])}, sku=_skus),
+    RecordKind.CRITERIA_LEARN: st.just({}),
+    RecordKind.STATE_SNAPSHOT: st.fixed_dictionaries({
+        "states": st.dictionaries(_nodes, _states, max_size=4),
+        "dead_letters": st.lists(st.just({}), max_size=3)}),
+    RecordKind.MEASUREMENT_BATCH: _with(
+        {"benchmark": _names, "metric": st.just("m"),
+         "windows": st.lists(st.fixed_dictionaries({
+             "faults": st.lists(st.sampled_from(["nan", "scale"]),
+                                max_size=2),
+             "sanitized": st.booleans(), "quarantined": st.booleans()}),
+             max_size=3)},
+        sku=_skus),
+    RecordKind.BATCH_PROVENANCE: st.fixed_dictionaries({
+        "provenance": st.lists(_provenance_entry, max_size=3)}),
+    RecordKind.BREAKER_TRANSITION: st.fixed_dictionaries({
+        "benchmark": _names,
+        "new": st.sampled_from(["open", "closed", "half-open"])}),
+    RecordKind.PIPELINE_STATS: st.fixed_dictionaries({
+        "stages": st.dictionaries(
+            st.sampled_from(["execute", "score"]),
+            st.fixed_dictionaries({"count": _small, "seconds": _seconds}),
+            max_size=2)}),
+    RecordKind.LOAD_SHED: _optional("kind", st.just("periodic")),
+    RecordKind.SHARD_HEARTBEAT: st.fixed_dictionaries({
+        "shard": st.integers(0, 1), "restarts": _small, "tick": _small,
+        "progress": _small, "queue_depth": _small}),
+    RecordKind.SHARD_DEGRADED: st.fixed_dictionaries({
+        "shard": st.integers(0, 1), "restarts": _small,
+        "reason": st.sampled_from(["crash", "hang"])}),
+    RecordKind.SHARD_HANDOFF: st.fixed_dictionaries({
+        "to_shard": st.integers(0, 1)}),
+    RecordKind.FABRIC_DRAIN: _optional("reason", st.just("signal-15")),
+    RecordKind.PROC_HEARTBEAT: st.just({}),
+    RecordKind.PROC_RESTART: st.fixed_dictionaries({
+        "shard": st.integers(0, 1)}),
+}
+_UNKNOWN_KIND = "future-kind"
+
+
+def _entry(kind):
+    payloads = _PAYLOADS.get(kind, st.just({"x": 1}))
+    return payloads.map(lambda payload: (kind, payload))
+
+
+_any_entry = st.sampled_from([*RecordKind, _UNKNOWN_KIND]).flatmap(_entry)
+
+
+@st.composite
+def _record_streams(draw):
+    """Every kind plus an unknown one at least once, in any order, with
+    extra records mixed in and any kind (drains and snapshots included)
+    possibly last."""
+    kinds = draw(st.permutations([*RecordKind, _UNKNOWN_KIND]))
+    entries = [draw(_entry(kind)) for kind in kinds]
+    for _ in range(draw(st.integers(0, 20))):
+        entries.insert(draw(st.integers(0, len(entries))),
+                       draw(_any_entry))
+    return [rec(seq, kind, payload)
+            for seq, (kind, payload) in enumerate(entries, start=1)]
+
+
+def _broadcast(records, reducers):
+    """The reference fold: every record to every reducer's consume."""
+    for record in records:
+        for reducer in reducers:
+            reducer.consume(record)
+    return {reducer.name: reducer.result() for reducer in reducers}
+
+
+def _broadcast_report(records, fleet_size):
+    """``build_report`` as a broadcast fold plus its journal section."""
+    report = _broadcast(records, default_reducers(fleet_size=fleet_size))
+    pipelines = [r.payload.get("stages", {}) for r in records
+                 if r.kind == RecordKind.PIPELINE_STATS]
+    if pipelines:
+        report["pipeline"] = {str(stage): dict(stats) for stage, stats
+                              in sorted(pipelines[-1].items())}
+    report["journal"] = {
+        "records": len(records),
+        "max_seq": max([0] + [r.seq for r in records]),
+        "by_kind": dict(sorted(Counter(str(r.kind)
+                                       for r in records).items())),
+    }
+    return report
+
+
+class TestRoutedFold:
+    @given(records=_record_streams(),
+           fleet_size=st.none() | st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_broadcast_fold(self, records, fleet_size):
+        assert reduce_records(records) == _broadcast(
+            records, default_reducers())
+        expected = _broadcast_report(records, fleet_size)
+        built = build_report(records, fleet_size=fleet_size)
+        assert render_markdown(built) == render_markdown(expected)
+        assert render_json(built) == render_json(expected)
+
+    @given(records=_record_streams(),
+           last=st.sampled_from([RecordKind.FABRIC_DRAIN,
+                                 RecordKind.STATE_SNAPSHOT]))
+    @settings(max_examples=50, deadline=None)
+    def test_clean_shutdown_reads_the_last_record(self, records, last):
+        records = records + [rec(len(records) + 1, last, {})]
+        supervisor = reduce_records(records)["supervisor"]
+        assert supervisor["clean_shutdown"] is (
+            last == RecordKind.FABRIC_DRAIN)
