@@ -51,6 +51,7 @@ from repro.service.store import (
     KNOWN_KINDS,
     JournalRecord,
     decode_journal_line,
+    journal_lines,
 )
 
 __all__ = ["ReaderCursor", "PollResult", "JournalReader"]
@@ -211,15 +212,12 @@ class JournalReader:
         (up to and including the last newline -- a trailing partial
         line is left for a later poll).
         """
-        chunk = data[offset:]
-        end = chunk.rfind(b"\n")
+        end = data.rfind(b"\n", offset)
         if end < 0:
             return [], 0
-        consumed = end + 1
         records: list[JournalRecord] = []
-        for lineno, raw_line in enumerate(
-                chunk[:consumed].split(b"\n")[:-1], start=1):
-            line = raw_line.decode("utf-8", errors="replace")
+        for lineno, line in enumerate(journal_lines(data[offset:end + 1]),
+                                      start=1):
             record, status = decode_journal_line(line, lineno=lineno,
                                                  path=self.path)
             if record is None:
@@ -238,4 +236,4 @@ class JournalReader:
                         self.path, record.kind)
                 continue
             records.append(record)
-        return records, consumed
+        return records, end + 1 - offset

@@ -2,9 +2,12 @@
 
 :func:`build_report` folds a journal record stream through the
 standard reducer set (:mod:`repro.analytics.slo`) into one plain-JSON
-document; :func:`render_json` and :func:`render_markdown` turn that
-document into the two operator-facing formats behind
-``python -m repro report`` and :meth:`Anubis.fleet_report`.
+document, by the routed :func:`~repro.analytics.slo.fold` that
+:func:`~repro.analytics.slo.reduce_records` runs too: each record goes
+only to the reducers whose kind table names its kind.
+:func:`render_json` and :func:`render_markdown` turn that document
+into the two operator-facing formats behind ``python -m repro report``
+and :meth:`Anubis.fleet_report`.
 
 Determinism is a contract, not an accident: the report contains no
 wall-clock timestamps, hostnames or iteration-order artifacts -- every
@@ -24,8 +27,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from operator import attrgetter
 
-from repro.analytics.slo import default_reducers
+from repro.analytics.slo import default_reducers, fold
 from repro.service.store import RecordKind
 
 __all__ = [
@@ -108,28 +112,22 @@ def build_report(records, *, fleet_size: int | None = None,
     describing what was read.  Deterministic -- same records,
     byte-identical report.
     """
+    records = list(records)
     reducers = default_reducers(fleet_size=fleet_size, buckets=buckets,
                                 curve_points=curve_points)
-    by_kind: Counter[str] = Counter()
-    count = 0
-    max_seq = 0
-    pipeline = None
-    for record in records:
-        count += 1
-        max_seq = max(max_seq, record.seq)
-        by_kind[str(record.kind)] += 1
-        if record.kind == RecordKind.PIPELINE_STATS:
-            # Stage counters are cumulative; the latest record wins.
-            pipeline = record.payload.get("stages", {})
-        for reducer in reducers:
-            reducer.consume(record)
+    fold(records, reducers)
+    # Stage counters are cumulative; the latest record wins.
+    pipeline = next((record.payload.get("stages", {})
+                     for record in reversed(records)
+                     if record.kind == RecordKind.PIPELINE_STATS), None)
+    by_kind = Counter(map(str, map(attrgetter("kind"), records)))
     report = {reducer.name: reducer.result() for reducer in reducers}
     if pipeline is not None:
         report["pipeline"] = {str(stage): dict(stats)
                               for stage, stats in sorted(pipeline.items())}
     report["journal"] = {
-        "records": count,
-        "max_seq": max_seq,
+        "records": len(records),
+        "max_seq": max(0, max(map(attrgetter("seq"), records), default=0)),
         "by_kind": dict(sorted(by_kind.items())),
     }
     if journal_health is not None:

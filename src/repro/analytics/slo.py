@@ -1,12 +1,31 @@
 """Composable, deterministic SLO reducers over journal records.
 
-Each reducer consumes :class:`~repro.service.store.JournalRecord`
-objects one at a time (``consume``) and produces a plain-JSON result
-(``result``), so the same reducer set serves a one-shot snapshot
-report, a follow-mode tail, and the replay benchmark.  Reducers are
-**deterministic**: results depend only on the record stream, never on
-wall-clock or iteration order, so two replays of the same journal
-yield byte-identical reports.
+Each reducer folds :class:`~repro.service.store.JournalRecord` objects
+in one at a time and produces a plain-JSON result (``result``), so the
+same reducer set serves a one-shot snapshot report, a follow-mode
+tail, and the replay benchmark.  Reducers are **deterministic**:
+results depend only on the record stream, never on wall-clock or
+iteration order, so two replays of the same journal yield
+byte-identical reports.
+
+The reducer contract (:class:`Reducer`):
+
+* **A kind table.**  ``HANDLERS`` maps each record kind a reducer
+  reads to the method that folds such a record in; kinds it lacks are
+  never handed to it.  :data:`EVERY_RECORD` keys a handler that sees
+  every record, whatever its kind.
+* **One routed fold.**  :func:`fold` -- behind both
+  :func:`reduce_records` and
+  :func:`~repro.analytics.report.build_report` -- merges the tables
+  once and hands each record only to the handlers of its kind.
+  ``consume(record)`` routes one record the same way, so feeding a
+  reducer directly (any record, any kind) gives the same result.
+* **O(1) work per record**, beyond walking the record's own payload:
+  no handler rescans state the reducer has accumulated (availability
+  keeps a running count of unavailable nodes).
+* **Clean shutdown is read from the last record**, by an
+  :data:`EVERY_RECORD` handler, not from an end-of-stream hook, so a
+  direct ``consume`` caller and the fold agree on it.
 
 Time axes -- the journal carries no wall-clock timestamps (by design:
 replay determinism), so the reducers use the two clocks the records
@@ -32,6 +51,8 @@ from collections import Counter
 from repro.service.store import JournalRecord, RecordKind
 
 __all__ = [
+    "EVERY_RECORD",
+    "Reducer",
     "ServiceCountersReducer",
     "MTBIReducer",
     "AvailabilityOverheadReducer",
@@ -43,11 +64,15 @@ __all__ = [
     "SkuReducer",
     "SupervisorReducer",
     "default_reducers",
+    "fold",
     "reduce_records",
 ]
 
 #: Lifecycle states that keep a node out of the schedulable pool.
 _UNAVAILABLE_STATES = frozenset({"quarantined", "in-repair", "returning"})
+
+#: The ``HANDLERS`` key of a handler that sees every record.
+EVERY_RECORD = None
 
 
 def _round(value: float, digits: int = 6) -> float:
@@ -55,22 +80,59 @@ def _round(value: float, digits: int = 6) -> float:
     return round(float(value), digits)
 
 
-class ServiceCountersReducer:
+class Reducer:
+    """Base of the SLO reducers: a kind table and routed ``consume``.
+
+    Subclasses set ``name`` (their report section) and ``HANDLERS``
+    (record kind -> name of the method folding that kind in; the key
+    :data:`EVERY_RECORD` for a handler every record goes to).
+    """
+
+    name = ""
+    HANDLERS: dict = {}
+
+    def handlers(self) -> dict:
+        """The kind table bound to this reducer: kind -> callable."""
+        return {kind: getattr(self, method)
+                for kind, method in self.HANDLERS.items()}
+
+    def consume(self, record: JournalRecord) -> None:
+        """Fold one record of any kind in, as :func:`fold` would."""
+        for kind in (EVERY_RECORD, record.kind):
+            method = self.HANDLERS.get(kind)
+            if method is not None:
+                getattr(self, method)(record)
+
+
+class ServiceCountersReducer(Reducer):
     """Fleet-level throughput and latency counters.
 
     Aggregates what the control plane's :class:`ServiceMetrics` tracks
     in memory, but derived purely from the journal -- so it survives
     restarts and counts exactly what was durably recorded.
+
+    In the routed fold every record this reducer reads still enters
+    through :meth:`consume` (see :meth:`handlers`), so ``consume`` stays
+    its one per-record entry point: whatever wraps it sees each record.
     """
 
     name = "service"
+    HANDLERS = {
+        RecordKind.EVENT_ENQUEUED: "_enqueued",
+        RecordKind.EVENT_COMPLETED: "_completed",
+        **dict.fromkeys((RecordKind.EVENT_COALESCED, RecordKind.EVENT_FAILED,
+                         RecordKind.EVENT_DEAD_LETTERED,
+                         RecordKind.CRITERIA_SNAPSHOT), "_count"),
+    }
 
     def __init__(self) -> None:
         self.events_enqueued = 0
-        self.events_coalesced = 0
         self.events_completed = 0
-        self.events_failed = 0
-        self.events_dead_lettered = 0
+        #: Records of each kind that is only counted.  Criteria
+        #: snapshots count criteria *changes*: a snapshot is journaled
+        #: only when its content differs from the previous one (plus
+        #: one per compaction rewrite, which always carries them).
+        self.counts: Counter[str] = Counter()
         self.policy_skips = 0
         self.validations_run = 0
         self.nodes_validated = 0
@@ -79,48 +141,42 @@ class ServiceCountersReducer:
         self.queue_latency_total = 0.0
         self.queue_latency_max = 0.0
         self.validation_seconds_total = 0.0
-        #: Criteria *changes*: a snapshot is journaled only when its
-        #: content differs from the previous one (plus one per
-        #: compaction rewrite, which always carries the criteria).
-        self.criteria_snapshots = 0
 
-    def consume(self, record: JournalRecord) -> None:
+    def handlers(self) -> dict:
+        return dict.fromkeys(self.HANDLERS, self.consume)
+
+    def _enqueued(self, record: JournalRecord) -> None:
+        self.events_enqueued += 1
+        event = record.payload.get("event", {})
+        self.by_kind[str(event.get("kind", "unknown"))] += 1
+
+    def _count(self, record: JournalRecord) -> None:
+        self.counts[record.kind] += 1
+
+    def _completed(self, record: JournalRecord) -> None:
         payload = record.payload
-        if record.kind == RecordKind.EVENT_ENQUEUED:
-            self.events_enqueued += 1
-            event = payload.get("event", {})
-            self.by_kind[str(event.get("kind", "unknown"))] += 1
-        elif record.kind == RecordKind.EVENT_COALESCED:
-            self.events_coalesced += 1
-        elif record.kind == RecordKind.EVENT_FAILED:
-            self.events_failed += 1
-        elif record.kind == RecordKind.EVENT_DEAD_LETTERED:
-            self.events_dead_lettered += 1
-        elif record.kind == RecordKind.CRITERIA_SNAPSHOT:
-            self.criteria_snapshots += 1
-        elif record.kind == RecordKind.EVENT_COMPLETED:
-            self.events_completed += 1
-            latency = float(payload.get("queue_latency_seconds", 0.0))
-            self.queue_latency_total += latency
-            self.queue_latency_max = max(self.queue_latency_max, latency)
-            if payload.get("skipped", False):
-                self.policy_skips += 1
-            else:
-                self.validations_run += 1
-                self.nodes_validated += len(
-                    payload.get("validated_nodes", []))
-                self.nodes_quarantined += len(payload.get("defective", []))
-                self.validation_seconds_total += float(
-                    payload.get("validation_seconds", 0.0))
+        self.events_completed += 1
+        latency = float(payload.get("queue_latency_seconds", 0.0))
+        self.queue_latency_total += latency
+        self.queue_latency_max = max(self.queue_latency_max, latency)
+        if payload.get("skipped", False):
+            self.policy_skips += 1
+        else:
+            self.validations_run += 1
+            self.nodes_validated += len(payload.get("validated_nodes", []))
+            self.nodes_quarantined += len(payload.get("defective", []))
+            self.validation_seconds_total += float(
+                payload.get("validation_seconds", 0.0))
 
     def result(self) -> dict:
         completed = max(self.events_completed, 1)
         return {
             "events_enqueued": self.events_enqueued,
-            "events_coalesced": self.events_coalesced,
+            "events_coalesced": self.counts[RecordKind.EVENT_COALESCED],
             "events_completed": self.events_completed,
-            "events_failed": self.events_failed,
-            "events_dead_lettered": self.events_dead_lettered,
+            "events_failed": self.counts[RecordKind.EVENT_FAILED],
+            "events_dead_lettered": self.counts[
+                RecordKind.EVENT_DEAD_LETTERED],
             "events_by_kind": dict(sorted(self.by_kind.items())),
             "policy_skips": self.policy_skips,
             "validations_run": self.validations_run,
@@ -128,7 +184,7 @@ class ServiceCountersReducer:
             "nodes_quarantined": self.nodes_quarantined,
             "defect_rate": _round(
                 self.nodes_quarantined / max(self.nodes_validated, 1)),
-            "criteria_snapshots": self.criteria_snapshots,
+            "criteria_snapshots": self.counts[RecordKind.CRITERIA_SNAPSHOT],
             "queue_latency_mean_s": _round(
                 self.queue_latency_total / completed),
             "queue_latency_max_s": _round(self.queue_latency_max),
@@ -136,7 +192,7 @@ class ServiceCountersReducer:
         }
 
 
-class MTBIReducer:
+class MTBIReducer(Reducer):
     """MTBI trend, fleet-wide and per node, over modeled node-hours.
 
     An *incident* is a node entering quarantine.  The observation
@@ -149,6 +205,8 @@ class MTBIReducer:
     """
 
     name = "mtbi"
+    HANDLERS = {RecordKind.EVENT_COMPLETED: "_completed",
+                RecordKind.TRANSITION: "_transition"}
 
     def __init__(self, buckets: int = 8):
         self.buckets = max(int(buckets), 1)
@@ -160,18 +218,19 @@ class MTBIReducer:
         #: one per incident-bearing or hour-bearing record.
         self._points: list[tuple[float, int]] = []
 
-    def consume(self, record: JournalRecord) -> None:
+    def _completed(self, record: JournalRecord) -> None:
         payload = record.payload
-        if record.kind == RecordKind.EVENT_COMPLETED:
-            nodes = payload.get("validated_nodes", [])
-            hours = float(payload.get("duration_hours", 0.0))
-            if nodes and hours > 0.0:
-                self.node_hours += hours * len(nodes)
-                for node_id in nodes:
-                    self.per_node_hours[str(node_id)] += hours
-                self._points.append((self.node_hours, self.incidents))
-        elif (record.kind == RecordKind.TRANSITION
-                and payload.get("new") == "quarantined"):
+        nodes = payload.get("validated_nodes", [])
+        hours = float(payload.get("duration_hours", 0.0))
+        if nodes and hours > 0.0:
+            self.node_hours += hours * len(nodes)
+            for node_id in nodes:
+                self.per_node_hours[str(node_id)] += hours
+            self._points.append((self.node_hours, self.incidents))
+
+    def _transition(self, record: JournalRecord) -> None:
+        payload = record.payload
+        if payload.get("new") == "quarantined":
             self.incidents += 1
             self.per_node_incidents[str(payload.get("node_id", ""))] += 1
             self._points.append((self.node_hours, self.incidents))
@@ -219,7 +278,7 @@ class MTBIReducer:
         }
 
 
-class AvailabilityOverheadReducer:
+class AvailabilityOverheadReducer(Reducer):
     """Availability vs. cumulative validation overhead (Fig. 8/9).
 
     Tracks every node's lifecycle state from transition records;
@@ -229,16 +288,22 @@ class AvailabilityOverheadReducer:
     x = cumulative validation wall-clock seconds, so the curve reads
     as "how much availability did each hour spent validating buy".
     Down-sampled to at most ``curve_points`` evenly spread points
-    (first and last always kept).
+    (first and last always kept).  The count of unavailable nodes is
+    kept up to date as states change, so a curve point costs O(1).
     """
 
     name = "availability"
+    HANDLERS = {RecordKind.TRANSITION: "_transition",
+                RecordKind.STATE_SNAPSHOT: "_snapshot",
+                RecordKind.EVENT_COMPLETED: "_completed"}
 
     def __init__(self, curve_points: int = 16, fleet_size: int | None = None):
         self.curve_points = max(int(curve_points), 2)
         self.fleet_size = fleet_size
         self.validation_seconds = 0.0
         self.states: dict[str, str] = {}
+        #: How many of ``states`` are in :data:`_UNAVAILABLE_STATES`.
+        self.unavailable = 0
         self._curve: list[dict] = []
         self._availability_weighted = 0.0
         self._availability_points = 0
@@ -249,28 +314,33 @@ class AvailabilityOverheadReducer:
         return max(len(self.states), 1)
 
     def _availability(self) -> float:
-        unavailable = sum(1 for state in self.states.values()
-                          if state in _UNAVAILABLE_STATES)
-        return 1.0 - unavailable / self._fleet()
+        return 1.0 - self.unavailable / self._fleet()
 
-    def consume(self, record: JournalRecord) -> None:
+    def _set_state(self, node_id: str, state: str) -> None:
+        old = self.states.get(node_id)
+        self.states[node_id] = state
+        self.unavailable += ((state in _UNAVAILABLE_STATES)
+                             - (old in _UNAVAILABLE_STATES))
+
+    def _transition(self, record: JournalRecord) -> None:
         payload = record.payload
-        if record.kind == RecordKind.TRANSITION:
-            self.states[str(payload.get("node_id", ""))] = \
-                str(payload.get("new", ""))
-        elif record.kind == RecordKind.STATE_SNAPSHOT:
-            for node_id, state in payload.get("states", {}).items():
-                self.states[str(node_id)] = str(state)
-        elif record.kind == RecordKind.EVENT_COMPLETED:
-            self.validation_seconds += float(
-                payload.get("validation_seconds", 0.0))
-            availability = self._availability()
-            self._availability_weighted += availability
-            self._availability_points += 1
-            self._curve.append({
-                "validation_s": _round(self.validation_seconds),
-                "availability": _round(availability),
-            })
+        self._set_state(str(payload.get("node_id", "")),
+                        str(payload.get("new", "")))
+
+    def _snapshot(self, record: JournalRecord) -> None:
+        for node_id, state in record.payload.get("states", {}).items():
+            self._set_state(str(node_id), str(state))
+
+    def _completed(self, record: JournalRecord) -> None:
+        self.validation_seconds += float(
+            record.payload.get("validation_seconds", 0.0))
+        availability = self._availability()
+        self._availability_weighted += availability
+        self._availability_points += 1
+        self._curve.append({
+            "validation_s": _round(self.validation_seconds),
+            "availability": _round(availability),
+        })
 
     def result(self) -> dict:
         curve = self._curve
@@ -291,7 +361,7 @@ class AvailabilityOverheadReducer:
         }
 
 
-class EvictionPrecisionReducer:
+class EvictionPrecisionReducer(Reducer):
     """Eviction-precision proxies from quarantine / repair outcomes.
 
     The journal has no ground truth about which evictions were
@@ -306,6 +376,7 @@ class EvictionPrecisionReducer:
     """
 
     name = "eviction"
+    HANDLERS = {RecordKind.TRANSITION: "_transition"}
 
     def __init__(self) -> None:
         self.quarantines = 0
@@ -315,9 +386,7 @@ class EvictionPrecisionReducer:
         self._repaired_once: set[str] = set()
         self._repeat_offenders: set[str] = set()
 
-    def consume(self, record: JournalRecord) -> None:
-        if record.kind != RecordKind.TRANSITION:
-            return
+    def _transition(self, record: JournalRecord) -> None:
         payload = record.payload
         node_id = str(payload.get("node_id", ""))
         new = payload.get("new")
@@ -347,19 +416,18 @@ class EvictionPrecisionReducer:
         }
 
 
-class BreakerReducer:
+class BreakerReducer(Reducer):
     """Circuit-breaker churn per benchmark."""
 
     name = "breakers"
+    HANDLERS = {RecordKind.BREAKER_TRANSITION: "_transition"}
 
     def __init__(self) -> None:
         self.opens: Counter[str] = Counter()
         self.closes: Counter[str] = Counter()
         self.transitions = 0
 
-    def consume(self, record: JournalRecord) -> None:
-        if record.kind != RecordKind.BREAKER_TRANSITION:
-            return
+    def _transition(self, record: JournalRecord) -> None:
         payload = record.payload
         benchmark = str(payload.get("benchmark", ""))
         self.transitions += 1
@@ -376,7 +444,7 @@ class BreakerReducer:
         }
 
 
-class RollbackReducer:
+class RollbackReducer(Reducer):
     """Guarded-rollout rejections per (sku, benchmark, metric).
 
     Pre-SKU rollback records (no ``sku`` field) fold into the
@@ -384,14 +452,13 @@ class RollbackReducer:
     """
 
     name = "rollbacks"
+    HANDLERS = {RecordKind.CRITERIA_ROLLBACK: "_rollback"}
 
     def __init__(self) -> None:
         self.rollbacks: Counter[tuple[str, str, str]] = Counter()
         self.reasons: list[str] = []
 
-    def consume(self, record: JournalRecord) -> None:
-        if record.kind != RecordKind.CRITERIA_ROLLBACK:
-            return
+    def _rollback(self, record: JournalRecord) -> None:
         payload = record.payload
         key = (str(payload.get("sku", "unknown")),
                str(payload.get("benchmark", "")),
@@ -414,10 +481,12 @@ class RollbackReducer:
         }
 
 
-class DLQReducer:
+class DLQReducer(Reducer):
     """Dead-letter-queue depth over the journal sequence axis."""
 
     name = "dlq"
+    HANDLERS = {RecordKind.EVENT_DEAD_LETTERED: "_dead_lettered",
+                RecordKind.STATE_SNAPSHOT: "_snapshot"}
 
     def __init__(self, curve_points: int = 16):
         self.curve_points = max(int(curve_points), 2)
@@ -425,16 +494,16 @@ class DLQReducer:
         self.parked = 0
         self._series: list[dict] = []
 
-    def consume(self, record: JournalRecord) -> None:
-        if record.kind == RecordKind.EVENT_DEAD_LETTERED:
-            self.depth += 1
-            self.parked += 1
-            self._series.append({"seq": record.seq, "depth": self.depth})
-        elif record.kind == RecordKind.STATE_SNAPSHOT:
-            # Compaction re-baselines the depth to the snapshot's
-            # carried dead letters.
-            self.depth = len(record.payload.get("dead_letters", []))
-            self._series.append({"seq": record.seq, "depth": self.depth})
+    def _dead_lettered(self, record: JournalRecord) -> None:
+        self.depth += 1
+        self.parked += 1
+        self._series.append({"seq": record.seq, "depth": self.depth})
+
+    def _snapshot(self, record: JournalRecord) -> None:
+        # Compaction re-baselines the depth to the snapshot's carried
+        # dead letters.
+        self.depth = len(record.payload.get("dead_letters", []))
+        self._series.append({"seq": record.seq, "depth": self.depth})
 
     def result(self) -> dict:
         series = self._series
@@ -449,7 +518,7 @@ class DLQReducer:
         }
 
 
-class SanitizationReducer:
+class SanitizationReducer(Reducer):
     """Sanitization / quarantine rates by (sku, benchmark, metric).
 
     Consumes the compact per-event ``batch-provenance`` summaries the
@@ -460,6 +529,8 @@ class SanitizationReducer:
     """
 
     name = "sanitization"
+    HANDLERS = {RecordKind.BATCH_PROVENANCE: "_provenance",
+                RecordKind.MEASUREMENT_BATCH: "_batch"}
 
     def __init__(self) -> None:
         self.windows: Counter[tuple[str, str, str]] = Counter()
@@ -467,7 +538,7 @@ class SanitizationReducer:
         self.quarantined: Counter[tuple[str, str, str]] = Counter()
         self.faults: dict[tuple[str, str, str], Counter[str]] = {}
 
-    def _fold(self, key: tuple[str, str, str], *, windows: int,
+    def _fold(self, key: tuple[str, str, str], windows: int,
               sanitized: int, quarantined: int, faults: dict) -> None:
         self.windows[key] += windows
         self.sanitized[key] += sanitized
@@ -477,34 +548,28 @@ class SanitizationReducer:
             for fault, count in faults.items():
                 bucket[str(fault)] += int(count)
 
-    def consume(self, record: JournalRecord) -> None:
-        if record.kind == RecordKind.BATCH_PROVENANCE:
-            for entry in record.payload.get("provenance", []):
-                key = (str(entry.get("sku", "unknown")),
-                       str(entry.get("benchmark", "")),
-                       str(entry.get("metric", "")))
-                self._fold(key,
-                           windows=int(entry.get("windows", 0)),
-                           sanitized=int(entry.get("sanitized", 0)),
-                           quarantined=int(entry.get("quarantined", 0)),
-                           faults=entry.get("faults", {}))
-        elif record.kind == RecordKind.MEASUREMENT_BATCH:
-            payload = record.payload
-            key = (str(payload.get("sku", "unknown")),
-                   str(payload.get("benchmark", "")),
-                   str(payload.get("metric", "")))
-            windows = payload.get("windows", [])
-            faults: Counter[str] = Counter()
-            for window in windows:
-                for fault in window.get("faults", []):
-                    faults[str(fault)] += 1
-            self._fold(key,
-                       windows=len(windows),
-                       sanitized=sum(1 for w in windows
-                                     if w.get("sanitized")),
-                       quarantined=sum(1 for w in windows
-                                       if w.get("quarantined")),
-                       faults=dict(faults))
+    def _provenance(self, record: JournalRecord) -> None:
+        for entry in record.payload.get("provenance", []):
+            get = entry.get
+            self._fold((str(get("sku", "unknown")), str(get("benchmark", "")),
+                        str(get("metric", ""))),
+                       int(get("windows", 0)), int(get("sanitized", 0)),
+                       int(get("quarantined", 0)), get("faults", {}))
+
+    def _batch(self, record: JournalRecord) -> None:
+        payload = record.payload
+        key = (str(payload.get("sku", "unknown")),
+               str(payload.get("benchmark", "")),
+               str(payload.get("metric", "")))
+        windows = payload.get("windows", [])
+        faults: Counter[str] = Counter()
+        for window in windows:
+            for fault in window.get("faults", []):
+                faults[str(fault)] += 1
+        self._fold(key, len(windows),
+                   sum(1 for w in windows if w.get("sanitized")),
+                   sum(1 for w in windows if w.get("quarantined")),
+                   dict(faults))
 
     def result(self) -> dict:
         pairs = {}
@@ -535,7 +600,7 @@ class SanitizationReducer:
         }
 
 
-class SkuReducer:
+class SkuReducer(Reducer):
     """Per-hardware-class fleet health: MTBI, evictions, telemetry.
 
     The heterogeneous-fleet rollup: every journal signal that carries
@@ -553,6 +618,10 @@ class SkuReducer:
     """
 
     name = "sku"
+    HANDLERS = {RecordKind.EVENT_COMPLETED: "_completed",
+                RecordKind.TRANSITION: "_transition",
+                RecordKind.CRITERIA_ROLLBACK: "_rollback",
+                RecordKind.BATCH_PROVENANCE: "_provenance"}
 
     def __init__(self) -> None:
         self._node_sku: dict[str, str] = {}
@@ -568,34 +637,36 @@ class SkuReducer:
     def _sku_of(self, node_id: str) -> str:
         return self._node_sku.get(node_id, "unknown")
 
-    def consume(self, record: JournalRecord) -> None:
+    def _completed(self, record: JournalRecord) -> None:
         payload = record.payload
-        if record.kind == RecordKind.EVENT_COMPLETED:
-            hours = float(payload.get("duration_hours", 0.0))
-            if hours > 0.0:
-                for node_id in payload.get("validated_nodes", []):
-                    self._node_hours[str(node_id)] += hours
-        elif record.kind == RecordKind.TRANSITION:
-            node_id = str(payload.get("node_id", ""))
-            sku = str(payload.get("sku", "unknown"))
-            if sku != "unknown":
-                self._node_sku[node_id] = sku
-            if payload.get("new") == "quarantined":
-                self.incidents[self._sku_of(node_id)] += 1
-                if node_id in self._repaired_once:
-                    self.requarantines[self._sku_of(node_id)] += 1
-            elif (payload.get("new") == "healthy"
-                    and payload.get("reason") == "repair-complete"):
-                self.repairs[self._sku_of(node_id)] += 1
-                self._repaired_once.add(node_id)
-        elif record.kind == RecordKind.CRITERIA_ROLLBACK:
-            self.rollbacks[str(payload.get("sku", "unknown"))] += 1
-        elif record.kind == RecordKind.BATCH_PROVENANCE:
-            for entry in payload.get("provenance", []):
-                sku = str(entry.get("sku", "unknown"))
-                self.windows[sku] += int(entry.get("windows", 0))
-                self.quarantined_windows[sku] += int(
-                    entry.get("quarantined", 0))
+        hours = float(payload.get("duration_hours", 0.0))
+        if hours > 0.0:
+            for node_id in payload.get("validated_nodes", []):
+                self._node_hours[str(node_id)] += hours
+
+    def _transition(self, record: JournalRecord) -> None:
+        payload = record.payload
+        node_id = str(payload.get("node_id", ""))
+        sku = str(payload.get("sku", "unknown"))
+        if sku != "unknown":
+            self._node_sku[node_id] = sku
+        if payload.get("new") == "quarantined":
+            self.incidents[self._sku_of(node_id)] += 1
+            if node_id in self._repaired_once:
+                self.requarantines[self._sku_of(node_id)] += 1
+        elif (payload.get("new") == "healthy"
+                and payload.get("reason") == "repair-complete"):
+            self.repairs[self._sku_of(node_id)] += 1
+            self._repaired_once.add(node_id)
+
+    def _rollback(self, record: JournalRecord) -> None:
+        self.rollbacks[str(record.payload.get("sku", "unknown"))] += 1
+
+    def _provenance(self, record: JournalRecord) -> None:
+        for entry in record.payload.get("provenance", []):
+            sku = str(entry.get("sku", "unknown"))
+            self.windows[sku] += int(entry.get("windows", 0))
+            self.quarantined_windows[sku] += int(entry.get("quarantined", 0))
 
     def result(self) -> dict:
         hours: Counter[str] = Counter()
@@ -624,7 +695,7 @@ class SkuReducer:
         return {"by_sku": by_sku}
 
 
-class SupervisorReducer:
+class SupervisorReducer(Reducer):
     """Supervision-tree health from shard-fabric journal records.
 
     A sharded deployment runs one journal per shard; this reducer is
@@ -654,6 +725,17 @@ class SupervisorReducer:
     """
 
     name = "supervisor"
+    HANDLERS = {
+        EVERY_RECORD: "_last",
+        RecordKind.EVENT_ENQUEUED: "_enqueued",
+        RecordKind.FABRIC_DRAIN: "_drain",
+        RecordKind.PROC_HEARTBEAT: "_proc_heartbeat",
+        RecordKind.PROC_RESTART: "_proc_restart",
+        RecordKind.LOAD_SHED: "_shed",
+        RecordKind.SHARD_HANDOFF: "_handoff",
+        RecordKind.SHARD_DEGRADED: "_degraded",
+        RecordKind.SHARD_HEARTBEAT: "_heartbeat",
+    }
 
     def __init__(self) -> None:
         self.heartbeats = 0
@@ -673,43 +755,54 @@ class SupervisorReducer:
         self._last_was_drain = False
         self._saw_record = False
 
-    def consume(self, record: JournalRecord) -> None:
-        payload = record.payload
+    def _last(self, record: JournalRecord) -> None:
         self._saw_record = True
         self._last_was_drain = record.kind == RecordKind.FABRIC_DRAIN
-        if record.kind == RecordKind.EVENT_ENQUEUED:
-            self.events_enqueued += 1
-        elif record.kind == RecordKind.FABRIC_DRAIN:
-            self.drains += 1
-            self.drain_reasons[str(payload.get("reason", "unknown"))] += 1
-        elif record.kind == RecordKind.PROC_HEARTBEAT:
-            self.proc_heartbeats += 1
-        elif record.kind == RecordKind.PROC_RESTART:
-            self.proc_restarts += 1
-            self.proc_restarts_by_shard[str(payload.get("shard", "?"))] += 1
-        elif record.kind == RecordKind.LOAD_SHED:
-            self.events_shed += 1
-            self.shed_by_kind[str(payload.get("kind", "unknown"))] += 1
-        elif record.kind == RecordKind.SHARD_HANDOFF:
-            self.handoffs += 1
-            self.handoffs_by_target[str(payload.get("to_shard", "?"))] += 1
-        elif record.kind == RecordKind.SHARD_DEGRADED:
-            self.degraded.append({
-                "shard": int(payload.get("shard", -1)),
-                "restarts": int(payload.get("restarts", 0)),
-                "reason": str(payload.get("reason", "")),
-            })
-        elif record.kind == RecordKind.SHARD_HEARTBEAT:
-            self.heartbeats += 1
-            shard = str(payload.get("shard", "?"))
-            restarts = int(payload.get("restarts", 0))
-            self.restarts_by_shard[shard] = max(
-                self.restarts_by_shard.get(shard, 0), restarts)
-            self.last_beat_by_shard[shard] = {
-                "tick": int(payload.get("tick", 0)),
-                "progress": int(payload.get("progress", 0)),
-                "queue_depth": int(payload.get("queue_depth", 0)),
-            }
+
+    def _enqueued(self, record: JournalRecord) -> None:
+        self.events_enqueued += 1
+
+    def _drain(self, record: JournalRecord) -> None:
+        self.drains += 1
+        self.drain_reasons[str(record.payload.get("reason", "unknown"))] += 1
+
+    def _proc_heartbeat(self, record: JournalRecord) -> None:
+        self.proc_heartbeats += 1
+
+    def _proc_restart(self, record: JournalRecord) -> None:
+        self.proc_restarts += 1
+        self.proc_restarts_by_shard[
+            str(record.payload.get("shard", "?"))] += 1
+
+    def _shed(self, record: JournalRecord) -> None:
+        self.events_shed += 1
+        self.shed_by_kind[str(record.payload.get("kind", "unknown"))] += 1
+
+    def _handoff(self, record: JournalRecord) -> None:
+        self.handoffs += 1
+        self.handoffs_by_target[
+            str(record.payload.get("to_shard", "?"))] += 1
+
+    def _degraded(self, record: JournalRecord) -> None:
+        payload = record.payload
+        self.degraded.append({
+            "shard": int(payload.get("shard", -1)),
+            "restarts": int(payload.get("restarts", 0)),
+            "reason": str(payload.get("reason", "")),
+        })
+
+    def _heartbeat(self, record: JournalRecord) -> None:
+        payload = record.payload
+        self.heartbeats += 1
+        shard = str(payload.get("shard", "?"))
+        restarts = int(payload.get("restarts", 0))
+        self.restarts_by_shard[shard] = max(
+            self.restarts_by_shard.get(shard, 0), restarts)
+        self.last_beat_by_shard[shard] = {
+            "tick": int(payload.get("tick", 0)),
+            "progress": int(payload.get("progress", 0)),
+            "queue_depth": int(payload.get("queue_depth", 0)),
+        }
 
     def result(self) -> dict:
         return {
@@ -758,10 +851,28 @@ def default_reducers(*, fleet_size: int | None = None,
     ]
 
 
-def reduce_records(records, reducers=None) -> dict:
-    """Run ``records`` through ``reducers``; section name -> result."""
-    reducers = default_reducers() if reducers is None else reducers
+def fold(records, reducers) -> None:
+    """Hand each record to the handlers its kind routes to.
+
+    The reducers' kind tables are merged once into kind -> handlers
+    (each :data:`EVERY_RECORD` handler joins every kind's list), so a
+    record costs one lookup plus a call per reducer that reads its
+    kind.
+    """
+    table: dict = {EVERY_RECORD: []}
+    for reducer in reducers:
+        for kind, handler in reducer.handlers().items():
+            table.setdefault(kind, []).append(handler)
+    every = table.pop(EVERY_RECORD)
+    routes = {kind: handlers + every for kind, handlers in table.items()}
     for record in records:
-        for reducer in reducers:
-            reducer.consume(record)
+        for handler in routes.get(record.kind, every):
+            handler(record)
+
+
+def reduce_records(records, reducers=None) -> dict:
+    """Fold ``records`` into ``reducers`` (:class:`Reducer` objects,
+    :func:`default_reducers` when ``None``); section name -> result."""
+    reducers = default_reducers() if reducers is None else reducers
+    fold(records, reducers)
     return {reducer.name: reducer.result() for reducer in reducers}

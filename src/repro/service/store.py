@@ -71,7 +71,7 @@ from repro.exceptions import JournalError
 
 __all__ = ["RecordKind", "KNOWN_KINDS", "JournalRecord", "JournalStore",
            "event_to_payload", "event_from_payload", "record_crc",
-           "decode_journal_line"]
+           "decode_journal_line", "journal_lines"]
 
 logger = logging.getLogger(__name__)
 
@@ -174,10 +174,18 @@ def _encode_record(seq: int, kind: str, payload: dict) -> str:
     return head + body + tail
 
 
+#: Each known kind's canonical JSON; other kinds are encoded per line.
+_KIND_JSON = {kind: _CANONICAL.encode(kind) for kind in KNOWN_KINDS}
+
+#: Decodes one JSON document from the start of a line.
+_DECODER = json.JSONDecoder()
+
+
 def _crc_matches(line: str, record: "JournalRecord", crc: int) -> bool:
     """Whether ``crc`` checks out: against the line's own payload bytes
     when it has the canonical shape, else by re-encoding the payload."""
-    kind_json = _CANONICAL.encode(record.kind)
+    kind_json = (_KIND_JSON.get(record.kind)
+                 or _CANONICAL.encode(record.kind))
     head, tail = _line_parts(record.seq, kind_json, crc)
     if line.startswith(head) and line.endswith(tail):
         body = line[len(head):len(line) - len(tail)]
@@ -195,20 +203,36 @@ class JournalRecord:
     payload: dict
 
 
+def _parse(line: str):
+    """``json.loads(line)``, through the decoder's ``raw_decode`` when
+    the document spans the whole line (the canonical case)."""
+    try:
+        raw, end = _DECODER.raw_decode(line)
+        if end == len(line):
+            return raw
+    except json.JSONDecodeError:
+        pass
+    # Surrounding whitespace, trailing data or a malformed line:
+    # json.loads accepts or rejects it exactly as it always has.
+    return json.loads(line)
+
+
 def decode_journal_line(line: str, *, lineno: int = 0,
                         path: object = "") -> tuple[JournalRecord | None, str]:
     """Decode one journal line; never raises.
 
     The single decode-and-verify implementation shared by
     :meth:`JournalStore.replay` and the analytics
-    :class:`~repro.analytics.reader.JournalReader`, so both paths agree
-    exactly on what counts as a valid record.  Returns
-    ``(record, status)`` where status is one of:
+    :class:`~repro.analytics.reader.JournalReader` (both split lines
+    with :func:`journal_lines`), so both paths agree exactly on what
+    counts as a valid record.  Returns ``(record, status)``
+    where status is one of:
 
     * ``"ok"`` -- decodable, checksum-valid (or pre-checksum legacy);
     * ``"empty"`` -- blank line, nothing to decode;
     * ``"corrupt-line"`` -- undecodable (truncated append, bit rot that
-      no longer parses); logged at WARNING;
+      no longer parses, a checksum that is not an integer); logged at
+      WARNING;
     * ``"crc-mismatch"`` -- decodable but its checksum disagrees with
       its body; logged at WARNING.
 
@@ -217,22 +241,41 @@ def decode_journal_line(line: str, *, lineno: int = 0,
     if not line.strip():
         return None, "empty"
     try:
-        raw = json.loads(line)
-        record = JournalRecord(seq=int(raw["seq"]),
-                               kind=str(raw["kind"]),
-                               payload=dict(raw["payload"]))
+        raw = _parse(line)
+        payload = raw["payload"]
+        if type(payload) is not dict:
+            payload = dict(payload)     # e.g. a list of pairs
+        record = JournalRecord(int(raw["seq"]), str(raw["kind"]), payload)
+        # Records from before checksumming carry no "crc"; accept them
+        # rather than invalidating every pre-existing journal.
+        crc = int(raw["crc"]) if "crc" in raw else None
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
         logger.warning("skipping corrupted journal line %d of %s: %s",
                        lineno, path, error)
         return None, "corrupt-line"
-    # Records from before checksumming carry no "crc"; accept them
-    # rather than invalidating every pre-existing journal.
-    if "crc" in raw and not _crc_matches(line, record, int(raw["crc"])):
+    if crc is not None and not _crc_matches(line, record, crc):
         logger.warning(
             "skipping checksum-mismatched journal line %d of %s "
             "(seq %d, kind %r)", lineno, path, record.seq, record.kind)
         return None, "crc-mismatch"
     return record, "ok"
+
+
+def journal_lines(data: bytes):
+    """Yield the lines of a journal's bytes, for
+    :func:`decode_journal_line`.
+
+    Lines end at ``\\n`` only (a final line may lack it), and each is
+    decoded as UTF-8 with undecodable bytes replaced, so a corrupted
+    byte costs its line (a ``corrupt-line`` or ``crc-mismatch``), never
+    the read.  The one line split shared by :meth:`JournalStore.replay`
+    and the analytics :class:`~repro.analytics.reader.JournalReader`.
+    """
+    lines = data.split(b"\n")
+    if not lines[-1]:
+        lines.pop()     # the nothing after a final newline is no line
+    for line in lines:
+        yield line.decode("utf-8", "replace")
 
 
 class JournalStore:
@@ -413,12 +456,11 @@ class JournalStore:
         self.corrupt_records = 0
         records: list[JournalRecord] = []
         try:
-            lines = (self.path.read_text().splitlines()
-                     if self.path.exists() else [])
+            data = self.path.read_bytes() if self.path.exists() else b""
         except OSError as error:
             raise JournalError(f"cannot read {self.path}: {error}") from error
         highest = 0
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(journal_lines(data), start=1):
             record, status = decode_journal_line(line, lineno=lineno,
                                                  path=self.path)
             if status == "crc-mismatch":

@@ -7,11 +7,13 @@ journal directory, and get back identical lifecycle states, queue
 contents and learned criteria -- then finish the remaining work.
 """
 
+import re
 import time
 
 import numpy as np
 import pytest
 
+from repro.analytics import JournalReader
 from repro.benchsuite.runner import SuiteRunner
 from repro.benchsuite.suite import full_suite
 from repro.core.persistence import criteria_payload
@@ -175,6 +177,30 @@ class TestKillAndRestart:
 
         recovered = build_service(fleet, risk_model, journal, learn=False)
         assert recovered.metrics.events_processed <= 1
+        recovered.drain()
+
+    def test_recovery_survives_a_non_utf8_byte(self, fleet, risk_model,
+                                               tmp_path):
+        """Two bytes of the first line flipped to 0xff 0xfe inside a
+        payload key: the line still parses, fails its checksum, and
+        recovery and the analytics reader both skip just that line."""
+        _model, dataset = risk_model
+        journal = tmp_path / "journal"
+        service = build_service(fleet, risk_model, journal)
+        service.submit(make_event(fleet, dataset, [0, 1],
+                                  EventKind.JOB_ALLOCATION))
+        service.tick()
+        data = bytearray(service.store.path.read_bytes())
+        key = re.search(rb'"payload":\{"[a-z_]{2,}"', data)
+        assert key is not None and key.end() < data.index(b"\n")
+        data[key.start() + 12:key.start() + 14] = b"\xff\xfe"
+        service.store.path.write_bytes(bytes(data))
+
+        recovered = build_service(fleet, risk_model, journal, learn=False)
+        assert recovered.store.corrupt_records == 1
+        reader = JournalReader(journal)
+        assert reader.read_all() == recovered.store.replay()
+        assert reader.corrupt_lines == 1
         recovered.drain()
 
     def test_restart_continues_event_ids(self, fleet, risk_model, tmp_path):

@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import tempfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analytics import JournalReader
 from repro.core.measurement import (
     NONFINITE_MASK,
     NONFINITE_REJECT,
@@ -221,6 +223,29 @@ class TestChecksums:
         assert [(r.seq, r.kind, r.payload)
                 for r in records] == [(1, "legacy", {"x": 1})]
 
+    @pytest.mark.parametrize("separator", ["\r", "\x85", "\u2028",
+                                           "\u2029"])
+    def test_replay_splits_lines_like_the_reader(self, tmp_path,
+                                                 separator):
+        """Only ``\\n`` ends a line, for recovery as for the reader: a
+        character ``str.splitlines`` would also split on stays inside
+        its line -- ``\\r`` as JSON whitespace, the others inside a
+        string of a hand-written, non-ASCII line."""
+        payload = {"node_id": "n1", "new": "healthy"}
+        if separator != "\r":
+            payload["reason"] = f"a{separator}b"
+        line = json.dumps({"seq": 2, "kind": "transition",
+                           "payload": payload,
+                           "crc": record_crc(2, "transition", payload)},
+                          ensure_ascii=False)
+        store = JournalStore(tmp_path)
+        store.append("transition", {"node_id": "n0"})
+        with store.path.open("a", encoding="utf-8") as handle:
+            handle.write(line.replace(", ", ",\r", 1) + "\n")
+        records = JournalStore(tmp_path).replay()
+        assert [r.payload for r in records] == [{"node_id": "n0"}, payload]
+        assert JournalReader(tmp_path).read_all() == records
+
     def test_crc_is_format_independent(self):
         assert (record_crc(1, "k", {"a": 1, "b": 2})
                 == record_crc(1, "k", {"b": 2, "a": 1}))
@@ -238,6 +263,51 @@ _json_values = st.recursive(
     max_leaves=12)
 _kinds = st.one_of(st.sampled_from(['q"uote', "ünï-kind", "back\\slash"]),
                    st.text(min_size=1, max_size=10))
+
+
+def _reference_decode(line: str):
+    """The line decoder as it stood before the fast path: one
+    ``json.loads``, a copied payload, and the CRC checked against the
+    line's own payload bytes or, failing that, by re-encoding."""
+    if not line.strip():
+        return None, "empty"
+    try:
+        raw = json.loads(line)
+        record = (int(raw["seq"]), str(raw["kind"]), dict(raw["payload"]))
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        return None, "corrupt-line"
+    if "crc" in raw:
+        try:
+            crc = int(raw["crc"])
+        except (TypeError, ValueError):
+            # The old decoder raised here; "never raises" makes a
+            # checksum that is no integer a corrupt line.
+            return None, "corrupt-line"
+        seq, kind, payload = record
+        canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+        kind_json = canonical.encode(kind)
+        head = f'{{"seq":{seq},"kind":{kind_json},"payload":'
+        tail = f',"crc":{crc}}}'
+        fast = False
+        if line.startswith(head) and line.endswith(tail):
+            body = line[len(head):len(line) - len(tail)]
+            fast = zlib.crc32(f"[{seq},{kind_json},{body}]".encode()) == crc
+        if not fast and crc != record_crc(seq, kind, payload):
+            return None, "crc-mismatch"
+    return record, "ok"
+
+
+def _outcome(decoded):
+    """A ``(record, status)`` pair in comparable form (``repr`` so that
+    NaN payload values compare equal to themselves)."""
+    record, status = decoded
+    if record is None:
+        return None, status
+    if not isinstance(record, tuple):
+        record = (record.seq, record.kind, record.payload)
+    seq, kind, payload = record
+    return (type(seq), seq, type(kind), kind, type(payload),
+            repr(payload)), status
 
 
 class TestRecordCodec:
@@ -290,6 +360,61 @@ class TestRecordCodec:
         tampered = line[:digit] + flipped + line[digit + 1:]
         assert json.loads(tampered)["payload"] != payload
         assert decode_journal_line(tampered) == (None, "crc-mismatch")
+
+    @given(seq=st.integers(1, 10**9), kind=_kinds,
+           payload=st.dictionaries(st.text(max_size=6), _json_values,
+                                   max_size=5),
+           cut=st.floats(0.0, 1.0), pad=st.sampled_from([" ", "\t", "\r"]))
+    @settings(max_examples=150, deadline=None)
+    def test_decoder_agrees_with_the_reference(self, seq, kind, payload,
+                                               cut, pad):
+        line = _encode_record(seq, kind, payload)
+        raw = json.loads(line)
+        payload_at = line.index('"payload":') + len('"payload":')
+        variants = [
+            line,
+            pad + line, line + pad, pad + line + pad,
+            json.dumps({"seq": seq, "kind": kind, "payload": payload}),
+            json.dumps({**raw, "payload": sorted(payload.items())}),
+            line[:int(len(line) * cut)],
+            line + '{"seq":1}', line + " x",
+            line[:payload_at] + "\x00" + line[payload_at + 1:],
+        ]
+        if len(line) > payload_at + 2:
+            flip = payload_at + 1
+            variants.append(line[:flip] + chr(ord(line[flip]) ^ 1)
+                            + line[flip + 1:])
+        for variant in variants:
+            assert _outcome(decode_journal_line(variant)) == _outcome(
+                _reference_decode(variant)), variant
+
+    @pytest.mark.parametrize("line", [
+        "", "   ", "\t\r",
+        '{"seq":1,"kind":"k","payload":{"x":NaN},"crc":0}',
+        '{"seq":1,"kind":"k","payload":{"x":NaN}}',
+        '{"seq":1,"kind":"k","payload":{"x":Infinity,"y":-Infinity}}',
+        '{"seq":1,"kind":"k","payload":[["a",1],["b",2]]}',
+        '{"seq":1,"kind":"k","payload":[["a",1],["b"]]}',
+        '{"seq":1,"kind":"k","payload":"ab"}',
+        '{"seq":1,"kind":"k","payload":null}',
+        '{"seq":"7","kind":"k","payload":{}}',
+        '{"seq":1.5,"kind":"k","payload":{}}',
+        '{"seq":1,"kind":"k"}',
+        '[1,"k",{}]',
+        '{"seq":1,"kind":"k","payload":{}} {"seq":2}',
+        '{"seq":1,"kind":"k","payload":{},"crc":"12"}',
+        '{"seq":1,"kind":"k","payload":{},"crc":null}',
+    ] + [
+        # Escaped non-ASCII kinds, in the canonical shape and not.
+        _encode_record(3, "ünï", {"a": [1, 2.5]}),
+        _encode_record(3, "ünï", {"a": 1}).replace("\\u00fc", "ü"),
+        json.dumps({"seq": 3, "kind": "ünï", "payload": {},
+                    "crc": record_crc(3, "ünï", {})}, ensure_ascii=False),
+        _encode_record(5, "k", {"x": float("nan"), "y": float("inf")}),
+    ])
+    def test_edge_lines_agree_with_the_reference(self, line):
+        assert _outcome(decode_journal_line(line)) == _outcome(
+            _reference_decode(line))
 
 
 class TestFsync:
