@@ -272,6 +272,7 @@ def journal_lines(data: bytes):
     and the analytics :class:`~repro.analytics.reader.JournalReader`.
     """
     lines = data.split(b"\n")
+    del data    # hold the lines, not the whole buffer beside them
     if not lines[-1]:
         lines.pop()     # the nothing after a final newline is no line
     for line in lines:
@@ -456,11 +457,12 @@ class JournalStore:
         self.corrupt_records = 0
         records: list[JournalRecord] = []
         try:
-            data = self.path.read_bytes() if self.path.exists() else b""
+            lines = journal_lines(
+                self.path.read_bytes() if self.path.exists() else b"")
         except OSError as error:
             raise JournalError(f"cannot read {self.path}: {error}") from error
         highest = 0
-        for lineno, line in enumerate(journal_lines(data), start=1):
+        for lineno, line in enumerate(lines, start=1):
             record, status = decode_journal_line(line, lineno=lineno,
                                                  path=self.path)
             if status == "crc-mismatch":
