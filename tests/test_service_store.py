@@ -238,10 +238,12 @@ class TestChecksums:
                            "payload": payload,
                            "crc": record_crc(2, "transition", payload)},
                           ensure_ascii=False)
+        if separator == "\r":
+            line = line.replace(", ", ",\r", 1)
         store = JournalStore(tmp_path)
         store.append("transition", {"node_id": "n0"})
         with store.path.open("a", encoding="utf-8") as handle:
-            handle.write(line.replace(", ", ",\r", 1) + "\n")
+            handle.write(line + "\n")
         records = JournalStore(tmp_path).replay()
         assert [r.payload for r in records] == [{"node_id": "n0"}, payload]
         assert JournalReader(tmp_path).read_all() == records
