@@ -48,7 +48,7 @@ from pathlib import Path
 
 from repro.service.store import (
     JOURNAL_FILENAME,
-    KNOWN_KINDS,
+    JOURNAL_KINDS,
     JournalRecord,
     decode_journal_line,
     journal_lines,
@@ -114,12 +114,13 @@ class JournalReader:
         file or directory reads as an empty journal).
     known_kinds:
         Record kinds this reader considers known; anything else is
-        warn-logged once and counted.  Defaults to the full
-        :data:`~repro.service.store.KNOWN_KINDS` registry.
+        warn-logged once and counted.  Defaults to every kind a journal
+        of this version can hold,
+        :data:`~repro.service.store.JOURNAL_KINDS`.
     """
 
     def __init__(self, directory, *,
-                 known_kinds: frozenset[str] = KNOWN_KINDS):
+                 known_kinds: frozenset[str] = JOURNAL_KINDS):
         self.directory = Path(directory)
         self.path = self.directory / JOURNAL_FILENAME
         self.known_kinds = frozenset(known_kinds)

@@ -526,10 +526,12 @@ class ChaosMonkey:
 #: observability or replay-redundant records: losing one costs at most
 #: an at-least-once re-run, never an event -- so a chaos soak can keep
 #: its event-accounting assertions *exact* while still proving that
-#: recovery skips corrupted lines.  ``event-enqueued`` and the
-#: snapshot kinds are deliberately excluded: corrupting those would
-#: genuinely lose state, which is a different (and non-assertable)
-#: failure class.
+#: recovery skips corrupted lines.  That holds while no checkpoint
+#: follows the line: recovery does not re-read what a checkpoint
+#: covers, so an ``event-completed`` lost there is not re-run.
+#: ``event-enqueued`` and the snapshot kinds are deliberately
+#: excluded: corrupting those would genuinely lose state, which is a
+#: different (and non-assertable) failure class.
 _CORRUPTIBLE_KINDS = ("shard-heartbeat", "pipeline-stats",
                       "breaker-transition", "batch-provenance",
                       "event-completed")

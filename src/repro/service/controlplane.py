@@ -35,8 +35,12 @@ therefore hardened against its *own* machinery failing:
 * recovery resets nodes stranded in VALIDATING/SCHEDULED by a
   mid-tick crash, and replays transitions *forced* so a journal
   record lost to a write fault cannot wedge a restart;
-* ``compact_every`` bounds journal growth by periodically rewriting
-  it as a state snapshot plus the still-pending events.
+* every :data:`CHECKPOINT_EVERY` journal records the service appends
+  a ``checkpoint`` -- its whole live state -- so recovery replays only
+  the records after the newest one, and a restart costs the same
+  whatever the uptime;
+* ``compact_every`` bounds the journal's disk use by periodically
+  rewriting it as a state snapshot plus the still-pending events.
 
 Event processing is **at-least-once**: a crash after validation ran
 but before its completion record landed re-runs the event on
@@ -51,6 +55,7 @@ attributes are its (and any test's) seams into the loop.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -76,10 +81,20 @@ from repro.service.queue import (
     EventQueue,
     QueuedEvent,
     QueueState,
+    encode_origins,
+    pack_entries,
 )
-from repro.service.store import JournalStore, RecordKind
+from repro.service.store import CHECKPOINT, JournalStore, RecordKind
 
-__all__ = ["ServiceConfig", "ServiceMetrics", "TickResult", "ValidationService"]
+__all__ = ["ServiceConfig", "Aggregate", "ServiceMetrics", "TickResult",
+           "ValidationService", "CHECKPOINT_EVERY"]
+
+#: Journal records between two checkpoints.  A checkpoint costs about
+#: as much as ten records (it leaves out healthy nodes, and packs origin
+#: markers and pending entries), so this keeps checkpoints under 1 % of
+#: the journal's bytes, and recovery replays at most about this many
+#: records after the newest one.
+CHECKPOINT_EVERY = 1000
 
 #: Lifecycle stages a node moves through after quarantine, advanced
 #: one stage per tick (later stages first so one tick moves one stage).
@@ -99,6 +114,19 @@ _SNAPSHOT_METRIC_FIELDS = (
     "nodes_quarantined", "tick_failures", "events_dead_lettered",
     "repair_failures", "events_shed",
 )
+
+#: Counters no journal record moves: replay restores them from the
+#: newest state snapshot (0 without one), so a checkpoint carries them
+#: at that value too, not at the running service's.
+_LIVE_ONLY_FIELDS = ("events_submitted", "events_coalesced",
+                     "tick_failures", "repair_failures")
+
+#: :class:`Aggregate` fields of :class:`ServiceMetrics`, carried through
+#: compaction and checkpoints.
+_AGGREGATE_FIELDS = ("queue_latency", "validation")
+
+#: ``sum()`` adds floats with Neumaier compensation from Python 3.12 on.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
 
 
 @dataclass(frozen=True)
@@ -135,8 +163,8 @@ class ServiceConfig:
         throughput); the default flushes to the OS only.
     compact_every:
         Rewrite the journal as a snapshot every N completed events so
-        recovery cost and disk use stay bounded; ``None`` disables
-        compaction.
+        its disk use stays bounded; ``None`` disables compaction.
+        Recovery cost is bounded without it, by checkpoints.
     flap_base_holddown_ticks / flap_multiplier / flap_max_holddown_ticks:
         Exponential hold-down for nodes flapping through quarantine:
         the K-th quarantine holds the node for
@@ -192,6 +220,52 @@ class ServiceConfig:
 
 
 @dataclass
+class Aggregate:
+    """Count, sum and maximum of a stream of floats, in constant memory.
+
+    The sum is made of the same additions, in the same order, that
+    ``sum()`` over the whole stream would make (left to right, and
+    compensated where the interpreter's ``sum()`` compensates), so
+    :attr:`total` is bit-identical to summing a list of the values.
+    """
+
+    count: int = 0
+    running: float = 0.0
+    compensation: float = 0.0
+    peak: float = 0.0
+
+    def add(self, value: float) -> None:
+        if _COMPENSATED_SUM:
+            running = self.running + value
+            if abs(self.running) >= abs(value):
+                self.compensation += (self.running - running) + value
+            else:
+                self.compensation += (value - running) + self.running
+            self.running = running
+        else:
+            self.running += value
+        if not self.count or value > self.peak:
+            self.peak = value
+        self.count += 1
+
+    @property
+    def total(self):
+        """``sum()`` of the values (the int 0 when there are none)."""
+        return self.running + self.compensation if self.count else 0
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def to_payload(self) -> list:
+        return [self.count, self.running, self.compensation, self.peak]
+
+    @classmethod
+    def from_payload(cls, raw) -> "Aggregate":
+        return cls(int(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
+
+
+@dataclass
 class ServiceMetrics:
     """Aggregate per-event service statistics."""
 
@@ -207,8 +281,10 @@ class ServiceMetrics:
     repair_failures: int = 0
     events_shed: int = 0
     journal_compactions: int = 0
-    queue_latencies: list[float] = field(default_factory=list)
-    validation_seconds: list[float] = field(default_factory=list)
+    #: Queue latency (submit to pop) of every completed event.
+    queue_latency: Aggregate = field(default_factory=Aggregate)
+    #: Validation wall-clock of every event that ran validation.
+    validation: Aggregate = field(default_factory=Aggregate)
 
     @property
     def defect_rate(self) -> float:
@@ -216,8 +292,6 @@ class ServiceMetrics:
         return self.nodes_quarantined / max(self.nodes_validated, 1)
 
     def summary(self) -> dict:
-        latencies = self.queue_latencies
-        walls = self.validation_seconds
         return {
             "events_submitted": self.events_submitted,
             "events_coalesced": self.events_coalesced,
@@ -232,11 +306,10 @@ class ServiceMetrics:
             "events_shed": self.events_shed,
             "journal_compactions": self.journal_compactions,
             "defect_rate": self.defect_rate,
-            "queue_latency_mean_s": (sum(latencies) / len(latencies)
-                                     if latencies else 0.0),
-            "queue_latency_max_s": max(latencies, default=0.0),
-            "validation_mean_s": (sum(walls) / len(walls) if walls else 0.0),
-            "validation_total_s": sum(walls),
+            "queue_latency_mean_s": self.queue_latency.mean,
+            "queue_latency_max_s": self.queue_latency.peak,
+            "validation_mean_s": self.validation.mean,
+            "validation_total_s": self.validation.total,
         }
 
     def format_table(self) -> str:
@@ -340,6 +413,17 @@ class ValidationService:
         #: :func:`criteria_fingerprint` of the newest criteria snapshot
         #: this journal holds; ``None`` while it holds none.
         self._journaled_criteria: bytes | None = None
+        #: The part of the selector's coverage table this journal's
+        #: completed events built, benchmark -> defective node ids (the
+        #: rest is the factory's), as a checkpoint carries it.
+        self._coverage: dict[str, set[str]] = {}
+        #: Seq of this journal's newest checkpoint (0: none yet).
+        self._checkpoint_seq = 0
+        #: :data:`_LIVE_ONLY_FIELDS` as replay would restore them.
+        self._live_only_base = dict.fromkeys(_LIVE_ONLY_FIELDS, 0)
+        #: An event was parked but its dead-letter record never reached
+        #: the journal; checkpoints stop until a restart re-reads it.
+        self._unrecorded_park = False
         self._recovering = False
         self.store = (JournalStore(journal_dir,
                                    fsync=self.config.journal_fsync)
@@ -558,7 +642,7 @@ class ValidationService:
             short_circuited = sorted({
                 run.benchmark for sweep in sweeps
                 for run in sweep.short_circuited_runs})
-            self.anubis.selector.record_validation(report)
+            self._record_coverage(report)
             self._journal_provenance(entry.event_id, sweeps)
             self._journal_breaker_transitions()
             outcome = ValidationOutcome(
@@ -578,11 +662,11 @@ class ValidationService:
             self.metrics.validations_run += 1
             self.metrics.nodes_validated += len(eligible)
             self.metrics.nodes_quarantined += len(quarantined)
-            self.metrics.validation_seconds.append(validation_seconds)
+            self.metrics.validation.add(validation_seconds)
 
         self.anubis.record(outcome)
         self.metrics.events_processed += 1
-        self.metrics.queue_latencies.append(queue_latency)
+        self.metrics.queue_latency.add(queue_latency)
         self._journal(RecordKind.EVENT_COMPLETED, {
             "event_id": entry.event_id,
             "kind": event.kind.value,
@@ -609,6 +693,7 @@ class ValidationService:
             self.compact_journal()
         elif self._completed_since_snapshot >= self.config.snapshot_every:
             self._snapshot()
+        self._checkpoint()
         return TickResult(
             event_id=entry.event_id,
             outcome=outcome,
@@ -640,8 +725,11 @@ class ValidationService:
         if entry.attempts >= self.config.max_event_attempts:
             letter = self.queue.dead_letter(entry, reason)
             self.metrics.events_dead_lettered += 1
-            self._journal_best_effort(RecordKind.EVENT_DEAD_LETTERED,
-                                      letter.to_payload())
+            if not self._journal_best_effort(RecordKind.EVENT_DEAD_LETTERED,
+                                             letter.to_payload()):
+                # The journal still holds the event pending; a
+                # checkpoint must not claim it parked.
+                self._unrecorded_park = True
         else:
             self.queue.requeue(entry)
             self._journal_best_effort(RecordKind.EVENT_FAILED, {
@@ -901,14 +989,22 @@ class ValidationService:
         self._journaled_criteria = (
             criteria_fingerprint(validator.criteria)
             if validator.criteria else None)
+        self._live_only_base = {name: getattr(self.metrics, name)
+                                for name in _LIVE_ONLY_FIELDS}
+        self._checkpoint_seq = 0
+        self._unrecorded_park = False     # the snapshot holds every park
         self._completed_since_snapshot = 0
         self._completed_since_compaction = 0
         return count
 
-    def _state_snapshot(self) -> dict:
+    def _state_snapshot(self, *, healthy: bool = True) -> dict:
+        """Lifecycle, damper, dead-letter, handoff and metric state;
+        ``healthy=False`` leaves out nodes in the default HEALTHY
+        state."""
         return {
             "states": {node_id: state.value
-                       for node_id, state in self.lifecycle.states().items()},
+                       for node_id, state in self.lifecycle.states().items()
+                       if healthy or state is not NodeState.HEALTHY},
             "flap_counts": self.damper.flap_counts(),
             "last_event_id": self.queue.last_event_id,
             "dead_letters": [letter.to_payload()
@@ -920,11 +1016,42 @@ class ValidationService:
             # no longer dedupe).
             "handed_off": [self.handed_off[event_id]
                            for event_id in sorted(self.handed_off)],
-            "origins_seen": [list(origin)
-                             for origin in sorted(self.origins_seen)],
-            "metrics": {name: getattr(self.metrics, name)
-                        for name in _SNAPSHOT_METRIC_FIELDS},
+            "origins_seen": encode_origins(self.origins_seen),
+            "metrics": {
+                **{name: getattr(self.metrics, name)
+                   for name in _SNAPSHOT_METRIC_FIELDS},
+                **{name: getattr(self.metrics, name).to_payload()
+                   for name in _AGGREGATE_FIELDS}},
         }
+
+    def _checkpoint(self) -> None:
+        """Append a checkpoint once :data:`CHECKPOINT_EVERY` records
+        follow the previous one (best-effort: a lost checkpoint costs
+        only recovery time).
+
+        A checkpoint holds what replaying the journal up to it rebuilds
+        -- the state snapshot without healthy nodes, the pending
+        entries, the coverage this journal built, and the fingerprint
+        of its newest criteria snapshot -- so recovery can start at it
+        instead of the first line.
+        """
+        store = self.store
+        if (store is None or self._unrecorded_park
+                or store.next_seq - self._checkpoint_seq <= CHECKPOINT_EVERY):
+            return
+        payload = self._state_snapshot(healthy=False)
+        payload["metrics"].update(self._live_only_base)
+        payload["pending"] = pack_entries([entry.to_payload()
+                                           for entry in self.queue.pending()])
+        payload["coverage"] = {benchmark: sorted(node_ids)
+                               for benchmark, node_ids
+                               in sorted(self._coverage.items())}
+        payload["criteria"] = (None if self._journaled_criteria is None
+                               else self._journaled_criteria.hex())
+        try:
+            self._checkpoint_seq = store.append(CHECKPOINT, payload)
+        except JournalError:
+            pass
 
     def _journal(self, kind: str, payload: dict) -> None:
         if self.store is not None and not self._recovering:
@@ -1026,25 +1153,35 @@ class ValidationService:
     def _recover(self) -> None:
         """Rebuild queue, lifecycle, criteria and coverage from disk.
 
-        The queue half (pending entries with their merged priority,
-        duration and attempts, handoff state, origin markers, the id
-        high-water mark) is the shared
-        :class:`~repro.service.queue.QueueState` reduction; everything
-        that needs a live service is replayed here.
+        The walk starts at the journal's newest valid checkpoint (at
+        its first line when it holds none), which installs everything
+        the records before it would have rebuilt.  The queue half
+        (pending entries with their merged priority, duration and
+        attempts, handoff state, origin markers, the id high-water
+        mark) is the shared :class:`~repro.service.queue.QueueState`
+        reduction; everything that needs a live service is replayed
+        here.  Of the criteria snapshots only the newest is built.
         """
-        records = self.store.replay()
+        offset = self.store.checkpoint_offset()
+        records = self.store.replay(offset=offset)
         self._recovering = True
         state = QueueState()
-        validator = self.anubis.validator
-        newest_snapshot = None
+        newest_criteria = None
+        checkpointed_criteria = None
         try:
             for record in records:
                 state.apply(record)
                 payload = record.payload
-                if record.kind == RecordKind.CRITERIA_SNAPSHOT:
-                    newest_snapshot = criteria_from_payload(
-                        validator, payload, source=str(self.store.path))
-                    validator.criteria.update(newest_snapshot)
+                if record.kind == CHECKPOINT:
+                    self._apply_state_snapshot(payload)
+                    for benchmark, node_ids in payload["coverage"].items():
+                        self.anubis.selector.coverage.record(benchmark,
+                                                             node_ids)
+                        self._coverage[benchmark] = set(node_ids)
+                    checkpointed_criteria = payload["criteria"]
+                    self._checkpoint_seq = record.seq
+                elif record.kind == RecordKind.CRITERIA_SNAPSHOT:
+                    newest_criteria = record
                 elif record.kind == RecordKind.STATE_SNAPSHOT:
                     self._apply_state_snapshot(payload)
                 elif record.kind == RecordKind.TRANSITION:
@@ -1078,11 +1215,34 @@ class ValidationService:
                     enqueued_at=self.clock(), origin=info["origin"])
                 entry.attempts = info["attempts"]
             self.queue.reserve_ids(state.last_event_id)
+            self._restore_criteria(newest_criteria, checkpointed_criteria,
+                                   offset)
         finally:
             self._recovering = False
-        if newest_snapshot is not None:
-            self._journaled_criteria = criteria_fingerprint(newest_snapshot)
+        self._live_only_base = {name: getattr(self.metrics, name)
+                                for name in _LIVE_ONLY_FIELDS}
         self._reset_interrupted_nodes()
+
+    def _restore_criteria(self, snapshot, checkpointed: str | None,
+                          offset: int) -> None:
+        """Install the journal's newest criteria snapshot: ``snapshot``
+        when one follows the checkpoint, else the one before the
+        checkpoint at ``offset`` whose fingerprint it carries -- unless
+        that is what the service was built with, which needs no build."""
+        validator = self.anubis.validator
+        if snapshot is None and checkpointed is not None:
+            fingerprint = bytes.fromhex(checkpointed)
+            if fingerprint == criteria_fingerprint(validator.criteria):
+                self._journaled_criteria = fingerprint
+                return
+            found = self.store.find_last(RecordKind.CRITERIA_SNAPSHOT,
+                                         before=offset)
+            snapshot = None if found is None else found[0]
+        if snapshot is not None:
+            restored = criteria_from_payload(
+                validator, snapshot.payload, source=str(self.store.path))
+            validator.criteria.update(restored)
+            self._journaled_criteria = criteria_fingerprint(restored)
 
     def _apply_state_snapshot(self, payload: dict) -> None:
         """Install the service half of one compacted ``state-snapshot``
@@ -1094,6 +1254,8 @@ class ValidationService:
         for name, value in payload.get("metrics", {}).items():
             if name in _SNAPSHOT_METRIC_FIELDS:
                 setattr(self.metrics, name, int(value))
+            elif name in _AGGREGATE_FIELDS:
+                setattr(self.metrics, name, Aggregate.from_payload(value))
         for letter in payload.get("dead_letters", []):
             entry = QueuedEvent.from_payload(letter, self.fleet_index)
             self.queue.dead_letter(entry, letter.get("reason", ""))
@@ -1129,7 +1291,7 @@ class ValidationService:
         """Re-apply one completed event's side effects (coverage,
         aggregate metrics) without re-running anything."""
         self.metrics.events_processed += 1
-        self.metrics.queue_latencies.append(
+        self.metrics.queue_latency.add(
             float(payload.get("queue_latency_seconds", 0.0)))
         if payload.get("skipped", False):
             self.metrics.policy_skips += 1
@@ -1144,9 +1306,18 @@ class ValidationService:
                 for v in payload.get("violations", [])
             ],
         )
-        self.anubis.selector.record_validation(report)
+        self._record_coverage(report)
         self.metrics.validations_run += 1
         self.metrics.nodes_validated += len(report.validated_nodes)
         self.metrics.nodes_quarantined += len(payload.get("defective", []))
-        self.metrics.validation_seconds.append(
+        self.metrics.validation.add(
             float(payload.get("validation_seconds", 0.0)))
+
+    def _record_coverage(self, report: ValidationReport) -> None:
+        """Fold one validation into the selector's coverage history,
+        keeping this journal's share of the table for checkpoints."""
+        self.anubis.selector.record_validation(report)
+        for benchmark in report.benchmarks_run:
+            self._coverage.setdefault(benchmark, set())
+        for benchmark, node_ids in report.violations_by_benchmark().items():
+            self._coverage.setdefault(benchmark, set()).update(node_ids)

@@ -85,7 +85,7 @@ from pathlib import Path
 from repro.exceptions import JournalError, ServiceError
 from repro.service.chaos import ChaosJournalStore, ChaosPlan
 from repro.service.controlplane import ServiceConfig, ValidationService
-from repro.service.queue import QueueState, as_origin, replay_queue_state
+from repro.service.queue import QueueState, as_origin, journal_queue_state
 from repro.service.shard import (
     ShardState,
     ShardStatus,
@@ -763,7 +763,7 @@ class _WorkerHandle(ShardTransport):
         """Over RPC from a live worker; straight from the journal once
         the process is gone (the only time the parent may read it)."""
         if not self.alive():
-            return replay_queue_state(self._journal().replay())
+            return journal_queue_state(self._journal())
         reply = self.request({"cmd": "state"}, self.status_deadline)
         return QueueState(
             pending={entry["event_id"]: {

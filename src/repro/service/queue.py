@@ -21,16 +21,23 @@ mechanism.
 
 from __future__ import annotations
 
+import base64
 import heapq
 import itertools
+import json
+import zlib
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from repro.core.system import ValidationEvent
 from repro.exceptions import JournalError
-from repro.service.store import RecordKind
+from repro.service.store import CHECKPOINT, RecordKind
 
 __all__ = ["QueuedEvent", "DeadLetter", "EventQueue", "QueueState",
-           "as_origin", "replay_queue_state"]
+           "as_origin", "encode_origins", "decode_origins",
+           "pack_entries", "unpack_entries",
+           "replay_queue_state", "journal_queue_state"]
 
 
 def _node_key(node) -> str:
@@ -305,6 +312,77 @@ def as_origin(raw) -> tuple[int, int]:
     return (int(raw[0]), int(raw[1]))
 
 
+def encode_origins(origins) -> list:
+    """A set of origin markers as snapshots and checkpoints carry them.
+
+    Each source's markers go as one ``[source, first, bitmap]`` entry
+    (bit ``i`` of the base64, little-endian bitmap marks event id
+    ``first + i``) where that is shorter than listing them as
+    ``[source, event_id]`` pairs.  The process fabric's parent marks
+    every delivery ``(-1, seq)`` with a rising ``seq``, so a shard's
+    whole history of those costs about a bit per delivery, not a pair.
+    """
+    by_source: dict[int, list[int]] = {}
+    for source, event_id in origins:
+        by_source.setdefault(int(source), []).append(int(event_id))
+    encoded: list[list] = []
+    for source in sorted(by_source):
+        ids = np.array(sorted(by_source[source]), dtype=np.int64)
+        first = int(ids[0])
+        span = int(ids[-1]) - first + 1
+        if span > 64 * len(ids):
+            encoded.extend([source, int(event_id)] for event_id in ids)
+            continue
+        bits = np.zeros(span, dtype=bool)
+        bits[ids - first] = True
+        encoded.append([source, first, base64.b64encode(
+            np.packbits(bits, bitorder="little")).decode("ascii")])
+    return encoded
+
+
+def decode_origins(encoded) -> set[tuple[int, int]]:
+    """The origin markers :func:`encode_origins` encoded (pairs alone
+    are how snapshots written before bitmaps list them)."""
+    origins: set[tuple[int, int]] = set()
+    for raw in encoded:
+        if len(raw) == 2:
+            origins.add(as_origin(raw))
+            continue
+        source, first = int(raw[0]), int(raw[1])
+        bits = np.unpackbits(np.frombuffer(base64.b64decode(raw[2]),
+                                           dtype=np.uint8),
+                             bitorder="little")
+        origins.update((source, first + int(offset))
+                       for offset in np.flatnonzero(bits))
+    return origins
+
+
+def pack_entries(entries: list[dict]) -> str:
+    """Queue-entry payloads as a checkpoint carries its pending queue:
+    their JSON, zlib-compressed and base64-encoded.  The events' status
+    covariates make the plain JSON most of a checkpoint's bytes, and it
+    compresses about threefold."""
+    return base64.b64encode(zlib.compress(json.dumps(
+        entries, separators=(",", ":")).encode())).decode("ascii")
+
+
+def unpack_entries(packed: str) -> list[dict]:
+    """The entry payloads :func:`pack_entries` packed."""
+    return json.loads(zlib.decompress(base64.b64decode(packed)))
+
+
+def _pending_entry(payload: dict) -> dict:
+    """A :class:`QueueState` ``pending`` value from one entry's
+    :meth:`QueuedEvent.to_payload` form."""
+    origin = payload.get("origin")
+    return {
+        "event": payload["event"],
+        "priority": float(payload["priority"]),
+        "attempts": int(payload.get("attempts", 0)),
+        "origin": None if origin is None else as_origin(origin),
+    }
+
+
 #: Record kinds that carry an ``event_id`` and move a queue entry.
 _QUEUE_KINDS = frozenset(kind.value for kind in (
     RecordKind.EVENT_ENQUEUED, RecordKind.EVENT_COALESCED,
@@ -325,7 +403,10 @@ class QueueState:
     "priority", "attempts", "origin"}`` with every later
     ``event-coalesced`` / ``event-failed`` record already merged in;
     ``sealed`` reports whether the final record applied is a
-    ``fabric-drain``, the clean-shutdown marker.
+    ``fabric-drain``, the clean-shutdown marker.  A :data:`CHECKPOINT`
+    replaces the whole state with the one it carries, so folding from
+    the newest checkpoint on (:func:`journal_queue_state`) gives what
+    folding every record would.
     """
 
     pending: dict[int, dict] = field(default_factory=dict)
@@ -338,13 +419,19 @@ class QueueState:
         """Fold one journal record into the state."""
         kind, payload = record.kind, record.payload
         self.sealed = kind == RecordKind.FABRIC_DRAIN
-        if kind == RecordKind.STATE_SNAPSHOT:
+        if kind == CHECKPOINT:
+            # The whole state: start over from it.
+            self.pending = {int(entry["event_id"]): _pending_entry(entry)
+                            for entry in unpack_entries(payload["pending"])}
+            self.origins_seen, self.handed_off = set(), {}
+            self.last_event_id = 0
+        if kind in (CHECKPOINT, RecordKind.STATE_SNAPSHOT):
             self.last_event_id = max(self.last_event_id,
                                      int(payload.get("last_event_id", 0)))
             for handoff in payload.get("handed_off", []):
                 self.handed_off[int(handoff["event_id"])] = dict(handoff)
             self.origins_seen.update(
-                as_origin(raw) for raw in payload.get("origins_seen", []))
+                decode_origins(payload.get("origins_seen", [])))
             return
         if kind not in _QUEUE_KINDS:
             return
@@ -352,16 +439,9 @@ class QueueState:
         entry = self.pending.get(event_id)
         if kind == RecordKind.EVENT_ENQUEUED:
             self.last_event_id = max(self.last_event_id, event_id)
-            origin = payload.get("origin")
-            if origin is not None:
-                origin = as_origin(origin)
-                self.origins_seen.add(origin)
-            self.pending[event_id] = {
-                "event": payload["event"],
-                "priority": float(payload["priority"]),
-                "attempts": int(payload.get("attempts", 0)),
-                "origin": origin,
-            }
+            entry = self.pending[event_id] = _pending_entry(payload)
+            if entry["origin"] is not None:
+                self.origins_seen.add(entry["origin"])
         elif kind == RecordKind.EVENT_COALESCED:
             # A re-delivery that merged into a pending entry still
             # counts as delivered; the entry keeps the higher risk
@@ -391,3 +471,10 @@ def replay_queue_state(records) -> QueueState:
     for record in records:
         state.apply(record)
     return state
+
+
+def journal_queue_state(store) -> QueueState:
+    """The queue state a journal holds, folded from its newest
+    checkpoint on: how a supervisor reads a **dead** shard's pending
+    work and handoff state without building a service."""
+    return replay_queue_state(store.replay(offset=store.checkpoint_offset()))

@@ -45,7 +45,7 @@ from typing import NamedTuple
 from repro.core.system import ValidationEvent
 from repro.exceptions import JournalError, ServiceError
 from repro.service.controlplane import ServiceConfig, ValidationService
-from repro.service.queue import QueueState, replay_queue_state
+from repro.service.queue import QueueState, journal_queue_state
 from repro.service.store import RecordKind
 
 __all__ = ["HashRing", "ShardState", "ShardStatus", "ShardTransport",
@@ -370,7 +370,7 @@ class Shard(ShardTransport):
         # shard's pending work died with it.
         store = self.service.store
         return (QueueState() if store is None
-                else replay_queue_state(store.replay()))
+                else journal_queue_state(store))
 
     def append(self, kind, payload: dict) -> None:
         if self.service.store is not None:

@@ -47,9 +47,19 @@ releases the handle; the next append reopens it.
 
 **The journal is decoded once on the way up.**  Opening a store reads
 nothing but the last byte (the torn-tail check).  The next sequence
-number is 1 + the highest seq of any valid record on disk, and the
-store learns that from the first full read it performs -- recovery's
-:meth:`replay` -- or, when an append comes first, from one scan then.
+number is 1 + the highest seq of any valid record from the newest
+checkpoint on, and the store learns that from the first read it
+performs -- recovery's :meth:`replay` -- or, when an append comes
+first, from one such read then.
+
+**Recovery starts at the newest checkpoint.**  A service appends a
+:data:`CHECKPOINT` record -- its whole live state -- every so often.
+:meth:`find_last` scans the file back from its end, decoding only the
+lines whose head names the kind sought, and :meth:`checkpoint_offset`
+is where the newest checkpoint that decodes starts; replay begins
+there, so a restart reads the tail since that checkpoint rather than
+the service's whole history.  A journal without one replays from its
+first line.
 
 A crash can truncate the final line mid-write.  Replay therefore
 *skips* undecodable lines with a logged warning instead of failing:
@@ -62,6 +72,7 @@ import enum
 import json
 import logging
 import os
+import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,9 +80,10 @@ from pathlib import Path
 from repro.core.system import ValidationEvent
 from repro.exceptions import JournalError
 
-__all__ = ["RecordKind", "KNOWN_KINDS", "JournalRecord", "JournalStore",
-           "event_to_payload", "event_from_payload", "record_crc",
-           "decode_journal_line", "journal_lines"]
+__all__ = ["RecordKind", "KNOWN_KINDS", "CHECKPOINT", "JOURNAL_KINDS",
+           "JournalRecord", "JournalStore", "event_to_payload",
+           "event_from_payload", "record_crc", "decode_journal_line",
+           "journal_lines"]
 
 logger = logging.getLogger(__name__)
 
@@ -131,8 +143,20 @@ class RecordKind(str, enum.Enum):
     PROC_RESTART = "proc-restart"
 
 
-#: Every record kind a journal written by this version can contain.
+#: Every record kind :class:`RecordKind` registers.
 KNOWN_KINDS = frozenset(kind.value for kind in RecordKind)
+
+#: A service's recovery checkpoint: its whole live state in one record,
+#: from which :meth:`JournalStore.replay` may start (see
+#: :meth:`ValidationService._checkpoint
+#: <repro.service.controlplane.ValidationService._checkpoint>`).  Only
+#: recovery folds it; the analytics reducers count it.  It stays out of
+#: :class:`RecordKind`: seeded chaos decisions are pinned against the
+#: registry's members in order, and a new member would shift them.
+CHECKPOINT = "checkpoint"
+
+#: Every record kind a journal written by this version can contain.
+JOURNAL_KINDS = KNOWN_KINDS | {CHECKPOINT}
 
 
 def event_to_payload(event: ValidationEvent) -> dict:
@@ -175,7 +199,10 @@ def _encode_record(seq: int, kind: str, payload: dict) -> str:
 
 
 #: Each known kind's canonical JSON; other kinds are encoded per line.
-_KIND_JSON = {kind: _CANONICAL.encode(kind) for kind in KNOWN_KINDS}
+_KIND_JSON = {kind: _CANONICAL.encode(kind) for kind in JOURNAL_KINDS}
+
+#: Bytes :meth:`JournalStore.find_last` reads per step back.
+_SCAN_BLOCK = 1 << 16
 
 #: Decodes one JSON document from the start of a line.
 _DECODER = json.JSONDecoder()
@@ -335,7 +362,8 @@ class JournalStore:
 
     def _last_seq(self) -> int:
         if self._seq is None:
-            self.replay()   # nothing has read the journal yet
+            # Nothing has read the journal yet.
+            self.replay(offset=self.checkpoint_offset())
         return self._seq
 
     @property
@@ -437,7 +465,65 @@ class JournalStore:
         self._seq = count
         return count
 
-    def replay(self, *, start_seq: int = 0) -> list[JournalRecord]:
+    def _lines_back(self, end: int | None):
+        """Yield ``(offset, line)`` for every line that ends at or
+        before byte ``end`` (default: the end of the file), last line
+        first, reading the file back in blocks."""
+        with self.path.open("rb") as handle:
+            position = handle.seek(0, os.SEEK_END) if end is None else end
+            rest = b""      # a line whose start lies before ``position``
+            while position > 0:
+                start = max(0, position - _SCAN_BLOCK)
+                handle.seek(start)
+                chunk = handle.read(position - start) + rest
+                lines, offset = chunk.split(b"\n"), start + len(chunk)
+                for line in reversed(lines[1:]):
+                    offset -= len(line)
+                    yield offset, line
+                    offset -= 1     # the newline before it
+                rest, position = lines[0], start
+            yield 0, rest
+
+    def find_last(self, kind: str, *,
+                  before: int | None = None) -> tuple[JournalRecord, int] | None:
+        """The newest valid record of ``kind`` on a line ending at or
+        before byte ``before`` (default: anywhere), with the offset its
+        line starts at; ``None`` when there is none.
+
+        Scans back from the end and passes to
+        :func:`decode_journal_line` only lines whose head names
+        ``kind`` (every line this store writes has the canonical
+        head), so what precedes the record found is never parsed, and
+        a torn or checksum-failed newest record falls back to the one
+        before it.
+        """
+        if not self.path.exists():
+            return None
+        kind = getattr(kind, "value", kind)
+        kind_json = _KIND_JSON.get(kind) or _CANONICAL.encode(kind)
+        head = re.compile(rb'\{"seq":\d+,"kind":' + re.escape(kind_json.encode())
+                          + rb',"payload":')
+        try:
+            for offset, line in self._lines_back(before):
+                if not head.match(line):
+                    continue
+                record, _status = decode_journal_line(
+                    line.decode("utf-8", "replace"), path=self.path)
+                if record is not None:
+                    return record, offset
+        except OSError as error:
+            raise JournalError(f"cannot read {self.path}: {error}") from error
+        return None
+
+    def checkpoint_offset(self) -> int:
+        """Where replay starts for recovery: the offset of the newest
+        valid :data:`CHECKPOINT` line, or 0 (the first line) when the
+        journal holds none."""
+        found = self.find_last(CHECKPOINT)
+        return 0 if found is None else found[1]
+
+    def replay(self, *, start_seq: int = 0,
+               offset: int = 0) -> list[JournalRecord]:
         """All decodable, checksum-valid records in append order.
 
         Truncated lines (a crash mid-append) and checksum mismatches
@@ -453,12 +539,21 @@ class JournalStore:
         compaction sequence numbers restart at 1, which a cursor-aware
         consumer must detect by segment identity, not by seq alone --
         see :class:`repro.analytics.reader.JournalReader`.
+
+        ``offset`` is the byte the walk starts at (the start of a
+        line, such as :meth:`checkpoint_offset`): lines before it are
+        not read, and line numbers in warnings count from it.
         """
         self.corrupt_records = 0
         records: list[JournalRecord] = []
         try:
-            lines = journal_lines(
-                self.path.read_bytes() if self.path.exists() else b"")
+            data = b""
+            if self.path.exists():
+                with self.path.open("rb") as handle:
+                    handle.seek(offset)
+                    data = handle.read()
+            lines = journal_lines(data)
+            del data
         except OSError as error:
             raise JournalError(f"cannot read {self.path}: {error}") from error
         highest = 0

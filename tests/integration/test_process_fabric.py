@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analytics import JournalReader
 from repro.benchsuite.runner import SuiteRunner
 from repro.benchsuite.suite import suite_by_name
 from repro.core.persistence import save_criteria
@@ -491,6 +492,102 @@ class TestKillNineAtEveryPrefixSoak:
                 run_kill_prefix(
                     tmp_path / f"s{shard}" / f"cut-{cut:03d}",
                     fleet, criteria_path, cut, shard=shard)
+
+
+#: Journal records between checkpoints in the soak below: a four-event
+#: run crosses several.
+SOAK_CHECKPOINT_EVERY = 8
+
+
+def checkpointing_builder(args: dict):
+    """:func:`default_builder` with a checkpoint every
+    ``args["every"]`` records.  With ``args["tear"] = n``, shard
+    ``args["shard"]`` writes half of its ``n``-th checkpoint line and
+    SIGKILLs itself -- once: ``args["marker"]`` records that it did,
+    so the restarted worker checkpoints whole."""
+    from repro.service import controlplane
+    controlplane.CHECKPOINT_EVERY = int(args["every"])
+    marker = Path(args["marker"])
+    if (args.get("tear") is not None and not marker.exists()
+            and own_shard_index() == args["shard"]):
+        append, seen = JournalStore.append, []
+
+        def tearing_append(store, kind, payload, **kwargs):
+            if kind == store_module.CHECKPOINT:
+                seen.append(kind)
+                if len(seen) == args["tear"]:
+                    marker.touch()
+                    line = store_module._encode_record(
+                        store.next_seq, kind, payload)
+                    with store.path.open("a") as handle:
+                        handle.write(line[:len(line) // 2])
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return append(store, kind, payload, **kwargs)
+
+        JournalStore.append = tearing_append
+    return default_builder(args["default"])
+
+
+def run_checkpoint_kill(root, fleet, criteria_path, *, cut=None, tear=None,
+                        shard=0):
+    """One run with checkpoints every :data:`SOAK_CHECKPOINT_EVERY`
+    records, where ``shard`` SIGKILLs itself before its journal append
+    number ``cut``, or halfway through writing its ``tear``-th
+    checkpoint; the accounting must hold from the journals alone.
+
+    Unlike :func:`run_kill_prefix` this does not count the parts the
+    drain reported: a checkpoint is appended after the tick's
+    ``event-completed`` record, so a kill before it loses that tick's
+    reply -- the completion is durable and is not re-run -- as any
+    kill between a worker's last append and its reply does."""
+    events = make_events(fleet, 4, seed=3)
+    plan = (None if cut is None else
+            ChaosPlan(seed=7, target_shards=(shard,),
+                      kill_after_appends=cut - 1))
+    fabric = ProcessFabric(
+        builder="tests.integration.test_process_fabric:"
+                "checkpointing_builder",
+        builder_args={"every": SOAK_CHECKPOINT_EVERY, "tear": tear,
+                      "shard": shard, "marker": f"{root}.torn",
+                      "default": builder_args(criteria_path)},
+        journal_root=root, config=SupervisorConfig(shard_count=SHARDS),
+        chaos=plan, status_deadline_seconds=30.0,
+        tick_deadline_seconds=60.0, spawn_deadline_seconds=120.0)
+    try:
+        for event in events:
+            fabric.submit(event)
+        fabric.drain(max_ticks=300)
+    finally:
+        fabric.shutdown()
+    return assert_exactly_once(root, events)
+
+
+@pytest.mark.soak
+class TestKillNineAcrossCheckpointsSoak:
+    """SIGKILL before, inside (a torn line) and after every checkpoint
+    append of a run that writes several."""
+
+    def test_every_prefix_across_checkpoints(self, tmp_path, fleet,
+                                             criteria_path, monkeypatch):
+        # Workers resolve the builder by module name.
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            [str(REPO), os.environ.get("PYTHONPATH", "")]))
+        run_checkpoint_kill(tmp_path / "baseline", fleet, criteria_path)
+        records = JournalStore(tmp_path / "baseline" / "shard-00").replay()
+        checkpoints = [record.seq for record in records
+                       if record.kind == store_module.CHECKPOINT]
+        assert len(checkpoints) >= 2
+        for cut in range(1, len(records) + 1):
+            run_checkpoint_kill(tmp_path / f"cut-{cut:03d}", fleet,
+                                criteria_path, cut=cut)
+        for tear in range(1, len(checkpoints) + 1):
+            root = tmp_path / f"tear-{tear}"
+            facts = run_checkpoint_kill(root, fleet, criteria_path,
+                                        tear=tear)
+            assert facts["restarts"] >= 1, f"tear {tear}"
+            reader = JournalReader(root / "shard-00")
+            reader.read_all()
+            assert reader.health()["corrupt_lines"] == 1, f"tear {tear}"
 
 
 class TestSigstopHang:

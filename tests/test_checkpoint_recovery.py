@@ -1,15 +1,27 @@
-"""Journal recovery, held against the full fold kept as a reference.
+"""Recovery from the newest checkpoint, held against the full fold.
 
-:class:`FoldOracle` is the recovery fold copied out of the control
-plane -- every record from the first line, every criteria snapshot
-built, latencies kept as lists -- and recovering a journal written by
-an inline service, a relearning one, the thread fabric or the process
-fabric must give exactly the state it gives.  It is the reference a
-cheaper recovery has to reproduce.
+A service appends a ``checkpoint`` every ``CHECKPOINT_EVERY`` journal
+records and recovery replays only the records from the newest valid
+one on.  The reference here is :class:`FoldOracle`: the recovery fold
+as it was before checkpoints existed -- every record from the first
+line, every criteria snapshot built, latencies kept as lists -- which
+ignores checkpoint records altogether.  Against it:
+
+* every checkpoint a fault-free service writes (inline, thread and
+  process fabric) carries exactly the state that folding the records
+  before it gives;
+* recovering from checkpoint plus tail gives exactly the state the
+  full fold gives, whatever the deployment;
+* a torn or checksum-failed newest checkpoint falls back to the one
+  before it, a checkpoint as the last line is a tail of one, and a
+  journal without one replays from its first line;
+* the number of lines a recovery decodes does not grow with uptime.
 """
 
+import json
 import os
 import random
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,10 +49,21 @@ from repro.service import (
     ValidationService,
 )
 from repro.service import controlplane
-from repro.service.controlplane import _SNAPSHOT_METRIC_FIELDS
+from repro.service import store as store_module
+from repro.service.controlplane import (
+    _AGGREGATE_FIELDS,
+    _SNAPSHOT_METRIC_FIELDS,
+    Aggregate,
+    ServiceMetrics,
+)
 from repro.service.lifecycle import NodeLifecycle, NodeState
-from repro.service.queue import QueueState
-from repro.service.store import JournalStore, RecordKind
+from repro.service.queue import (
+    QueueState,
+    as_origin,
+    decode_origins,
+    unpack_entries,
+)
+from repro.service.store import CHECKPOINT, JournalStore, RecordKind
 from repro.simulation import analytic_coverage_table, suite_durations
 from repro.simulation.generator import generate_incident_trace
 from repro.survival import extract_status_samples
@@ -50,6 +73,9 @@ REPO = Path(__file__).resolve().parents[1]
 SUITE_NAMES = ("ib-loopback", "mem-bw")
 MIX = {"A100": 0.5, "H100": 0.25, "MI250X": 0.25}
 FLEET_SIZE = 16
+#: Records between checkpoints in these tests: small enough that a
+#: short run writes several.
+EVERY = 40
 POOL = {"max_workers": 2, "benchmark_timeout_seconds": 2.0,
         "max_attempts": 1, "backoff_base_seconds": 0.0,
         "poll_interval_seconds": 0.005}
@@ -68,7 +94,10 @@ def build_world():
 
 def build_worker(args: dict):
     """``(anubis, nodes, service_config)``: resolved by name inside
-    process-fabric workers, called directly everywhere else."""
+    process-fabric workers (where it also sets the checkpoint cadence,
+    ``args["every"]``), called directly everywhere else."""
+    if args.get("every") is not None:
+        controlplane.CHECKPOINT_EVERY = int(args["every"])
     fleet, dataset = build_world()
     suite = tuple(suite_by_name(name) for name in SUITE_NAMES)
     validator = Validator(suite, runner=SuiteRunner(seed=9))
@@ -92,6 +121,12 @@ def world(tmp_path_factory):
     path = tmp_path_factory.mktemp("criteria") / "criteria.json"
     save_criteria(validator, path)
     return fleet, dataset, str(path)
+
+
+@pytest.fixture
+def every(monkeypatch):
+    monkeypatch.setattr(controlplane, "CHECKPOINT_EVERY", EVERY)
+    return EVERY
 
 
 def make_events(fleet, dataset, count, *, seed=0):
@@ -123,7 +158,7 @@ def make_events(fleet, dataset, count, *, seed=0):
 
 def drive(target, events, *, window=4):
     """Submit ``events`` keeping about ``window`` outstanding, then
-    drain."""
+    drain: pending entries exist at every checkpoint."""
     for index, event in enumerate(events, start=1):
         target.submit(event)
         if index % window == 0:
@@ -143,8 +178,8 @@ def journal_dirs(root):
 
 @dataclass
 class ListMetrics:
-    """:class:`~repro.service.controlplane.ServiceMetrics` with one
-    list entry per completed event."""
+    """:class:`ServiceMetrics` as it was with one list entry per
+    completed event: the oracle for :class:`Aggregate`."""
 
     counters: dict = field(default_factory=lambda: dict.fromkeys(
         _SNAPSHOT_METRIC_FIELDS, 0))
@@ -169,7 +204,8 @@ class ListMetrics:
 
 class FoldOracle:
     """Recovery as a fold of every record from the first line, with
-    every criteria snapshot built."""
+    every criteria snapshot built -- the fold that predates
+    checkpoints, which it skips as an unknown kind."""
 
     def __init__(self, anubis, nodes):
         self.anubis = anubis
@@ -185,6 +221,8 @@ class FoldOracle:
         validator = self.anubis.validator
         counters = self.metrics.counters
         for record in records:
+            if record.kind == CHECKPOINT:
+                continue
             self.state.apply(record)
             kind, payload = record.kind, record.payload
             if kind == RecordKind.CRITERIA_SNAPSHOT:
@@ -293,6 +331,60 @@ def service_view(service) -> dict:
     }
 
 
+def checkpoint_view(payload: dict, fleet, factory_coverage) -> dict:
+    """What one checkpoint record says, in :meth:`FoldOracle.view`'s
+    terms, decoded here rather than by the service."""
+    metrics = ServiceMetrics(
+        **{name: int(payload["metrics"][name])
+           for name in _SNAPSHOT_METRIC_FIELDS},
+        **{name: Aggregate.from_payload(payload["metrics"][name])
+           for name in _AGGREGATE_FIELDS})
+    coverage = {benchmark: set(found)
+                for benchmark, found in factory_coverage.found.items()}
+    for benchmark, node_ids in payload["coverage"].items():
+        coverage.setdefault(benchmark, set()).update(node_ids)
+    assert NodeState.HEALTHY.value not in payload["states"].values()
+    return {
+        "states": {node.node_id: payload["states"].get(
+            node.node_id, NodeState.HEALTHY.value) for node in fleet},
+        "flap_counts": payload["flap_counts"],
+        "metrics": metrics.summary(),
+        "dead_letters": [(letter["event_id"], letter["reason"])
+                         for letter in payload["dead_letters"]],
+        "handed_off": {int(handoff["event_id"]): handoff
+                       for handoff in payload["handed_off"]},
+        "origins_seen": decode_origins(payload["origins_seen"]),
+        "pending": sorted(
+            (entry["event_id"], entry["priority"], entry["attempts"],
+             None if entry.get("origin") is None
+             else as_origin(entry["origin"]), entry["event"])
+            for entry in unpack_entries(payload["pending"])),
+        "last_event_id": payload["last_event_id"],
+        "coverage": coverage,
+        "criteria": (None if payload["criteria"] is None
+                     else bytes.fromhex(payload["criteria"])),
+    }
+
+
+def assert_checkpoints_are_folds(directory, args, *, at_least=1):
+    """Every checkpoint in ``directory`` equals the fold of the records
+    before it."""
+    anubis, nodes, _config = build_worker(args)
+    factory_coverage = build_worker(args)[0].selector.coverage
+    oracle = FoldOracle(anubis, nodes)
+    records = JournalStore(directory).replay()
+    done = 0
+    for index, record in enumerate(records):
+        if record.kind != CHECKPOINT:
+            continue
+        oracle.fold(records[done:index])
+        done = index
+        assert checkpoint_view(record.payload, nodes, factory_coverage) \
+            == oracle.view(), f"{directory} seq {record.seq}"
+        at_least -= 1
+    assert at_least <= 0, f"{directory} holds too few checkpoints"
+
+
 def assert_recovery_is_the_fold(directory, args, monkeypatch) -> int:
     """Checkpoint-plus-tail recovery over ``directory`` equals the full
     fold; returns how many criteria snapshots recovery built."""
@@ -317,11 +409,11 @@ def assert_recovery_is_the_fold(directory, args, monkeypatch) -> int:
 
 
 # ----------------------------------------------------------------------
-# Recovery equals the fold, every deployment
+# (a) + (b): every deployment, fault-free
 # ----------------------------------------------------------------------
 
-class TestRecoveryIsTheFold:
-    def test_inline(self, tmp_path, world, monkeypatch):
+class TestCheckpointIsTheFold:
+    def test_inline(self, tmp_path, world, every, monkeypatch):
         fleet, dataset, criteria_path = world
         args = {"criteria_path": criteria_path}
         anubis, nodes, config = build_worker(args)
@@ -333,9 +425,18 @@ class TestRecoveryIsTheFold:
             service.submit(event)     # pending at the crash
         service.pool.close()
         service.store.close()
-        assert_recovery_is_the_fold(tmp_path / "journal", args, monkeypatch)
+        assert_checkpoints_are_folds(tmp_path / "journal", args,
+                                     at_least=5)
+        assert JournalStore(tmp_path / "journal").checkpoint_offset() > 0
+        # The checkpoint's criteria are the ones the service was built
+        # with: nothing to build.
+        assert assert_recovery_is_the_fold(tmp_path / "journal", args,
+                                           monkeypatch) == 0
 
-    def test_relearn(self, tmp_path, world, monkeypatch):
+    def test_relearn_between_checkpoints(self, tmp_path, world, every,
+                                         monkeypatch):
+        """Criteria snapshots land before and after checkpoints; only
+        the newest is built, however far back it lies."""
         fleet, dataset, criteria_path = world
         args = {"criteria_path": criteria_path, "rollout": True}
         anubis, nodes, config = build_worker(args)
@@ -344,12 +445,27 @@ class TestRecoveryIsTheFold:
                                     config=config)
         for segment in range(3):
             service.learn_criteria(fleet.nodes[segment:])
+            if segment == 2:
+                shutil.copytree(journal, tmp_path / "relearned")
             drive(service, make_events(fleet, dataset, 30, seed=segment))
         service.pool.close()
         service.store.close()
-        assert_recovery_is_the_fold(journal, args, monkeypatch)
 
-    def test_thread_fabric(self, tmp_path, world, monkeypatch):
+        def newest(kinds, kind):
+            return len(kinds) - 1 - kinds[::-1].index(kind)
+
+        for directory, snapshot_in_tail in ((tmp_path / "relearned", True),
+                                            (journal, False)):
+            kinds = [r.kind for r in JournalStore(directory).replay()]
+            assert kinds.count(RecordKind.CRITERIA_SNAPSHOT) >= 2
+            assert snapshot_in_tail == (
+                newest(kinds, CHECKPOINT)
+                < newest(kinds, RecordKind.CRITERIA_SNAPSHOT))
+            assert_checkpoints_are_folds(directory, args, at_least=2)
+            assert assert_recovery_is_the_fold(directory, args,
+                                               monkeypatch) == 1
+
+    def test_thread_fabric(self, tmp_path, world, every, monkeypatch):
         fleet, dataset, criteria_path = world
         args = {"criteria_path": criteria_path}
         _anubis, nodes, config = build_worker(args)
@@ -360,6 +476,7 @@ class TestRecoveryIsTheFold:
         drive(supervisor, make_events(fleet, dataset, 100, seed=3))
         supervisor.seal(reason="test-done")
         for directory in journal_dirs(tmp_path / "j"):
+            assert_checkpoints_are_folds(directory, args, at_least=3)
             assert_recovery_is_the_fold(directory, args, monkeypatch)
 
     def test_process_fabric(self, tmp_path, world, monkeypatch):
@@ -370,7 +487,8 @@ class TestRecoveryIsTheFold:
             [str(REPO), os.environ.get("PYTHONPATH", "")]))
         fabric = ProcessFabric(
             builder="tests.test_checkpoint_recovery:build_worker",
-            builder_args=args, journal_root=tmp_path / "j",
+            builder_args={**args, "every": EVERY},
+            journal_root=tmp_path / "j",
             config=SupervisorConfig(shard_count=2),
             status_deadline_seconds=30.0, tick_deadline_seconds=60.0)
         try:
@@ -378,4 +496,171 @@ class TestRecoveryIsTheFold:
         finally:
             fabric.shutdown()
         for directory in journal_dirs(tmp_path / "j"):
+            assert_checkpoints_are_folds(directory, args, at_least=2)
             assert_recovery_is_the_fold(directory, args, monkeypatch)
+
+
+# ----------------------------------------------------------------------
+# (c): where recovery starts when the newest checkpoint is not whole
+# ----------------------------------------------------------------------
+
+class TestFallback:
+    @pytest.fixture
+    def journal(self, tmp_path, world, every):
+        fleet, dataset, criteria_path = world
+        anubis, nodes, config = build_worker({"criteria_path": criteria_path})
+        service = ValidationService(anubis, nodes,
+                                    journal_dir=tmp_path / "journal",
+                                    config=config)
+        drive(service, make_events(fleet, dataset, 40, seed=5))
+        service.pool.close()
+        service.store.close()
+        return tmp_path / "journal"
+
+    @staticmethod
+    def checkpoint_lines(path):
+        lines = path.read_bytes().split(b"\n")[:-1]
+        return lines, [index for index, line in enumerate(lines)
+                       if b'"kind":"checkpoint"' in line]
+
+    def start_seq(self, directory):
+        store = JournalStore(directory)
+        return store.replay(offset=store.checkpoint_offset())[0].seq
+
+    def test_torn_newest_checkpoint_falls_back(self, journal, world, monkeypatch):
+        path = journal / "journal.jsonl"
+        lines, at = self.checkpoint_lines(path)
+        assert len(at) >= 2
+        # A kill mid-append: the newest checkpoint is the torn last line.
+        torn = lines[at[-1]]
+        path.write_bytes(b"\n".join(lines[:at[-1]] + [torn[:len(torn) // 2]]))
+        assert self.start_seq(journal) == json.loads(lines[at[-2]])["seq"]
+        assert_recovery_is_the_fold(journal, {"criteria_path": world[2]},
+                                    monkeypatch)
+
+    def test_checksum_failed_checkpoint_falls_back(self, journal, world, monkeypatch):
+        path = journal / "journal.jsonl"
+        lines, at = self.checkpoint_lines(path)
+        record = json.loads(lines[at[-1]])
+        record["crc"] ^= 1
+        lines[at[-1]] = json.dumps(record, separators=(",", ":")).encode()
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert self.start_seq(journal) == json.loads(lines[at[-2]])["seq"]
+        assert_recovery_is_the_fold(journal, {"criteria_path": world[2]},
+                                    monkeypatch)
+
+    def test_checkpoint_as_the_last_line(self, journal, world, monkeypatch):
+        path = journal / "journal.jsonl"
+        lines, at = self.checkpoint_lines(path)
+        path.write_bytes(b"\n".join(lines[:at[-1] + 1]) + b"\n")
+        store = JournalStore(journal)
+        tail = store.replay(offset=store.checkpoint_offset())
+        assert [record.kind for record in tail] == [CHECKPOINT]
+        assert_recovery_is_the_fold(journal, {"criteria_path": world[2]},
+                                    monkeypatch)
+
+    def test_no_checkpoint_replays_from_the_first_line(self, tmp_path, world,
+                                                       monkeypatch):
+        fleet, dataset, criteria_path = world
+        args = {"criteria_path": criteria_path}
+        anubis, nodes, config = build_worker(args)
+        service = ValidationService(anubis, nodes,
+                                    journal_dir=tmp_path / "journal",
+                                    config=config)
+        drive(service, make_events(fleet, dataset, 20, seed=6))
+        service.pool.close()
+        service.store.close()
+        store = JournalStore(tmp_path / "journal")
+        assert store.find_last(CHECKPOINT) is None
+        assert store.checkpoint_offset() == 0
+        assert_recovery_is_the_fold(tmp_path / "journal", args, monkeypatch)
+
+
+# ----------------------------------------------------------------------
+# (d): recovery reads a bounded tail, whatever the uptime
+# ----------------------------------------------------------------------
+
+class TestRecoveryCostIsBounded:
+    def test_lines_decoded_do_not_grow_with_uptime(self, tmp_path, world,
+                                                   monkeypatch):
+        fleet, dataset, criteria_path = world
+        args = {"criteria_path": criteria_path}
+        journal = tmp_path / "journal"
+        decoded = []
+        decode = store_module.decode_journal_line
+
+        def counting(line, **kwargs):
+            decoded.append(line)
+            return decode(line, **kwargs)
+
+        def recover() -> int:
+            anubis, nodes, config = build_worker(args)
+            del decoded[:]
+            with monkeypatch.context() as patch:
+                patch.setattr(store_module, "decode_journal_line", counting)
+                service = ValidationService(anubis, nodes,
+                                            journal_dir=journal,
+                                            config=config)
+            count = len(decoded)
+            service.pool.close()
+            service.store.close()
+            return count
+
+        anubis, nodes, config = build_worker(args)
+        service = ValidationService(anubis, nodes, journal_dir=journal,
+                                    config=config)
+        events = make_events(fleet, dataset, 4000, seed=7)
+        drive(service, events[:1000])
+        service.store.close()
+        after_1000 = recover()
+        drive(service, events[1000:])
+        service.pool.close()
+        service.store.close()
+        after_4000 = recover()
+        lines = len((journal / "journal.jsonl").read_bytes().splitlines())
+        bound = controlplane.CHECKPOINT_EVERY + 50
+        assert lines > 4 * bound
+        assert 0 < after_1000 <= bound
+        assert 0 < after_4000 <= bound
+
+
+# ----------------------------------------------------------------------
+# ServiceMetrics: constant memory, the same summary
+# ----------------------------------------------------------------------
+
+class TestAggregate:
+    @pytest.mark.parametrize("values", [
+        [],
+        [0.0],
+        [0.25],
+        [1e-9, 1e9, 1e-9, 3.0, 1e9],
+        [0.1] * 1000,
+        [random.Random(seed).expovariate(50.0) for seed in range(2000)],
+        [random.Random(seed).uniform(0, 1e-3) * 10 ** (seed % 7)
+         for seed in range(500)],
+    ])
+    def test_summary_is_bit_identical_to_the_lists(self, values):
+        metrics, lists = ServiceMetrics(), ListMetrics()
+        for value in values:
+            metrics.queue_latency.add(value)
+            lists.queue_latencies.append(value)
+        for value in values[::3]:
+            metrics.validation.add(value)
+            lists.validation_seconds.append(value)
+        # json.dumps tells 0 from 0.0 and prints every float exactly.
+        assert json.dumps(metrics.summary()) == json.dumps(lists.summary())
+
+    def test_round_trips_its_payload_mid_stream(self):
+        values = [random.Random(seed).expovariate(3.0) for seed in range(300)]
+        whole, resumed = Aggregate(), Aggregate()
+        for value in values[:100]:
+            whole.add(value)
+            resumed.add(value)
+        resumed = Aggregate.from_payload(
+            json.loads(json.dumps(resumed.to_payload())))
+        for value in values[100:]:
+            whole.add(value)
+            resumed.add(value)
+        assert resumed == whole
+        assert resumed.total == sum(values)
+        assert resumed.peak == max(values)
