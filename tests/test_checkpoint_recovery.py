@@ -409,7 +409,7 @@ def assert_recovery_is_the_fold(directory, args, monkeypatch) -> int:
 
 
 # ----------------------------------------------------------------------
-# (a) + (b): every deployment, fault-free
+# Every checkpoint and every recovery against the fold, fault-free
 # ----------------------------------------------------------------------
 
 class TestCheckpointIsTheFold:
@@ -501,7 +501,7 @@ class TestCheckpointIsTheFold:
 
 
 # ----------------------------------------------------------------------
-# (c): where recovery starts when the newest checkpoint is not whole
+# Where recovery starts when the newest checkpoint is not whole
 # ----------------------------------------------------------------------
 
 class TestFallback:
@@ -577,7 +577,7 @@ class TestFallback:
 
 
 # ----------------------------------------------------------------------
-# (d): recovery reads a bounded tail, whatever the uptime
+# Recovery reads a bounded tail, whatever the uptime
 # ----------------------------------------------------------------------
 
 class TestRecoveryCostIsBounded:
