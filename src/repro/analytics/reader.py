@@ -26,7 +26,7 @@ What one ``poll`` guarantees:
   forward-version journal degrades to a partial report instead of a
   crash.
 * **Compaction is detected, not raced.**  Compaction atomically
-  replaces the journal file with a snapshot whose sequence numbers
+  replaces the journal file with a checkpoint whose sequence numbers
   restart at 1.  The reader fingerprints the segment it is tailing
   (first line + sequence watermark); when a poll finds the
   fingerprint changed, it re-resolves the segment from the start and
@@ -48,7 +48,7 @@ from pathlib import Path
 
 from repro.service.store import (
     JOURNAL_FILENAME,
-    JOURNAL_KINDS,
+    KNOWN_KINDS,
     JournalRecord,
     decode_journal_line,
     journal_lines,
@@ -116,11 +116,11 @@ class JournalReader:
         Record kinds this reader considers known; anything else is
         warn-logged once and counted.  Defaults to every kind a journal
         of this version can hold,
-        :data:`~repro.service.store.JOURNAL_KINDS`.
+        :data:`~repro.service.store.KNOWN_KINDS`.
     """
 
     def __init__(self, directory, *,
-                 known_kinds: frozenset[str] = JOURNAL_KINDS):
+                 known_kinds: frozenset[str] = KNOWN_KINDS):
         self.directory = Path(directory)
         self.path = self.directory / JOURNAL_FILENAME
         self.known_kinds = frozenset(known_kinds)

@@ -130,8 +130,8 @@ class ServiceCountersReducer(Reducer):
         self.events_completed = 0
         #: Records of each kind that is only counted.  Criteria
         #: snapshots count criteria *changes*: a snapshot is journaled
-        #: only when its content differs from the previous one (plus
-        #: one per compaction rewrite, which always carries them).
+        #: only when its content differs from the previous one, and a
+        #: compacted journal opens with the one in force.
         self.counts: Counter[str] = Counter()
         self.policy_skips = 0
         self.validations_run = 0
@@ -294,7 +294,7 @@ class AvailabilityOverheadReducer(Reducer):
 
     name = "availability"
     HANDLERS = {RecordKind.TRANSITION: "_transition",
-                RecordKind.STATE_SNAPSHOT: "_snapshot",
+                RecordKind.CHECKPOINT: "_snapshot",
                 RecordKind.EVENT_COMPLETED: "_completed"}
 
     def __init__(self, curve_points: int = 16, fleet_size: int | None = None):
@@ -486,7 +486,7 @@ class DLQReducer(Reducer):
 
     name = "dlq"
     HANDLERS = {RecordKind.EVENT_DEAD_LETTERED: "_dead_lettered",
-                RecordKind.STATE_SNAPSHOT: "_snapshot"}
+                RecordKind.CHECKPOINT: "_snapshot"}
 
     def __init__(self, curve_points: int = 16):
         self.curve_points = max(int(curve_points), 2)
@@ -500,10 +500,13 @@ class DLQReducer(Reducer):
         self._series.append({"seq": record.seq, "depth": self.depth})
 
     def _snapshot(self, record: JournalRecord) -> None:
-        # Compaction re-baselines the depth to the snapshot's carried
-        # dead letters.
-        self.depth = len(record.payload.get("dead_letters", []))
-        self._series.append({"seq": record.seq, "depth": self.depth})
+        # A checkpoint carries the dead letters parked so far.  Where
+        # records before it were folded that is the depth already; a
+        # compacted journal re-baselines to it.
+        depth = len(record.payload.get("dead_letters", []))
+        if depth != self.depth:
+            self.depth = depth
+            self._series.append({"seq": record.seq, "depth": depth})
 
     def result(self) -> dict:
         series = self._series

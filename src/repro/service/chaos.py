@@ -529,9 +529,9 @@ class ChaosMonkey:
 #: recovery skips corrupted lines.  That holds while no checkpoint
 #: follows the line: recovery does not re-read what a checkpoint
 #: covers, so an ``event-completed`` lost there is not re-run.
-#: ``event-enqueued`` and the snapshot kinds are deliberately
-#: excluded: corrupting those would genuinely lose state, which is a
-#: different (and non-assertable) failure class.
+#: ``event-enqueued``, ``criteria-snapshot`` and ``checkpoint`` are
+#: deliberately excluded: corrupting those would genuinely lose state,
+#: which is a different (and non-assertable) failure class.
 _CORRUPTIBLE_KINDS = ("shard-heartbeat", "pipeline-stats",
                       "breaker-transition", "batch-provenance",
                       "event-completed")

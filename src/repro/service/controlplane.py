@@ -40,7 +40,7 @@ therefore hardened against its *own* machinery failing:
   the records after the newest one, and a restart costs the same
   whatever the uptime;
 * ``compact_every`` bounds the journal's disk use by periodically
-  rewriting it as a state snapshot plus the still-pending events.
+  rewriting it as its criteria and one checkpoint.
 
 Event processing is **at-least-once**: a crash after validation ran
 but before its completion record landed re-runs the event on
@@ -84,7 +84,7 @@ from repro.service.queue import (
     encode_origins,
     pack_entries,
 )
-from repro.service.store import CHECKPOINT, JournalStore, RecordKind
+from repro.service.store import JournalStore, RecordKind
 
 __all__ = ["ServiceConfig", "Aggregate", "ServiceMetrics", "TickResult",
            "ValidationService", "CHECKPOINT_EVERY"]
@@ -107,7 +107,7 @@ _REPAIR_PIPELINE = (
 _REPAIR_STATES = frozenset(current for current, _target, _reason
                            in _REPAIR_PIPELINE)
 
-#: Integer metric counters carried through snapshot compaction.
+#: Integer metric counters a checkpoint carries.
 _SNAPSHOT_METRIC_FIELDS = (
     "events_submitted", "events_coalesced", "events_processed",
     "policy_skips", "validations_run", "nodes_validated",
@@ -116,13 +116,13 @@ _SNAPSHOT_METRIC_FIELDS = (
 )
 
 #: Counters no journal record moves: replay restores them from the
-#: newest state snapshot (0 without one), so a checkpoint carries them
-#: at that value too, not at the running service's.
+#: checkpoint it starts at (0 without one), so a later checkpoint
+#: carries them at that value too, not at the running service's.
 _LIVE_ONLY_FIELDS = ("events_submitted", "events_coalesced",
                      "tick_failures", "repair_failures")
 
 #: :class:`Aggregate` fields of :class:`ServiceMetrics`, carried through
-#: compaction and checkpoints.
+#: checkpoints.
 _AGGREGATE_FIELDS = ("queue_latency", "validation")
 
 #: ``sum()`` adds floats with Neumaier compensation from Python 3.12 on.
@@ -162,9 +162,10 @@ class ServiceConfig:
         Force every journal append to stable storage (durability over
         throughput); the default flushes to the OS only.
     compact_every:
-        Rewrite the journal as a snapshot every N completed events so
-        its disk use stays bounded; ``None`` disables compaction.
-        Recovery cost is bounded without it, by checkpoints.
+        Rewrite the journal as its criteria and one checkpoint every N
+        completed events, so its disk use stays bounded; ``None``
+        disables compaction.  Recovery cost is bounded without it, by
+        periodic checkpoints.
     flap_base_holddown_ticks / flap_multiplier / flap_max_holddown_ticks:
         Exponential hold-down for nodes flapping through quarantine:
         the K-th quarantine holds the node for
@@ -963,54 +964,60 @@ class ValidationService:
     # Durability
     # ------------------------------------------------------------------
     def compact_journal(self) -> int:
-        """Rewrite the journal as a snapshot of live state.
+        """Rewrite the journal as a checkpoint of live state.
 
-        The replacement journal holds the latest criteria snapshot, a
-        ``state-snapshot`` record (lifecycle states, flap counts,
-        aggregate metrics, dead letters, id high-water mark) and one
-        ``event-enqueued`` record per still-pending event -- so its
-        size tracks live state, not uptime.  Returns the number of
-        records written (0 without a store).
+        The replacement journal holds the newest criteria snapshot, a
+        ``pipeline-stats`` record and one ``checkpoint`` -- so its size
+        tracks live state, not uptime.  Returns the number of records
+        written (0 without a store).
         """
         if self.store is None or self._recovering:
             return 0
         records: list[tuple[str, dict]] = []
         validator = self.anubis.validator
+        criteria = None
         if validator.criteria:
             records.append((RecordKind.CRITERIA_SNAPSHOT,
                             criteria_payload(validator)))
-        records.append((RecordKind.STATE_SNAPSHOT, self._state_snapshot()))
+            criteria = criteria_fingerprint(validator.criteria)
         records.append((RecordKind.PIPELINE_STATS,
                         {"stages": self.anubis.pipeline_stats()}))
-        for entry in self.queue.pending():
-            records.append((RecordKind.EVENT_ENQUEUED, entry.to_payload()))
+        # No record precedes this checkpoint, so replay restores the
+        # live-only counters to the values it carries: the live ones.
+        live_only = {name: getattr(self.metrics, name)
+                     for name in _LIVE_ONLY_FIELDS}
+        records.append((RecordKind.CHECKPOINT,
+                        self._checkpoint_payload(criteria, live_only)))
         count = self.store.rewrite(records)
+        self._checkpoint_seq = count      # the checkpoint is the last record
         self.metrics.journal_compactions += 1
-        self._journaled_criteria = (
-            criteria_fingerprint(validator.criteria)
-            if validator.criteria else None)
-        self._live_only_base = {name: getattr(self.metrics, name)
-                                for name in _LIVE_ONLY_FIELDS}
-        self._checkpoint_seq = 0
-        self._unrecorded_park = False     # the snapshot holds every park
+        self._journaled_criteria = criteria
+        self._live_only_base = live_only
+        self._unrecorded_park = False     # the checkpoint holds every park
         self._completed_since_snapshot = 0
         self._completed_since_compaction = 0
         return count
 
-    def _state_snapshot(self, *, healthy: bool = True) -> dict:
-        """Lifecycle, damper, dead-letter, handoff and metric state;
-        ``healthy=False`` leaves out nodes in the default HEALTHY
-        state."""
+    def _checkpoint_payload(self, criteria: bytes | None,
+                            live_only: dict) -> dict:
+        """What replaying the journal up to a checkpoint rebuilds, so
+        recovery can start at it instead of the first line.
+
+        Lifecycle states (nodes in the default HEALTHY state left out),
+        flap counts, dead letters, handoff state, metrics (the
+        :data:`_LIVE_ONLY_FIELDS` at ``live_only``), the pending
+        entries, the coverage this journal built, and ``criteria``, the
+        fingerprint of the journal's newest criteria snapshot.
+        """
         return {
             "states": {node_id: state.value
                        for node_id, state in self.lifecycle.states().items()
-                       if healthy or state is not NodeState.HEALTHY},
+                       if state is not NodeState.HEALTHY},
             "flap_counts": self.damper.flap_counts(),
             "last_event_id": self.queue.last_event_id,
             "dead_letters": [letter.to_payload()
                              for letter in self.queue.dead_letters()],
-            # Handoff reconciliation state must survive compaction:
-            # losing a handed-off payload could drop the event (the
+            # Losing a handed-off payload could drop the event (the
             # supervisor could no longer re-deliver it), losing an
             # origin marker could duplicate one (a re-delivery would
             # no longer dedupe).
@@ -1021,35 +1028,29 @@ class ValidationService:
                 **{name: getattr(self.metrics, name)
                    for name in _SNAPSHOT_METRIC_FIELDS},
                 **{name: getattr(self.metrics, name).to_payload()
-                   for name in _AGGREGATE_FIELDS}},
+                   for name in _AGGREGATE_FIELDS},
+                **live_only},
+            "pending": pack_entries([entry.to_payload()
+                                     for entry in self.queue.pending()]),
+            "coverage": {benchmark: sorted(node_ids)
+                         for benchmark, node_ids
+                         in sorted(self._coverage.items())},
+            "criteria": None if criteria is None else criteria.hex(),
         }
 
     def _checkpoint(self) -> None:
         """Append a checkpoint once :data:`CHECKPOINT_EVERY` records
         follow the previous one (best-effort: a lost checkpoint costs
-        only recovery time).
-
-        A checkpoint holds what replaying the journal up to it rebuilds
-        -- the state snapshot without healthy nodes, the pending
-        entries, the coverage this journal built, and the fingerprint
-        of its newest criteria snapshot -- so recovery can start at it
-        instead of the first line.
-        """
+        only recovery time)."""
         store = self.store
         if (store is None or self._unrecorded_park
                 or store.next_seq - self._checkpoint_seq <= CHECKPOINT_EVERY):
             return
-        payload = self._state_snapshot(healthy=False)
-        payload["metrics"].update(self._live_only_base)
-        payload["pending"] = pack_entries([entry.to_payload()
-                                           for entry in self.queue.pending()])
-        payload["coverage"] = {benchmark: sorted(node_ids)
-                               for benchmark, node_ids
-                               in sorted(self._coverage.items())}
-        payload["criteria"] = (None if self._journaled_criteria is None
-                               else self._journaled_criteria.hex())
+        payload = self._checkpoint_payload(self._journaled_criteria,
+                                           self._live_only_base)
         try:
-            self._checkpoint_seq = store.append(CHECKPOINT, payload)
+            self._checkpoint_seq = store.append(RecordKind.CHECKPOINT,
+                                                payload)
         except JournalError:
             pass
 
@@ -1172,18 +1173,10 @@ class ValidationService:
             for record in records:
                 state.apply(record)
                 payload = record.payload
-                if record.kind == CHECKPOINT:
-                    self._apply_state_snapshot(payload)
-                    for benchmark, node_ids in payload["coverage"].items():
-                        self.anubis.selector.coverage.record(benchmark,
-                                                             node_ids)
-                        self._coverage[benchmark] = set(node_ids)
-                    checkpointed_criteria = payload["criteria"]
-                    self._checkpoint_seq = record.seq
+                if record.kind == RecordKind.CHECKPOINT:
+                    checkpointed_criteria = self._apply_checkpoint(record)
                 elif record.kind == RecordKind.CRITERIA_SNAPSHOT:
                     newest_criteria = record
-                elif record.kind == RecordKind.STATE_SNAPSHOT:
-                    self._apply_state_snapshot(payload)
                 elif record.kind == RecordKind.TRANSITION:
                     # Forced: a journal write fault may have eaten an
                     # intermediate record, and refusing to restart
@@ -1244,21 +1237,28 @@ class ValidationService:
             validator.criteria.update(restored)
             self._journaled_criteria = criteria_fingerprint(restored)
 
-    def _apply_state_snapshot(self, payload: dict) -> None:
-        """Install the service half of one compacted ``state-snapshot``
-        record (its queue half is :class:`QueueState`'s)."""
+    def _apply_checkpoint(self, record) -> str | None:
+        """Install the service half of one checkpoint (its queue half
+        is :class:`QueueState`'s); returns the fingerprint, in hex, of
+        the criteria it was taken under."""
+        payload = record.payload
         self.lifecycle.restore({
             node_id: NodeState(value)
-            for node_id, value in payload.get("states", {}).items()})
-        self.damper.restore(payload.get("flap_counts", {}))
-        for name, value in payload.get("metrics", {}).items():
-            if name in _SNAPSHOT_METRIC_FIELDS:
-                setattr(self.metrics, name, int(value))
-            elif name in _AGGREGATE_FIELDS:
-                setattr(self.metrics, name, Aggregate.from_payload(value))
-        for letter in payload.get("dead_letters", []):
+            for node_id, value in payload["states"].items()})
+        self.damper.restore(payload["flap_counts"])
+        metrics = payload["metrics"]
+        for name in _SNAPSHOT_METRIC_FIELDS:
+            setattr(self.metrics, name, int(metrics[name]))
+        for name in _AGGREGATE_FIELDS:
+            setattr(self.metrics, name, Aggregate.from_payload(metrics[name]))
+        for letter in payload["dead_letters"]:
             entry = QueuedEvent.from_payload(letter, self.fleet_index)
-            self.queue.dead_letter(entry, letter.get("reason", ""))
+            self.queue.dead_letter(entry, letter["reason"])
+        for benchmark, node_ids in payload["coverage"].items():
+            self.anubis.selector.coverage.record(benchmark, node_ids)
+            self._coverage[benchmark] = set(node_ids)
+        self._checkpoint_seq = record.seq
+        return payload["criteria"]
 
     def _reset_interrupted_nodes(self) -> None:
         """Heal nodes stranded by a mid-tick crash.

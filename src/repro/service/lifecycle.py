@@ -14,8 +14,8 @@ the journal to recover the exact fleet state.
 Two escape hatches exist for crash recovery only: ``force=True``
 applies a transition whose *old* state no longer matches the legal
 graph (a journal record was lost to a write fault between an applied
-in-memory transition and its append), and :meth:`restore` installs a
-full state snapshot from a compacted journal.  Neither is for live
+in-memory transition and its append), and :meth:`restore` installs
+the states a journal checkpoint carries.  Neither is for live
 operation.
 
 :class:`FlapDamper` adds flap damping on top of the state machine: a
@@ -132,8 +132,9 @@ class NodeLifecycle:
         return applied
 
     def restore(self, states: dict[str, NodeState]) -> None:
-        """Install a full state snapshot (compacted-journal recovery).
+        """Install the states a checkpoint carries (recovery from it).
 
+        Nodes not in ``states`` are HEALTHY, as untracked nodes are.
         Replaces all tracked states without legality checks and
         without appending transitions; only recovery may call this,
         before any live transition is applied.
@@ -258,5 +259,5 @@ class FlapDamper:
         self._holddowns.pop(node_id, None)
 
     def restore(self, flap_counts: dict[str, int]) -> None:
-        """Install flap counts from a compacted-journal snapshot."""
+        """Install the flap counts a checkpoint carries."""
         self._flap_counts = {n: int(c) for n, c in flap_counts.items()}

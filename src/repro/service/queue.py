@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.system import ValidationEvent
 from repro.exceptions import JournalError
-from repro.service.store import CHECKPOINT, RecordKind
+from repro.service.store import RecordKind
 
 __all__ = ["QueuedEvent", "DeadLetter", "EventQueue", "QueueState",
            "as_origin", "encode_origins", "decode_origins",
@@ -157,7 +157,7 @@ class EventQueue:
         self._ids = itertools.count(1)
         self.coalesced_total = 0
         #: Highest event id handed out or reserved so far -- the
-        #: high-water mark a snapshot must persist so a recovered
+        #: high-water mark a checkpoint must persist so a recovered
         #: queue never reuses an id.
         self.last_event_id = 0
 
@@ -313,7 +313,7 @@ def as_origin(raw) -> tuple[int, int]:
 
 
 def encode_origins(origins) -> list:
-    """A set of origin markers as snapshots and checkpoints carry them.
+    """A set of origin markers as a checkpoint carries them.
 
     Each source's markers go as one ``[source, first, bitmap]`` entry
     (bit ``i`` of the base64, little-endian bitmap marks event id
@@ -341,8 +341,7 @@ def encode_origins(origins) -> list:
 
 
 def decode_origins(encoded) -> set[tuple[int, int]]:
-    """The origin markers :func:`encode_origins` encoded (pairs alone
-    are how snapshots written before bitmaps list them)."""
+    """The origin markers :func:`encode_origins` encoded."""
     origins: set[tuple[int, int]] = set()
     for raw in encoded:
         if len(raw) == 2:
@@ -403,7 +402,7 @@ class QueueState:
     "priority", "attempts", "origin"}`` with every later
     ``event-coalesced`` / ``event-failed`` record already merged in;
     ``sealed`` reports whether the final record applied is a
-    ``fabric-drain``, the clean-shutdown marker.  A :data:`CHECKPOINT`
+    ``fabric-drain``, the clean-shutdown marker.  A ``checkpoint``
     replaces the whole state with the one it carries, so folding from
     the newest checkpoint on (:func:`journal_queue_state`) gives what
     folding every record would.
@@ -419,19 +418,14 @@ class QueueState:
         """Fold one journal record into the state."""
         kind, payload = record.kind, record.payload
         self.sealed = kind == RecordKind.FABRIC_DRAIN
-        if kind == CHECKPOINT:
+        if kind == RecordKind.CHECKPOINT:
             # The whole state: start over from it.
             self.pending = {int(entry["event_id"]): _pending_entry(entry)
                             for entry in unpack_entries(payload["pending"])}
-            self.origins_seen, self.handed_off = set(), {}
-            self.last_event_id = 0
-        if kind in (CHECKPOINT, RecordKind.STATE_SNAPSHOT):
-            self.last_event_id = max(self.last_event_id,
-                                     int(payload.get("last_event_id", 0)))
-            for handoff in payload.get("handed_off", []):
-                self.handed_off[int(handoff["event_id"])] = dict(handoff)
-            self.origins_seen.update(
-                decode_origins(payload.get("origins_seen", [])))
+            self.origins_seen = decode_origins(payload["origins_seen"])
+            self.handed_off = {int(handoff["event_id"]): dict(handoff)
+                               for handoff in payload["handed_off"]}
+            self.last_event_id = int(payload["last_event_id"])
             return
         if kind not in _QUEUE_KINDS:
             return

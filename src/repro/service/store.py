@@ -29,10 +29,10 @@ Three hardening layers keep the journal trustworthy and bounded:
   with ``fsync=True`` each record is forced to stable storage before
   ``append`` returns, surviving a *machine* crash at a throughput
   cost.  The trade-off is an explicit per-store or per-append choice.
-* **Snapshot compaction** -- :meth:`rewrite` atomically replaces the
-  journal with a compact set of snapshot records (write to a temp
-  file, fsync, rename), so recovery cost and disk use stay bounded by
-  live state rather than by service uptime.
+* **Compaction** -- :meth:`rewrite` atomically replaces the journal
+  with a few records ending in a checkpoint of the service's live
+  state (write to a temp file, fsync, rename), so disk use stays
+  bounded by live state rather than by service uptime.
 
 **The append handle is held open.**  A store opens its journal for
 append on the first record and keeps the handle (``write`` + ``flush``
@@ -53,7 +53,8 @@ performs -- recovery's :meth:`replay` -- or, when an append comes
 first, from one such read then.
 
 **Recovery starts at the newest checkpoint.**  A service appends a
-:data:`CHECKPOINT` record -- its whole live state -- every so often.
+``checkpoint`` record -- its whole live state -- every so often, and
+compaction ends the journal it writes with one.
 :meth:`find_last` scans the file back from its end, decoding only the
 lines whose head names the kind sought, and :meth:`checkpoint_offset`
 is where the newest checkpoint that decodes starts; replay begins
@@ -80,10 +81,9 @@ from pathlib import Path
 from repro.core.system import ValidationEvent
 from repro.exceptions import JournalError
 
-__all__ = ["RecordKind", "KNOWN_KINDS", "CHECKPOINT", "JOURNAL_KINDS",
-           "JournalRecord", "JournalStore", "event_to_payload",
-           "event_from_payload", "record_crc", "decode_journal_line",
-           "journal_lines"]
+__all__ = ["RecordKind", "KNOWN_KINDS", "JournalRecord", "JournalStore",
+           "event_to_payload", "event_from_payload", "record_crc",
+           "decode_journal_line", "journal_lines"]
 
 logger = logging.getLogger(__name__)
 
@@ -115,8 +115,11 @@ class RecordKind(str, enum.Enum):
     CRITERIA_ROLLBACK = "criteria-rollback"
     #: One criteria learning pass: per-key engine path + timing.
     CRITERIA_LEARN = "criteria-learn"
-    #: Compaction state snapshot (lifecycle, metrics, dead letters).
-    STATE_SNAPSHOT = "state-snapshot"
+    #: A service's whole live state, from which recovery may start:
+    #: written every so often and by compaction (see
+    #: :meth:`ValidationService._checkpoint_payload
+    #: <repro.service.controlplane.ValidationService._checkpoint_payload>`).
+    CHECKPOINT = "checkpoint"
     #: Typed measurement batch with full window provenance.
     MEASUREMENT_BATCH = "measurement-batch"
     #: Compact per-event sanitization/quarantine provenance summary.
@@ -145,18 +148,6 @@ class RecordKind(str, enum.Enum):
 
 #: Every record kind :class:`RecordKind` registers.
 KNOWN_KINDS = frozenset(kind.value for kind in RecordKind)
-
-#: A service's recovery checkpoint: its whole live state in one record,
-#: from which :meth:`JournalStore.replay` may start (see
-#: :meth:`ValidationService._checkpoint
-#: <repro.service.controlplane.ValidationService._checkpoint>`).  Only
-#: recovery folds it; the analytics reducers count it.  It stays out of
-#: :class:`RecordKind`: seeded chaos decisions are pinned against the
-#: registry's members in order, and a new member would shift them.
-CHECKPOINT = "checkpoint"
-
-#: Every record kind a journal written by this version can contain.
-JOURNAL_KINDS = KNOWN_KINDS | {CHECKPOINT}
 
 
 def event_to_payload(event: ValidationEvent) -> dict:
@@ -199,7 +190,7 @@ def _encode_record(seq: int, kind: str, payload: dict) -> str:
 
 
 #: Each known kind's canonical JSON; other kinds are encoded per line.
-_KIND_JSON = {kind: _CANONICAL.encode(kind) for kind in JOURNAL_KINDS}
+_KIND_JSON = {kind: _CANONICAL.encode(kind) for kind in KNOWN_KINDS}
 
 #: Bytes :meth:`JournalStore.find_last` reads per step back.
 _SCAN_BLOCK = 1 << 16
@@ -441,7 +432,7 @@ class JournalStore:
         """Atomically replace the journal with ``records`` (compaction).
 
         ``records`` is an iterable of ``(kind, payload)`` pairs --
-        typically a state snapshot plus the still-pending events.  The
+        typically ending in a checkpoint of the service's state.  The
         replacement journal is written to a temporary file, fsynced,
         and renamed over the old one, so a crash at any point leaves
         either the old journal or the new one, never a mix.  Sequence
@@ -517,9 +508,9 @@ class JournalStore:
 
     def checkpoint_offset(self) -> int:
         """Where replay starts for recovery: the offset of the newest
-        valid :data:`CHECKPOINT` line, or 0 (the first line) when the
+        valid ``checkpoint`` line, or 0 (the first line) when the
         journal holds none."""
-        found = self.find_last(CHECKPOINT)
+        found = self.find_last(RecordKind.CHECKPOINT)
         return 0 if found is None else found[1]
 
     def replay(self, *, start_seq: int = 0,

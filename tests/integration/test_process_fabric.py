@@ -513,7 +513,7 @@ def checkpointing_builder(args: dict):
         append, seen = JournalStore.append, []
 
         def tearing_append(store, kind, payload, **kwargs):
-            if kind == store_module.CHECKPOINT:
+            if kind == RecordKind.CHECKPOINT:
                 seen.append(kind)
                 if len(seen) == args["tear"]:
                     marker.touch()
@@ -575,7 +575,7 @@ class TestKillNineAcrossCheckpointsSoak:
         run_checkpoint_kill(tmp_path / "baseline", fleet, criteria_path)
         records = JournalStore(tmp_path / "baseline" / "shard-00").replay()
         checkpoints = [record.seq for record in records
-                       if record.kind == store_module.CHECKPOINT]
+                       if record.kind == RecordKind.CHECKPOINT]
         assert len(checkpoints) >= 2
         for cut in range(1, len(records) + 1):
             run_checkpoint_kill(tmp_path / f"cut-{cut:03d}", fleet,

@@ -228,22 +228,37 @@ class TestControlPlaneRobustness:
             service.submit(make_event(fleet, dataset, [i, i + 1],
                                       EventKind.JOB_ALLOCATION,
                                       duration=8.0 + i))
+        # Incidents are always validated; some quarantine a node, which
+        # the selector's coverage table must remember across restarts.
+        for i in range(len(fleet.nodes)):
+            service.submit(make_event(fleet, dataset, [i],
+                                      EventKind.INCIDENT_REPORTED))
         service.drain()
         last_id = service.queue.last_event_id
         assert service.metrics.journal_compactions >= 2
-        # The journal was rewritten: it now *starts* at the snapshot.
+        assert service.metrics.nodes_quarantined > 0
+        assert any(service._coverage.values())
+        # The journal was rewritten: it now *starts* at the checkpoint.
         records = JournalStore(journal).replay()
-        assert records[0].kind == "criteria-snapshot"
-        assert records[1].kind == "state-snapshot"
+        assert [record.kind for record in records[:3]] == [
+            "criteria-snapshot", "pipeline-stats", "checkpoint"]
 
         recovered = build_service(fleet, risk_model, journal, learn=False,
                                   config=config)
-        assert recovered.lifecycle.states() == service.lifecycle.states()
+        assert ({node.node_id: recovered.lifecycle.state(node.node_id)
+                 for node in fleet.nodes}
+                == {node.node_id: service.lifecycle.state(node.node_id)
+                    for node in fleet.nodes})
         for name in METRIC_FIELDS:
             assert (getattr(recovered.metrics, name)
                     == getattr(service.metrics, name)), name
+        assert recovered._coverage == service._coverage
+        assert (recovered.anubis.selector.coverage.all_defects()
+                == service.anubis.selector.coverage.all_defects())
+        assert recovered.handed_off == service.handed_off
+        assert recovered.origins_seen == service.origins_seen
         assert len(recovered.queue) == 0
-        # Event ids keep climbing: the snapshot carried the high-water
+        # Event ids keep climbing: the checkpoint carried the high-water
         # mark, so a recycled id cannot alias an old journal record.
         fresh = recovered.submit(make_event(fleet, dataset, [9],
                                             EventKind.JOB_ALLOCATION))

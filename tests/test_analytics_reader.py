@@ -122,12 +122,12 @@ class TestCompactionRace:
         assert cursor.seq == 6
 
         # Compaction rewrites the journal; seqs restart at 1.
-        store.rewrite([(RecordKind.STATE_SNAPSHOT, {"states": {}}),
+        store.rewrite([(RecordKind.CHECKPOINT, {"states": {}}),
                        (RecordKind.EVENT_ENQUEUED, {"event_id": 9})])
         result = reader.poll(cursor)
         assert result.reset
         assert [(r.seq, r.kind) for r in result.records] \
-            == [(1, "state-snapshot"), (2, "event-enqueued")]
+            == [(1, "checkpoint"), (2, "event-enqueued")]
 
         # After the reset the new segment tails normally again.
         store.append(RecordKind.TRANSITION, {"node_id": "n1"})
@@ -140,7 +140,7 @@ class TestCompactionRace:
         store = make_store(tmp_path, n=4)
         reader = JournalReader(store.directory)
         cursor = reader.poll().cursor
-        store.rewrite([(RecordKind.STATE_SNAPSHOT, {"states": {}}),
+        store.rewrite([(RecordKind.CHECKPOINT, {"states": {}}),
                        (RecordKind.TRANSITION, {"node_id": "a"}),
                        (RecordKind.TRANSITION, {"node_id": "b"})])
         lines = store.path.read_text().splitlines()
@@ -221,7 +221,7 @@ class TestTailingLoop:
                 store.append(RecordKind.TRANSITION, {"node_id": "x"})
             elif step == 1:
                 assert len(seen) == 3
-                store.rewrite([(RecordKind.STATE_SNAPSHOT, {"states": {}})])
+                store.rewrite([(RecordKind.CHECKPOINT, {"states": {}})])
             elif step == 2:
                 assert len(seen) == 1  # rebuilt after reset
                 store.append(RecordKind.TRANSITION, {"node_id": "y"})

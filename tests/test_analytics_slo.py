@@ -109,7 +109,7 @@ class TestAvailability:
 
     def test_state_snapshot_seeds_the_fleet(self):
         reducer = AvailabilityOverheadReducer()
-        reducer.consume(rec(1, RecordKind.STATE_SNAPSHOT, {
+        reducer.consume(rec(1, RecordKind.CHECKPOINT, {
             "states": {"a": "healthy", "b": "quarantined"}}))
         reducer.consume(completed(2, 1, nodes=["a"]))
         assert reducer.result()["availability_now"] == 0.5
@@ -145,7 +145,7 @@ class TestDLQ:
                             {"event_id": 1}))
         reducer.consume(rec(2, RecordKind.EVENT_DEAD_LETTERED,
                             {"event_id": 2}))
-        reducer.consume(rec(3, RecordKind.STATE_SNAPSHOT,
+        reducer.consume(rec(3, RecordKind.CHECKPOINT,
                             {"states": {}, "dead_letters": [{}]}))
         result = reducer.result()
         assert result["events_parked"] == 2
@@ -285,7 +285,7 @@ _PAYLOADS = {
         {"benchmark": _names, "metric": st.just("m"),
          "reason": st.sampled_from(["", "budget"])}, sku=_skus),
     RecordKind.CRITERIA_LEARN: st.just({}),
-    RecordKind.STATE_SNAPSHOT: st.fixed_dictionaries({
+    RecordKind.CHECKPOINT: st.fixed_dictionaries({
         "states": st.dictionaries(_nodes, _states, max_size=4),
         "dead_letters": st.lists(st.just({}), max_size=3)}),
     RecordKind.MEASUREMENT_BATCH: _with(
@@ -384,7 +384,7 @@ class TestRoutedFold:
 
     @given(records=_record_streams(),
            last=st.sampled_from([RecordKind.FABRIC_DRAIN,
-                                 RecordKind.STATE_SNAPSHOT]))
+                                 RecordKind.CHECKPOINT]))
     @settings(max_examples=50, deadline=None)
     def test_clean_shutdown_reads_the_last_record(self, records, last):
         records = records + [rec(len(records) + 1, last, {})]

@@ -22,11 +22,13 @@ import json
 import os
 import random
 import shutil
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 
+from repro.analytics.report import build_report, render_json, render_markdown
 from repro.benchsuite.runner import SuiteRunner
 from repro.benchsuite.suite import suite_by_name
 from repro.core.persistence import (
@@ -52,6 +54,7 @@ from repro.service import controlplane
 from repro.service import store as store_module
 from repro.service.controlplane import (
     _AGGREGATE_FIELDS,
+    _LIVE_ONLY_FIELDS,
     _SNAPSHOT_METRIC_FIELDS,
     Aggregate,
     ServiceMetrics,
@@ -63,7 +66,7 @@ from repro.service.queue import (
     decode_origins,
     unpack_entries,
 )
-from repro.service.store import CHECKPOINT, JournalStore, RecordKind
+from repro.service.store import JournalStore, RecordKind
 from repro.simulation import analytic_coverage_table, suite_durations
 from repro.simulation.generator import generate_incident_trace
 from repro.survival import extract_status_samples
@@ -221,7 +224,7 @@ class FoldOracle:
         validator = self.anubis.validator
         counters = self.metrics.counters
         for record in records:
-            if record.kind == CHECKPOINT:
+            if record.kind == RecordKind.CHECKPOINT:
                 continue
             self.state.apply(record)
             kind, payload = record.kind, record.payload
@@ -229,15 +232,6 @@ class FoldOracle:
                 restored = criteria_from_payload(validator, payload)
                 validator.criteria.update(restored)
                 self.journaled = criteria_fingerprint(restored)
-            elif kind == RecordKind.STATE_SNAPSHOT:
-                self.lifecycle.restore({
-                    node_id: NodeState(value)
-                    for node_id, value in payload["states"].items()})
-                self.damper.restore(payload["flap_counts"])
-                for name in _SNAPSHOT_METRIC_FIELDS:
-                    counters[name] = int(payload["metrics"][name])
-                self.dead_letters += [(letter["event_id"], letter["reason"])
-                                      for letter in payload["dead_letters"]]
             elif kind == RecordKind.TRANSITION:
                 new = NodeState(payload["new"])
                 self.lifecycle.transition(payload["node_id"], new,
@@ -375,7 +369,7 @@ def assert_checkpoints_are_folds(directory, args, *, at_least=1):
     records = JournalStore(directory).replay()
     done = 0
     for index, record in enumerate(records):
-        if record.kind != CHECKPOINT:
+        if record.kind != RecordKind.CHECKPOINT:
             continue
         oracle.fold(records[done:index])
         done = index
@@ -459,11 +453,53 @@ class TestCheckpointIsTheFold:
             kinds = [r.kind for r in JournalStore(directory).replay()]
             assert kinds.count(RecordKind.CRITERIA_SNAPSHOT) >= 2
             assert snapshot_in_tail == (
-                newest(kinds, CHECKPOINT)
+                newest(kinds, RecordKind.CHECKPOINT)
                 < newest(kinds, RecordKind.CRITERIA_SNAPSHOT))
             assert_checkpoints_are_folds(directory, args, at_least=2)
             assert assert_recovery_is_the_fold(directory, args,
                                                monkeypatch) == 1
+
+    def test_compaction(self, tmp_path, world, every, monkeypatch):
+        """A compacted journal starts at its checkpoint: recovery from
+        it and the records after it equals the fold of the history it
+        replaced plus those records."""
+        fleet, dataset, criteria_path = world
+        args = {"criteria_path": criteria_path}
+        anubis, nodes, config = build_worker(args)
+        journal = tmp_path / "journal"
+        service = ValidationService(anubis, nodes, journal_dir=journal,
+                                    config=config)
+        drive(service, make_events(fleet, dataset, 60, seed=4))
+        for event in make_events(fleet, dataset, 3, seed=5):
+            service.submit(event)     # pending at the compaction
+        shutil.copytree(journal, tmp_path / "history")
+        live_only = {name: getattr(service.metrics, name)
+                     for name in _LIVE_ONLY_FIELDS}
+        service.compact_journal()
+        drive(service, make_events(fleet, dataset, 12, seed=6))
+        for event in make_events(fleet, dataset, 2, seed=7):
+            service.submit(event)     # pending at the crash
+        service.pool.close()
+        service.store.close()
+
+        records = JournalStore(journal).replay()
+        assert [record.kind for record in records[:3]] == [
+            RecordKind.CRITERIA_SNAPSHOT, RecordKind.PIPELINE_STATS,
+            RecordKind.CHECKPOINT]
+        anubis, nodes, _config = build_worker(args)
+        expected = FoldOracle(anubis, nodes).fold(
+            JournalStore(tmp_path / "history").replay()
+            + records[3:]).reset_interrupted().view()
+        # No record moves these counters; the compacted journal holds
+        # them at their values when it was written.
+        expected["metrics"].update(live_only)
+        anubis, nodes, config = build_worker(args)
+        service = ValidationService(anubis, nodes, journal_dir=journal,
+                                    config=config)
+        assert service_view(service) == expected
+        assert service.queue.pending()
+        service.pool.close()
+        service.store.close()
 
     def test_thread_fabric(self, tmp_path, world, every, monkeypatch):
         fleet, dataset, criteria_path = world
@@ -498,6 +534,67 @@ class TestCheckpointIsTheFold:
         for directory in journal_dirs(tmp_path / "j"):
             assert_checkpoints_are_folds(directory, args, at_least=2)
             assert_recovery_is_the_fold(directory, args, monkeypatch)
+
+
+# ----------------------------------------------------------------------
+# The report over a journal with checkpoints
+# ----------------------------------------------------------------------
+
+class TestCheckpointsLeaveTheReport:
+    def test_report_without_checkpoints_is_the_same(self, tmp_path, world,
+                                                    every):
+        """The reducers that read a checkpoint find in it what they
+        already folded: dropping every checkpoint changes only the
+        journal section's count of them."""
+        fleet, dataset, criteria_path = world
+        anubis, nodes, config = build_worker({"criteria_path": criteria_path})
+        runner = anubis.validator.runner
+        run, broken = runner.run, nodes[3].node_id
+
+        def crash_on_broken(spec, node):
+            # A crashing benchmark counts as a defect: quarantine.
+            if node.node_id == broken:
+                raise RuntimeError("simulated hardware fault")
+            return run(spec, node)
+
+        runner.run = crash_on_broken
+        service = ValidationService(anubis, nodes,
+                                    journal_dir=tmp_path / "journal",
+                                    config=config)
+        events = make_events(fleet, dataset, 90, seed=8)
+        poison = (events[5].kind, events[5].nodes)
+
+        def fail_poison(entry):
+            if (entry.event.kind, entry.event.nodes) == poison:
+                raise RuntimeError("poison event")
+
+        service.tick_hook = fail_poison
+        drive(service, events)
+        for event in make_events(fleet, dataset, 2, seed=9):
+            service.submit(event)     # the journal ends on no checkpoint
+        service.pool.close()
+        service.store.close()
+
+        records = JournalStore(tmp_path / "journal").replay()
+        kinds = Counter(record.kind for record in records)
+        assert kinds[RecordKind.CHECKPOINT] >= 2
+        assert kinds[RecordKind.EVENT_DEAD_LETTERED] >= 1
+        assert any(record.payload["new"] == NodeState.QUARANTINED.value
+                   for record in records
+                   if record.kind == RecordKind.TRANSITION)
+        checkpoints = [record for record in records
+                       if record.kind == RecordKind.CHECKPOINT]
+        assert any(checkpoint.payload["dead_letters"]
+                   for checkpoint in checkpoints)
+        assert any(checkpoint.payload["states"]
+                   for checkpoint in checkpoints)
+        full = build_report(records)
+        bare = build_report([record for record in records
+                             if record.kind != RecordKind.CHECKPOINT])
+        full["journal"]["records"] -= len(checkpoints)
+        del full["journal"]["by_kind"][RecordKind.CHECKPOINT.value]
+        assert render_json(full) == render_json(bare)
+        assert render_markdown(full) == render_markdown(bare)
 
 
 # ----------------------------------------------------------------------
@@ -555,7 +652,7 @@ class TestFallback:
         path.write_bytes(b"\n".join(lines[:at[-1] + 1]) + b"\n")
         store = JournalStore(journal)
         tail = store.replay(offset=store.checkpoint_offset())
-        assert [record.kind for record in tail] == [CHECKPOINT]
+        assert [record.kind for record in tail] == [RecordKind.CHECKPOINT]
         assert_recovery_is_the_fold(journal, {"criteria_path": world[2]},
                                     monkeypatch)
 
@@ -571,7 +668,7 @@ class TestFallback:
         service.pool.close()
         service.store.close()
         store = JournalStore(tmp_path / "journal")
-        assert store.find_last(CHECKPOINT) is None
+        assert store.find_last(RecordKind.CHECKPOINT) is None
         assert store.checkpoint_offset() == 0
         assert_recovery_is_the_fold(tmp_path / "journal", args, monkeypatch)
 

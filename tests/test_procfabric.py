@@ -26,7 +26,7 @@ from repro.service.procfabric import (
     read_frame,
     write_frame,
 )
-from repro.service.queue import replay_queue_state
+from repro.service.queue import pack_entries, replay_queue_state
 from repro.service.store import JournalStore, RecordKind
 from repro.service.supervisor import PARENT_ORIGIN, SupervisorConfig
 
@@ -292,18 +292,23 @@ class TestReplayQueueState:
         assert (-1, 7) in state.origins_seen
 
     def test_snapshot_merges_origins_and_handoffs(self, tmp_path):
+        """A checkpoint installs its origins and handoffs; the records
+        after it add theirs."""
         store = self.journal(tmp_path)
-        store.append(RecordKind.STATE_SNAPSHOT, {
+        store.append(RecordKind.CHECKPOINT, {
+            "pending": pack_entries([]),
             "last_event_id": 9,
             "origins_seen": [[1, 4]],
             "handed_off": [{"event_id": 5, "to_shard": 1,
                             "event": {"kind": "periodic", "nodes": ["n2"],
                                       "statuses": [],
                                       "duration_hours": 24.0}}]})
+        self.enqueue(store, 10, origin=(-1, 7))
         state = replay_queue_state(store.replay())
-        assert state.last_event_id == 9
-        assert (1, 4) in state.origins_seen
+        assert state.last_event_id == 10
+        assert state.origins_seen == {(1, 4), (-1, 7)}
         assert 5 in state.handed_off
+        assert list(state.pending) == [10]
 
     def test_sealed_only_when_drain_is_final(self, tmp_path):
         store = self.journal(tmp_path)
