@@ -26,8 +26,8 @@ What one ``poll`` guarantees:
   forward-version journal degrades to a partial report instead of a
   crash.
 * **Compaction is detected, not raced.**  Compaction atomically
-  replaces the journal file with a checkpoint whose sequence numbers
-  restart at 1.  The reader fingerprints the segment it is tailing
+  replaces the journal file with a few records ending in a checkpoint,
+  whose sequence numbers restart at 1.  The reader fingerprints the segment it is tailing
   (first line + sequence watermark); when a poll finds the
   fingerprint changed, it re-resolves the segment from the start and
   reports ``reset=True`` so the consumer knows to rebuild rather than
