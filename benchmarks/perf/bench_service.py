@@ -213,7 +213,7 @@ def bench_process_fabric(workdir: Path, *, events: int, nodes: int,
 
     from repro.core.persistence import save_criteria
     from repro.service import ProcessFabric
-    from repro.service.queue import replay_queue_state
+    from repro.service.queue import JournalState
     from repro.service.shard import ShardState
     from repro.service.store import JournalStore
 
@@ -277,7 +277,7 @@ def bench_process_fabric(workdir: Path, *, events: int, nodes: int,
     processed = 0
     for index in range(shards):
         store = JournalStore(journal_root / f"shard-{index:02d}")
-        state = replay_queue_state(store.replay())
+        state = JournalState.fold(store.replay())
         if state.pending:
             raise SystemExit(
                 f"FAIL: shard {index} left events pending: "

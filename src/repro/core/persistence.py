@@ -30,6 +30,7 @@ import json
 import os
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from repro.exceptions import CriteriaError
 
 __all__ = ["save_criteria", "load_criteria", "criteria_payload",
            "criteria_from_payload", "apply_criteria_payload",
-           "criteria_fingerprint"]
+           "criteria_fingerprint", "payload_fingerprint"]
 
 _FORMAT_VERSION = 3
 #: Version 1 files (no checksum) and version 2 files (no SKU axis;
@@ -94,6 +95,15 @@ def criteria_fingerprint(criteria: dict) -> bytes:
                             values.size)).encode())
         digest.update(values.tobytes())
     return digest.digest()
+
+
+def payload_fingerprint(payload: dict) -> bytes:
+    """:func:`criteria_fingerprint` of the map a :func:`criteria_payload`
+    document holds, read off the document without building the map."""
+    return criteria_fingerprint({
+        (str(entry.get("sku", "unknown")), entry["benchmark"],
+         entry["metric"]): SimpleNamespace(**entry)
+        for entry in payload["entries"]})
 
 
 def criteria_from_payload(validator: Validator, payload: dict, *,

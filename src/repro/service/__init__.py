@@ -6,7 +6,8 @@ around the in-process facade:
 
 ``repro.service.queue``
     Risk-prioritized, coalescing event queue with a dead-letter side
-    for poison events.
+    for poison events; :class:`JournalState`, the one fold of journal
+    records into service state, and the checkpoint format.
 ``repro.service.pool``
     Parallel benchmark executor with timeouts, retries, crash
     isolation and per-benchmark circuit breakers.
@@ -83,9 +84,8 @@ from repro.service.procfabric import (
 from repro.service.queue import (
     DeadLetter,
     EventQueue,
+    JournalState,
     QueuedEvent,
-    QueueState,
-    replay_queue_state,
 )
 from repro.service.shard import HashRing, Shard, ShardState
 from repro.service.store import (
@@ -115,6 +115,7 @@ __all__ = [
     "FlapDamper",
     "HashRing",
     "JournalRecord",
+    "JournalState",
     "JournalStore",
     "LEGAL_TRANSITIONS",
     "NodeLifecycle",
@@ -122,7 +123,6 @@ __all__ = [
     "PARENT_ORIGIN",
     "PoolConfig",
     "ProcessFabric",
-    "QueueState",
     "QueuedEvent",
     "ServiceConfig",
     "ServiceMetrics",
@@ -146,5 +146,4 @@ __all__ = [
     "event_from_payload",
     "event_to_payload",
     "install_chaos",
-    "replay_queue_state",
 ]

@@ -32,12 +32,12 @@ therefore hardened against its *own* machinery failing:
 * repair-stage failures are absorbed and retried next tick;
 * nodes that flap through quarantine are held down exponentially
   (:class:`~repro.service.lifecycle.FlapDamper`);
-* recovery resets nodes stranded in VALIDATING/SCHEDULED by a
-  mid-tick crash, and replays transitions *forced* so a journal
-  record lost to a write fault cannot wedge a restart;
+* recovery installs the states its journal folds to, unchecked, so a
+  record lost to a write fault cannot wedge a restart, then resets
+  nodes stranded in VALIDATING/SCHEDULED by a mid-tick crash;
 * every :data:`CHECKPOINT_EVERY` journal records the service appends
-  a ``checkpoint`` -- its whole live state -- so recovery replays only
-  the records after the newest one, and a restart costs the same
+  a ``checkpoint`` -- its whole live state -- so recovery folds only
+  the records from the newest one on, and a restart costs the same
   whatever the uptime;
 * ``compact_every`` bounds the journal's disk use by periodically
   rewriting it as its criteria and one checkpoint.
@@ -55,7 +55,6 @@ attributes are its (and any test's) seams into the loop.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -71,22 +70,23 @@ from repro.core.system import (
     ValidationEvent,
     ValidationOutcome,
 )
-from repro.core.validator import ValidationReport, Violation
+from repro.core.validator import ValidationReport
 from repro.exceptions import JournalError, ServiceError
 from repro.quality.rollout import RolloutDecision, evaluate_rollout
 from repro.service.lifecycle import FlapDamper, NodeLifecycle, NodeState
 from repro.service.pool import PoolConfig, ValidationPool
 from repro.service.queue import (
+    AGGREGATE_FIELDS,
+    COUNTER_FIELDS,
+    Aggregate,
     DeadLetter,
     EventQueue,
+    JournalState,
     QueuedEvent,
-    QueueState,
-    encode_origins,
-    pack_entries,
 )
 from repro.service.store import JournalStore, RecordKind
 
-__all__ = ["ServiceConfig", "Aggregate", "ServiceMetrics", "TickResult",
+__all__ = ["ServiceConfig", "ServiceMetrics", "TickResult",
            "ValidationService", "CHECKPOINT_EVERY"]
 
 #: Journal records between two checkpoints.  A checkpoint costs about
@@ -107,26 +107,11 @@ _REPAIR_PIPELINE = (
 _REPAIR_STATES = frozenset(current for current, _target, _reason
                            in _REPAIR_PIPELINE)
 
-#: Integer metric counters a checkpoint carries.
-_SNAPSHOT_METRIC_FIELDS = (
-    "events_submitted", "events_coalesced", "events_processed",
-    "policy_skips", "validations_run", "nodes_validated",
-    "nodes_quarantined", "tick_failures", "events_dead_lettered",
-    "repair_failures", "events_shed",
-)
-
-#: Counters no journal record moves: replay restores them from the
+#: Counters no journal record moves: the fold restores them from the
 #: checkpoint it starts at (0 without one), so a later checkpoint
 #: carries them at that value too, not at the running service's.
 _LIVE_ONLY_FIELDS = ("events_submitted", "events_coalesced",
                      "tick_failures", "repair_failures")
-
-#: :class:`Aggregate` fields of :class:`ServiceMetrics`, carried through
-#: checkpoints.
-_AGGREGATE_FIELDS = ("queue_latency", "validation")
-
-#: ``sum()`` adds floats with Neumaier compensation from Python 3.12 on.
-_COMPENSATED_SUM = sys.version_info >= (3, 12)
 
 
 @dataclass(frozen=True)
@@ -169,10 +154,8 @@ class ServiceConfig:
     flap_base_holddown_ticks / flap_multiplier / flap_max_holddown_ticks:
         Exponential hold-down for nodes flapping through quarantine:
         the K-th quarantine holds the node for
-        ``base * multiplier**(K-1)`` ticks, capped.
-    flap_forgive_after_ticks:
-        Quarantine-free ticks after which a node's flap count is
-        forgiven; ``None`` never forgives.
+        ``base * multiplier**(K-1)`` ticks, capped.  K counts every
+        quarantine the journal holds; it is never forgiven.
     sanitizer:
         Optional :class:`repro.quality.Sanitizer`; when set, every
         benchmark result entering the service (pool sweeps and the
@@ -196,7 +179,6 @@ class ServiceConfig:
     flap_base_holddown_ticks: int = 1
     flap_multiplier: float = 2.0
     flap_max_holddown_ticks: int = 32
-    flap_forgive_after_ticks: int | None = None
     sanitizer: object | None = None
     rollout: object | None = None
 
@@ -216,54 +198,7 @@ class ServiceConfig:
             base_holddown_ticks=self.flap_base_holddown_ticks,
             multiplier=self.flap_multiplier,
             max_holddown_ticks=self.flap_max_holddown_ticks,
-            forgive_after_ticks=self.flap_forgive_after_ticks,
         )
-
-
-@dataclass
-class Aggregate:
-    """Count, sum and maximum of a stream of floats, in constant memory.
-
-    The sum is made of the same additions, in the same order, that
-    ``sum()`` over the whole stream would make (left to right, and
-    compensated where the interpreter's ``sum()`` compensates), so
-    :attr:`total` is bit-identical to summing a list of the values.
-    """
-
-    count: int = 0
-    running: float = 0.0
-    compensation: float = 0.0
-    peak: float = 0.0
-
-    def add(self, value: float) -> None:
-        if _COMPENSATED_SUM:
-            running = self.running + value
-            if abs(self.running) >= abs(value):
-                self.compensation += (self.running - running) + value
-            else:
-                self.compensation += (value - running) + self.running
-            self.running = running
-        else:
-            self.running += value
-        if not self.count or value > self.peak:
-            self.peak = value
-        self.count += 1
-
-    @property
-    def total(self):
-        """``sum()`` of the values (the int 0 when there are none)."""
-        return self.running + self.compensation if self.count else 0
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def to_payload(self) -> list:
-        return [self.count, self.running, self.compensation, self.peak]
-
-    @classmethod
-    def from_payload(cls, raw) -> "Aggregate":
-        return cls(int(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
 
 
 @dataclass
@@ -425,7 +360,6 @@ class ValidationService:
         #: An event was parked but its dead-letter record never reached
         #: the journal; checkpoints stop until a restart re-reads it.
         self._unrecorded_park = False
-        self._recovering = False
         self.store = (JournalStore(journal_dir,
                                    fsync=self.config.journal_fsync)
                       if journal_dir is not None else None)
@@ -942,7 +876,7 @@ class ValidationService:
         key replaced or an array edited out-of-band is journaled at
         the next call.
         """
-        if self.store is None or self._recovering:
+        if self.store is None:
             return
         validator = self.anubis.validator
         if not validator.criteria:
@@ -971,72 +905,56 @@ class ValidationService:
         tracks live state, not uptime.  Returns the number of records
         written (0 without a store).
         """
-        if self.store is None or self._recovering:
+        if self.store is None:
             return 0
         records: list[tuple[str, dict]] = []
         validator = self.anubis.validator
-        criteria = None
+        state = self.journal_state()
+        state.criteria = None
         if validator.criteria:
             records.append((RecordKind.CRITERIA_SNAPSHOT,
                             criteria_payload(validator)))
-            criteria = criteria_fingerprint(validator.criteria)
+            state.criteria = criteria_fingerprint(validator.criteria)
         records.append((RecordKind.PIPELINE_STATS,
                         {"stages": self.anubis.pipeline_stats()}))
-        # No record precedes this checkpoint, so replay restores the
+        # No record precedes this checkpoint, so the fold restores the
         # live-only counters to the values it carries: the live ones.
         live_only = {name: getattr(self.metrics, name)
                      for name in _LIVE_ONLY_FIELDS}
-        records.append((RecordKind.CHECKPOINT,
-                        self._checkpoint_payload(criteria, live_only)))
+        state.metrics.update(live_only)
+        records.append((RecordKind.CHECKPOINT, state.to_payload()))
         count = self.store.rewrite(records)
         self._checkpoint_seq = count      # the checkpoint is the last record
         self.metrics.journal_compactions += 1
-        self._journaled_criteria = criteria
+        self._journaled_criteria = state.criteria
         self._live_only_base = live_only
         self._unrecorded_park = False     # the checkpoint holds every park
         self._completed_since_snapshot = 0
         self._completed_since_compaction = 0
         return count
 
-    def _checkpoint_payload(self, criteria: bytes | None,
-                            live_only: dict) -> dict:
-        """What replaying the journal up to a checkpoint rebuilds, so
-        recovery can start at it instead of the first line.
-
-        Lifecycle states (nodes in the default HEALTHY state left out),
-        flap counts, dead letters, handoff state, metrics (the
-        :data:`_LIVE_ONLY_FIELDS` at ``live_only``), the pending
-        entries, the coverage this journal built, and ``criteria``, the
-        fingerprint of the journal's newest criteria snapshot.
-        """
-        return {
-            "states": {node_id: state.value
-                       for node_id, state in self.lifecycle.states().items()
-                       if state is not NodeState.HEALTHY},
-            "flap_counts": self.damper.flap_counts(),
-            "last_event_id": self.queue.last_event_id,
-            "dead_letters": [letter.to_payload()
-                             for letter in self.queue.dead_letters()],
-            # Losing a handed-off payload could drop the event (the
-            # supervisor could no longer re-deliver it), losing an
-            # origin marker could duplicate one (a re-delivery would
-            # no longer dedupe).
-            "handed_off": [self.handed_off[event_id]
-                           for event_id in sorted(self.handed_off)],
-            "origins_seen": encode_origins(self.origins_seen),
-            "metrics": {
-                **{name: getattr(self.metrics, name)
-                   for name in _SNAPSHOT_METRIC_FIELDS},
-                **{name: getattr(self.metrics, name).to_payload()
-                   for name in _AGGREGATE_FIELDS},
-                **live_only},
-            "pending": pack_entries([entry.to_payload()
-                                     for entry in self.queue.pending()]),
-            "coverage": {benchmark: sorted(node_ids)
-                         for benchmark, node_ids
-                         in sorted(self._coverage.items())},
-            "criteria": None if criteria is None else criteria.hex(),
-        }
+    def journal_state(self) -> JournalState:
+        """The live state as folding the journal would give it (the
+        counters no record moves at their folded values): a checkpoint's
+        payload, and a live shard's answer to the supervisor."""
+        return JournalState(
+            pending={entry.event_id: {"event": entry.event.to_payload(),
+                                      "priority": entry.priority,
+                                      "attempts": entry.attempts,
+                                      "origin": entry.origin}
+                     for entry in self.queue.pending()},
+            origins_seen=self.origins_seen,
+            handed_off=self.handed_off,
+            last_event_id=self.queue.last_event_id,
+            states=self.lifecycle.states(),
+            flap_counts=self.damper.flap_counts(),
+            dead_letters=[letter.to_payload()
+                          for letter in self.queue.dead_letters()],
+            metrics={**{name: getattr(self.metrics, name)
+                        for name in COUNTER_FIELDS + AGGREGATE_FIELDS},
+                     **self._live_only_base},
+            coverage=self._coverage,
+            criteria=self._journaled_criteria)
 
     def _checkpoint(self) -> None:
         """Append a checkpoint once :data:`CHECKPOINT_EVERY` records
@@ -1046,16 +964,14 @@ class ValidationService:
         if (store is None or self._unrecorded_park
                 or store.next_seq - self._checkpoint_seq <= CHECKPOINT_EVERY):
             return
-        payload = self._checkpoint_payload(self._journaled_criteria,
-                                           self._live_only_base)
         try:
-            self._checkpoint_seq = store.append(RecordKind.CHECKPOINT,
-                                                payload)
+            self._checkpoint_seq = store.append(
+                RecordKind.CHECKPOINT, self.journal_state().to_payload())
         except JournalError:
             pass
 
     def _journal(self, kind: str, payload: dict) -> None:
-        if self.store is not None and not self._recovering:
+        if self.store is not None:
             self.store.append(kind, payload)
 
     def _journal_best_effort(self, kind: str, payload: dict) -> bool:
@@ -1143,8 +1059,8 @@ class ValidationService:
 
         Used on failure-handling paths: the in-memory state must
         advance even when the journal is refusing writes.  A lost
-        record leaves a gap that recovery heals with a forced replay
-        plus the stranded-node reset.
+        record leaves a gap that recovery crosses by installing states
+        unchecked, plus the stranded-node reset.
         """
         try:
             self._transition(node_id, new, reason=reason)
@@ -1154,111 +1070,64 @@ class ValidationService:
     def _recover(self) -> None:
         """Rebuild queue, lifecycle, criteria and coverage from disk.
 
-        The walk starts at the journal's newest valid checkpoint (at
-        its first line when it holds none), which installs everything
-        the records before it would have rebuilt.  The queue half
-        (pending entries with their merged priority, duration and
-        attempts, handoff state, origin markers, the id high-water
-        mark) is the shared :class:`~repro.service.queue.QueueState`
-        reduction; everything that needs a live service is replayed
-        here.  Of the criteria snapshots only the newest is built.
+        Folds the journal from its newest valid checkpoint on (from its
+        first line when it holds none) into a :class:`JournalState`,
+        installs it, and heals the nodes a crash stranded: recovery
+        from a checkpoint and from the first line take the same path.
         """
         offset = self.store.checkpoint_offset()
         records = self.store.replay(offset=offset)
-        self._recovering = True
-        state = QueueState()
-        newest_criteria = None
-        checkpointed_criteria = None
-        try:
-            for record in records:
-                state.apply(record)
-                payload = record.payload
-                if record.kind == RecordKind.CHECKPOINT:
-                    checkpointed_criteria = self._apply_checkpoint(record)
-                elif record.kind == RecordKind.CRITERIA_SNAPSHOT:
-                    newest_criteria = record
-                elif record.kind == RecordKind.TRANSITION:
-                    # Forced: a journal write fault may have eaten an
-                    # intermediate record, and refusing to restart
-                    # over the gap would turn one lost line into a
-                    # permanently wedged service.
-                    new = NodeState(payload["new"])
-                    self.lifecycle.transition(
-                        payload["node_id"], new,
-                        reason=payload.get("reason", ""), force=True)
-                    if new is NodeState.QUARANTINED:
-                        self.damper.record_quarantine(payload["node_id"])
-                elif record.kind == RecordKind.EVENT_DEAD_LETTERED:
-                    entry = QueuedEvent.from_payload(payload,
-                                                     self.fleet_index)
-                    self.queue.dead_letter(entry, payload.get("reason", ""))
-                    self.metrics.events_dead_lettered += 1
-                elif record.kind == RecordKind.EVENT_COMPLETED:
-                    self._replay_completed(payload)
-                elif record.kind == RecordKind.LOAD_SHED:
-                    self.metrics.events_shed += 1
-            self.handed_off.update(state.handed_off)
-            self.origins_seen.update(state.origins_seen)
-            for event_id in sorted(state.pending):
-                info = state.pending[event_id]
-                event = ValidationEvent.from_payload(info["event"],
-                                                     self.fleet_index)
-                entry, _created = self.queue.push(
-                    event, info["priority"], event_id=event_id,
-                    enqueued_at=self.clock(), origin=info["origin"])
-                entry.attempts = info["attempts"]
-            self.queue.reserve_ids(state.last_event_id)
-            self._restore_criteria(newest_criteria, checkpointed_criteria,
-                                   offset)
-        finally:
-            self._recovering = False
-        self._live_only_base = {name: getattr(self.metrics, name)
-                                for name in _LIVE_ONLY_FIELDS}
+        self._checkpoint_seq = records[0].seq if offset else 0
+        self._install(JournalState.fold(records), offset)
         self._reset_interrupted_nodes()
 
-    def _restore_criteria(self, snapshot, checkpointed: str | None,
-                          offset: int) -> None:
-        """Install the journal's newest criteria snapshot: ``snapshot``
-        when one follows the checkpoint, else the one before the
-        checkpoint at ``offset`` whose fingerprint it carries -- unless
-        that is what the service was built with, which needs no build."""
+    def _install(self, state: JournalState, offset: int) -> None:
+        """Take on ``state``, folded from the journal at ``offset``."""
+        self.lifecycle.restore(state.states)
+        self.damper.restore(state.flap_counts)
+        for name, value in state.metrics.items():
+            setattr(self.metrics, name, value)
+        self._live_only_base = {name: state.metrics[name]
+                                for name in _LIVE_ONLY_FIELDS}
+        for letter in state.dead_letters:
+            self.queue.dead_letter(
+                QueuedEvent.from_payload(letter, self.fleet_index),
+                letter["reason"])
+        for event_id in sorted(state.pending):
+            info = state.pending[event_id]
+            event = ValidationEvent.from_payload(info["event"],
+                                                 self.fleet_index)
+            entry, _created = self.queue.push(
+                event, info["priority"], event_id=event_id,
+                enqueued_at=self.clock(), origin=info["origin"])
+            entry.attempts = info["attempts"]
+        self.queue.reserve_ids(state.last_event_id)
+        self.handed_off = state.handed_off
+        self.origins_seen = state.origins_seen
+        for benchmark, node_ids in state.coverage.items():
+            self.anubis.selector.coverage.record(benchmark, node_ids)
+        self._coverage = state.coverage
+        self._restore_criteria(state, offset)
+
+    def _restore_criteria(self, state: JournalState, offset: int) -> None:
+        """Install the journal's newest criteria snapshot: the one the
+        fold met, else the one before the checkpoint at ``offset`` whose
+        fingerprint the checkpoint carries -- unless that is what the
+        service was built with, which needs no build."""
         validator = self.anubis.validator
-        if snapshot is None and checkpointed is not None:
-            fingerprint = bytes.fromhex(checkpointed)
-            if fingerprint == criteria_fingerprint(validator.criteria):
-                self._journaled_criteria = fingerprint
+        snapshot = state.criteria_snapshot
+        if snapshot is None and state.criteria is not None:
+            if state.criteria == criteria_fingerprint(validator.criteria):
+                self._journaled_criteria = state.criteria
                 return
             found = self.store.find_last(RecordKind.CRITERIA_SNAPSHOT,
                                          before=offset)
-            snapshot = None if found is None else found[0]
+            snapshot = None if found is None else found[0].payload
         if snapshot is not None:
             restored = criteria_from_payload(
-                validator, snapshot.payload, source=str(self.store.path))
+                validator, snapshot, source=str(self.store.path))
             validator.criteria.update(restored)
             self._journaled_criteria = criteria_fingerprint(restored)
-
-    def _apply_checkpoint(self, record) -> str | None:
-        """Install the service half of one checkpoint (its queue half
-        is :class:`QueueState`'s); returns the fingerprint, in hex, of
-        the criteria it was taken under."""
-        payload = record.payload
-        self.lifecycle.restore({
-            node_id: NodeState(value)
-            for node_id, value in payload["states"].items()})
-        self.damper.restore(payload["flap_counts"])
-        metrics = payload["metrics"]
-        for name in _SNAPSHOT_METRIC_FIELDS:
-            setattr(self.metrics, name, int(metrics[name]))
-        for name in _AGGREGATE_FIELDS:
-            setattr(self.metrics, name, Aggregate.from_payload(metrics[name]))
-        for letter in payload["dead_letters"]:
-            entry = QueuedEvent.from_payload(letter, self.fleet_index)
-            self.queue.dead_letter(entry, letter["reason"])
-        for benchmark, node_ids in payload["coverage"].items():
-            self.anubis.selector.coverage.record(benchmark, node_ids)
-            self._coverage[benchmark] = set(node_ids)
-        self._checkpoint_seq = record.seq
-        return payload["criteria"]
 
     def _reset_interrupted_nodes(self) -> None:
         """Heal nodes stranded by a mid-tick crash.
@@ -1286,32 +1155,6 @@ class ValidationService:
                 self.damper.arm(node_id)
             else:
                 self.damper.release(node_id)
-
-    def _replay_completed(self, payload: dict) -> None:
-        """Re-apply one completed event's side effects (coverage,
-        aggregate metrics) without re-running anything."""
-        self.metrics.events_processed += 1
-        self.metrics.queue_latency.add(
-            float(payload.get("queue_latency_seconds", 0.0)))
-        if payload.get("skipped", False):
-            self.metrics.policy_skips += 1
-            return
-        report = ValidationReport(
-            validated_nodes=list(payload.get("validated_nodes", [])),
-            benchmarks_run=list(payload.get("benchmarks_run", [])),
-            violations=[
-                Violation(node_id=v[0], benchmark=v[1], metric=v[2],
-                          similarity=0.0, reason=v[3],
-                          sku=v[4] if len(v) > 4 else "unknown")
-                for v in payload.get("violations", [])
-            ],
-        )
-        self._record_coverage(report)
-        self.metrics.validations_run += 1
-        self.metrics.nodes_validated += len(report.validated_nodes)
-        self.metrics.nodes_quarantined += len(payload.get("defective", []))
-        self.metrics.validation.add(
-            float(payload.get("validation_seconds", 0.0)))
 
     def _record_coverage(self, report: ValidationReport) -> None:
         """Fold one validation into the selector's coverage history,

@@ -7,16 +7,15 @@ through repair (hot-buffer swap or ticket) and return.  The seed
 reproduction kept these states implicit -- scattered across
 ``simulation.cluster`` bookkeeping and ``core.system`` outcome lists.
 :class:`NodeLifecycle` makes them first-class and *enforced*: only the
-transitions in :data:`LEGAL_TRANSITIONS` are allowed, every transition
-is sequence-numbered for journaling, and a service restart can replay
-the journal to recover the exact fleet state.
+transitions in :data:`LEGAL_TRANSITIONS` are allowed.  The history is
+the journal's, where the control plane records every transition.
 
-Two escape hatches exist for crash recovery only: ``force=True``
-applies a transition whose *old* state no longer matches the legal
-graph (a journal record was lost to a write fault between an applied
-in-memory transition and its append), and :meth:`restore` installs
-the states a journal checkpoint carries.  Neither is for live
-operation.
+Two escape hatches skip the legality check; neither is for live
+operation.  :meth:`NodeLifecycle.restore` installs the states a restart
+folds out of its journal (:class:`~repro.service.queue.JournalState`),
+whatever records a write fault lost.  ``force=True`` applies one
+transition whose *old* state is off the legal graph, for a fold that
+walks journal transitions one by one across such a gap.
 
 :class:`FlapDamper` adds flap damping on top of the state machine: a
 node that keeps oscillating QUARANTINED -> ... -> HEALTHY ->
@@ -70,9 +69,8 @@ LEGAL_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
 
 @dataclass(frozen=True)
 class Transition:
-    """One applied state change, in journal order."""
+    """One applied state change."""
 
-    seq: int
     node_id: str
     old: NodeState
     new: NodeState
@@ -94,8 +92,6 @@ class NodeLifecycle:
         #: the per-tick questions ("any repairs in flight?", "who is
         #: quarantined?") do not scan the fleet.
         self._counts: dict[NodeState, int] = dict.fromkeys(NodeState, 0)
-        self._seq = 0
-        self.transitions: list[Transition] = []
 
     def state(self, node_id: str) -> NodeState:
         """Current state of one node (HEALTHY if never seen)."""
@@ -105,11 +101,11 @@ class NodeLifecycle:
                    reason: str = "", force: bool = False) -> Transition:
         """Apply one state change, enforcing legality.
 
-        ``force=True`` skips the legality check; it exists for journal
-        replay, where a lost record can leave a gap between the
-        replayed old state and the next journaled transition.  The
-        applied transition still records the actual old state and is
-        marked ``forced``.
+        ``force=True`` skips the legality check; it exists for a fold
+        over journal transitions, where a lost record can leave a gap
+        between the folded old state and the next journaled transition.
+        The applied transition still records the actual old state and
+        is marked ``forced``.
         """
         old = self.state(node_id)
         forced = False
@@ -121,23 +117,20 @@ class NodeLifecycle:
                     + (f" ({reason})" if reason else "")
                 )
             forced = True
-        self._seq += 1
-        applied = Transition(seq=self._seq, node_id=node_id, old=old,
-                             new=new, reason=reason, forced=forced)
+        applied = Transition(node_id=node_id, old=old, new=new,
+                             reason=reason, forced=forced)
         if node_id in self._states:
             self._counts[old] -= 1
         self._counts[new] += 1
         self._states[node_id] = new
-        self.transitions.append(applied)
         return applied
 
     def restore(self, states: dict[str, NodeState]) -> None:
-        """Install the states a checkpoint carries (recovery from it).
+        """Install the states a journal fold gives (recovery).
 
         Nodes not in ``states`` are HEALTHY, as untracked nodes are.
-        Replaces all tracked states without legality checks and
-        without appending transitions; only recovery may call this,
-        before any live transition is applied.
+        Replaces all tracked states without legality checks; only
+        recovery may call this, before any live transition is applied.
         """
         self._states = {node_id: NodeState(state)
                         for node_id, state in states.items()}
@@ -174,9 +167,8 @@ class FlapDamper:
     Each time a node is quarantined its flap count rises and it is
     *held* in QUARANTINED for ``base * multiplier**(count - 1)`` ticks
     (capped at ``max_holddown_ticks``) before the repair pipeline may
-    advance it.  A node that stays out of quarantine for
-    ``forgive_after_ticks`` ticks has its flap count forgiven, so one
-    bad week years ago does not penalise a since-repaired node.
+    advance it.  The count is the node's quarantines on record, so a
+    journal fold restores it exactly (:meth:`restore`).
 
     The damper counts *service ticks*, not wall-clock: the control
     plane calls :meth:`tick` once per service tick, keeping damping
@@ -184,8 +176,7 @@ class FlapDamper:
     """
 
     def __init__(self, *, base_holddown_ticks: int = 1,
-                 multiplier: float = 2.0, max_holddown_ticks: int = 64,
-                 forgive_after_ticks: int | None = None):
+                 multiplier: float = 2.0, max_holddown_ticks: int = 64):
         if base_holddown_ticks < 1:
             raise ServiceError("base_holddown_ticks must be at least 1")
         if multiplier < 1.0:
@@ -193,16 +184,11 @@ class FlapDamper:
         if max_holddown_ticks < base_holddown_ticks:
             raise ServiceError(
                 "max_holddown_ticks must be at least base_holddown_ticks")
-        if forgive_after_ticks is not None and forgive_after_ticks < 1:
-            raise ServiceError("forgive_after_ticks must be at least 1")
         self.base_holddown_ticks = int(base_holddown_ticks)
         self.multiplier = float(multiplier)
         self.max_holddown_ticks = int(max_holddown_ticks)
-        self.forgive_after_ticks = forgive_after_ticks
         self._flap_counts: dict[str, int] = {}
         self._holddowns: dict[str, int] = {}
-        self._last_quarantine_tick: dict[str, int] = {}
-        self._tick = 0
 
     def holddown_for(self, count: int) -> int:
         """Hold-down length (ticks) for a node's ``count``-th flap."""
@@ -211,20 +197,14 @@ class FlapDamper:
 
     def record_quarantine(self, node_id: str) -> int:
         """Register one quarantine; returns the armed hold-down."""
-        last = self._last_quarantine_tick.get(node_id)
-        if (self.forgive_after_ticks is not None and last is not None
-                and self._tick - last >= self.forgive_after_ticks):
-            self._flap_counts[node_id] = 0
         count = self._flap_counts.get(node_id, 0) + 1
         self._flap_counts[node_id] = count
-        self._last_quarantine_tick[node_id] = self._tick
         holddown = self.holddown_for(count)
         self._holddowns[node_id] = holddown
         return holddown
 
     def tick(self) -> None:
         """Advance one service tick; hold-downs decay toward ready."""
-        self._tick += 1
         for node_id, remaining in list(self._holddowns.items()):
             if remaining > 0:
                 self._holddowns[node_id] = remaining - 1
@@ -259,5 +239,5 @@ class FlapDamper:
         self._holddowns.pop(node_id, None)
 
     def restore(self, flap_counts: dict[str, int]) -> None:
-        """Install the flap counts a checkpoint carries."""
+        """Install the flap counts a journal fold gives."""
         self._flap_counts = {n: int(c) for n, c in flap_counts.items()}

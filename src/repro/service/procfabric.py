@@ -85,14 +85,13 @@ from pathlib import Path
 from repro.exceptions import JournalError, ServiceError
 from repro.service.chaos import ChaosJournalStore, ChaosPlan
 from repro.service.controlplane import ServiceConfig, ValidationService
-from repro.service.queue import QueueState, as_origin, journal_queue_state
+from repro.service.queue import JournalState, as_origin
 from repro.service.shard import (
     ShardState,
     ShardStatus,
     ShardTransport,
     TransportFault,
     deliver_part,
-    live_queue_state,
     sample,
 )
 from repro.service.store import JournalStore, RecordKind
@@ -341,7 +340,7 @@ class ShardWorker:
             self.build()
             # The ready frame is also how the parent learns the fleet's
             # hardware classes (its routing key under sku_affinity).
-            self._reply({"ok": True, "ready": True, **self._state(),
+            self._reply({"ok": True, "ready": True, **self._status(),
                          "skus": {node_id: getattr(node, "sku", "unknown")
                                   for node_id, node
                                   in self.service.fleet_index.items()}})
@@ -381,7 +380,9 @@ class ShardWorker:
             if command == "status":
                 self._reply({"ok": True, **self._status()})
             elif command == "state":
-                self._reply({"ok": True, **self._state()})
+                # The heavy reply: everything reconciliation needs.
+                self._reply({"ok": True, **self._status(), "state":
+                             self.service.journal_state().to_payload()})
             elif command == "submit":
                 self._reply(self._sampled(self._submit(message)))
             elif command == "tick":
@@ -434,19 +435,6 @@ class ShardWorker:
             **status._asdict(),
             "events_processed": service.metrics.events_processed,
             "dead_letters": len(service.dead_letters()),
-        }
-
-    def _state(self) -> dict:
-        """The heavy reply: everything reconciliation needs."""
-        state = live_queue_state(self.service)
-        return {
-            **self._status(),
-            "origins_seen": [list(origin)
-                             for origin in sorted(state.origins_seen)],
-            "handed_off": {str(event_id): payload for event_id, payload
-                           in sorted(state.handed_off.items())},
-            "pending": [{"event_id": event_id, **entry}
-                        for event_id, entry in state.pending.items()],
         }
 
     def _submit(self, message: dict) -> dict:
@@ -759,21 +747,13 @@ class _WorkerHandle(ShardTransport):
     def advance_repairs(self) -> None:
         self._command({"cmd": "advance_repairs"}, self.status_deadline)
 
-    def queue_state(self) -> QueueState:
+    def queue_state(self) -> JournalState:
         """Over RPC from a live worker; straight from the journal once
         the process is gone (the only time the parent may read it)."""
         if not self.alive():
-            return journal_queue_state(self._journal())
+            return JournalState.read(self._journal())
         reply = self.request({"cmd": "state"}, self.status_deadline)
-        return QueueState(
-            pending={entry["event_id"]: {
-                **entry, "origin": (None if entry["origin"] is None
-                                    else as_origin(entry["origin"]))}
-                for entry in reply.get("pending", [])},
-            origins_seen={as_origin(origin)
-                          for origin in reply.get("origins_seen", [])},
-            handed_off={int(event_id): payload for event_id, payload
-                        in reply.get("handed_off", {}).items()})
+        return JournalState.from_payload(reply["state"])
 
     def append(self, kind, payload: dict) -> None:
         self._journal().append(kind, payload)

@@ -17,6 +17,12 @@ inspectable (:meth:`EventQueue.dead_letters`) without blocking the
 rest of the queue.  The control plane decides *when* to park (after
 ``max_event_attempts`` failed ticks); the queue only provides the
 mechanism.
+
+:class:`JournalState` is the service's durable state as its journal
+tells it -- lifecycle states, flap counts, the queue, dead letters,
+handoff state, metrics, coverage and the criteria fingerprint -- and
+the one fold of journal records into it.  Its payload is the
+``checkpoint`` record.
 """
 
 from __future__ import annotations
@@ -25,19 +31,25 @@ import base64
 import heapq
 import itertools
 import json
+import sys
 import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.core.persistence import payload_fingerprint
 from repro.core.system import ValidationEvent
 from repro.exceptions import JournalError
+from repro.service.lifecycle import NodeState
 from repro.service.store import RecordKind
 
-__all__ = ["QueuedEvent", "DeadLetter", "EventQueue", "QueueState",
+__all__ = ["QueuedEvent", "DeadLetter", "EventQueue", "Aggregate",
+           "JournalState", "COUNTER_FIELDS", "AGGREGATE_FIELDS",
            "as_origin", "encode_origins", "decode_origins",
-           "pack_entries", "unpack_entries",
-           "replay_queue_state", "journal_queue_state"]
+           "pack_entries", "unpack_entries"]
+
+#: ``sum()`` adds floats with Neumaier compensation from Python 3.12 on.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
 
 
 def _node_key(node) -> str:
@@ -303,7 +315,7 @@ class EventQueue:
 
 
 # ----------------------------------------------------------------------
-# Journal -> queue reduction
+# Journal -> state fold
 # ----------------------------------------------------------------------
 
 def as_origin(raw) -> tuple[int, int]:
@@ -371,15 +383,74 @@ def unpack_entries(packed: str) -> list[dict]:
 
 
 def _pending_entry(payload: dict) -> dict:
-    """A :class:`QueueState` ``pending`` value from one entry's
-    :meth:`QueuedEvent.to_payload` form."""
+    """A :class:`JournalState` ``pending`` value from one entry's
+    :meth:`QueuedEvent.to_payload` form.  The event is a copy: merges
+    raise its duration, and the record it came from must not change."""
     origin = payload.get("origin")
     return {
-        "event": payload["event"],
+        "event": dict(payload["event"]),
         "priority": float(payload["priority"]),
         "attempts": int(payload.get("attempts", 0)),
         "origin": None if origin is None else as_origin(origin),
     }
+
+
+@dataclass
+class Aggregate:
+    """Count, sum and maximum of a stream of floats, in constant memory.
+
+    The sum is made of the same additions, in the same order, that
+    ``sum()`` over the whole stream would make (left to right, and
+    compensated where the interpreter's ``sum()`` compensates), so
+    :attr:`total` is bit-identical to summing a list of the values.
+    """
+
+    count: int = 0
+    running: float = 0.0
+    compensation: float = 0.0
+    peak: float = 0.0
+
+    def add(self, value: float) -> None:
+        if _COMPENSATED_SUM:
+            running = self.running + value
+            if abs(self.running) >= abs(value):
+                self.compensation += (self.running - running) + value
+            else:
+                self.compensation += (value - running) + self.running
+            self.running = running
+        else:
+            self.running += value
+        if not self.count or value > self.peak:
+            self.peak = value
+        self.count += 1
+
+    @property
+    def total(self):
+        """``sum()`` of the values (the int 0 when there are none)."""
+        return self.running + self.compensation if self.count else 0
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def to_payload(self) -> list:
+        return [self.count, self.running, self.compensation, self.peak]
+
+    @classmethod
+    def from_payload(cls, raw) -> "Aggregate":
+        return cls(int(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
+
+
+#: ``ServiceMetrics`` counters and :class:`Aggregate` fields a
+#: :class:`JournalState` holds.
+COUNTER_FIELDS = (
+    "events_submitted", "events_coalesced", "events_processed",
+    "policy_skips", "validations_run", "nodes_validated",
+    "nodes_quarantined", "tick_failures", "events_dead_lettered",
+    "repair_failures", "events_shed",
+)
+
+AGGREGATE_FIELDS = ("queue_latency", "validation")
 
 
 #: Record kinds that carry an ``event_id`` and move a queue entry.
@@ -391,27 +462,46 @@ _QUEUE_KINDS = frozenset(kind.value for kind in (
 
 
 @dataclass
-class QueueState:
-    """What a shard's journal says about its queue.
+class JournalState:
+    """What a service's journal says about its state: the one journal
+    -> state fold and the one checkpoint format.
 
-    The one journal -> queue reduction: a restarting service rebuilds
-    its queue from it (:meth:`ValidationService._recover` feeds every
-    record through :meth:`apply`), and a supervisor reads a **dead**
-    shard's pending work and handoff state from it without building a
-    service at all.  ``pending`` maps event id to ``{"event",
-    "priority", "attempts", "origin"}`` with every later
-    ``event-coalesced`` / ``event-failed`` record already merged in;
-    ``sealed`` reports whether the final record applied is a
-    ``fabric-drain``, the clean-shutdown marker.  A ``checkpoint``
-    replaces the whole state with the one it carries, so folding from
-    the newest checkpoint on (:func:`journal_queue_state`) gives what
-    folding every record would.
+    A restarting service folds its journal from the newest checkpoint
+    on and installs the result; a supervisor reads a **dead** shard's
+    pending work and handoff state with :meth:`read`, without building
+    a service; a checkpoint is :meth:`to_payload` of the state a live
+    service builds (``ValidationService.journal_state``).  :meth:`apply`
+    starts over from the state a ``checkpoint`` carries, so folding
+    from the newest checkpoint on gives what folding every record would.
     """
 
+    #: Event id -> ``{"event", "priority", "attempts", "origin"}``, with
+    #: every later ``event-coalesced`` / ``event-failed`` merged in.
     pending: dict[int, dict] = field(default_factory=dict)
+    #: Every ``(source_shard, source_event_id)`` handoff marker accepted.
     origins_seen: set = field(default_factory=set)
+    #: Event id -> the ``shard-handoff`` payload that moved it out.
     handed_off: dict[int, dict] = field(default_factory=dict)
     last_event_id: int = 0
+    #: Node id -> :class:`NodeState` for every node a transition names,
+    #: HEALTHY included, in first-transition order.
+    states: dict[str, NodeState] = field(default_factory=dict)
+    #: Node id -> quarantines: the flap damper's counts.
+    flap_counts: dict[str, int] = field(default_factory=dict)
+    #: Dead-letter payloads (:meth:`DeadLetter.to_payload`), oldest first.
+    dead_letters: list[dict] = field(default_factory=list)
+    #: :data:`COUNTER_FIELDS` then :data:`AGGREGATE_FIELDS`, by name.
+    metrics: dict = field(default_factory=lambda: {
+        **dict.fromkeys(COUNTER_FIELDS, 0),
+        **{name: Aggregate() for name in AGGREGATE_FIELDS}})
+    #: Benchmark -> node ids its violations flagged: this journal's
+    #: share of the selector's coverage table.
+    coverage: dict[str, set] = field(default_factory=dict)
+    #: ``criteria_fingerprint`` of the journal's newest criteria snapshot.
+    criteria: bytes | None = None
+    #: That snapshot's payload, when it follows the fold's start.
+    criteria_snapshot: dict | None = None
+    #: Whether the last record applied is a ``fabric-drain``.
     sealed: bool = False
 
     def apply(self, record) -> None:
@@ -420,16 +510,20 @@ class QueueState:
         self.sealed = kind == RecordKind.FABRIC_DRAIN
         if kind == RecordKind.CHECKPOINT:
             # The whole state: start over from it.
-            self.pending = {int(entry["event_id"]): _pending_entry(entry)
-                            for entry in unpack_entries(payload["pending"])}
-            self.origins_seen = decode_origins(payload["origins_seen"])
-            self.handed_off = {int(handoff["event_id"]): dict(handoff)
-                               for handoff in payload["handed_off"]}
-            self.last_event_id = int(payload["last_event_id"])
-            return
-        if kind not in _QUEUE_KINDS:
-            return
-        event_id = int(payload["event_id"])
+            vars(self).update(vars(JournalState.from_payload(payload)))
+        elif kind == RecordKind.TRANSITION:
+            node_id, new = payload["node_id"], NodeState(payload["new"])
+            self.states[node_id] = new
+            if new is NodeState.QUARANTINED:
+                counts = self.flap_counts
+                counts[node_id] = counts.get(node_id, 0) + 1
+        elif kind == RecordKind.CRITERIA_SNAPSHOT:
+            self.criteria_snapshot = payload
+            self.criteria = payload_fingerprint(payload)
+        elif kind in _QUEUE_KINDS:
+            self._apply_queue(kind, int(payload["event_id"]), payload)
+
+    def _apply_queue(self, kind: str, event_id: int, payload: dict) -> None:
         entry = self.pending.get(event_id)
         if kind == RecordKind.EVENT_ENQUEUED:
             self.last_event_id = max(self.last_event_id, event_id)
@@ -457,18 +551,111 @@ class QueueState:
             self.pending.pop(event_id, None)
             if kind == RecordKind.SHARD_HANDOFF:
                 self.handed_off[event_id] = dict(payload)
+            elif kind == RecordKind.LOAD_SHED:
+                self.metrics["events_shed"] += 1
+            elif kind == RecordKind.EVENT_DEAD_LETTERED:
+                self.dead_letters.append(payload)
+                self.metrics["events_dead_lettered"] += 1
+            else:
+                self._apply_completed(payload)
 
+    def _apply_completed(self, payload: dict) -> None:
+        """One completed event's metrics and coverage."""
+        metrics = self.metrics
+        metrics["events_processed"] += 1
+        metrics["queue_latency"].add(
+            float(payload.get("queue_latency_seconds", 0.0)))
+        if payload.get("skipped", False):
+            metrics["policy_skips"] += 1
+            return
+        metrics["validations_run"] += 1
+        metrics["nodes_validated"] += len(payload.get("validated_nodes", []))
+        metrics["nodes_quarantined"] += len(payload.get("defective", []))
+        metrics["validation"].add(
+            float(payload.get("validation_seconds", 0.0)))
+        for benchmark in payload.get("benchmarks_run", []):
+            self.coverage.setdefault(benchmark, set())
+        for violation in payload.get("violations", []):
+            self.coverage.setdefault(violation[1], set()).add(violation[0])
 
-def replay_queue_state(records) -> QueueState:
-    """Reduce journal ``records`` to the queue state they describe."""
-    state = QueueState()
-    for record in records:
-        state.apply(record)
-    return state
+    @classmethod
+    def fold(cls, records) -> "JournalState":
+        """The state journal ``records`` describe."""
+        state = cls()
+        for record in records:
+            state.apply(record)
+        return state
 
+    @classmethod
+    def read(cls, store) -> "JournalState":
+        """The state a journal holds, folded from its newest checkpoint
+        on: how a supervisor reads a **dead** shard."""
+        return cls.fold(store.replay(offset=store.checkpoint_offset()))
 
-def journal_queue_state(store) -> QueueState:
-    """The queue state a journal holds, folded from its newest
-    checkpoint on: how a supervisor reads a **dead** shard's pending
-    work and handoff state without building a service."""
-    return replay_queue_state(store.replay(offset=store.checkpoint_offset()))
+    def to_payload(self) -> dict:
+        """The ``checkpoint`` record's payload.
+
+        Nodes in the default HEALTHY state are left out, origin markers
+        go as bitmaps (:func:`encode_origins`), pending entries as
+        compressed JSON in pop order (:func:`pack_entries`), and the
+        criteria fingerprint in hex; the newest snapshot's payload and
+        ``sealed`` are not state and stay out.
+        """
+        pending = []
+        for event_id, info in sorted(
+                self.pending.items(),
+                key=lambda item: (-item[1]["priority"], item[0])):
+            entry = {"event_id": event_id, "priority": info["priority"],
+                     "attempts": info["attempts"], "event": info["event"]}
+            if info["origin"] is not None:
+                entry["origin"] = [int(part) for part in info["origin"]]
+            pending.append(entry)
+        return {
+            "states": {node_id: state.value
+                       for node_id, state in self.states.items()
+                       if state is not NodeState.HEALTHY},
+            "flap_counts": dict(self.flap_counts),
+            "last_event_id": self.last_event_id,
+            "dead_letters": list(self.dead_letters),
+            # Losing a handed-off payload could drop the event (the
+            # supervisor could no longer re-deliver it), losing an
+            # origin marker could duplicate one (a re-delivery would
+            # no longer dedupe).
+            "handed_off": [self.handed_off[event_id]
+                           for event_id in sorted(self.handed_off)],
+            "origins_seen": encode_origins(self.origins_seen),
+            "metrics": {name: (value.to_payload()
+                               if name in AGGREGATE_FIELDS else value)
+                        for name, value in self.metrics.items()},
+            "pending": pack_entries(pending),
+            "coverage": {benchmark: sorted(node_ids)
+                         for benchmark, node_ids
+                         in sorted(self.coverage.items())},
+            "criteria": None if self.criteria is None else self.criteria.hex(),
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "JournalState":
+        """The state a :meth:`to_payload` payload carries."""
+        metrics = payload["metrics"]
+        criteria = payload["criteria"]
+        return cls(
+            pending={int(entry["event_id"]): _pending_entry(entry)
+                     for entry in unpack_entries(payload["pending"])},
+            origins_seen=decode_origins(payload["origins_seen"]),
+            handed_off={int(handoff["event_id"]): dict(handoff)
+                        for handoff in payload["handed_off"]},
+            last_event_id=int(payload["last_event_id"]),
+            states={node_id: NodeState(value)
+                    for node_id, value in payload["states"].items()},
+            flap_counts={node_id: int(count) for node_id, count
+                         in payload["flap_counts"].items()},
+            dead_letters=list(payload["dead_letters"]),
+            metrics={**{name: int(metrics[name])
+                        for name in COUNTER_FIELDS},
+                     **{name: Aggregate.from_payload(metrics[name])
+                        for name in AGGREGATE_FIELDS}},
+            coverage={benchmark: set(node_ids) for benchmark, node_ids
+                      in payload["coverage"].items()},
+            criteria=None if criteria is None else bytes.fromhex(criteria),
+        )

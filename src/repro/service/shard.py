@@ -45,12 +45,11 @@ from typing import NamedTuple
 from repro.core.system import ValidationEvent
 from repro.exceptions import JournalError, ServiceError
 from repro.service.controlplane import ServiceConfig, ValidationService
-from repro.service.queue import QueueState, journal_queue_state
+from repro.service.queue import JournalState
 from repro.service.store import RecordKind
 
 __all__ = ["HashRing", "ShardState", "ShardStatus", "ShardTransport",
-           "TransportFault", "Shard", "deliver_part", "sample",
-           "live_queue_state"]
+           "TransportFault", "Shard", "deliver_part", "sample"]
 
 
 class HashRing:
@@ -218,8 +217,9 @@ class ShardTransport:
         :meth:`append` to it."""
         raise NotImplementedError
 
-    def queue_state(self) -> QueueState:
-        """Pending entries, accepted origins, journaled handoffs."""
+    def queue_state(self) -> JournalState:
+        """The shard's state, for its pending entries, accepted origins
+        and journaled handoffs."""
         raise NotImplementedError
 
     def append(self, kind, payload: dict) -> None:
@@ -260,18 +260,6 @@ def sample(service: ValidationService) -> ShardStatus:
         progress=(service.metrics.events_processed
                   + service.metrics.tick_failures),
         repairs_in_flight=service.repairs_in_flight())
-
-
-def live_queue_state(service: ValidationService) -> QueueState:
-    return QueueState(
-        pending={entry.event_id: {"event": entry.event.to_payload(),
-                                  "priority": entry.priority,
-                                  "attempts": entry.attempts,
-                                  "origin": entry.origin}
-                 for entry in service.queue.pending()},
-        origins_seen=service.origins_seen,
-        handed_off=service.handed_off,
-        last_event_id=service.queue.last_event_id)
 
 
 class Shard(ShardTransport):
@@ -363,14 +351,13 @@ class Shard(ShardTransport):
         speaks for it."""
         self.dead = True
 
-    def queue_state(self) -> QueueState:
+    def queue_state(self) -> JournalState:
         if not self.dead:
-            return live_queue_state(self.service)
+            return self.service.journal_state()
         # In memory there is no journal and so nothing to recover: the
         # shard's pending work died with it.
         store = self.service.store
-        return (QueueState() if store is None
-                else journal_queue_state(store))
+        return JournalState() if store is None else JournalState.read(store)
 
     def append(self, kind, payload: dict) -> None:
         if self.service.store is not None:

@@ -116,9 +116,8 @@ class RecordKind(str, enum.Enum):
     #: One criteria learning pass: per-key engine path + timing.
     CRITERIA_LEARN = "criteria-learn"
     #: A service's whole live state, from which recovery may start:
-    #: written every so often and by compaction (see
-    #: :meth:`ValidationService._checkpoint_payload
-    #: <repro.service.controlplane.ValidationService._checkpoint_payload>`).
+    #: written every so often and by compaction (the payload of a
+    #: :class:`~repro.service.queue.JournalState`).
     CHECKPOINT = "checkpoint"
     #: Typed measurement batch with full window provenance.
     MEASUREMENT_BATCH = "measurement-batch"

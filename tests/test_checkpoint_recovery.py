@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analytics.report import build_report, render_json, render_markdown
 from repro.benchsuite.runner import SuiteRunner
@@ -52,16 +54,13 @@ from repro.service import (
 )
 from repro.service import controlplane
 from repro.service import store as store_module
-from repro.service.controlplane import (
-    _AGGREGATE_FIELDS,
-    _LIVE_ONLY_FIELDS,
-    _SNAPSHOT_METRIC_FIELDS,
-    Aggregate,
-    ServiceMetrics,
-)
+from repro.service.controlplane import _LIVE_ONLY_FIELDS, ServiceMetrics
 from repro.service.lifecycle import NodeLifecycle, NodeState
 from repro.service.queue import (
-    QueueState,
+    AGGREGATE_FIELDS,
+    COUNTER_FIELDS,
+    Aggregate,
+    JournalState,
     as_origin,
     decode_origins,
     unpack_entries,
@@ -185,7 +184,7 @@ class ListMetrics:
     completed event: the oracle for :class:`Aggregate`."""
 
     counters: dict = field(default_factory=lambda: dict.fromkeys(
-        _SNAPSHOT_METRIC_FIELDS, 0))
+        COUNTER_FIELDS, 0))
     queue_latencies: list = field(default_factory=list)
     validation_seconds: list = field(default_factory=list)
 
@@ -217,7 +216,7 @@ class FoldOracle:
         self.damper = ServiceConfig().build_damper()
         self.metrics = ListMetrics()
         self.dead_letters = []
-        self.state = QueueState()
+        self.state = JournalState()
         self.journaled = None
 
     def fold(self, records) -> "FoldOracle":
@@ -330,9 +329,9 @@ def checkpoint_view(payload: dict, fleet, factory_coverage) -> dict:
     terms, decoded here rather than by the service."""
     metrics = ServiceMetrics(
         **{name: int(payload["metrics"][name])
-           for name in _SNAPSHOT_METRIC_FIELDS},
+           for name in COUNTER_FIELDS},
         **{name: Aggregate.from_payload(payload["metrics"][name])
-           for name in _AGGREGATE_FIELDS})
+           for name in AGGREGATE_FIELDS})
     coverage = {benchmark: set(found)
                 for benchmark, found in factory_coverage.found.items()}
     for benchmark, node_ids in payload["coverage"].items():
@@ -360,6 +359,32 @@ def checkpoint_view(payload: dict, fleet, factory_coverage) -> dict:
     }
 
 
+def unpacked(state: JournalState) -> dict:
+    """``state.to_payload()`` with its pending entries unpacked: an
+    event read back from the journal lists its keys sorted, a live one
+    in schema order, so the packed bytes of equal entries may differ."""
+    payload = state.to_payload()
+    return {**payload, "pending": unpack_entries(payload["pending"])}
+
+
+def assert_one_fold_two_ways(records, where):
+    """At every checkpoint, :class:`JournalState` folded from it on
+    equals the fold of every record with the checkpoints stripped, and
+    the checkpoint itself equals that fold of the records before it."""
+    at = [index for index, record in enumerate(records)
+          if record.kind == RecordKind.CHECKPOINT]
+    stripped = [record for record in records
+                if record.kind != RecordKind.CHECKPOINT]
+    whole = unpacked(JournalState.fold(stripped))
+    for earlier, index in enumerate(at):
+        checkpoint = records[index]
+        before = JournalState.fold(stripped[:index - earlier])
+        assert unpacked(JournalState.from_payload(checkpoint.payload)) \
+            == unpacked(before), f"{where} seq {checkpoint.seq}"
+        assert unpacked(JournalState.fold(records[index:])) == whole, \
+            f"{where} seq {checkpoint.seq}"
+
+
 def assert_checkpoints_are_folds(directory, args, *, at_least=1):
     """Every checkpoint in ``directory`` equals the fold of the records
     before it."""
@@ -367,6 +392,7 @@ def assert_checkpoints_are_folds(directory, args, *, at_least=1):
     factory_coverage = build_worker(args)[0].selector.coverage
     oracle = FoldOracle(anubis, nodes)
     records = JournalStore(directory).replay()
+    assert_one_fold_two_ways(records, directory)
     done = 0
     for index, record in enumerate(records):
         if record.kind != RecordKind.CHECKPOINT:
@@ -719,6 +745,70 @@ class TestRecoveryCostIsBounded:
         assert lines > 4 * bound
         assert 0 < after_1000 <= bound
         assert 0 < after_4000 <= bound
+
+
+# ----------------------------------------------------------------------
+# The checkpoint format round-trips any state
+# ----------------------------------------------------------------------
+
+_NODE_IDS = st.sampled_from([f"node-{index:04d}" for index in range(8)])
+_EVENT_IDS = st.integers(1, 10**6)
+_FLOATS = st.floats(-1e9, 1e9, allow_nan=False)
+_EVENTS = st.fixed_dictionaries({
+    "kind": st.sampled_from([kind.value for kind in EventKind]),
+    "nodes": st.lists(_NODE_IDS, min_size=1, max_size=3, unique=True),
+    "statuses": st.lists(st.fixed_dictionaries({
+        "node_id": _NODE_IDS, "covariates": st.lists(_FLOATS, max_size=3)}),
+        max_size=2),
+    "duration_hours": st.floats(0.5, 500.0)})
+#: Dense ids per source (the bitmap encoding) and sparse ones (pairs).
+_ORIGINS = st.tuples(st.integers(-1, 3),
+                     st.integers(1, 64) | _EVENT_IDS)
+
+
+@st.composite
+def journal_states(draw):
+    entry = st.fixed_dictionaries({
+        "event": _EVENTS, "priority": st.floats(0.0, 2.0),
+        "attempts": st.integers(0, 5), "origin": st.none() | _ORIGINS})
+    handed_off = draw(st.dictionaries(_EVENT_IDS, st.fixed_dictionaries({
+        "to_shard": st.integers(0, 3), "event": _EVENTS}), max_size=3))
+    letters = draw(st.lists(st.tuples(_EVENT_IDS, entry, st.text()),
+                            max_size=3))
+    return JournalState(
+        pending=draw(st.dictionaries(_EVENT_IDS, entry, max_size=6)),
+        origins_seen=draw(st.sets(_ORIGINS, max_size=40)),
+        handed_off={event_id: {"event_id": event_id, **handoff}
+                    for event_id, handoff in handed_off.items()},
+        last_event_id=draw(_EVENT_IDS),
+        # HEALTHY is the default a checkpoint leaves out.
+        states=draw(st.dictionaries(_NODE_IDS, st.sampled_from(
+            [state for state in NodeState
+             if state is not NodeState.HEALTHY]))),
+        flap_counts=draw(st.dictionaries(_NODE_IDS, st.integers(1, 9))),
+        dead_letters=[{"event_id": event_id, **info,
+                       "origin": (None if info["origin"] is None
+                                  else list(info["origin"])),
+                       "reason": reason}
+                      for event_id, info, reason in letters],
+        metrics={**{name: draw(st.integers(0, 10**9))
+                    for name in COUNTER_FIELDS},
+                 **{name: Aggregate(draw(st.integers(0, 10**6)),
+                                    draw(_FLOATS), draw(_FLOATS),
+                                    draw(_FLOATS))
+                    for name in AGGREGATE_FIELDS}},
+        coverage=draw(st.dictionaries(st.sampled_from(SUITE_NAMES),
+                                      st.sets(_NODE_IDS))),
+        criteria=draw(st.none() | st.binary(min_size=16, max_size=16)))
+
+
+class TestJournalStatePayload:
+    @settings(max_examples=200, deadline=None)
+    @given(journal_states())
+    def test_from_payload_inverts_to_payload(self, state):
+        # Through JSON, as the journal and the worker pipe carry it.
+        payload = json.loads(json.dumps(state.to_payload()))
+        assert JournalState.from_payload(payload) == state
 
 
 # ----------------------------------------------------------------------

@@ -377,3 +377,24 @@ class TestFabricContract:
             assert len(f.fabric.drain(max_ticks=300)) == 1
             assert f.shards[0].state is ShardState.RUNNING
         assert_exactly_once(f, [frozenset(n.node_id for n in event.nodes)])
+
+    def test_live_state_of_a_quiescent_shard_is_its_journal_fold(
+            self, transport, tmp_path, world, monkeypatch):
+        """What a running shard answers for its state is what its
+        journal folds to once it is dead: one state, read two ways."""
+        with Fabric(transport, tmp_path / "j", world, monkeypatch) as f:
+            owned = f.owned(0)
+            f.fabric.submit(f.event(range(12)))
+            for index in owned[:2]:
+                f.fabric.submit(f.event([index],
+                                        kind=EventKind.JOB_ALLOCATION))
+            f.fabric.drain(max_ticks=300)
+            assert f.fabric.quiescent()
+            shard = f.shards[0]
+            live = shard.queue_state()
+            f.crash(0)
+            shard.ensure_dead()
+            dead = shard.queue_state()
+        assert live.metrics["events_processed"] >= 1
+        assert live.coverage and live.criteria is not None
+        assert dead.to_payload() == live.to_payload()

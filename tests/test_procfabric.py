@@ -26,7 +26,7 @@ from repro.service.procfabric import (
     read_frame,
     write_frame,
 )
-from repro.service.queue import pack_entries, replay_queue_state
+from repro.service.queue import JournalState
 from repro.service.store import JournalStore, RecordKind
 from repro.service.supervisor import PARENT_ORIGIN, SupervisorConfig
 
@@ -210,7 +210,7 @@ class TestProcessChaosPlan:
         assert not (tmp_path / "j").exists()
 
 
-class TestReplayQueueState:
+class TestJournalStateFold:
     def journal(self, tmp_path) -> JournalStore:
         return JournalStore(tmp_path / "journal")
 
@@ -230,7 +230,7 @@ class TestReplayQueueState:
         self.enqueue(store, 3)
         store.append(RecordKind.EVENT_COMPLETED, {"event_id": 1})
         store.append(RecordKind.LOAD_SHED, {"event_id": 2})
-        state = replay_queue_state(store.replay())
+        state = JournalState.fold(store.replay())
         assert set(state.pending) == {3}
         assert state.last_event_id == 3
         assert not state.sealed
@@ -241,7 +241,7 @@ class TestReplayQueueState:
         store.append(RecordKind.EVENT_COALESCED,
                      {"event_id": 1, "priority": 0.9,
                       "origin": [0, 12]})
-        state = replay_queue_state(store.replay())
+        state = JournalState.fold(store.replay())
         assert state.origins_seen == {(PARENT_ORIGIN, 7), (0, 12)}
 
     def test_coalesce_and_failure_records_merge_into_the_entry(self,
@@ -260,7 +260,7 @@ class TestReplayQueueState:
                      {"event_id": 1, "attempts": 2, "error": "boom"})
         store.append(RecordKind.EVENT_FAILED,
                      {"event_id": 9, "attempts": 1, "error": "stale"})
-        entry = replay_queue_state(store.replay()).pending[1]
+        entry = JournalState.fold(store.replay()).pending[1]
         assert entry["priority"] == 0.7
         assert entry["event"]["duration_hours"] == 240.0
         assert entry["attempts"] == 2
@@ -272,7 +272,7 @@ class TestReplayQueueState:
             "event_id": 1, "priority": 0.5, "attempts": 0, "to_shard": 2,
             "event": {"kind": "job-allocation", "nodes": ["n1"],
                       "statuses": [], "duration_hours": 24.0}})
-        state = replay_queue_state(store.replay())
+        state = JournalState.fold(store.replay())
         assert not state.pending
         assert state.handed_off[1]["to_shard"] == 2
 
@@ -287,7 +287,7 @@ class TestReplayQueueState:
             "origin": [-1, 7],
             "event": {"kind": "job-allocation", "nodes": ["n1"],
                       "statuses": [], "duration_hours": 24.0}})
-        state = replay_queue_state(store.replay())
+        state = JournalState.fold(store.replay())
         assert state.handed_off[1]["origin"] == [-1, 7]
         assert (-1, 7) in state.origins_seen
 
@@ -295,16 +295,16 @@ class TestReplayQueueState:
         """A checkpoint installs its origins and handoffs; the records
         after it add theirs."""
         store = self.journal(tmp_path)
-        store.append(RecordKind.CHECKPOINT, {
-            "pending": pack_entries([]),
-            "last_event_id": 9,
-            "origins_seen": [[1, 4]],
-            "handed_off": [{"event_id": 5, "to_shard": 1,
+        store.append(RecordKind.CHECKPOINT, JournalState(
+            last_event_id=9,
+            origins_seen={(1, 4)},
+            handed_off={5: {"event_id": 5, "to_shard": 1,
                             "event": {"kind": "periodic", "nodes": ["n2"],
                                       "statuses": [],
-                                      "duration_hours": 24.0}}]})
+                                      "duration_hours": 24.0}}},
+        ).to_payload())
         self.enqueue(store, 10, origin=(-1, 7))
-        state = replay_queue_state(store.replay())
+        state = JournalState.fold(store.replay())
         assert state.last_event_id == 10
         assert state.origins_seen == {(1, 4), (-1, 7)}
         assert 5 in state.handed_off
@@ -314,9 +314,9 @@ class TestReplayQueueState:
         store = self.journal(tmp_path)
         self.enqueue(store, 1)
         store.append(RecordKind.FABRIC_DRAIN, {"reason": "drain"})
-        assert replay_queue_state(store.replay()).sealed
+        assert JournalState.fold(store.replay()).sealed
         self.enqueue(store, 2)
-        assert not replay_queue_state(store.replay()).sealed
+        assert not JournalState.fold(store.replay()).sealed
 
 
 class TestTornTailHeal:

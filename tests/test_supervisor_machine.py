@@ -16,7 +16,7 @@ import pytest
 from repro.core.selector import NodeStatus
 from repro.core.system import EventKind, ValidationEvent
 from repro.exceptions import JournalError, ServiceError
-from repro.service.queue import QueueState
+from repro.service.queue import JournalState
 from repro.service.shard import (
     ShardState,
     ShardStatus,
@@ -124,10 +124,10 @@ class FakeTransport(ShardTransport):
 
     def queue_state(self):
         self.calls.append("queue_state")
-        return QueueState(pending={i: dict(e)
-                                   for i, e in self.entries.items()},
-                          origins_seen=set(self.origins_seen),
-                          handed_off=dict(self.handed_off))
+        return JournalState(pending={i: dict(e)
+                                     for i, e in self.entries.items()},
+                            origins_seen=set(self.origins_seen),
+                            handed_off=dict(self.handed_off))
 
     def append(self, kind, payload):
         kind = str(getattr(kind, "value", kind))
