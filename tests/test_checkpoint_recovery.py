@@ -9,7 +9,10 @@ ignores checkpoint records altogether.  Against it:
 
 * every checkpoint a fault-free service writes (inline, thread and
   process fabric) carries exactly the state that folding the records
-  before it gives;
+  before it gives -- by this oracle, and by :class:`JournalState`'s
+  own fold run two ways (from the checkpoint on, and over every
+  record with the checkpoints stripped);
+* the checkpoint format round-trips any state;
 * recovering from checkpoint plus tail gives exactly the state the
   full fold gives, whatever the deployment;
 * a torn or checksum-failed newest checkpoint falls back to the one
