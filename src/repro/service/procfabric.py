@@ -3,7 +3,7 @@
 In-thread shards (:class:`~repro.service.shard.Shard`) contain
 *simulated* shard deaths; this module contains **real** ones.  Each
 shard's full control plane -- journal, queue, pool, lifecycle -- runs
-in its own spawned worker process, and :class:`ProcessFabric` is the
+in its own worker process, and :class:`ProcessFabric` is the
 supervision state machine of :mod:`repro.service.supervisor` run as a
 true OS parent: a worker that takes a genuine ``SIGKILL`` between two
 journal appends, or freezes under ``SIGSTOP``, surfaces as a transport
@@ -42,18 +42,24 @@ cannot see) raises :class:`WorkerUnresponsive` -- on that idle probe,
 or on the next command sent to it.  A pipe can lose an ACK, so every
 delivery carries an ``origin`` the worker dedupes on.
 
-**Start-up.**  :class:`ProcessFabric` starts every worker (process
-plus :class:`WorkerSpec` frame) before it awaits any ready frame, so
-the boots -- imports, builder, journal recovery -- overlap instead of
-queueing, and each worker's spawn deadline counts from its own start.
-A restart boots one worker the same way in one call.
+**Start-up.**  A *zygote* -- one process per parent and environment,
+which has only imported this module and the builder's -- forks each
+worker onto the pipes, cwd and fd 2 the parent sends it, and reports
+its exit status; builder and journal recovery run after the fork.
+:class:`ProcessFabric` starts every worker (fork plus
+:class:`WorkerSpec` frame) before it awaits any ready frame, so the
+boots overlap; each spawn deadline counts from that worker's start.
+The zygote outlives a fabric dropped without a shutdown and stops with
+the last one shut down; if it dies, live workers keep their pipes and
+pidfds, a lost exit status reads :data:`STATUS_LOST`, and the next
+start starts a new zygote.
 
 **Single-writer discipline.**  The parent touches a shard's journal
-*only* after :meth:`_WorkerHandle.ensure_dead` has SIGKILLed and
-reaped whatever remained of its process, through one
+*only* after :meth:`_WorkerHandle.ensure_dead` has SIGKILLed whatever
+remained of its process and seen it exit on its pidfd, through one
 :class:`~repro.service.store.JournalStore` it holds from then until
 :meth:`_WorkerHandle.restart` closes it, just before the replacement
-spawns.
+starts.
 
 **Graceful drain.**  Workers install ``SIGTERM``/``SIGINT`` handlers
 that break out of the blocking protocol read, journal a
@@ -63,7 +69,7 @@ first, signal as fallback) so ``repro report`` can tell a clean
 shutdown from a crash for every shard.
 
 Real fault *injection* is the worker's own job: the
-:class:`~repro.service.chaos.ChaosPlan` crosses the spawn boundary as
+:class:`~repro.service.chaos.ChaosPlan` crosses the process boundary as
 JSON and the worker sends **itself** ``SIGKILL`` before a
 chosen journal append or ``SIGSTOP`` before a chosen tick -- the
 deterministic drivers of the kill-at-every-prefix property test.
@@ -72,13 +78,17 @@ deterministic drivers of the kill-at-every-prefix property test.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import os
 import select
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -174,7 +184,7 @@ def read_frame(fd: int) -> dict | None:
 
 
 # ----------------------------------------------------------------------
-# Worker spec (JSON across the spawn boundary -- never pickled)
+# Worker spec (JSON across the process boundary -- never pickled)
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -185,7 +195,7 @@ class WorkerSpec:
     the worker; called with ``builder_args`` (a JSON dict) it must
     return ``(anubis, nodes, service_config)``.  Keeping the spec pure
     JSON -- dotted refs instead of callables -- is what makes the
-    spawn boundary honest: nothing crosses it that a config file could
+    process boundary honest: nothing crosses it that a config file could
     not carry.
     """
 
@@ -210,7 +220,6 @@ def _resolve_builder(ref: str):
     if not module_name or not attr:
         raise ServiceError(
             f"builder must be 'module:function', got {ref!r}")
-    import importlib
     module = importlib.import_module(module_name)
     target = module
     for part in attr.split("."):
@@ -222,7 +231,7 @@ def default_builder(args: dict):
     """Build ``(anubis, nodes, service_config)`` from plain JSON knobs.
 
     The stock builder the CLI, benchmarks and tests parameterize
-    instead of shipping code across the spawn boundary.  Recognized
+    instead of shipping code across the process boundary.  Recognized
     keys (all optional): ``fleet_size``/``fleet_seed``, ``suite`` (a
     list of benchmark names; ``None`` means the full suite),
     ``runner_seed``, ``criteria_path`` (pre-learned criteria JSON --
@@ -470,7 +479,8 @@ class ShardWorker:
 
 
 def worker_main() -> int:
-    """Entry point of ``python -m repro.service.procfabric``.
+    """Body of a worker, run in the child the zygote forked once the
+    protocol pipes are its fds 0 and 1; returns its exit status.
 
     Claims the protocol fds, re-points stdout at stderr (stray prints
     must never corrupt frames), installs the graceful-drain signal
@@ -495,6 +505,202 @@ def worker_main() -> int:
         return ShardWorker(spec, proto_in, proto_out).run()
     except _DrainRequested:
         return 0
+
+
+# ----------------------------------------------------------------------
+# The zygote: one import-only process per parent that forks the workers
+# ----------------------------------------------------------------------
+
+#: The exit status of a worker whose zygote died before reporting it.
+STATUS_LOST = 255
+#: How long an exited worker's status may take to come from the zygote.
+_REPORT_SECONDS = 10.0
+
+
+def _zygote_main() -> int:
+    """The zygote (socket on fd 0, module to preload in ``argv[1]``):
+    fork a child per request, answer with its pid and a pidfd, report
+    each exit status once reaped; leave on EOF or ``SIGPIPE``.  A child
+    returns :func:`worker_main`'s status, so it exits through normal
+    interpreter shutdown and its ``atexit`` handlers run."""
+    fresh_handlers = {signum: signal.signal(signum, handler)
+                      for signum, handler in ((signal.SIGINT, signal.SIG_IGN),
+                                              (signal.SIGTERM, signal.SIG_IGN),
+                                              (signal.SIGPIPE, signal.SIG_DFL))}
+    try:
+        importlib.import_module(sys.argv[1])
+    except Exception:
+        pass    # the worker imports it again, and reports the failure
+    server = socket.socket(fileno=0)
+    children: dict[int, int] = {}       # pidfd -> pid
+    while True:
+        ready, _, _ = select.select([server, *children], [], [])
+        for pidfd in children.keys() & set(ready):
+            pid = children.pop(pidfd)
+            os.close(pidfd)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            server.send(json.dumps({"exited": pid, "status": status}).encode())
+        if server not in ready:
+            continue
+        request, fds, _, _ = socket.recv_fds(server, 4096, 3)
+        if not request:
+            return 0
+        if threading.active_count() != 1:
+            raise RuntimeError("the zygote must fork with one thread, not "
+                               f"{threading.active_count()}")
+        pid = os.fork()
+        if pid == 0:
+            server.close()
+            for pidfd in children:
+                os.close(pidfd)
+            for signum, handler in fresh_handlers.items():
+                signal.signal(signum, handler)
+            os.chdir(json.loads(request)["cwd"])
+            for target, fd in enumerate(fds):
+                os.dup2(fd, target)
+                os.close(fd)
+            return worker_main()
+        for fd in fds:
+            os.close(fd)
+        pidfd = os.pidfd_open(pid)
+        children[pidfd] = pid
+        socket.send_fds(server, [json.dumps({"forked": pid}).encode()],
+                        [pidfd])
+
+
+class _Zygote:
+    """The parent's end of one zygote, started for one environment."""
+
+    def __init__(self, env: dict, preload: str):
+        ours, theirs = socket.socketpair(socket.AF_UNIX,
+                                         socket.SOCK_SEQPACKET)
+        with theirs:
+            self.process = subprocess.Popen(
+                [sys.executable, "-c",
+                 "import sys; from repro.service.procfabric import "
+                 "_zygote_main; sys.exit(_zygote_main())", preload],
+                stdin=theirs, stdout=subprocess.DEVNULL, env=env)
+        self.sock: socket.socket | None = ours
+        self.env = env
+        #: Exit statuses reported and not yet collected, by pid.
+        self.exits: dict[int, int] = {}
+
+    def fork(self, cwd: str, timeout: float) -> "_Worker":
+        """A new worker on fresh pipes, its stderr the parent's fd 2."""
+        stdin_r, stdin_w = os.pipe()
+        stdout_r, stdout_w = os.pipe()
+        try:
+            socket.send_fds(self.sock, [json.dumps({"cwd": cwd}).encode()],
+                            [stdin_r, stdout_w, 2])
+            reply, fds = self._await(lambda message: "forked" in message,
+                                     timeout)
+        except BaseException as error:
+            os.close(stdin_w)
+            os.close(stdout_r)
+            if isinstance(error, OSError):
+                raise WorkerDied(f"the zygote is gone: {error}") from error
+            raise
+        finally:
+            os.close(stdin_r)
+            os.close(stdout_w)
+        return _Worker(self, reply["forked"], fds[0], stdin_w, stdout_r)
+
+    def exit_status(self, pid: int) -> int:
+        """``pid``'s exit status, or :data:`STATUS_LOST` if unreported."""
+        if pid not in self.exits:
+            try:
+                self._await(lambda message: message.get("exited") == pid,
+                            _REPORT_SECONDS)
+            except WorkerFault:
+                return STATUS_LOST
+        return self.exits.pop(pid)
+
+    def _await(self, wanted, timeout: float) -> tuple[dict, list[int]]:
+        """Read messages, filing exit reports, until one is ``wanted``."""
+        end = time.monotonic() + timeout
+        while self.sock is not None:
+            remaining = end - time.monotonic()
+            if remaining <= 0:
+                self.close()    # its late answer would answer the next ask
+                raise WorkerUnresponsive(
+                    f"the zygote did not answer within {timeout:.1f}s")
+            self.sock.settimeout(remaining)
+            try:
+                data, fds, _, _ = socket.recv_fds(self.sock, 4096, 1,
+                                                  socket.MSG_CMSG_CLOEXEC)
+            except TimeoutError:
+                continue
+            if not data:
+                self.close()
+                break
+            message = json.loads(data)
+            if "exited" in message:
+                self.exits[message["exited"]] = message["status"]
+            if wanted(message):
+                return message, fds
+        raise WorkerDied("the zygote is gone")
+
+    def close(self) -> None:
+        """Stop the zygote, if it is still running, and reap it."""
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
+        self.process.kill()
+        self.process.wait()
+
+
+#: The zygotes this process started, and the fabrics not yet shut down.
+_zygotes: list[_Zygote] = []
+_live_fabrics: weakref.WeakSet = weakref.WeakSet()
+
+
+def _fork_worker(env: dict, preload: str, timeout: float) -> "_Worker":
+    """Fork a worker from ``env``'s zygote, started if none runs."""
+    _zygotes[:] = [zygote for zygote in _zygotes if zygote.sock is not None
+                   and zygote.process.poll() is None]
+    zygote = next((z for z in _zygotes if z.env == env), None)
+    if zygote is None:
+        zygote = _Zygote(env, preload)
+        _zygotes.append(zygote)
+    return zygote.fork(os.getcwd(), timeout)
+
+
+class _Worker:
+    """A forked worker as its handle drives it: poll, wait and signal
+    it over the child's pid, a pidfd and the parent's pipe ends."""
+
+    def __init__(self, zygote: _Zygote, pid: int, pidfd: int,
+                 stdin: int, stdout: int):
+        self.pid = pid
+        self.stdin = open(stdin, "wb", buffering=0)
+        self.stdout = open(stdout, "rb", buffering=0)
+        self.returncode: int | None = None
+        self._zygote = zygote
+        self._pidfd = pidfd
+        self._close_pidfd = weakref.finalize(self, os.close, pidfd)
+
+    def poll(self) -> int | None:
+        return self._settle(0.0)
+
+    def wait(self, timeout: float | None = None) -> int:
+        if self._settle(timeout) is None:
+            raise subprocess.TimeoutExpired(f"worker {self.pid}", timeout)
+        return self.returncode
+
+    def _settle(self, timeout: float | None) -> int | None:
+        """The exit status, if the pidfd shows one within ``timeout``."""
+        if (self.returncode is None
+                and select.select([self._pidfd], [], [], timeout)[0]):
+            self.returncode = self._zygote.exit_status(self.pid)
+            self._close_pidfd()
+        return self.returncode
+
+    def kill(self, signum: int = signal.SIGKILL) -> None:
+        if self.returncode is None:
+            signal.pidfd_send_signal(self._pidfd, signum)
+
+    def terminate(self) -> None:
+        self.kill(signal.SIGTERM)
 
 
 # ----------------------------------------------------------------------
@@ -525,7 +731,7 @@ class _WorkerHandle(ShardTransport):
         self.tick_deadline = tick_deadline
         self.spawn_deadline = spawn_deadline
         self.drain_timeout = drain_timeout
-        self.proc: subprocess.Popen | None = None
+        self.proc: _Worker | None = None
         #: Between :meth:`start` and the ready frame: the process's next
         #: frame is that ready frame, never the reply to a request.
         self._booting = False
@@ -555,7 +761,7 @@ class _WorkerHandle(ShardTransport):
     def _send(self, message: dict, deadline_seconds: float) -> None:
         """Deadline-bounded frame write to the worker's stdin.
 
-        The fd is non-blocking (set at spawn): a ``SIGSTOP``-frozen
+        The fd is non-blocking (set at start): a ``SIGSTOP``-frozen
         worker whose stdin pipe is full must surface as
         :class:`WorkerUnresponsive`, never wedge the parent inside a
         blocking ``os.write`` where no watchdog can run.
@@ -624,13 +830,8 @@ class _WorkerHandle(ShardTransport):
         return json.loads(body.decode())
 
     # -- process lifecycle ---------------------------------------------
-    def spawn(self) -> None:
-        """Start the process and await its ready frame."""
-        self.start()
-        self.await_ready()
-
     def start(self) -> None:
-        """Start the process and ship it the spec; its spawn deadline
+        """Fork the process and ship it the spec; its spawn deadline
         runs from here."""
         env = os.environ.copy()
         import repro
@@ -641,15 +842,9 @@ class _WorkerHandle(ShardTransport):
                                  if existing else src_root)
         self._buf = b""
         self._carried = None    # never a dead incarnation's sample
-        # -c instead of -m: the package __init__ already imports this
-        # module, and runpy would warn about re-executing it.
-        self.proc = subprocess.Popen(
-            [sys.executable, "-c",
-             "import sys; from repro.service.procfabric import worker_main; "
-             "sys.exit(worker_main())"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=None, bufsize=0, env=env)
         self._started_at = time.monotonic()
+        self.proc = _fork_worker(env, self.spec.builder.partition(":")[0],
+                                 self.spawn_deadline)
         self._booting = True
         os.set_blocking(self.proc.stdin.fileno(), False)
         spec = dataclasses.replace(self.spec, incarnation=self.incarnation)
@@ -666,7 +861,7 @@ class _WorkerHandle(ShardTransport):
         self.sku_index.update(ready.get("skus", {}))
 
     def ensure_dead(self, *, reap_seconds: float = 10.0) -> None:
-        """SIGKILL whatever remains and reap it.
+        """SIGKILL whatever remains and see it exit on its pidfd.
 
         ``SIGKILL`` terminates even a ``SIGSTOP``-frozen process, so
         this is the one true precondition for the parent touching the
@@ -704,7 +899,8 @@ class _WorkerHandle(ShardTransport):
             pass  # observability only
         self.close_journal()    # the replacement is its writer now
         try:
-            self.spawn()
+            self.start()
+            self.await_ready()
         except WorkerFault:
             self.ensure_dead()
             raise
@@ -851,8 +1047,9 @@ class ProcessFabric(Supervisor):
     status_deadline_seconds / tick_deadline_seconds /
     spawn_deadline_seconds / drain_timeout_seconds:
         RPC deadlines: liveness probe, one tick (bounded by real
-        validation work), process start (imports + journal recovery,
-        from that worker's start), and graceful drain before
+        validation work), process start (the fork -- plus the
+        zygote's imports when it starts one -- builder and journal
+        recovery, from that worker's start), and graceful drain before
         escalation to ``SIGKILL``.  All must be positive.
     """
 
@@ -880,6 +1077,7 @@ class ProcessFabric(Supervisor):
         if chaos is not None:
             chaos.check_transport("process")
         super().__init__(config or SupervisorConfig(), {})
+        _live_fabrics.add(self)
         self.journal_root = Path(journal_root)
         self.chaos = chaos
         self.workers = self.transports = [
@@ -930,8 +1128,9 @@ class ProcessFabric(Supervisor):
 
         :meth:`~repro.service.supervisor.Supervisor.seal` every live
         worker, then SIGKILL and reap whatever did not leave within
-        ``drain_timeout_seconds``.  Returns per-shard ``True`` when
-        the worker exited within its drain window.  Idempotent.
+        ``drain_timeout_seconds``.  The last fabric of this process to
+        shut down also stops the zygotes.  Returns per-shard ``True``
+        when the worker exited within its drain window.  Idempotent.
         """
         if self._sealed:
             return {}
@@ -940,6 +1139,10 @@ class ProcessFabric(Supervisor):
         for handle in self.workers:
             handle.ensure_dead()
             handle.close_journal()
+        _live_fabrics.discard(self)
+        if not _live_fabrics:
+            while _zygotes:
+                _zygotes.pop().close()
         return sealed
 
     def __enter__(self) -> "ProcessFabric":
@@ -948,6 +1151,3 @@ class ProcessFabric(Supervisor):
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown()
 
-
-if __name__ == "__main__":
-    sys.exit(worker_main())

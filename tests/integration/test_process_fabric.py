@@ -16,6 +16,7 @@ scenarios; the exhaustive every-prefix sweep and the mixed-fault
 storm are ``-m soak``.
 """
 
+import atexit
 import json
 import os
 import signal
@@ -43,6 +44,7 @@ from repro.service import (
 )
 from repro.service import store as store_module
 from repro.service.procfabric import (
+    STATUS_LOST,
     ShardWorker,
     WorkerFault,
     _WorkerHandle,
@@ -928,6 +930,174 @@ def spawn_serve(tmp_path, *extra):
             "--seed", "1", *extra]
     return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT, text=True)
+
+
+def ppid(pid: int) -> int:
+    """The parent pid of a live process, from ``/proc``."""
+    status = Path(f"/proc/{pid}/status").read_text()
+    return int(status.split("PPid:")[1].split()[0])
+
+
+def probe_builder(args: dict):
+    """:func:`default_builder` that first reports what its worker sees.
+
+    It writes ``probe-<tag>-<shard>.json`` under ``args["out"]`` with
+    the worker's cwd and its value of the ``args["var"]`` environment
+    variable, prints one line to stderr, and registers an ``atexit``
+    handler that touches ``atexit-<tag>-<shard>``."""
+    index, tag = own_shard_index(), args["tag"]
+    out = Path(args["out"])
+    (out / f"probe-{tag}-{index}.json").write_text(json.dumps(
+        {"cwd": os.getcwd(), "var": os.environ.get(args["var"])}))
+    print(f"probe {tag} builder of shard {index}", file=sys.stderr)
+    atexit.register((out / f"atexit-{tag}-{index}").touch)
+    return default_builder(args["default"])
+
+
+class TestZygote:
+    """Workers are forked from one import-only zygote per parent, and
+    still see what a fresh interpreter saw: the parent's environment,
+    cwd and stderr at start, a real exit status, and normal interpreter
+    shutdown."""
+
+    @pytest.fixture
+    def probe_fabric(self, tmp_path, criteria_path, monkeypatch):
+        # Workers resolve the builder by module name.
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            [str(REPO), os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / "probes"
+        out.mkdir()
+
+        def make(tag, root):
+            return ProcessFabric(
+                builder="tests.integration.test_process_fabric:"
+                        "probe_builder",
+                builder_args={"out": str(out), "tag": tag,
+                              "var": "REPRO_ZYGOTE_PROBE",
+                              "default": builder_args(criteria_path)},
+                journal_root=root,
+                config=SupervisorConfig(shard_count=SHARDS),
+                status_deadline_seconds=30.0, tick_deadline_seconds=60.0)
+
+        def probe(tag, index=0):
+            return json.loads(
+                (out / f"probe-{tag}-{index}.json").read_text())
+
+        return make, probe, out
+
+    def test_fabrics_built_one_after_the_other_share_one_zygote(
+            self, tmp_path, criteria_path):
+        root = tmp_path / "j"
+        fabrics = [make_fabric(root, criteria_path)]
+        try:
+            zygotes = {ppid(h.proc.pid) for h in fabrics[0].workers}
+            assert len(zygotes) == 1
+            # Dropped the way a crash drops it, without shutdown(): the
+            # zygote stays for the fabric that recovers the journals.
+            for handle in fabrics[0].workers:
+                os.kill(handle.proc.pid, signal.SIGKILL)
+                handle.ensure_dead()
+            fabrics.append(make_fabric(root, criteria_path))
+            assert {ppid(h.proc.pid) for h in fabrics[1].workers} == zygotes
+        finally:
+            for fabric in reversed(fabrics):
+                fabric.shutdown()
+        # The last fabric shut down stopped the zygote and reaped it.
+        with pytest.raises(ProcessLookupError):
+            os.kill(zygotes.pop(), 0)
+
+    def test_sigkilled_zygote_is_replaced_at_the_next_restart(
+            self, tmp_path, fleet, criteria_path):
+        events = make_events(fleet, 5, seed=3)
+        fabric = make_fabric(tmp_path / "j", criteria_path)
+        try:
+            for event in events:
+                fabric.submit(event)
+            victim, sibling = fabric.workers
+            dead = victim.proc
+            zygote = ppid(dead.pid)
+            os.kill(zygote, signal.SIGKILL)
+            # Its orphans are re-parented once it has exited.
+            assert wait_for(lambda: ppid(dead.pid) != zygote, timeout=30)
+            os.kill(dead.pid, signal.SIGKILL)
+            results = fabric.drain(max_ticks=300)
+            assert len(results) == len(expected_parts(events))
+            assert victim.incarnation == 1
+            assert victim.state is ShardState.RUNNING
+            assert ppid(victim.proc.pid) not in (zygote, os.getpid())
+            # The status died with the zygote: not a clean exit.  The
+            # sibling kept its process, pipes and pidfd.
+            assert dead.returncode == STATUS_LOST != 0
+            assert sibling.incarnation == 0 and sibling.alive()
+        finally:
+            sealed = fabric.shutdown()
+        assert all(sealed.values())
+        facts = assert_exactly_once(tmp_path / "j", events)
+        assert facts["restarts"] == 1
+
+    def test_exit_status_is_reported_by_the_zygote(self, tmp_path,
+                                                   criteria_path):
+        fabric = make_fabric(tmp_path / "j", criteria_path)
+        try:
+            killed = fabric.workers[0].proc
+            os.kill(killed.pid, signal.SIGKILL)
+            assert killed.wait(timeout=30) == -signal.SIGKILL
+        finally:
+            sealed = fabric.shutdown()
+        assert sealed == {0: False, 1: True}
+        assert fabric.workers[1].proc.returncode == 0
+
+    def test_worker_sees_cwd_and_environment_as_they_are_at_start(
+            self, probe_fabric, tmp_path, monkeypatch):
+        make, probe, _ = probe_fabric
+        fabrics = [make("first", tmp_path / "j1")]
+        try:
+            zygote = ppid(fabrics[0].workers[0].proc.pid)
+            elsewhere = tmp_path / "elsewhere"
+            elsewhere.mkdir()
+            monkeypatch.chdir(elsewhere)
+            fabrics.append(make("moved", tmp_path / "j2"))
+            # Forked by the same zygote, which never moved.
+            assert ppid(fabrics[1].workers[0].proc.pid) == zygote
+            assert probe("first")["cwd"] != str(elsewhere.resolve())
+            assert probe("moved")["cwd"] == str(elsewhere.resolve())
+            monkeypatch.setenv("REPRO_ZYGOTE_PROBE", "set-after-start")
+            fabrics.append(make("set", tmp_path / "j3"))
+            # A zygote started for another environment is not reused.
+            assert ppid(fabrics[2].workers[0].proc.pid) != zygote
+            assert probe("moved")["var"] is None
+            assert probe("set")["var"] == "set-after-start"
+        finally:
+            for fabric in reversed(fabrics):
+                fabric.shutdown()
+
+    def test_builder_stderr_reaches_the_current_capture(
+            self, probe_fabric, tmp_path, criteria_path, capfd):
+        make, _, _ = probe_fabric
+        # The zygote starts while the test's capture is off, so its own
+        # fd 2 is not the capture the next worker must write to.
+        with capfd.disabled():
+            fabrics = [make_fabric(tmp_path / "j1", criteria_path)]
+        try:
+            fabrics.append(make("captured", tmp_path / "j2"))
+            assert (ppid(fabrics[1].workers[0].proc.pid)
+                    == ppid(fabrics[0].workers[0].proc.pid))
+        finally:
+            for fabric in reversed(fabrics):
+                fabric.shutdown()
+        err = capfd.readouterr().err
+        for index in range(SHARDS):
+            assert f"probe captured builder of shard {index}" in err
+
+    def test_atexit_handlers_run_when_a_worker_is_sealed(
+            self, probe_fabric, tmp_path):
+        make, _, out = probe_fabric
+        fabric = make("atexit", tmp_path / "j")
+        assert not list(out.glob("atexit-*"))
+        sealed = fabric.shutdown()
+        assert all(sealed.values())
+        assert sorted(path.name for path in out.glob("atexit-*")) == [
+            f"atexit-atexit-{index}" for index in range(SHARDS)]
 
 
 class TestServeGracefulDrain:
