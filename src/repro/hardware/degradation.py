@@ -18,13 +18,32 @@ shares and job-level time-to-failure (Figure 4 right).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.hardware.components import IncidentCategory
 
-__all__ = ["WearModel", "DEFAULT_CATEGORY_WEIGHTS"]
+__all__ = ["WearModel", "DEFAULT_CATEGORY_WEIGHTS", "weighted_cdf",
+           "draw_weighted"]
+
+
+def weighted_cdf(weights) -> list[float]:
+    """The CDF ``Generator.choice(n, p=weights)`` computes and searches,
+    for ``weights`` that sum to 1; build it once per distribution."""
+    weights = np.asarray(weights, dtype=float)
+    if (weights < 0).any():
+        raise ValueError("weights must be non-negative")
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def draw_weighted(cdf: list[float], rng: np.random.Generator) -> int:
+    """The index ``rng.choice(n, p=...)`` draws, from the same uniform."""
+    return bisect_right(cdf, rng.random())
+
 
 #: Ticket-category mix behind Figure 1, normalized at construction.
 DEFAULT_CATEGORY_WEIGHTS: dict[IncidentCategory, float] = {
@@ -59,6 +78,7 @@ class WearModel:
     base_mtbi_hours: float = 719.4
     gamma: float = field(default=None)
     category_weights: dict[IncidentCategory, float] = field(default=None)
+    _category_cdf: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base_mtbi_hours <= 0:
@@ -75,6 +95,8 @@ class WearModel:
             raise ValueError("category weights must sum to a positive value")
         normalized = {cat: w / total for cat, w in weights.items()}
         object.__setattr__(self, "category_weights", normalized)
+        object.__setattr__(self, "_category_cdf",
+                           weighted_cdf(list(normalized.values())))
 
     def incident_rate(self, incident_count: int) -> float:
         """Hazard (incidents/hour) for a node with ``incident_count``
@@ -94,8 +116,7 @@ class WearModel:
     def sample_category(self, rng: np.random.Generator) -> IncidentCategory:
         """Draw the ticket category of the next incident."""
         categories = list(self.category_weights)
-        weights = np.array([self.category_weights[c] for c in categories])
-        return categories[int(rng.choice(len(categories), p=weights))]
+        return categories[draw_weighted(self._category_cdf, rng)]
 
     def job_time_to_failure(self, node_count: int, incident_count: int) -> float:
         """Figure 4 (right): expected time to first failure of a

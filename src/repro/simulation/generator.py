@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hardware.components import IncidentCategory
-from repro.hardware.degradation import WearModel
+from repro.hardware.degradation import WearModel, draw_weighted, weighted_cdf
 from repro.simulation.traces import (
     AllocationRecord,
     AllocationTrace,
@@ -62,16 +62,20 @@ CATEGORY_COMPONENTS: dict[IncidentCategory, tuple[str, ...]] = {
 }
 
 
+_TTR_PROBS = np.array([seg[2] for seg in TTR_SEGMENTS])
+_TTR_CDF = weighted_cdf(_TTR_PROBS / _TTR_PROBS.sum())
+_TTR_LOG_BOUNDS = tuple((np.log(low), np.log(high))
+                        for low, high, _ in TTR_SEGMENTS)
+
+
 def sample_time_to_resolve(rng: np.random.Generator) -> float:
     """Draw one troubleshooting duration (hours) from the Figure 2 mix.
 
     Log-uniform within each segment so the short segments are not
     artificially flat.
     """
-    probs = np.array([seg[2] for seg in TTR_SEGMENTS])
-    idx = int(rng.choice(len(TTR_SEGMENTS), p=probs / probs.sum()))
-    low, high, _ = TTR_SEGMENTS[idx]
-    return float(np.exp(rng.uniform(np.log(low), np.log(high))))
+    low, high = _TTR_LOG_BOUNDS[draw_weighted(_TTR_CDF, rng)]
+    return float(np.exp(rng.uniform(low, high)))
 
 
 def expected_time_to_resolve() -> float:
@@ -148,7 +152,8 @@ def generate_incident_trace(n_nodes: int, horizon_hours: float, *,
             if start >= horizon_hours:
                 break
             category = wear.sample_category(rng)
-            component = str(rng.choice(CATEGORY_COMPONENTS[category]))
+            components = CATEGORY_COMPONENTS[category]
+            component = components[int(rng.integers(len(components)))]
             duration = sample_time_to_resolve(rng)
             end = min(start + duration, horizon_hours)
             records.append(IncidentRecord(
@@ -184,7 +189,7 @@ def generate_allocation_trace(horizon_hours: float, *,
         sizes.append(size)
         size *= 2
     size_weights = np.array([0.55 ** k for k in range(len(sizes))])
-    size_weights /= size_weights.sum()
+    size_cdf = weighted_cdf(size_weights / size_weights.sum())
 
     # Log-normal duration with the requested mean and sigma=1.0.
     sigma = 1.0
@@ -197,7 +202,7 @@ def generate_allocation_trace(horizon_hours: float, *,
         clock += float(rng.exponential(1.0 / jobs_per_hour))
         if clock >= horizon_hours:
             break
-        n_nodes = int(sizes[int(rng.choice(len(sizes), p=size_weights))])
+        n_nodes = sizes[draw_weighted(size_cdf, rng)]
         duration = float(np.exp(rng.normal(mu, sigma)))
         duration = min(max(duration, 0.25), horizon_hours)
         records.append(AllocationRecord(

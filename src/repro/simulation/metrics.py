@@ -97,9 +97,12 @@ def mean_time_between_ith_incidents(trace: IncidentTrace,
     resolution (or node birth for ``i = 0``) to the next incident's
     start.
     """
+    by_node: dict[str, list] = {}
+    for record in trace.records:
+        by_node.setdefault(record.node_id, []).append(record)
     gaps: list[list[float]] = [[] for _ in range(max_index)]
     for node_id in trace.node_ids:
-        incidents = trace.for_node(node_id)
+        incidents = by_node.get(node_id, [])
         previous_end = 0.0
         for index, record in enumerate(incidents[:max_index]):
             gaps[index].append(record.start_hour - previous_end)

@@ -68,10 +68,13 @@ def extract_status_samples(trace: IncidentTrace, *,
     ``time_since_last`` runs from the latest resolution (from 0 before
     the first).  A trace that yields no row gives an empty dataset.
 
-    Each node is one pass of array work over its incidents, grouped
-    from ``trace.records`` once: a broadcast mask drops the instants
-    inside an incident and ``searchsorted`` finds the next incident.
-    Downtime is one ``np.sum`` per distinct resolved set, over that set
+    The whole trace is one pass of array work.  Incidents are grouped
+    by node once into padded (node x incident) matrices in record
+    order, and the instants of every node are one ``lexsort`` by (node,
+    time).  Each instant's row of its node's matrices then gives, by
+    comparison, whether the node is down, the next incident, the
+    incidents resolved and their per-category counts.  Downtime is one
+    ``np.add.reduce`` per distinct (node, resolved set), over that set
     in record order, so the output is bit for bit that of a
     per-snapshot loop.
     """
@@ -86,71 +89,92 @@ def extract_status_samples(trace: IncidentTrace, *,
         attribute_names = tuple(sorted(keys))
 
     horizon = trace.horizon_hours
-    grid = np.arange(0.0, horizon, snapshot_interval_hours)
     by_node: dict[str, list] = {}
     for record in trace.records:
         by_node.setdefault(record.node_id, []).append(record)
+    groups = [by_node.get(node_id, []) for node_id in trace.node_ids]
+    incidents = [record for group in groups for record in group]
+    sizes = np.array([len(group) for group in groups], dtype=int)
+    n_nodes, depth = sizes.size, int(sizes.max(initial=0))
+    node = np.repeat(np.arange(n_nodes), sizes)
+    column = np.arange(node.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    starts = np.array([r.start_hour for r in incidents], dtype=float)
+    ends = np.array([r.end_hour for r in incidents], dtype=float)
 
-    blocks: list[np.ndarray] = []
-    durations: list[np.ndarray] = []
-    events: list[np.ndarray] = []
-    for node_id in trace.node_ids:
-        incidents = by_node.get(node_id, [])
-        starts = np.array([r.start_hour for r in incidents], dtype=float)
-        ends = np.array([r.end_hour for r in incidents], dtype=float)
-        # Observation instants: trace start, periodic grid, and each
-        # incident resolution.
-        observe = np.union1d(grid, ends[ends < horizon])
+    def padded(values, fill):
+        matrix = np.full((n_nodes, depth), fill, dtype=np.asarray(fill).dtype)
+        matrix[node, column] = values
+        return matrix
 
-        down = ((starts < observe[:, None])
-                & (ends > observe[:, None])).any(axis=1)
-        next_starts = np.append(np.sort(starts), np.inf)
-        upcoming = np.searchsorted(next_starts, observe)
-        observed = upcoming < starts.size
-        keep = ~down & (observed | (include_censored
-                                    & (horizon - observe > 0)))
-        observe, upcoming, observed = (observe[keep], upcoming[keep],
-                                       observed[keep])
+    # (node x incident) matrices in record order; a padded cell starts
+    # and ends at +inf, so it is never down, upcoming or resolved.
+    start_of, end_of = padded(starts, np.inf), padded(ends, np.inf)
+    length_of = padded(ends - starts, 0.0)
 
-        # Incidents resolved by each instant: a prefix of the
-        # resolution order (ties enter together).
-        order = np.argsort(ends)
-        last_ends = np.append(0.0, ends[order])
-        resolved = np.searchsorted(last_ends[1:], observe, side="right")
-        lengths = ends - starts
-        downtime = np.zeros(starts.size + 1)
-        for count in np.unique(resolved[resolved > 0]):
-            downtime[count] = np.sum(lengths[ends <= last_ends[count]])
-        up_time = np.maximum(observe - downtime[resolved], 0.0)
+    # Observation instants, node by node in time order: the periodic
+    # grid and each incident resolution, duplicates dropped.
+    grid = np.arange(0.0, horizon, snapshot_interval_hours)
+    inside = ends < horizon
+    at = np.concatenate([np.repeat(np.arange(n_nodes), grid.size),
+                         node[inside]])
+    observe = np.concatenate([np.tile(grid, n_nodes), ends[inside]])
+    order = np.lexsort((observe, at))
+    at, observe = at[order], observe[order]
+    fresh = np.ones(at.size, dtype=bool)
+    fresh[1:] = (at[1:] != at[:-1]) | (observe[1:] != observe[:-1])
+    at, observe = at[fresh], observe[fresh]
 
-        categories = np.array([_CATEGORY_INDEX.get(r.category, -1)
-                               for r in incidents], dtype=int)
-        hits = categories[order][:, None] == np.arange(len(_CATEGORIES))
-        counts = np.vstack([np.zeros(len(_CATEGORIES)),
-                            np.cumsum(hits, axis=0)])[resolved]
-        mtbi = np.divide(up_time[:, None], counts,
-                         out=np.repeat(up_time[:, None], len(_CATEGORIES),
-                                       axis=1),
-                         where=counts > 0)
-        attrs = trace.node_attributes.get(node_id, {})
-        attribute_row = [float(attrs.get(name, 0.0))
-                         for name in attribute_names]
-        blocks.append(np.column_stack([
-            up_time, observe - last_ends[resolved], resolved.astype(float),
-            counts, mtbi,
-            np.broadcast_to(attribute_row, (observe.size,
-                                            len(attribute_names)))]))
+    instant = observe[:, None]
+    begun = start_of[at] < instant
+    down = (begun & (end_of[at] > instant)).any(axis=1)
+    upcoming = begun.sum(axis=1)
+    observed = upcoming < sizes[at]
+    keep = ~down & (observed | (include_censored & (horizon - observe > 0)))
+    at, observe, upcoming, observed = (at[keep], observe[keep],
+                                       upcoming[keep], observed[keep])
 
-        censored = (horizon if censored_tbni == "horizon"
-                    else horizon - observe)
-        durations.append(np.where(observed, next_starts[upcoming] - observe,
-                                  censored))
-        events.append(observed.astype(float))
+    # Incidents resolved by each instant: a prefix of the node's
+    # resolution order (ties enter together).
+    resolved = (end_of[at] <= observe[:, None]).sum(axis=1)
+    by_end = np.argsort(end_of, axis=1, kind="stable")
+    last_ends = np.hstack([np.zeros((n_nodes, 1)),
+                           np.take_along_axis(end_of, by_end, axis=1)])
+    categories = padded([_CATEGORY_INDEX.get(r.category, -1)
+                         for r in incidents], -1)
+    hits = (np.take_along_axis(categories, by_end, axis=1)[:, :, None]
+            == np.arange(len(_CATEGORIES)))
+    counts = np.concatenate([np.zeros((n_nodes, 1, len(_CATEGORIES))),
+                             np.cumsum(hits, axis=1)], axis=1)[at, resolved]
 
-    width = len(STATUS_FEATURES) + len(attribute_names)
+    # Downtime: one sum per distinct (node, resolved count), over that
+    # resolved set in record order.
+    pairs, slot = np.unique(at * (depth + 1) + resolved, return_inverse=True)
+    downtime = np.zeros(pairs.size)
+    for index, pair in enumerate(pairs.tolist()):
+        row, count = divmod(pair, depth + 1)
+        if count:
+            downtime[index] = np.add.reduce(
+                length_of[row][end_of[row] <= last_ends[row, count]])
+    up_time = np.maximum(observe - downtime[slot], 0.0)
+
+    mtbi = np.divide(up_time[:, None], counts,
+                     out=np.repeat(up_time[:, None], len(_CATEGORIES), axis=1),
+                     where=counts > 0)
+    attribute_rows = np.array(
+        [[float(trace.node_attributes.get(node_id, {}).get(name, 0.0))
+          for name in attribute_names] for node_id in trace.node_ids],
+        dtype=float).reshape(n_nodes, len(attribute_names))
+    covariates = np.column_stack([
+        up_time, observe - last_ends[at, resolved], resolved.astype(float),
+        counts, mtbi, attribute_rows[at]])
+
+    next_starts = np.hstack([np.sort(start_of, axis=1),
+                             np.full((n_nodes, 1), np.inf)])
+    censored = horizon if censored_tbni == "horizon" else horizon - observe
     return SurvivalDataset(
-        covariates=np.concatenate(blocks or [np.empty((0, width))]),
-        durations=np.concatenate(durations or [np.empty(0)]),
-        events=np.concatenate(events or [np.empty(0)]),
+        covariates=covariates,
+        durations=np.where(observed, next_starts[at, upcoming] - observe,
+                           censored),
+        events=observed.astype(float),
         feature_names=STATUS_FEATURES + attribute_names,
     )

@@ -16,10 +16,14 @@ from repro.simulation.coverage import (
     detects,
     expected_shift,
 )
-from repro.simulation.generator import generate_allocation_trace
+from repro.simulation.generator import (
+    generate_allocation_trace,
+    generate_incident_trace,
+)
 from repro.simulation.metrics import (
     build_policies,
     job_time_to_failure_curve,
+    mean_time_between_ith_incidents,
     run_policy_comparison,
     suite_durations,
 )
@@ -226,6 +230,21 @@ class TestComparisonHelpers:
         assert [name for name, _, _ in rows] == ["absence", "full-set", "selector"]
         utilization = comparison.utilization_row()
         assert set(utilization) == {"absence", "full-set", "selector", "ideal"}
+
+    @pytest.mark.parametrize("trace", [
+        generate_incident_trace(120, 6000.0, seed=13),
+        generate_incident_trace(40, 3000.0, gap_shape=1.6, seed=14),
+    ])
+    def test_mtbi_by_index_equals_the_per_node_scan(self, trace):
+        gaps = [[] for _ in range(20)]
+        for node_id in trace.node_ids:
+            previous_end = 0.0
+            for index, record in enumerate(trace.for_node(node_id)[:20]):
+                gaps[index].append(record.start_hour - previous_end)
+                previous_end = record.end_hour
+        expected = [float(np.mean(g)) if g else float("nan") for g in gaps]
+        assert np.array_equal(mean_time_between_ith_incidents(trace),
+                              expected, equal_nan=True)
 
     def test_job_ttf_curve(self):
         curve = job_time_to_failure_curve(100.0, node_counts=(1, 10))
