@@ -102,7 +102,7 @@ def extract_status_samples(trace: IncidentTrace, *,
     ends = np.array([r.end_hour for r in incidents], dtype=float)
 
     def padded(values, fill):
-        matrix = np.full((n_nodes, depth), fill, dtype=np.asarray(fill).dtype)
+        matrix = np.full((n_nodes, depth), fill)
         matrix[node, column] = values
         return matrix
 
@@ -136,7 +136,7 @@ def extract_status_samples(trace: IncidentTrace, *,
     # Incidents resolved by each instant: a prefix of the node's
     # resolution order (ties enter together).
     resolved = (end_of[at] <= observe[:, None]).sum(axis=1)
-    by_end = np.argsort(end_of, axis=1, kind="stable")
+    by_end = np.argsort(end_of, axis=1)
     last_ends = np.hstack([np.zeros((n_nodes, 1)),
                            np.take_along_axis(end_of, by_end, axis=1)])
     categories = padded([_CATEGORY_INDEX.get(r.category, -1)
