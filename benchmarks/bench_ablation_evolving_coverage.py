@@ -17,7 +17,6 @@ incidents), while cold-frozen degenerates to the no-validation
 baseline.
 """
 
-import numpy as np
 import pytest
 
 from conftest import print_table
@@ -51,10 +50,8 @@ def study():
     return warm, evolved, evolved_table, frozen
 
 
-def test_ablation_evolving_coverage(study, benchmark):
+def test_ablation_evolving_coverage(study):
     warm, evolved, evolved_table, frozen = study
-    benchmark.pedantic(lambda: evolved_table.coverage(evolved_table.benchmarks),
-                       rounds=5, iterations=1)
 
     rows = [
         ("warm (build-out bootstrap)", f"{warm.mtbi_hours:.1f}",

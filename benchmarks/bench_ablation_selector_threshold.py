@@ -30,10 +30,7 @@ def sweep():
     return results
 
 
-def test_ablation_selector_threshold(sweep, benchmark):
-    benchmark.pedantic(lambda: {p: r.mtbi_hours for p, r in sweep.items()},
-                       rounds=3, iterations=1)
-
+def test_ablation_selector_threshold(sweep):
     rows = [(f"{p0:.3f}",
              f"{r.average_validation_hours:.1f}",
              f"{r.mtbi_hours:.1f}",

@@ -29,10 +29,7 @@ def scan_rows():
     return rows
 
 
-def test_appendix_netval_scans(scan_rows, benchmark):
-    benchmark.pedantic(lambda: round_robin_schedule(list(range(192))),
-                       rounds=5, iterations=1)
-
+def test_appendix_netval_scans(scan_rows):
     print_table("Appendix A: scan rounds vs fabric size",
                 ["NICs/nodes", "total pairs", "full-scan rounds",
                  "quick-scan rounds"],

@@ -18,9 +18,8 @@ def month_trace():
     return generate_incident_trace(500, 720.0, wear=wear, seed=101)
 
 
-def test_fig1_incident_sources(month_trace, benchmark):
-    counts = benchmark.pedantic(month_trace.component_counts,
-                                rounds=3, iterations=1)
+def test_fig1_incident_sources(month_trace):
+    counts = month_trace.component_counts()
     total = sum(counts.values())
     rows = [(component, f"{100 * count / total:.1f}%")
             for component, count in sorted(counts.items(),
@@ -35,5 +34,3 @@ def test_fig1_incident_sources(month_trace, benchmark):
     assert max(shares.values()) < 0.5
     gpu_like = sum(v for c, v in shares.items() if c.startswith(("gpu", "hbm")))
     assert gpu_like > 0.25
-    benchmark.extra_info["n_sources"] = len(counts)
-    benchmark.extra_info["n_incidents"] = total

@@ -45,14 +45,8 @@ def scenario():
     return np.sort(healthy), np.sort(broken), broken_tree, pairs
 
 
-def test_fig3_redundancy_cdf(scenario, benchmark):
+def test_fig3_redundancy_cdf(scenario):
     healthy, broken, broken_tree, pairs = scenario
-
-    def simulate_once():
-        return allreduce_pair_bandwidths(broken_tree, pairs,
-                                         rng=np.random.default_rng(0))
-
-    benchmark.pedantic(simulate_once, rounds=5, iterations=1)
 
     quantiles = [0.0, 0.25, 0.5, 0.75, 1.0]
     rows = [(f"{int(100 * q)}%",
@@ -74,4 +68,3 @@ def test_fig3_redundancy_cdf(scenario, benchmark):
     repaired = [p.bandwidth_gbps for p in allreduce_pair_bandwidths(
         broken_tree, pairs, noise_cv=0.0)]
     assert min(repaired) > 0.99 * healthy.min()
-    benchmark.extra_info["degraded_pair_share"] = float(degraded_share)

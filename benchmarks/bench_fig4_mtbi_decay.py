@@ -28,10 +28,8 @@ def long_trace():
                                    frailty_sigma=0.15, seed=44)
 
 
-def test_fig4_mtbi_decay(long_trace, benchmark):
-    gaps = benchmark.pedantic(
-        lambda: mean_time_between_ith_incidents(long_trace, max_index=20),
-        rounds=1, iterations=1)
+def test_fig4_mtbi_decay(long_trace):
+    gaps = mean_time_between_ith_incidents(long_trace, max_index=20)
 
     rows = [(i + 1, f"{gap:.1f}") for i, gap in enumerate(gaps)
             if np.isfinite(gap)]

@@ -29,17 +29,14 @@ def metric_population():
     return values, truth, sparse_indices
 
 
-def test_fig6_outlier_baselines(metric_population, benchmark):
+def test_fig6_outlier_baselines(metric_population):
     values, truth, sparse_indices = metric_population
 
-    def run_all():
-        lof = set(lof_outliers(values, k=10, threshold=1.5).tolist())
-        svm = set(OneClassSvm(nu=0.1, n_iterations=300).fit(values)
-                  .outliers(values).tolist())
-        ours = learn_criteria([[v] for v in values], alpha=0.95)
-        return lof, svm, set(ours.defect_indices)
-
-    lof, svm, ours = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    lof = set(lof_outliers(values, k=10, threshold=1.5).tolist())
+    svm = set(OneClassSvm(nu=0.1, n_iterations=300).fit(values)
+              .outliers(values).tolist())
+    ours = set(learn_criteria([[v] for v in values], alpha=0.95)
+               .defect_indices)
 
     def describe(flagged):
         tp = len(flagged & truth)
@@ -62,5 +59,3 @@ def test_fig6_outlier_baselines(metric_population, benchmark):
     assert truth <= lof
     assert len(lof - truth) > 0 and (lof & sparse_indices)
     assert len(svm - truth) > 0
-    benchmark.extra_info["lof_false_positives"] = len(lof - truth)
-    benchmark.extra_info["svm_false_positives"] = len(svm - truth)

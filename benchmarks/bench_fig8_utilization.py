@@ -8,7 +8,6 @@ scheduling constants are not Azure's) but the ordering and the
 direction of every gap must hold.
 """
 
-import numpy as np
 import pytest
 
 from conftest import print_table
@@ -26,19 +25,7 @@ def comparison():
     return run_policy_comparison(config, trace, p0=0.02)
 
 
-def test_fig8_utilization(comparison, benchmark):
-    # Time one fresh selector-policy simulation as the benchmark kernel.
-    from repro.simulation.cluster import ClusterSimulator
-    from repro.simulation.metrics import build_policies
-
-    config = SimulationConfig(n_nodes=24, horizon_hours=240.0, seed=3)
-    trace = generate_allocation_trace(240.0, jobs_per_hour=1.0,
-                                      max_job_nodes=8,
-                                      mean_duration_hours=12.0, seed=4)
-    policy = build_policies(config, p0=0.02)["selector"]
-    benchmark.pedantic(lambda: ClusterSimulator(config, policy, trace).run(),
-                       rounds=3, iterations=1)
-
+def test_fig8_utilization(comparison):
     utilization = comparison.utilization_row()
     paper = {"absence": 18.9, "full-set": 83.2, "selector": 90.7, "ideal": 100.0}
     rows = [(name, f"{100 * utilization[name]:.1f}%", f"~{paper[name]:.0f}%")
@@ -56,5 +43,3 @@ def test_fig8_utilization(comparison, benchmark):
     assert utilization["selector"] > utilization["full-set"]
     assert utilization["full-set"] > utilization["absence"]
     assert utilization["selector"] / utilization["absence"] > 1.5
-    for name, value in utilization.items():
-        benchmark.extra_info[name] = round(100 * value, 2)

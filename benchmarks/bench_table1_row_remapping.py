@@ -21,20 +21,15 @@ def fleet():
     return build_fleet(20_000, seed=31, defect_scale=0.0, hbm_error_rate=0.034)
 
 
-def test_table1_row_remapping(fleet, benchmark):
+def test_table1_row_remapping(fleet):
     rng = np.random.default_rng(7)
-
-    def tally():
-        low, high = [], []
-        for node in fleet.nodes:
-            remapped = node.gpu_memory.total_remapped
-            if remapped == 0:
-                continue
-            regressed = rng.random() < node.gpu_memory.regression_probability()
-            (low if remapped <= REMAP_THRESHOLD else high).append(regressed)
-        return low, high
-
-    low, high = benchmark.pedantic(tally, rounds=1, iterations=1)
+    low, high = [], []
+    for node in fleet.nodes:
+        remapped = node.gpu_memory.total_remapped
+        if remapped == 0:
+            continue
+        regressed = rng.random() < node.gpu_memory.regression_probability()
+        (low if remapped <= REMAP_THRESHOLD else high).append(regressed)
 
     n = len(fleet)
     low_node_ratio = len(low) / n

@@ -35,10 +35,7 @@ def _mean(values):
     return float(np.mean(values))
 
 
-def test_table4_selection_policies(comparisons, benchmark):
-    benchmark.pedantic(lambda: comparisons[0].table4_rows(),
-                       rounds=3, iterations=1)
-
+def test_table4_selection_policies(comparisons):
     policies = ("absence", "full-set", "selector")
     validation = {p: _mean([c.results[p].average_validation_hours
                             for c in comparisons]) for p in policies}
@@ -72,6 +69,3 @@ def test_table4_selection_policies(comparisons, benchmark):
     # The paper's explanation: the Selector has slightly *more*
     # incidents than the full set but wins on up time.
     assert incidents["selector"] >= incidents["full-set"]
-    benchmark.extra_info["validation_saving_pct"] = round(100 * saving, 2)
-    benchmark.extra_info["mtbi_gain_over_absence"] = round(mtbi_gain_absence, 2)
-    benchmark.extra_info["mtbi_gain_over_full"] = round(mtbi_gain_full, 3)

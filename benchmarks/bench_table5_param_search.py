@@ -53,13 +53,7 @@ def tuning_results():
     return results
 
 
-def test_table5_param_search(tuning_results, benchmark):
-    # Kernel: one window search across nodes.
-    fleet = build_fleet(8, seed=78, defect_scale=0.0)
-    series = node_series("resnet-models", fleet.nodes, seed=799)
-    benchmark.pedantic(lambda: tune_window_across_nodes(series, 0.95),
-                       rounds=1, iterations=1)
-
+def test_table5_param_search(tuning_results):
     rows = []
     for model, r in tuning_results.items():
         rows.append((model,
@@ -78,5 +72,3 @@ def test_table5_param_search(tuning_results, benchmark):
         assert 0.55 < r["saving"] < 0.95, model
         # Tuned windows must still skip the warm-up transient.
         assert r["window"].warmup >= 24, model
-    mean_saving = float(np.mean([r["saving"] for r in tuning_results.values()]))
-    benchmark.extra_info["mean_time_saving_pct"] = round(100 * mean_saving, 1)

@@ -6,10 +6,10 @@ paper.  Each bench
 * computes the experiment once (module-scoped fixtures),
 * prints the same rows/series the paper reports (run with ``-s`` to
   see them),
-* asserts the paper's *shape* (orderings, ratios, crossovers), and
-* times a representative kernel through the ``benchmark`` fixture so
-  ``pytest benchmarks/ --benchmark-only`` produces a performance
-  report.
+* asserts the paper's *shape* (orderings, ratios, crossovers).
+
+Performance is not measured here: ``benchmarks/e2e/run.py`` is the one
+performance benchmark.
 
 Absolute values come from the simulated substrate, so they are not
 expected to match the paper's testbed numbers; EXPERIMENTS.md records

@@ -9,9 +9,9 @@ is a scalar loop, so it only pays off compiled.
 This module compiles a ~30-line C kernel at first use with whatever
 ``cc`` the host already has (no build system, no new dependency) and
 loads it through :mod:`ctypes`.  Everything degrades gracefully: if
-there is no compiler, compilation fails, or ``REPRO_NO_CKERNEL`` is
-set, :func:`load` returns ``None`` and callers fall back to the pure
-numpy kernels.  The C path is an *accelerator*, never a requirement.
+there is no compiler or compilation fails, :func:`load` returns
+``None`` and callers fall back to the pure numpy kernels.  The C path
+is an *accelerator*, never a requirement.
 
 Kernel contract (mirrors the fastdist exactness argument): rows are
 sorted ascending with one ``+inf`` sentinel appended, so the merge
@@ -111,12 +111,9 @@ def load() -> ctypes.CDLL | None:
 
     Compilation happens once per process; failures (missing compiler,
     sandboxed tmpdir, ...) are cached as "unavailable" so the cost is
-    never paid twice.  Set ``REPRO_NO_CKERNEL=1`` to force the pure
-    numpy path -- the property suite uses this to test both.
+    never paid twice.
     """
     global _lib, _tried
-    if os.environ.get("REPRO_NO_CKERNEL"):
-        return None
     if _tried:
         return _lib
     _tried = True

@@ -147,8 +147,7 @@ def pairwise_similarity_matrix_reference(samples) -> np.ndarray:
 
     One :func:`_cdf_gap_integral` call per pair over presorted samples
     -- semantically the original implementation (minus its double
-    sort), kept as the comparison baseline for the property suite and
-    the ``benchmarks/perf`` harness.
+    sort), kept as the comparison baseline for the property suite.
     """
     sorted_samples = [np.sort(as_sample(s)) for s in samples]
     n = len(sorted_samples)

@@ -54,7 +54,7 @@ a pair's support have zero integrand, and the per-pair CDF values and
 segment widths are bit-identical to the scalar path's.  Only the final
 summation order differs, so results agree with the scalar reference to
 floating-point accumulation error (enforced at <= 1e-9 by the property
-suite and the perf-smoke CI job; observed deviation is ~1e-15).  The
+suite; observed deviation is ~1e-15).  The
 one-vs-many kernel integrates the same piecewise-constant integrand
 exactly, as differences of cumulative integrals; its rounding error is
 of the same order (<= 1e-12 against the scalar reference in the tests,

@@ -25,8 +25,8 @@ from) is deliberate: a coherently poisoned learning pass produces
 criteria that agree perfectly with their own windows, and only the
 last trusted window exposes the skew.  If the candidate's predicted
 fleet-wide eviction rate jumps past the active rate by more than the
-configured budget (or past the bootstrap cap when no criteria are
-active yet), the candidate is rejected.
+configured budget (or past :data:`MAX_BOOTSTRAP_EVICTION_RATE` when
+no criteria are active yet), the candidate is rejected.
 
 The service integration (:meth:`repro.service.controlplane.
 ValidationService.learn_criteria`) applies the decision: rejected
@@ -46,6 +46,11 @@ from repro.exceptions import ReproError
 
 __all__ = ["RolloutConfig", "RolloutDecision", "evaluate_rollout"]
 
+#: Absolute cap applied when no criteria are active yet (first learn):
+#: a bootstrap candidate that would immediately evict more than this
+#: fraction of the fleet is itself suspect.
+MAX_BOOTSTRAP_EVICTION_RATE = 0.50
+
 
 @dataclass(frozen=True)
 class RolloutConfig:
@@ -57,17 +62,12 @@ class RolloutConfig:
         How far (in fleet fraction) the candidate's predicted eviction
         rate may exceed the active criteria's before the candidate is
         rejected.
-    max_bootstrap_eviction_rate:
-        Absolute cap applied when no criteria are active yet (first
-        learn): a bootstrap candidate that would immediately evict more
-        than this fraction of the fleet is itself suspect.
     min_shadow_windows:
         Below this many shadow windows the guard abstains and accepts
         (there is not enough data to out-vote the learner).
     """
 
     max_eviction_jump: float = 0.10
-    max_bootstrap_eviction_rate: float = 0.50
     min_shadow_windows: int = 2
 
     def __post_init__(self):
@@ -75,10 +75,6 @@ class RolloutConfig:
             raise ReproError(
                 f"max_eviction_jump must be in [0, 1], got "
                 f"{self.max_eviction_jump}")
-        if not 0.0 <= self.max_bootstrap_eviction_rate <= 1.0:
-            raise ReproError(
-                f"max_bootstrap_eviction_rate must be in [0, 1], got "
-                f"{self.max_bootstrap_eviction_rate}")
         if self.min_shadow_windows < 1:
             raise ReproError("min_shadow_windows must be at least 1")
 
@@ -137,11 +133,11 @@ def evaluate_rollout(windows, candidate, previous, *, alpha: float,
                  higher_is_better=higher_is_better)]
     candidate_rate = rates[0]
     if previous is None:
-        accepted = candidate_rate <= config.max_bootstrap_eviction_rate
+        accepted = candidate_rate <= MAX_BOOTSTRAP_EVICTION_RATE
         reason = (
             "bootstrap within cap" if accepted else
             f"bootstrap candidate would evict {candidate_rate:.0%} of the "
-            f"fleet (cap {config.max_bootstrap_eviction_rate:.0%})")
+            f"fleet (cap {MAX_BOOTSTRAP_EVICTION_RATE:.0%})")
         return RolloutDecision(
             benchmark=benchmark, metric=metric, accepted=accepted,
             candidate_rate=candidate_rate, baseline_rate=None, reason=reason,

@@ -96,6 +96,11 @@ __all__ = ["ServiceConfig", "ServiceMetrics", "TickResult",
 #: records after the newest one.
 CHECKPOINT_EVERY = 1000
 
+#: Queue priority for kinds that bypass the Selector (incident-reported,
+#: node-added, software-upgraded); above the [0, 1] probability range so
+#: they always jump the queue.
+FULL_VALIDATION_PRIORITY = 2.0
+
 #: Lifecycle stages a node moves through after quarantine, advanced
 #: one stage per tick (later stages first so one tick moves one stage).
 _REPAIR_PIPELINE = (
@@ -129,10 +134,6 @@ class ServiceConfig:
         snapshot the journal holds -- which is what catches criteria
         refreshed out-of-band -- and the ``pipeline-stats`` counters
         are journaled.
-    full_validation_priority:
-        Queue priority for kinds that bypass the Selector
-        (incident-reported, node-added, software-upgraded); above the
-        [0, 1] probability range so they always jump the queue.
     max_event_attempts:
         Failed processing attempts before an event is parked in the
         dead-letter queue instead of retried (1 = no retries).
@@ -171,7 +172,6 @@ class ServiceConfig:
 
     pool: PoolConfig = field(default_factory=PoolConfig)
     snapshot_every: int = 25
-    full_validation_priority: float = 2.0
     max_event_attempts: int = 3
     max_queue_depth: int | None = None
     journal_fsync: bool = False
@@ -500,7 +500,7 @@ class ValidationService:
 
     def _priority(self, event: ValidationEvent) -> float:
         if event.kind in FULL_VALIDATION_KINDS:
-            return self.config.full_validation_priority
+            return FULL_VALIDATION_PRIORITY
         if not event.statuses:
             return 0.0
         probs = self.anubis.selector.incident_probabilities(

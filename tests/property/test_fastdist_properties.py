@@ -4,7 +4,7 @@ to special-case (single values, all-identical samples, heavy ties,
 negative values, unequal lengths, both one-sided orientations)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import fastdist
@@ -83,6 +83,7 @@ def test_uniform_pairwise_matches_scalar(samples):
 
 
 @given(uniform_fleet)
+@example([np.full(12, 7.5)] * 4)
 @settings(max_examples=40, deadline=None)
 def test_numpy_abel_path_matches_scalar(samples):
     # Force the NumPy Abel-summation path even when the C kernel exists.
@@ -108,6 +109,7 @@ def test_ragged_pairwise_matches_scalar(samples):
                           st.integers(min_value=1, max_value=20),
                           finite),
                 min_size=2, max_size=6))
+@example([np.full(12, 7.5)] * 4)  # uniform width: the compiled kernel
 @settings(max_examples=40, deadline=None)
 def test_all_identical_samples(samples):
     _assert_pairwise_exact(samples)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.benchsuite.runner import SuiteRunner
-from repro.core import _cmerge, fastdist
+from repro.core import fastdist
 from repro.core.backend import pairwise_similarity_matrix
 from repro.core.distance import (
     one_sided_similarity,
@@ -80,16 +80,6 @@ class TestDispatchPaths:
         want = pairwise_similarity_matrix_reference(samples)
         assert np.max(np.abs(got - want)) < 1e-9
 
-    def test_no_ckernel_env_disables_compiled_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
-        assert _cmerge.load() is None
-        assert not _cmerge.available()
-        # Dispatch still produces correct results through the NumPy path.
-        samples = self._fleet(seed=3)
-        got = pairwise_similarity_matrix(samples)
-        want = pairwise_similarity_matrix_reference(samples)
-        assert np.max(np.abs(got - want)) < 1e-9
-
     def test_one_vs_many_directions(self):
         rng = np.random.default_rng(4)
         uniform = self._fleet(seed=4)
@@ -132,13 +122,22 @@ class TestDispatchPaths:
                 assert np.max(np.abs(profile - loop)) <= 1e-12
 
     def test_batch_rowwise_matches_scalar(self):
-        samples = self._fleet(seed=6, n=6)
-        batch = SortedSampleBatch.from_samples(samples)
-        left = batch.take(np.arange(batch.n - 1))
-        right = batch.take(np.arange(1, batch.n))
-        got = 1.0 - batch_gap_integrals(left, right)
-        want = [similarity(samples[i], samples[i + 1]) for i in range(5)]
-        assert np.max(np.abs(got - np.array(want))) < 1e-9
+        rng = np.random.default_rng(6)
+        fleets = (
+            self._fleet(seed=6, n=6),
+            [rng.normal(20, 2, size=k) for k in (1, 39, 7, 7, 22)],  # ragged
+            [np.round(rng.normal(50, 1, size=30)) for _ in range(5)],  # ties
+            [np.full(12, 7.5) for _ in range(4)],                   # identical
+            [np.array([v]) for v in rng.normal(5, 1, 4)],           # width 1
+        )
+        for samples in fleets:
+            batch = SortedSampleBatch.from_samples(samples)
+            left = batch.take(np.arange(batch.n - 1))
+            right = batch.take(np.arange(1, batch.n))
+            got = 1.0 - batch_gap_integrals(left, right)
+            want = [similarity(samples[i], samples[i + 1])
+                    for i in range(batch.n - 1)]
+            assert np.max(np.abs(got - np.array(want))) < 1e-9
 
     def test_pairwise_similarities_diag_is_zero_distance(self):
         batch = SortedSampleBatch.from_samples(self._fleet(seed=7, n=4))

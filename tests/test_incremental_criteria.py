@@ -114,6 +114,54 @@ class TestFullPathAgreement:
                                            exact_below=4))
 
 
+def defective_fleet(nodes, window=300):
+    """Healthy cluster with mild per-node offsets; ~1 % of the nodes
+    (every ``stride``-th) planted defective, shifted by -20."""
+    rng = np.random.default_rng(nodes + 1)
+    offsets = rng.normal(0.0, 0.5, size=(nodes, 1))
+    fleet = 100.0 + offsets + rng.normal(0.0, 2.0, size=(nodes, window))
+    stride = max(nodes // max(nodes // 100, 1), 1)
+    fleet[::stride] -= 20.0
+    return list(fleet)
+
+
+@pytest.mark.slow
+class TestLearnScaling:
+    """The approximation margin at fleet size, against the exact learn.
+
+    At 4 096 nodes the criteria deviation uses ~98 % of the sketch
+    bound; the printed margins are the record of that headroom.
+    """
+
+    @pytest.mark.parametrize("nodes", [1024, 4096])
+    def test_agrees_with_exact_learn(self, nodes):
+        windows = defective_fleet(nodes)
+        # exact_below=32 keeps every size on the sketch path.
+        config = IncrementalConfig(exact_below=32)
+        bound = distance_bound(config.sketch_size)
+        approx, state = learn_criteria_incremental(
+            windows, ALPHA, centroid="hybrid", config=config)
+        exact = learn_criteria(windows, ALPHA, centroid="hybrid")
+        assert state.path == "full"
+
+        exact_sims = np.asarray(exact.similarities)
+        sim_dev = float(np.max(np.abs(
+            np.asarray(approx.similarities) - exact_sims)))
+        criteria_dev = 1.0 - similarity(np.sort(approx.criteria),
+                                        np.sort(np.asarray(exact.criteria)))
+        # Windows within the bound of alpha are ambiguous to both
+        # engines, so their disagreements are counted, not gated.
+        disagreements = set(approx.defect_indices) ^ set(exact.defect_indices)
+        decisive = sorted(i for i in disagreements
+                          if abs(exact_sims[i] - ALPHA) > bound)
+        print(f"\n{nodes} nodes: max similarity deviation {sim_dev:.6f}, "
+              f"criteria deviation {criteria_dev:.6f}, bound {bound:.6f}, "
+              f"{len(disagreements)} borderline windows")
+        assert decisive == []
+        assert sim_dev <= bound
+        assert criteria_dev <= bound
+
+
 class TestStateMachine:
     def test_exact_floor(self):
         windows = fleet_windows(n=12, defects=(3,))

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.benchsuite.base import BenchmarkResult, measure_metric
 from repro.benchsuite.runner import SuiteRunner
 from repro.benchsuite.suite import suite_by_name
+from repro.core.criteria import learn_criteria
 from repro.core.measurement import SCHEMA_VERSION, MeasurementBatch, MetricWindow
 from repro.core.persistence import (
     apply_criteria_payload,
@@ -230,6 +231,39 @@ class TestCrossSkuIsolation:
         results = [runner.run(spec, n) for n in nodes]
         with pytest.raises(SkuMismatchError):
             validator.check_results(spec, results)
+
+    def test_pooled_learn_evicts_a_whole_class_per_sku_learn_does_not(self):
+        """One Algorithm-2 learn per class finds each class's planted
+        defect; one learn over the pooled classes flags a whole class."""
+        rng = np.random.default_rng(258)
+        classes = {}
+        for sku, count, factor in (("A100", 128, 1.0), ("H100", 77, 2.2),
+                                   ("MI250X", 51, 1.4)):
+            offsets = rng.normal(0.0, 0.5 * factor, size=(count, 1))
+            windows = (100.0 * factor + offsets
+                       + rng.normal(0.0, 2.0 * factor, size=(count, 300)))
+            windows[0] -= 20.0 * factor
+            classes[sku] = list(windows)
+
+        per_sku = {sku: set(learn_criteria(windows, 0.95,
+                                           centroid="hybrid").defect_indices)
+                   for sku, windows in classes.items()}
+        pooled = learn_criteria(
+            [w for windows in classes.values() for w in windows], 0.95,
+            centroid="hybrid").defect_indices
+        pooled_per_sku, start = {}, 0
+        for sku, windows in classes.items():
+            pooled_per_sku[sku] = {i - start for i in pooled
+                                   if start <= i < start + len(windows)}
+            start += len(windows)
+        print(f"\ndefects per SKU: per-SKU learn "
+              f"{sum(map(len, per_sku.values()))}, pooled {len(pooled)}")
+
+        assert any(len(pooled_per_sku[sku]) == len(windows)
+                   for sku, windows in classes.items())
+        for sku, windows in classes.items():
+            assert 0 in per_sku[sku], sku
+            assert len(per_sku[sku]) < len(windows), sku
 
     def test_missing_namespace_is_criteria_error(self):
         fleet = mixed_fleet(n=24, seed=5)
