@@ -5,10 +5,11 @@ Exports resolve lazily (PEP 562): importing one core submodule -- say
 pulls the whole validator stack, which is what lets lower layers
 depend on the measurement spine without an import cycle.
 
-Distance names (``cdf_distance``, ``similarity``, ``one_sided_*``,
-``pairwise_similarity_matrix``) resolve to :mod:`repro.core.backend`,
-the unified dispatch layer; the scalar :mod:`repro.core.distance`
-module is the property-test oracle only.
+Distance names: the single-pair Eq. (2)--(4) functions
+(``cdf_distance``, ``similarity``, ``one_sided_*``) resolve to the
+scalar :mod:`repro.core.distance`; every collection entry point
+(``pairwise_similarity_matrix`` and the batch kernels) resolves to
+:mod:`repro.core.fastdist`.
 """
 
 from __future__ import annotations
@@ -18,20 +19,12 @@ import importlib
 # Export name -> defining submodule.  Resolved on first attribute
 # access; ``from repro.core import X`` works unchanged.
 _EXPORTS = {
-    # backend (the unified distance dispatch; also the public homes of
-    # the Eq. 2-4 entry points)
-    "DistanceBackend": "backend",
-    "ScalarBackend": "backend",
-    "VectorizedBackend": "backend",
-    "DispatchBackend": "backend",
-    "get_backend": "backend",
-    "default_backend": "backend",
-    "backend_for": "backend",
-    "cdf_distance": "backend",
-    "similarity": "backend",
-    "one_sided_distance": "backend",
-    "one_sided_similarity": "backend",
-    "pairwise_similarity_matrix": "backend",
+    # distance (Eq. 2-4 for one pair)
+    "cdf_distance": "distance",
+    "similarity": "distance",
+    "one_sided_distance": "distance",
+    "one_sided_similarity": "distance",
+    "pairwise_similarity_matrix_reference": "distance",
     # measurement spine
     "SCHEMA_VERSION": "measurement",
     "NONFINITE_REJECT": "measurement",
@@ -42,8 +35,6 @@ _EXPORTS = {
     # criteria
     "CriteriaResult": "criteria",
     "learn_criteria": "criteria",
-    # scalar oracle (kept importable for the property suite)
-    "pairwise_similarity_matrix_reference": "distance",
     # drift
     "DriftReport": "drift",
     "evaluate_drift": "drift",
@@ -57,6 +48,7 @@ _EXPORTS = {
     "one_vs_many_similarities": "fastdist",
     "pairwise_distances": "fastdist",
     "pairwise_similarities": "fastdist",
+    "pairwise_similarity_matrix": "fastdist",
     # persistence
     "apply_criteria_payload": "persistence",
     "criteria_payload": "persistence",

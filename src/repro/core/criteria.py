@@ -27,9 +27,8 @@ Dirty-telemetry robustness
 Criteria are learned *without ground truth*, so corrupted telemetry
 flows straight into the learned boundary unless it is contained here:
 
-* a masking backend (``backend=get_backend(NONFINITE_MASK)``)
-  quarantines NaN/Inf values per window instead of
-  aborting the whole fleet-wide learn, and windows left below
+* ``nonfinite="mask"`` quarantines NaN/Inf values per window instead
+  of aborting the whole fleet-wide learn, and windows left below
   ``min_sample_size`` clean values are excluded from learning (reported
   via :attr:`CriteriaResult.excluded_indices`) with a warning;
 * ``contamination`` is a budget for *distribution-shape* poison that
@@ -51,8 +50,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.backend import DistanceBackend, default_backend
-from repro.core.measurement import NONFINITE_REJECT
+from repro.core.ecdf import as_sample
+from repro.core.fastdist import (
+    SortedSampleBatch,
+    one_vs_many_similarities,
+    pairwise_similarities,
+)
+from repro.core.measurement import NONFINITE_MASK, NONFINITE_REJECT
 from repro.exceptions import CriteriaError
 
 __all__ = ["CriteriaResult", "learn_criteria", "medoid_index"]
@@ -133,13 +137,13 @@ def _pooled_sample(samples, active: np.ndarray) -> np.ndarray:
         np.concatenate([np.asarray(samples[i], dtype=float) for i in active]))
 
 
-def _clean_samples(samples, backend: DistanceBackend, min_sample_size: int):
+def _clean_samples(samples, nonfinite: str, min_sample_size: int):
     """Per-window quarantine pass before learning.
 
     Returns ``(cleaned, kept, masked_values, excluded)``: sorted clean
     arrays, their original indices, how many non-finite values were
     masked away, and the original indices of windows excluded outright.
-    Under the backend's ``"reject"`` policy any non-finite value raises
+    Under the ``"reject"`` policy any non-finite value raises
     (legacy strictness); under ``"mask"`` values are dropped per window
     and only windows with fewer than ``min_sample_size`` clean values
     are excluded.
@@ -159,8 +163,8 @@ def _clean_samples(samples, backend: DistanceBackend, min_sample_size: int):
     masked_values = 0
     for index, sample in enumerate(samples):
         arr = np.asarray(sample, dtype=float).ravel()
-        if backend.nonfinite == NONFINITE_REJECT:
-            finite = backend.clean(arr)  # raises on empty or non-finite
+        if nonfinite == NONFINITE_REJECT:
+            finite = as_sample(arr)  # raises on empty or non-finite
         else:
             finite = arr[np.isfinite(arr)]
             masked_values += int(arr.size - finite.size)
@@ -173,8 +177,12 @@ def _clean_samples(samples, backend: DistanceBackend, min_sample_size: int):
 
 
 def _validate_learn_args(samples, alpha: float, centroid: str,
-                         contamination: float) -> None:
+                         contamination: float, nonfinite: str) -> None:
     """Shared argument validation for the exact and incremental learners."""
+    if nonfinite not in (NONFINITE_REJECT, NONFINITE_MASK):
+        raise CriteriaError(
+            f"unknown nonfinite policy {nonfinite!r}; expected "
+            f"{NONFINITE_REJECT!r} or {NONFINITE_MASK!r}")
     if not 0.0 <= alpha < 1.0:
         raise CriteriaError(f"alpha must be in [0, 1), got {alpha}")
     if centroid not in ("medoid", "mean", "hybrid"):
@@ -186,7 +194,7 @@ def _validate_learn_args(samples, alpha: float, centroid: str,
         raise CriteriaError("criteria learning needs at least one sample")
 
 
-def _clean_and_warn(samples, backend: DistanceBackend, min_sample_size: int,
+def _clean_and_warn(samples, nonfinite: str, min_sample_size: int,
                     *, stacklevel: int = 3):
     """:func:`_clean_samples` plus the quarantine warning at the caller.
 
@@ -196,7 +204,7 @@ def _clean_and_warn(samples, backend: DistanceBackend, min_sample_size: int,
     always name the call site, never this module.
     """
     cleaned, kept, masked_values, excluded = _clean_samples(
-        samples, backend, min_sample_size)
+        samples, nonfinite, min_sample_size)
     if masked_values or excluded:
         warnings.warn(
             f"criteria learning quarantined {masked_values} non-finite "
@@ -212,7 +220,7 @@ def _clean_and_warn(samples, backend: DistanceBackend, min_sample_size: int,
 def learn_criteria(samples, alpha: float = 0.95, *,
                    centroid: str = "medoid",
                    contamination: float = 0.0,
-                   backend: DistanceBackend | None = None,
+                   nonfinite: str = NONFINITE_REJECT,
                    min_sample_size: int = 1) -> CriteriaResult:
     """Run Algorithm 2 on ``samples`` and return the learned criteria.
 
@@ -229,39 +237,35 @@ def learn_criteria(samples, alpha: float = 0.95, *,
         Budget (fraction in ``[0, 0.5)``) of poisoned windows the
         medoid seeding must tolerate; realized as trimmed similarity
         aggregation in :func:`medoid_index`.
-    backend:
-        The :class:`~repro.core.backend.DistanceBackend` to learn
-        with; defaults to the strict (``"reject"``) dispatch backend,
-        which raises on any non-finite value.  A ``"mask"`` backend
-        (``get_backend(NONFINITE_MASK)``) quarantines non-finite
-        values per window and excludes -- with a warning -- windows
-        left below ``min_sample_size``, instead of aborting the
-        fleet-wide learn.
+    nonfinite:
+        ``"reject"`` (default) raises on any non-finite value;
+        ``"mask"`` quarantines non-finite values per window and
+        excludes -- with a warning -- windows left below
+        ``min_sample_size``, instead of aborting the fleet-wide learn.
     min_sample_size:
         Minimum clean values a window needs to participate in learning
-        (only meaningful under a masking backend; short windows are
-        excluded, never fatal).
+        (only meaningful under ``"mask"``; short windows are excluded,
+        never fatal).
 
     Raises
     ------
     CriteriaError
         If no learnable sample remains, if ``alpha`` or
-        ``contamination`` is out of range, or if the exclusion loop
+        ``contamination`` is out of range, if ``nonfinite`` names no
+        policy, or if the exclusion loop
         would discard every sample.
     """
-    _validate_learn_args(samples, alpha, centroid, contamination)
-    backend = backend or default_backend()
-
+    _validate_learn_args(samples, alpha, centroid, contamination, nonfinite)
     cleaned, kept, excluded = _clean_and_warn(
-        samples, backend, min_sample_size, stacklevel=3)
+        samples, nonfinite, min_sample_size, stacklevel=3)
     kept_arr = np.asarray(kept, dtype=np.intp)
     n = len(cleaned)
 
     # One validated, sorted batch backs every similarity evaluation of
     # the run: the full pairwise matrix and each iteration's pooled
     # re-scoring (previously a fresh Python loop per iteration).
-    batch = backend.prepare(cleaned, assume_sorted=True)
-    sim_matrix = backend.pairwise_similarities(batch)
+    batch = SortedSampleBatch.from_sorted(cleaned)
+    sim_matrix = pairwise_similarities(batch)
     all_indices = np.arange(n)
     iteration_centroid = "medoid" if centroid == "hybrid" else centroid
 
@@ -277,8 +281,8 @@ def learn_criteria(samples, alpha: float = 0.95, *,
             return sim_matrix[criteria_idx]
         # _pooled_sample returns sorted output, so the reference ECDF
         # can be used as-is.
-        return backend.one_vs_many_similarities(batch, criteria_sample,
-                                                assume_sorted=True)
+        return one_vs_many_similarities(batch, criteria_sample,
+                                        assume_sorted=True)
 
     active = all_indices
     criteria_sample, criteria_idx = centroid_of(active)

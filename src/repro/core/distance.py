@@ -1,11 +1,13 @@
 """The scalar Eq. (2)--(4) reference oracle.
 
 This module is the auditable, paper-faithful definition of the
-distance math and nothing more.  Production code routes every distance
-through :mod:`repro.core.backend` (the sole production importer of
-this module); the property suite under ``tests/property/`` compares
-the vectorized kernels against these functions, which is why they stay
-scalar, short, and dependency-free.
+distance math and nothing more.  It serves single pairs -- the public
+``repro.cdf_distance`` / ``similarity`` / ``one_sided_*`` names and
+drift detection's pooled distance -- while every collection goes
+through the batch kernels of :mod:`repro.core.fastdist`.  The
+property suite under ``tests/property/`` compares those kernels
+against these functions, which is why they stay scalar, short, and
+dependency-free.
 
 Implements Equations (2)--(4) of the paper:
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.backend import DistanceBackend, get_backend
+from repro.core.distance import cdf_distance
 from repro.core.ecdf import as_sample
 from repro.core.fastdist import SortedSampleBatch, reference_similarities
 from repro.core.measurement import NONFINITE_MASK
@@ -47,8 +47,7 @@ def _scoreable(windows) -> tuple[SortedSampleBatch, np.ndarray]:
         data = np.vstack(arrays)
         scored = np.isfinite(data).all(axis=1)
         data = np.sort(data[scored], axis=1)
-        return (SortedSampleBatch(data, np.full(data.shape[0], width)),
-                scored)
+        return SortedSampleBatch.from_rows(data), scored
     scored = np.array([arr.size > 0 and bool(np.isfinite(arr).all())
                        for arr in arrays])
     return (SortedSampleBatch.from_sorted(
@@ -129,8 +128,7 @@ class DriftReport:
 
 
 def evaluate_drift(before, after, *, alpha: float = 0.95,
-                   margin: float = 0.5,
-                   backend: DistanceBackend | None = None) -> DriftReport:
+                   margin: float = 0.5) -> DriftReport:
     """Compare per-node samples before and after a software update.
 
     Parameters
@@ -152,15 +150,14 @@ def evaluate_drift(before, after, *, alpha: float = 0.95,
     if not 0.0 < margin <= 1.0:
         raise ValueError(f"margin must be in (0, 1], got {margin}")
     headroom = (1.0 - alpha) * margin
-    backend = backend or get_backend(NONFINITE_MASK)
 
     pooled_before = np.concatenate([as_sample(s) for s in before])
     pooled_after = np.concatenate([as_sample(s) for s in after])
     level_shift = float(pooled_after.mean() / pooled_before.mean() - 1.0)
-    distance = backend.cdf_distance(pooled_after, pooled_before)
+    distance = cdf_distance(pooled_after, pooled_before)
 
-    repeatability_before = pairwise_repeatability(before, backend=backend)
-    repeatability_after = pairwise_repeatability(after, backend=backend)
+    repeatability_before = pairwise_repeatability(before)
+    repeatability_after = pairwise_repeatability(after)
 
     needs_relearn = distance > headroom
     needs_retune = repeatability_after < 1.0 - headroom

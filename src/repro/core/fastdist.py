@@ -83,6 +83,7 @@ __all__ = [
     "one_vs_many_similarities",
     "pairwise_distances",
     "pairwise_similarities",
+    "pairwise_similarity_matrix",
     "reference_similarities",
 ]
 
@@ -147,6 +148,12 @@ class SortedSampleBatch:
         for i, arr in enumerate(sorted_arrays):
             data[i, :arr.size] = arr
         return cls(data, sizes)
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> "SortedSampleBatch":
+        """Wrap a uniform 2-D array of sorted, validated rows, without copies."""
+        rows = np.asarray(rows, dtype=float)
+        return cls(rows, np.full(rows.shape[0], rows.shape[1], dtype=np.intp))
 
     @property
     def n(self) -> int:
@@ -582,3 +589,13 @@ def pairwise_distances(batch: SortedSampleBatch) -> np.ndarray:
 def pairwise_similarities(batch: SortedSampleBatch) -> np.ndarray:
     """Full symmetric Eq. (3) similarity matrix (unit diagonal)."""
     return 1.0 - pairwise_distances(batch)
+
+
+def pairwise_similarity_matrix(samples) -> np.ndarray:
+    """:func:`pairwise_similarities` of raw samples or of a batch.
+
+    Raw samples are validated under the strict ``"reject"`` policy.
+    """
+    if not isinstance(samples, SortedSampleBatch):
+        samples = SortedSampleBatch.from_samples(samples)
+    return pairwise_similarities(samples)

@@ -51,7 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import sketch as _sketch
-from repro.core.backend import DistanceBackend, default_backend
 from repro.core.criteria import (
     _MAX_ITERATIONS,
     CriteriaResult,
@@ -65,6 +64,7 @@ from repro.core.fastdist import (
     one_vs_many_similarities,
     reference_similarities,
 )
+from repro.core.measurement import NONFINITE_REJECT
 from repro.exceptions import CriteriaError
 
 __all__ = [
@@ -301,18 +301,16 @@ def _sketch_batch_from_cleaned(cleaned, k: int) -> SortedSampleBatch:
                         count=len(cleaned))
     if sizes.size and (sizes == sizes[0]).all():
         data = np.vstack(cleaned) if len(cleaned) > 1 else cleaned[0][None, :]
-        rows = _sketch.sketch_rows(data, k)
-        return SortedSampleBatch(
-            rows, np.full(len(cleaned), rows.shape[1], dtype=np.intp))
+        return SortedSampleBatch.from_rows(_sketch.sketch_rows(data, k))
     return SortedSampleBatch.from_sorted(
         [_sketch.sketch_sorted(row, k) for row in cleaned])
 
 
-def _full_sketch_learn(samples, alpha, centroid, contamination, backend,
+def _full_sketch_learn(samples, alpha, centroid, contamination, nonfinite,
                        min_sample_size, config) -> CriteriaResult:
     """Sketches + coreset from scratch (the ``full`` path)."""
     cleaned, kept, excluded = _clean_and_warn(
-        samples, backend, min_sample_size, stacklevel=4)
+        samples, nonfinite, min_sample_size, stacklevel=4)
     kept_arr = np.asarray(kept, dtype=np.intp)
     batch = _sketch_batch_from_cleaned(cleaned, config.sketch_size)
     cand_idx = _stratified(batch, config.n_candidates)
@@ -329,7 +327,7 @@ def _full_sketch_learn(samples, alpha, centroid, contamination, backend,
 def learn_criteria_incremental(samples, alpha: float = 0.95, *,
                                centroid: str = "hybrid",
                                contamination: float = 0.0,
-                               backend: DistanceBackend | None = None,
+                               nonfinite: str = NONFINITE_REJECT,
                                min_sample_size: int = 1,
                                config: IncrementalConfig | None = None,
                                mode: str = "auto"):
@@ -345,17 +343,16 @@ def learn_criteria_incremental(samples, alpha: float = 0.95, *,
     if mode not in ("auto", "exact"):
         raise CriteriaError(f"unknown learn mode {mode!r}")
     config = config or IncrementalConfig()
-    backend = backend or default_backend()
-    _validate_learn_args(samples, alpha, centroid, contamination)
+    _validate_learn_args(samples, alpha, centroid, contamination, nonfinite)
     t0 = time.perf_counter()
     exact = mode == "exact" or len(samples) <= config.exact_below
     if exact:
         result = learn_criteria(
             samples, alpha, centroid=centroid, contamination=contamination,
-            backend=backend, min_sample_size=min_sample_size)
+            nonfinite=nonfinite, min_sample_size=min_sample_size)
     else:
         result = _full_sketch_learn(samples, alpha, centroid, contamination,
-                                    backend, min_sample_size, config)
+                                    nonfinite, min_sample_size, config)
     return result, CriteriaState(path="exact" if exact else "full",
                                  seconds=time.perf_counter() - t0,
                                  exact=exact)

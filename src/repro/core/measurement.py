@@ -7,7 +7,7 @@ rest of the pipeline needs to handle it correctly (node, SKU,
 benchmark, metric, polarity, schema version, sanitization and
 quarantine state).  A :class:`MeasurementBatch` groups the fleet's
 windows for one (sku, benchmark, metric) triple, which is the unit the
-distance backend scores and criteria learning consumes; the batch
+distance kernels score and criteria learning consumes; the batch
 constructor rejects a window from any other SKU, so cross-SKU mixing
 is structurally impossible rather than merely discouraged.
 
@@ -23,9 +23,9 @@ could not:
   :attr:`MeasurementBatch.nonfinite_policy` derives the policy from
   provenance -- fully sanitized batches can afford the strict
   ``"reject"`` policy because sanitization already removed non-finite
-  values, while raw batches get the tolerant ``"mask"`` policy -- so
-  no caller threads ``nonfinite=`` keyword arguments through the call
-  stack (see :mod:`repro.core.backend`).
+  values, while raw batches get the tolerant ``"mask"`` policy.  The
+  Validator passes that string as ``nonfinite=`` to the criteria
+  learners.
 
 :class:`PipelineStats` is the observability seam of the spine:
 lightweight per-stage counters and wall-clock timings (execute,
@@ -210,7 +210,7 @@ class MetricWindow:
 class MeasurementBatch:
     """The fleet's windows for one (sku, benchmark, metric) triple.
 
-    This is the unit the distance backend scores in one kernel call
+    This is the unit the distance kernels score in one call
     and criteria learning consumes; the batch-level provenance
     (SKU, polarity, sanitization state) is what lets the non-finite
     policy be resolved once here instead of threaded through the call

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.benchsuite.runner import StepWindow
-from repro.core.backend import default_backend
 from repro.core.ecdf import as_sample
+from repro.core.fastdist import SortedSampleBatch, batch_gap_integrals
 from repro.core.repeatability import pairwise_repeatability
 from repro.exceptions import BenchmarkError
 
@@ -154,8 +154,9 @@ def search_window(series, alpha: float = 0.95, *, period: int | None = None,
     # All consecutive-cycle similarities in one row-wise kernel call:
     # row i of the "a" rows against row i+1 of the "b" rows.
     cycles = np.sort(values[:n_cycles * p].reshape(n_cycles, p), axis=1)
-    adjacent_sims = default_backend().rowwise_similarities(
-        cycles[:-1], cycles[1:], assume_sorted=True)
+    adjacent_sims = 1.0 - batch_gap_integrals(
+        SortedSampleBatch.from_rows(cycles[:-1]),
+        SortedSampleBatch.from_rows(cycles[1:]))
 
     run_start = 0
     run_length = 1

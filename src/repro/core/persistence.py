@@ -15,8 +15,8 @@ Durability
 Criteria files gate months of online filtering, so writes are atomic
 (tmp file + ``os.replace``; a crash mid-save can never leave a
 half-written document at the final path), the previous file survives
-as ``<path>.bak``, and the version-2 format carries a CRC32 checksum
-over the entries so silent corruption (a truncated or bit-flipped
+as ``<path>.bak``, and every file carries a CRC32 checksum over its
+entries so silent corruption (a truncated or bit-flipped
 file that still parses as JSON) is detected at load time instead of
 poisoning the online filter.  :func:`load_criteria` falls back to the
 backup when the main file is corrupt -- the rollback half of guarded
@@ -42,9 +42,6 @@ __all__ = ["save_criteria", "load_criteria", "criteria_payload",
            "criteria_fingerprint", "payload_fingerprint"]
 
 _FORMAT_VERSION = 3
-#: Version 1 files (no checksum) and version 2 files (no SKU axis;
-#: entries land in the "unknown" namespace) remain loadable.
-_SUPPORTED_VERSIONS = (1, 2, 3)
 
 
 def _entries_checksum(entries: list[dict]) -> int:
@@ -101,7 +98,7 @@ def payload_fingerprint(payload: dict) -> bytes:
     """:func:`criteria_fingerprint` of the map a :func:`criteria_payload`
     document holds, read off the document without building the map."""
     return criteria_fingerprint({
-        (str(entry.get("sku", "unknown")), entry["benchmark"],
+        (str(entry["sku"]), entry["benchmark"],
          entry["metric"]): SimpleNamespace(**entry)
         for entry in payload["entries"]})
 
@@ -112,25 +109,23 @@ def criteria_from_payload(validator: Validator, payload: dict, *,
     ``validator``, without installing it.
 
     Entries for benchmarks outside the validator's suite are skipped
-    (a shrunk suite must not resurrect stale criteria).  Pre-SKU
-    entries (format versions 1 and 2) restore into the ``"unknown"``
-    namespace, where legacy windows score against them.
+    (a shrunk suite must not resurrect stale criteria).  Only the
+    current format version loads.
     """
     try:
         version = payload.get("version")
-        if version not in _SUPPORTED_VERSIONS:
+        if version != _FORMAT_VERSION:
             raise CriteriaError(
                 f"unsupported criteria file version {version!r}"
             )
         entries = payload["entries"]
-        if version >= 2:
-            expected = int(payload["checksum"])
-            actual = _entries_checksum(entries)
-            if actual != expected:
-                raise CriteriaError(
-                    f"criteria file {source} failed its checksum "
-                    f"(expected {expected}, computed {actual}); the file "
-                    f"is corrupt")
+        expected = int(payload["checksum"])
+        actual = _entries_checksum(entries)
+        if actual != expected:
+            raise CriteriaError(
+                f"criteria file {source} failed its checksum "
+                f"(expected {expected}, computed {actual}); the file "
+                f"is corrupt")
     except (KeyError, TypeError, AttributeError, ValueError) as error:
         raise CriteriaError(f"malformed criteria file {source}: {error}") from error
 
@@ -140,7 +135,7 @@ def criteria_from_payload(validator: Validator, payload: dict, *,
         try:
             benchmark = entry["benchmark"]
             metric = entry["metric"]
-            sku = str(entry.get("sku", "unknown"))
+            sku = str(entry["sku"])
             criteria = np.asarray(entry["criteria"], dtype=float)
             alpha = float(entry["alpha"])
             higher_is_better = bool(entry["higher_is_better"])

@@ -18,14 +18,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backend import DistanceBackend, default_backend
+from repro.core.fastdist import (
+    SortedSampleBatch,
+    one_vs_many_similarities,
+    pairwise_similarity_matrix,
+)
 from repro.exceptions import InvalidSampleError
 
 __all__ = ["pairwise_repeatability", "criteria_repeatability"]
 
 
-def pairwise_repeatability(samples, *,
-                           backend: DistanceBackend | None = None) -> float:
+def pairwise_repeatability(samples) -> float:
     """Arithmetic mean of all pairwise similarities among ``samples``.
 
     Needs at least two samples; the diagonal (self-similarity) is
@@ -34,16 +37,14 @@ def pairwise_repeatability(samples, *,
     n = len(samples)
     if n < 2:
         raise InvalidSampleError("repeatability needs at least two samples")
-    backend = backend or default_backend()
-    sims = backend.pairwise_similarities(samples)
+    sims = pairwise_similarity_matrix(samples)
     off_diagonal_sum = float(sims.sum() - np.trace(sims))
     return off_diagonal_sum / (n * (n - 1))
 
 
-def criteria_repeatability(samples, criteria, *,
-                           backend: DistanceBackend | None = None) -> float:
+def criteria_repeatability(samples, criteria) -> float:
     """Mean similarity between each sample and a fixed criteria sample."""
     if len(samples) == 0:
         raise InvalidSampleError("repeatability needs at least one sample")
-    backend = backend or default_backend()
-    return float(np.mean(backend.one_vs_many_similarities(samples, criteria)))
+    batch = SortedSampleBatch.from_samples(samples)
+    return float(np.mean(one_vs_many_similarities(batch, criteria)))

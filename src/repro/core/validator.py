@@ -31,18 +31,15 @@ import numpy as np
 
 from repro.benchsuite.base import BenchmarkKind, BenchmarkSpec, Phase
 from repro.benchsuite.runner import SuiteRunner
-from repro.core.backend import get_backend
+from repro.core import fastdist
 from repro.core.criteria import CriteriaResult, learn_criteria
+from repro.core.fastdist import SortedSampleBatch
 from repro.core.incremental import (
     CriteriaState,
     IncrementalConfig,
     learn_criteria_incremental,
 )
-from repro.core.measurement import (
-    NONFINITE_REJECT,
-    MeasurementBatch,
-    PipelineStats,
-)
+from repro.core.measurement import MeasurementBatch, PipelineStats
 from repro.exceptions import CriteriaError, InvalidSampleError, SkuMismatchError
 from repro.core.ecdf import as_sample
 
@@ -275,17 +272,16 @@ class Validator:
         :meth:`invalidate_criteria_state` learns exactly and every other
         key takes the engine's size-based ladder.
         """
-        backend = get_backend(policy)
         if self.incremental is None:
             learned = learn_criteria(samples, self.alpha, centroid=centroid,
                                      contamination=self.contamination,
-                                     backend=backend)
+                                     nonfinite=policy)
             state = None
         else:
             key = (sku, spec.name, metric.name)
             learned, state = learn_criteria_incremental(
                 samples, self.alpha, centroid=centroid,
-                contamination=self.contamination, backend=backend,
+                contamination=self.contamination, nonfinite=policy,
                 config=self.incremental,
                 mode="exact" if key in self._force_exact else "auto")
         self._store_criteria(spec, metric, learned, state, sku=sku)
@@ -376,7 +372,6 @@ class Validator:
         """
         started = time.perf_counter()
         sweep = [(spec, list(results)) for spec, results in sweep]
-        backend = get_backend(NONFINITE_REJECT)
         # Both keyed (spec position, result index, metric name).
         similarities: dict[tuple[int, int, str], float] = {}
         failures: dict[tuple[int, int, str], str] = {}
@@ -431,9 +426,11 @@ class Validator:
             block = max(1, _SCORE_BLOCK_ELEMENTS // (width + reference_width))
             for start in range(0, len(rows), block):
                 cells, samples, references = zip(*rows[start:start + block])
-                sims = backend.rowwise_similarities(
-                    np.sort(np.array(samples), axis=1), np.array(references),
-                    signed_direction=direction, assume_sorted=True)
+                observed = SortedSampleBatch.from_rows(
+                    np.sort(np.array(samples), axis=1))
+                sims = 1.0 - fastdist.batch_gap_integrals(
+                    observed, SortedSampleBatch.from_rows(np.array(references)),
+                    signed_direction=direction)
                 similarities.update(zip(cells, sims.tolist()))
 
         violations = []

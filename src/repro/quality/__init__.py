@@ -6,8 +6,8 @@ Three lines of defence between raw telemetry and fleet-wide verdicts:
    per-(benchmark, metric) plausibility schemas quarantine implausible
    samples with provenance records instead of raising.
 2. **Contamination-resistant learning** lives in
-   :mod:`repro.core.criteria` (trimmed medoid aggregation) and
-   :mod:`repro.core.fastdist` (explicit non-finite policies).
+   :mod:`repro.core.criteria`: trimmed medoid aggregation, and the
+   ``nonfinite="mask"`` policy that drops NaN/Inf inside a window.
 3. **Guarded criteria rollout** (:mod:`repro.quality.rollout`):
    shadow-evaluation of freshly learned criteria against the previous
    measurement window before activation, with journaled rollback.

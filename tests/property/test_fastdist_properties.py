@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import fastdist
-from repro.core.backend import pairwise_similarity_matrix
 from repro.core.distance import (
     one_sided_similarity,
     pairwise_similarity_matrix_reference,
@@ -17,6 +16,7 @@ from repro.core.distance import (
 from repro.core.fastdist import (
     SortedSampleBatch,
     one_vs_many_similarities,
+    pairwise_similarity_matrix,
 )
 
 TOL = 1e-9

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.backend import pairwise_similarity_matrix
+from repro.core import criteria as criteria_module
 from repro.core.criteria import CriteriaResult, learn_criteria, medoid_index
 from repro.core.distance import similarity
+from repro.core.fastdist import pairwise_similarity_matrix
 from repro.exceptions import CriteriaError
 
 
@@ -120,28 +121,17 @@ class TestLearnCriteria:
         assert result.defect_indices == (3,)
 
 
-class _CountingBackend:
-    """Delegating backend proxy that counts kernel entry points."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.pairwise_calls = 0
-        self.one_vs_many_calls = 0
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def pairwise_similarities(self, batch):
-        self.pairwise_calls += 1
-        return self._inner.pairwise_similarities(batch)
-
-    def one_vs_many_similarities(self, *args, **kwargs):
-        self.one_vs_many_calls += 1
-        return self._inner.one_vs_many_similarities(*args, **kwargs)
-
-
 class TestKernelCallReuse:
     """The pairwise matrix is computed once, not once per iteration."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        """Count the calls of one kernel :mod:`criteria` imports."""
+        calls = []
+        kernel = getattr(criteria_module, name)
+        monkeypatch.setattr(criteria_module, name, lambda *args, **kw:
+                            (calls.append(1), kernel(*args, **kw))[1])
+        return calls
 
     @staticmethod
     def _cascading_fleet():
@@ -153,25 +143,22 @@ class TestKernelCallReuse:
                 + [rng.normal(97.0, 1.0, 120) for _ in range(8)]
                 + [rng.normal(90.0, 1.0, 120) for _ in range(4)])
 
-    def test_medoid_learn_builds_matrix_exactly_once(self):
-        from repro.core.backend import default_backend
-
-        backend = _CountingBackend(default_backend())
-        result = learn_criteria(self._cascading_fleet(), 0.95,
-                                backend=backend)
+    def test_medoid_learn_builds_matrix_exactly_once(self, monkeypatch):
+        pairwise = self._count_calls(monkeypatch, "pairwise_similarities")
+        one_vs_many = self._count_calls(monkeypatch,
+                                        "one_vs_many_similarities")
+        result = learn_criteria(self._cascading_fleet(), 0.95)
         assert result.iterations >= 2  # the regression needs >1 iteration
-        assert backend.pairwise_calls == 1
+        assert len(pairwise) == 1
         # Medoid iterations re-score via matrix rows, not fresh kernels.
-        assert backend.one_vs_many_calls == 0
+        assert not one_vs_many
 
-    def test_hybrid_learn_builds_matrix_exactly_once(self):
-        from repro.core.backend import default_backend
-
-        backend = _CountingBackend(default_backend())
+    def test_hybrid_learn_builds_matrix_exactly_once(self, monkeypatch):
+        pairwise = self._count_calls(monkeypatch, "pairwise_similarities")
         result = learn_criteria(self._cascading_fleet(), 0.95,
-                                centroid="hybrid", backend=backend)
+                                centroid="hybrid")
         assert result.iterations >= 2
-        assert backend.pairwise_calls == 1
+        assert len(pairwise) == 1
 
 
 class TestQuarantineWarningOrigin:
@@ -180,12 +167,10 @@ class TestQuarantineWarningOrigin:
     def test_warning_blames_this_file_not_the_library(self):
         import warnings
 
-        from repro.core.backend import get_backend
-
         samples = [[1.0, 2.0, 3.0], [1.1, 2.1, 3.1], [np.nan, np.nan]]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            learn_criteria(samples, 0.9, backend=get_backend("mask"))
+            learn_criteria(samples, 0.9, nonfinite="mask")
         quarantine = [w for w in caught
                       if issubclass(w.category, RuntimeWarning)
                       and "unusable telemetry" in str(w.message)]
@@ -195,7 +180,6 @@ class TestQuarantineWarningOrigin:
     def test_incremental_warning_blames_this_file(self):
         import warnings
 
-        from repro.core.backend import get_backend
         from repro.core.incremental import (
             IncrementalConfig,
             learn_criteria_incremental,
@@ -207,7 +191,7 @@ class TestQuarantineWarningOrigin:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             learn_criteria_incremental(
-                samples, 0.95, backend=get_backend("mask"),
+                samples, 0.95, nonfinite="mask",
                 config=IncrementalConfig(exact_below=4))
         quarantine = [w for w in caught
                       if issubclass(w.category, RuntimeWarning)

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.backend import pairwise_similarity_matrix
 from repro.core.distance import (
     cdf_distance,
     one_sided_distance,
     one_sided_similarity,
     similarity,
 )
+from repro.core.fastdist import pairwise_similarity_matrix
 from repro.exceptions import InvalidSampleError
 
 
@@ -68,6 +68,21 @@ class TestSimilarity:
     def test_similarity_is_one_minus_distance(self):
         a, b = [90.0, 91.0], [100.0, 101.0]
         assert similarity(a, b) == pytest.approx(1.0 - cdf_distance(a, b))
+        assert one_sided_similarity(a, b) == pytest.approx(
+            1.0 - one_sided_distance(a, b))
+
+    def test_public_names_are_the_scalar_oracle(self):
+        import repro
+        import repro.core
+        from repro.core import distance, fastdist
+
+        for name in ("cdf_distance", "similarity", "one_sided_distance",
+                     "one_sided_similarity"):
+            assert getattr(repro.core, name) is getattr(distance, name)
+        assert repro.cdf_distance is distance.cdf_distance
+        assert repro.one_sided_similarity is distance.one_sided_similarity
+        assert (repro.core.pairwise_similarity_matrix
+                is fastdist.pairwise_similarity_matrix)
 
     def test_ten_percent_regression_similarity(self):
         assert similarity([90.0], [100.0]) == pytest.approx(0.9)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.benchsuite.runner import SuiteRunner
 from repro.core import fastdist
-from repro.core.backend import pairwise_similarity_matrix
 from repro.core.distance import (
     one_sided_similarity,
     pairwise_similarity_matrix_reference,
@@ -16,6 +15,7 @@ from repro.core.fastdist import (
     batch_gap_integrals,
     one_vs_many_similarities,
     pairwise_similarities,
+    pairwise_similarity_matrix,
 )
 from repro.core.validator import Validator
 from repro.exceptions import InvalidSampleError
@@ -34,6 +34,13 @@ class TestSortedSampleBatch:
         assert np.array_equal(batch.row(1), [5.0])
         assert list(batch.sizes) == [3, 1]
         assert batch.mins[1] == batch.maxs[1] == 5.0
+        # Presorted rows build the same batch without re-validation.
+        rows = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        for presorted in (SortedSampleBatch.from_sorted(list(rows)),
+                          SortedSampleBatch.from_rows(rows)):
+            assert np.array_equal(presorted.data, rows)
+            assert list(presorted.sizes) == [3, 3]
+            assert list(presorted.maxs) == [3.0, 6.0]
 
     def test_take_preserves_rows(self):
         batch = SortedSampleBatch.from_samples(
@@ -63,6 +70,9 @@ class TestDispatchPaths:
         got = pairwise_similarity_matrix(samples)
         want = pairwise_similarity_matrix_reference(samples)
         assert np.max(np.abs(got - want)) < 1e-9
+        # A prepared batch scores exactly like the raw samples.
+        batch = SortedSampleBatch.from_samples(samples)
+        assert np.array_equal(pairwise_similarity_matrix(batch), got)
 
     def test_numpy_path_matches_reference(self, monkeypatch):
         monkeypatch.setattr(
@@ -138,12 +148,22 @@ class TestDispatchPaths:
             want = [similarity(samples[i], samples[i + 1])
                     for i in range(batch.n - 1)]
             assert np.max(np.abs(got - np.array(want))) < 1e-9
+            if len({len(s) for s in samples}) == 1:
+                # Uniform presorted rows, the scoring and cycle-search
+                # shape, give the same numbers without a re-sort.
+                rows = np.sort(np.stack(samples), axis=1)
+                from_rows = 1.0 - batch_gap_integrals(
+                    SortedSampleBatch.from_rows(rows[:-1]),
+                    SortedSampleBatch.from_rows(rows[1:]))
+                assert np.array_equal(from_rows, got)
 
     def test_pairwise_similarities_diag_is_zero_distance(self):
-        batch = SortedSampleBatch.from_samples(self._fleet(seed=7, n=4))
-        sims = pairwise_similarities(batch)
-        assert np.allclose(np.diag(sims), 1.0)
-        assert np.allclose(sims, sims.T)
+        rng = np.random.default_rng(7)
+        ragged = [rng.normal(10, 1, size=k) for k in (3, 17, 8, 1)]
+        for samples in (self._fleet(seed=7, n=4), ragged):
+            sims = pairwise_similarities(SortedSampleBatch.from_samples(samples))
+            assert np.all(np.diag(sims) == 1.0)
+            assert np.allclose(sims, sims.T)
 
 
 class TestCriteriaCache:

@@ -90,17 +90,14 @@ class TestFullPathAgreement:
             result.criteria, np.sort(windows[result.centroid_index]))
 
     def test_dirty_windows_excluded_like_exact(self):
-        from repro.core.backend import get_backend
-
-        backend = get_backend("mask")
         windows = fleet_windows(n=100)
         windows[4] = np.full(160, np.nan)
         windows[9] = np.array([])
         with pytest.warns(RuntimeWarning):
-            exact = learn_criteria(windows, ALPHA, backend=backend)
+            exact = learn_criteria(windows, ALPHA, nonfinite="mask")
         with pytest.warns(RuntimeWarning):
             approx, _ = learn_criteria_incremental(windows, ALPHA,
-                                                   backend=backend,
+                                                   nonfinite="mask",
                                                    config=CONFIG)
         assert approx.excluded_indices == exact.excluded_indices == (4, 9)
         assert approx.defect_indices == exact.defect_indices

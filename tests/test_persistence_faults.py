@@ -201,17 +201,19 @@ class TestPersistenceHardening:
         with pytest.raises(CriteriaError):
             load_criteria(Validator(small_suite()), path)
 
-    def test_version_1_payload_still_loads(self, tmp_path):
+    def test_version_1_payload_rejected(self, tmp_path):
         import json
 
         from repro.core.persistence import criteria_payload
 
-        validator, nodes = trained_validator()
+        validator, _ = trained_validator()
         payload = criteria_payload(validator)
         legacy = {"version": 1, "entries": payload["entries"]}  # no checksum
         path = tmp_path / "criteria.json"
         path.write_text(json.dumps(legacy))
 
         fresh = Validator(small_suite(), runner=SuiteRunner(seed=0))
-        loaded = load_criteria(fresh, path)
-        assert loaded == len(validator.criteria)
+        with pytest.raises(CriteriaError,
+                           match="unsupported criteria file version"):
+            load_criteria(fresh, path)
+        assert not fresh.criteria

@@ -9,10 +9,10 @@ import pytest
 from repro.benchsuite.base import BenchmarkResult
 from repro.benchsuite.runner import SuiteRunner
 from repro.benchsuite.suite import suite_by_name
-from repro.core.backend import get_backend, pairwise_similarity_matrix
 from repro.core.criteria import learn_criteria, medoid_index
 from repro.core.ecdf import as_sample
-from repro.core.fastdist import SortedSampleBatch
+from repro.core.incremental import learn_criteria_incremental
+from repro.core.fastdist import SortedSampleBatch, pairwise_similarity_matrix
 from repro.core.validator import Validator
 from repro.exceptions import CriteriaError, InvalidSampleError
 from repro.hardware.node import Node
@@ -86,6 +86,14 @@ class TestTrimmedMedoid:
 
 
 class TestNonFiniteLearning:
+    def test_unknown_policy_rejected_by_both_learners(self):
+        # Any string but "reject" would otherwise take the mask branch.
+        samples = healthy_fleet()
+        with pytest.raises(CriteriaError, match="nonfinite policy"):
+            learn_criteria(samples, 0.95, nonfinite="ignore")
+        with pytest.raises(CriteriaError, match="nonfinite policy"):
+            learn_criteria_incremental(samples, 0.95, nonfinite="ignore")
+
     def test_masked_learning_matches_clean_learning(self):
         clean = healthy_fleet()
         dirty = [s.copy() for s in clean]
@@ -93,20 +101,20 @@ class TestNonFiniteLearning:
         a = learn_criteria(clean, 0.95)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            b = learn_criteria(dirty, 0.95, backend=get_backend("mask"))
+            b = learn_criteria(dirty, 0.95, nonfinite="mask")
         np.testing.assert_allclose(np.sort(a.criteria), np.sort(b.criteria))
 
     def test_masking_warns(self):
         dirty = healthy_fleet()
         dirty[0][0] = np.nan
         with pytest.warns(RuntimeWarning, match="non-finite"):
-            learn_criteria(dirty, 0.95, backend=get_backend("mask"))
+            learn_criteria(dirty, 0.95, nonfinite="mask")
 
     def test_fully_dead_window_excluded_not_fatal(self):
         samples = healthy_fleet() + [np.full(24, np.nan)]
         with pytest.warns(RuntimeWarning):
             learned = learn_criteria(samples, 0.95,
-                                     backend=get_backend("mask"))
+                                     nonfinite="mask")
         assert learned.excluded_indices == (len(samples) - 1,)
         assert learned.similarities[-1] == 0.0
 
@@ -114,7 +122,7 @@ class TestNonFiniteLearning:
         samples = healthy_fleet()
         samples[0][0] = np.nan
         with pytest.raises(InvalidSampleError):
-            learn_criteria(samples, 0.95, backend=get_backend("reject"))
+            learn_criteria(samples, 0.95, nonfinite="reject")
 
 
 class TestFleetWideAbortRegression:

@@ -394,7 +394,7 @@ class TestPersistenceNamespaces:
         for key, restored in fresh.criteria.items():
             assert restored.sku == key[0]
 
-    def test_pre_sku_payload_restores_into_unknown(self):
+    def test_pre_sku_payload_rejected(self):
         validator = self._trained()
         payload = criteria_payload(validator)
         # Strip the SKU axis and drop to the pre-SKU format version,
@@ -412,9 +412,10 @@ class TestPersistenceNamespaces:
         legacy = {"version": 2, "entries": entries,
                   "checksum": zlib.crc32(canonical.encode())}
         fresh = Validator(small_suite())
-        loaded = apply_criteria_payload(fresh, legacy, source="<legacy>")
-        assert loaded == len(entries)
-        assert {key[0] for key in fresh.criteria} == {"unknown"}
+        with pytest.raises(CriteriaError,
+                           match="unsupported criteria file version"):
+            apply_criteria_payload(fresh, legacy, source="<legacy>")
+        assert not fresh.criteria
 
 
 class TestPerSkuSanitization:

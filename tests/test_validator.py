@@ -18,7 +18,6 @@ from repro.benchsuite.runner import SuiteRunner
 from repro.benchsuite.suite import full_suite
 from repro.core import distance, fastdist
 from repro.core import validator as validator_module
-from repro.core.backend import ScalarBackend
 from repro.core.ecdf import as_sample
 from repro.core.validator import ValidationReport, Validator, Violation
 from repro.exceptions import CriteriaError, SkuMismatchError
@@ -352,7 +351,6 @@ class TestPhaseScoring:
 
     def test_equals_a_per_spec_loop_and_the_scalar_oracle(self, learned):
         _suite, _nodes, validator = learned
-        oracle = ScalarBackend()
         dirty_seen = set()
         for phase in self.phases(learned):
             swept = validator.check_sweep(phase)
@@ -385,7 +383,7 @@ class TestPhaseScoring:
                             continue
                         criteria = validator.criteria[
                             (result.sku, spec.name, metric.name)]
-                        expected = oracle.one_sided_similarity(
+                        expected = distance.one_sided_similarity(
                             window.values, criteria.criteria,
                             higher_is_better=metric.higher_is_better)
                         assert verdict.reason == "below-threshold"
