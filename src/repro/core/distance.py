@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.ecdf import as_sample
+from repro.core.ecdf import as_sample, flush_subnormal
 
 __all__ = [
     "cdf_distance",
@@ -76,6 +76,7 @@ def _cdf_gap_integral(sample_a, sample_b, *, signed_direction: int,
     else:
         a = np.sort(as_sample(sample_a))
         b = np.sort(as_sample(sample_b))
+    a, b = flush_subnormal(a), flush_subnormal(b)
 
     # Breakpoints of the piecewise-constant CDFs.
     xs = np.union1d(a, b)

@@ -16,7 +16,12 @@ import numpy as np
 
 from repro.exceptions import InvalidSampleError
 
-__all__ = ["Ecdf", "as_sample"]
+__all__ = ["Ecdf", "as_sample", "flush_subnormal"]
+
+#: Smallest positive normal float64.  Below it a value keeps no relative
+#: precision, so a sample lying wholly within ``(-TINY, TINY)`` has gap
+#: integrals that round to nothing.
+TINY = float(np.finfo(float).tiny)
 
 
 def as_sample(values, *, nonfinite: str = "reject") -> np.ndarray:
@@ -50,6 +55,23 @@ def as_sample(values, *, nonfinite: str = "reject") -> np.ndarray:
             raise InvalidSampleError(
                 "benchmark sample is entirely non-finite")
     return arr
+
+
+def flush_subnormal(sorted_sample: np.ndarray) -> np.ndarray:
+    """``sorted_sample`` as zeros when all of it lies below :data:`TINY`.
+
+    Eq. (2) is scale-free, but a pair whose union support spans less
+    than the smallest normal float has integrals and spans made of a
+    few subnormal units: the scalar path read ``[-5e-324]`` vs ``[0,
+    -5e-324]`` as distance 0 and the batch kernels as 1.  Such a sample
+    is scored as all zeros by both.  A sample with any normal-magnitude
+    value is returned as is; its span is at least :data:`TINY`, which
+    keeps the rounding of its integrals at float64 epsilon.
+    """
+    lo, hi = sorted_sample[0], sorted_sample[-1]
+    if -TINY < lo and hi < TINY and (lo != 0.0 or hi != 0.0):
+        return np.zeros_like(sorted_sample)
+    return sorted_sample
 
 
 @dataclass(frozen=True)

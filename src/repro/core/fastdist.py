@@ -73,7 +73,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core import _cmerge
-from repro.core.ecdf import as_sample
+from repro.core.ecdf import TINY, as_sample, flush_subnormal
 from repro.exceptions import InvalidSampleError
 
 __all__ = [
@@ -147,13 +147,14 @@ class SortedSampleBatch:
         data = np.full((n, width), _PAD)
         for i, arr in enumerate(sorted_arrays):
             data[i, :arr.size] = arr
-        return cls(data, sizes)
+        return cls(_flush_subnormal_rows(data, sizes), sizes)
 
     @classmethod
     def from_rows(cls, rows: np.ndarray) -> "SortedSampleBatch":
         """Wrap a uniform 2-D array of sorted, validated rows, without copies."""
         rows = np.asarray(rows, dtype=float)
-        return cls(rows, np.full(rows.shape[0], rows.shape[1], dtype=np.intp))
+        sizes = np.full(rows.shape[0], rows.shape[1], dtype=np.intp)
+        return cls(_flush_subnormal_rows(rows, sizes), sizes)
 
     @property
     def n(self) -> int:
@@ -173,6 +174,25 @@ class SortedSampleBatch:
         """Sub-batch of the given rows (no re-sort, no re-validation)."""
         indices = np.asarray(indices, dtype=np.intp)
         return SortedSampleBatch(self.data[indices], self.sizes[indices])
+
+
+def _flush_subnormal_rows(data: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """:func:`~repro.core.ecdf.flush_subnormal` applied to every row.
+
+    Returns ``data`` itself unless some row lies wholly below ``TINY``;
+    then a copy with those rows zeroed (padding kept).
+    """
+    if data.size == 0:
+        return data
+    lo = data[:, 0]
+    hi = data[np.arange(data.shape[0]), sizes - 1]
+    flush = (-TINY < lo) & (hi < TINY) & ((lo != 0.0) | (hi != 0.0))
+    if not flush.any():
+        return data
+    data = data.copy()
+    for i in np.flatnonzero(flush):
+        data[i, :sizes[i]] = 0.0
+    return data
 
 
 def _normalize(integrals, a_mins, a_maxs, b_mins, b_maxs) -> np.ndarray:
@@ -424,7 +444,7 @@ def batch_gap_integrals(batch_a: SortedSampleBatch, batch_b: SortedSampleBatch,
 def _as_reference(reference, assume_sorted: bool,
                   nonfinite: str = "reject") -> np.ndarray:
     ref = as_sample(reference, nonfinite=nonfinite)
-    return ref if assume_sorted else np.sort(ref)
+    return flush_subnormal(ref if assume_sorted else np.sort(ref))
 
 
 def one_vs_many_distances(batch: SortedSampleBatch, reference, *,

@@ -6,6 +6,7 @@ import pytest
 from repro.benchsuite.runner import SuiteRunner
 from repro.core import fastdist
 from repro.core.distance import (
+    cdf_distance,
     one_sided_similarity,
     pairwise_similarity_matrix_reference,
     similarity,
@@ -156,6 +157,34 @@ class TestDispatchPaths:
                     SortedSampleBatch.from_rows(rows[:-1]),
                     SortedSampleBatch.from_rows(rows[1:]))
                 assert np.array_equal(from_rows, got)
+
+    def test_subnormal_samples_agree_with_scalar(self):
+        d = 5e-324
+        samples = [np.array([-d]), np.array([0.0, -d]), np.array([3 * d]),
+                   np.array([0.0, 1e-310, 2.0])]
+        want = pairwise_similarity_matrix_reference(samples)
+        # Wholly-subnormal samples score as zeros; a sample with a
+        # normal value keeps its subnormal entries.
+        assert want[0, 1] == want[1, 2] == 1.0
+        assert want[0, 3] < 1.0
+        got = pairwise_similarity_matrix(samples)
+        assert np.max(np.abs(got - want)) < 1e-9
+        uniform = [np.array([-d, 0.0]), np.array([0.0, 2 * d])]
+        np.testing.assert_array_equal(pairwise_similarity_matrix(uniform),
+                                      np.ones((2, 2)))
+        for assume_sorted in (False, True):
+            sims = one_vs_many_similarities(
+                SortedSampleBatch.from_samples(samples), np.array([0.0, d]),
+                assume_sorted=assume_sorted)
+            loop = [similarity(s, [0.0, d]) for s in samples]
+            assert np.max(np.abs(sims - np.array(loop))) < 1e-9
+        rows = np.array([[-d, 0.0], [0.0, 1.0]])
+        batch = SortedSampleBatch.from_rows(rows)
+        np.testing.assert_array_equal(batch.data, [[0.0, 0.0], [0.0, 1.0]])
+        assert rows[0, 0] == -d  # the caller's rows are not written
+        np.testing.assert_array_equal(
+            batch_gap_integrals(batch, SortedSampleBatch.from_rows(rows[::-1])),
+            [cdf_distance(rows[0], rows[1])] * 2)
 
     def test_pairwise_similarities_diag_is_zero_distance(self):
         rng = np.random.default_rng(7)
