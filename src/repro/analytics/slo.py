@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+from repro.service.queue import ServiceMetrics
 from repro.service.store import JournalRecord, RecordKind
 
 __all__ = [
@@ -107,9 +108,17 @@ class Reducer:
 class ServiceCountersReducer(Reducer):
     """Fleet-level throughput and latency counters.
 
-    Aggregates what the control plane's :class:`ServiceMetrics` tracks
-    in memory, but derived purely from the journal -- so it survives
-    restarts and counts exactly what was durably recorded.
+    The control plane's :class:`~repro.service.queue.ServiceMetrics`,
+    derived purely from the journal -- so it survives restarts and
+    counts exactly what was durably recorded -- with completions
+    counted by the service's own rule
+    (:meth:`~repro.service.queue.ServiceMetrics.count_completed`).  A
+    ``checkpoint`` carries those metrics, so at one they start over from
+    its ``metrics`` (as the availability and DLQ sections start over
+    from its states and dead letters): a compacted journal reports what
+    the service counted.  The counters no checkpoint carries stay
+    counts of the records read: enqueued, by kind, coalesced, failed
+    and criteria snapshots.
 
     In the routed fold every record this reducer reads still enters
     through :meth:`consume` (see :meth:`handlers`), so ``consume`` stays
@@ -120,27 +129,21 @@ class ServiceCountersReducer(Reducer):
     HANDLERS = {
         RecordKind.EVENT_ENQUEUED: "_enqueued",
         RecordKind.EVENT_COMPLETED: "_completed",
+        RecordKind.EVENT_DEAD_LETTERED: "_dead_lettered",
+        RecordKind.CHECKPOINT: "_checkpoint",
         **dict.fromkeys((RecordKind.EVENT_COALESCED, RecordKind.EVENT_FAILED,
-                         RecordKind.EVENT_DEAD_LETTERED,
                          RecordKind.CRITERIA_SNAPSHOT), "_count"),
     }
 
     def __init__(self) -> None:
         self.events_enqueued = 0
-        self.events_completed = 0
         #: Records of each kind that is only counted.  Criteria
         #: snapshots count criteria *changes*: a snapshot is journaled
         #: only when its content differs from the previous one, and a
         #: compacted journal opens with the one in force.
         self.counts: Counter[str] = Counter()
-        self.policy_skips = 0
-        self.validations_run = 0
-        self.nodes_validated = 0
-        self.nodes_quarantined = 0
         self.by_kind: Counter[str] = Counter()
-        self.queue_latency_total = 0.0
-        self.queue_latency_max = 0.0
-        self.validation_seconds_total = 0.0
+        self.metrics = ServiceMetrics()
 
     def handlers(self) -> dict:
         return dict.fromkeys(self.HANDLERS, self.consume)
@@ -154,41 +157,34 @@ class ServiceCountersReducer(Reducer):
         self.counts[record.kind] += 1
 
     def _completed(self, record: JournalRecord) -> None:
-        payload = record.payload
-        self.events_completed += 1
-        latency = float(payload.get("queue_latency_seconds", 0.0))
-        self.queue_latency_total += latency
-        self.queue_latency_max = max(self.queue_latency_max, latency)
-        if payload.get("skipped", False):
-            self.policy_skips += 1
-        else:
-            self.validations_run += 1
-            self.nodes_validated += len(payload.get("validated_nodes", []))
-            self.nodes_quarantined += len(payload.get("defective", []))
-            self.validation_seconds_total += float(
-                payload.get("validation_seconds", 0.0))
+        self.metrics.count_completed(record.payload)
+
+    def _dead_lettered(self, record: JournalRecord) -> None:
+        self.metrics.events_dead_lettered += 1
+
+    def _checkpoint(self, record: JournalRecord) -> None:
+        metrics = record.payload.get("metrics")
+        if metrics is not None:
+            self.metrics = ServiceMetrics.from_payload(metrics)
 
     def result(self) -> dict:
-        completed = max(self.events_completed, 1)
+        metrics = self.metrics
         return {
             "events_enqueued": self.events_enqueued,
             "events_coalesced": self.counts[RecordKind.EVENT_COALESCED],
-            "events_completed": self.events_completed,
+            "events_completed": metrics.events_processed,
             "events_failed": self.counts[RecordKind.EVENT_FAILED],
-            "events_dead_lettered": self.counts[
-                RecordKind.EVENT_DEAD_LETTERED],
+            "events_dead_lettered": metrics.events_dead_lettered,
             "events_by_kind": dict(sorted(self.by_kind.items())),
-            "policy_skips": self.policy_skips,
-            "validations_run": self.validations_run,
-            "nodes_validated": self.nodes_validated,
-            "nodes_quarantined": self.nodes_quarantined,
-            "defect_rate": _round(
-                self.nodes_quarantined / max(self.nodes_validated, 1)),
+            "policy_skips": metrics.policy_skips,
+            "validations_run": metrics.validations_run,
+            "nodes_validated": metrics.nodes_validated,
+            "nodes_quarantined": metrics.nodes_quarantined,
+            "defect_rate": _round(metrics.defect_rate),
             "criteria_snapshots": self.counts[RecordKind.CRITERIA_SNAPSHOT],
-            "queue_latency_mean_s": _round(
-                self.queue_latency_total / completed),
-            "queue_latency_max_s": _round(self.queue_latency_max),
-            "validation_total_s": _round(self.validation_seconds_total),
+            "queue_latency_mean_s": _round(metrics.queue_latency.mean),
+            "queue_latency_max_s": _round(metrics.queue_latency.peak),
+            "validation_total_s": _round(metrics.validation.total),
         }
 
 

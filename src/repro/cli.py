@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "re-learn after the event stream, so the "
                             "per-path learn stages (learn-exact/full) show "
                             "up in the pipeline stats and the journal "
-                            "report")
+                            "report (not with --processes)")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--chaos-seed", type=int, default=None, metavar="SEED",
                        help="install the seeded chaos harness (executor "
@@ -329,6 +329,11 @@ def _cmd_serve(args) -> int:
         print("error: --processes requires --journal (dead workers are "
               "recovered from their journals)", file=sys.stderr)
         return 2
+    if args.processes and args.incremental_criteria:
+        print("error: --incremental-criteria does not run with --processes "
+              "(workers load the parent's criteria and never re-learn)",
+              file=sys.stderr)
+        return 2
     if args.shards < 1:
         print("error: --shards must be positive", file=sys.stderr)
         return 2
@@ -404,7 +409,7 @@ def _cmd_serve(args) -> int:
                                       duration_hours=duration))
 
     if args.processes:
-        return _serve_processes(args, validator, events)
+        return _serve_processes(args, validator, events, sku_mix)
 
     # Approximate criteria only ever go live through the shadow-
     # evaluation gate, so the incremental engine always brings the
@@ -570,7 +575,7 @@ def _restore_drain_handlers(previous) -> None:
         signal.signal(signum, handler)
 
 
-def _serve_processes(args, validator, events) -> int:
+def _serve_processes(args, validator, events, sku_mix) -> int:
     """``serve --processes``: the OS-process shard fabric end to end.
 
     The parent learns criteria once (already done by the caller) and
@@ -582,6 +587,7 @@ def _serve_processes(args, validator, events) -> int:
     """
     from pathlib import Path
 
+    from repro.analytics.report import kv_table
     from repro.core.persistence import save_criteria
     from repro.service import ChaosPlan, ProcessFabric, SupervisorConfig
 
@@ -597,6 +603,7 @@ def _serve_processes(args, validator, events) -> int:
     builder_args = {
         "fleet_size": args.nodes,
         "fleet_seed": args.seed,
+        "sku_mix": sku_mix,
         "suite": None,
         "runner_seed": args.seed,
         "criteria_path": str(criteria_path),
@@ -626,7 +633,7 @@ def _serve_processes(args, validator, events) -> int:
             fabric.submit(event)
             submitted += 1
         results = fabric.drain()
-        summary = fabric.summary()
+        counters = fabric.metrics.summary()
         # The run-complete shutdown (seal RPC to every worker) happens
         # inside the handler-covered region: a signal landing after
         # the drain but before the seals would otherwise kill the
@@ -636,11 +643,7 @@ def _serve_processes(args, validator, events) -> int:
                               for n in r["quarantined"]})
         print(f"\nprocessed {len(results)} events across {args.shards} "
               f"worker processes\n")
-        for key in ("shard_restarts", "shard_crashes", "rpc_timeouts",
-                    "watchdog_trips", "shards_degraded",
-                    "events_failed_over", "handoffs_reconciled",
-                    "deliveries_deduped"):
-            print(f"  {key:<22} {summary[key]:6d}")
+        print(kv_table(counters))
         if quarantined:
             print(f"\nquarantined this run: {', '.join(quarantined)}")
         clean = sum(1 for ok in sealed.values() if ok)

@@ -60,7 +60,6 @@ _EXPORTS = {
     "seasonal_decompose": "paramsearch",
     "tune_window_across_nodes": "paramsearch",
     # repeatability
-    "criteria_repeatability": "repeatability",
     "pairwise_repeatability": "repeatability",
     # selection
     "CoverageTable": "selection",

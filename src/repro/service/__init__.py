@@ -7,7 +7,8 @@ around the in-process facade:
 ``repro.service.queue``
     Risk-prioritized, coalescing event queue with a dead-letter side
     for poison events; :class:`JournalState`, the one fold of journal
-    records into service state, and the checkpoint format.
+    records into service state, and the checkpoint format;
+    :class:`ServiceMetrics`, the service's counters.
 ``repro.service.pool``
     Parallel benchmark executor with timeouts, retries, crash
     isolation and per-benchmark circuit breakers.
@@ -53,7 +54,6 @@ from repro.service.chaos import (
 )
 from repro.service.controlplane import (
     ServiceConfig,
-    ServiceMetrics,
     TickResult,
     ValidationService,
 )
@@ -86,6 +86,7 @@ from repro.service.queue import (
     EventQueue,
     JournalState,
     QueuedEvent,
+    ServiceMetrics,
 )
 from repro.service.shard import HashRing, Shard, ShardState
 from repro.service.store import (

@@ -56,7 +56,7 @@ attributes are its (and any test's) seams into the loop.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.persistence import (
     criteria_fingerprint,
@@ -76,13 +76,11 @@ from repro.quality.rollout import RolloutDecision, evaluate_rollout
 from repro.service.lifecycle import FlapDamper, NodeLifecycle, NodeState
 from repro.service.pool import PoolConfig, ValidationPool
 from repro.service.queue import (
-    AGGREGATE_FIELDS,
-    COUNTER_FIELDS,
-    Aggregate,
     DeadLetter,
     EventQueue,
     JournalState,
     QueuedEvent,
+    ServiceMetrics,
 )
 from repro.service.store import JournalStore, RecordKind
 
@@ -111,13 +109,6 @@ _REPAIR_PIPELINE = (
 
 _REPAIR_STATES = frozenset(current for current, _target, _reason
                            in _REPAIR_PIPELINE)
-
-#: Counters no journal record moves: the fold restores them from the
-#: checkpoint it starts at (0 without one), so a later checkpoint
-#: carries them at that value too, not at the running service's.
-_LIVE_ONLY_FIELDS = ("events_submitted", "events_coalesced",
-                     "tick_failures", "repair_failures")
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -199,60 +190,6 @@ class ServiceConfig:
             multiplier=self.flap_multiplier,
             max_holddown_ticks=self.flap_max_holddown_ticks,
         )
-
-
-@dataclass
-class ServiceMetrics:
-    """Aggregate per-event service statistics."""
-
-    events_submitted: int = 0
-    events_coalesced: int = 0
-    events_processed: int = 0
-    policy_skips: int = 0
-    validations_run: int = 0
-    nodes_validated: int = 0
-    nodes_quarantined: int = 0
-    tick_failures: int = 0
-    events_dead_lettered: int = 0
-    repair_failures: int = 0
-    events_shed: int = 0
-    journal_compactions: int = 0
-    #: Queue latency (submit to pop) of every completed event.
-    queue_latency: Aggregate = field(default_factory=Aggregate)
-    #: Validation wall-clock of every event that ran validation.
-    validation: Aggregate = field(default_factory=Aggregate)
-
-    @property
-    def defect_rate(self) -> float:
-        """Quarantined node-slots per validated node-slot."""
-        return self.nodes_quarantined / max(self.nodes_validated, 1)
-
-    def summary(self) -> dict:
-        return {
-            "events_submitted": self.events_submitted,
-            "events_coalesced": self.events_coalesced,
-            "events_processed": self.events_processed,
-            "policy_skips": self.policy_skips,
-            "validations_run": self.validations_run,
-            "nodes_validated": self.nodes_validated,
-            "nodes_quarantined": self.nodes_quarantined,
-            "tick_failures": self.tick_failures,
-            "events_dead_lettered": self.events_dead_lettered,
-            "repair_failures": self.repair_failures,
-            "events_shed": self.events_shed,
-            "journal_compactions": self.journal_compactions,
-            "defect_rate": self.defect_rate,
-            "queue_latency_mean_s": self.queue_latency.mean,
-            "queue_latency_max_s": self.queue_latency.peak,
-            "validation_mean_s": self.validation.mean,
-            "validation_total_s": self.validation.total,
-        }
-
-    def format_table(self) -> str:
-        # Function-level import: analytics sits above the service layer
-        # in the import graph (analytics.reader imports service.store).
-        from repro.analytics.report import kv_table
-        return kv_table(self.summary())
 
 
 @dataclass
@@ -355,8 +292,9 @@ class ValidationService:
         self._coverage: dict[str, set[str]] = {}
         #: Seq of this journal's newest checkpoint (0: none yet).
         self._checkpoint_seq = 0
-        #: :data:`_LIVE_ONLY_FIELDS` as replay would restore them.
-        self._live_only_base = dict.fromkeys(_LIVE_ONLY_FIELDS, 0)
+        #: :meth:`ServiceMetrics.unrecorded` as folding the journal
+        #: restores them: the newest checkpoint's.
+        self._unrecorded_base = self.metrics.unrecorded()
         #: An event was parked but its dead-letter record never reached
         #: the journal; checkpoints stop until a restart re-reads it.
         self._unrecorded_park = False
@@ -562,7 +500,6 @@ class ValidationService:
                                      reason="selector-skip")
             outcome = ValidationOutcome(event=event, selection=plan.selection,
                                         report=None)
-            self.metrics.policy_skips += 1
         else:
             for node in eligible:
                 if self.lifecycle.state(node.node_id) is NodeState.HEALTHY:
@@ -594,15 +531,8 @@ class ValidationService:
                 else:
                     self._transition(node.node_id, NodeState.HEALTHY,
                                      reason="validation-passed")
-            self.metrics.validations_run += 1
-            self.metrics.nodes_validated += len(eligible)
-            self.metrics.nodes_quarantined += len(quarantined)
-            self.metrics.validation.add(validation_seconds)
 
-        self.anubis.record(outcome)
-        self.metrics.events_processed += 1
-        self.metrics.queue_latency.add(queue_latency)
-        self._journal(RecordKind.EVENT_COMPLETED, {
+        completed = {
             "event_id": entry.event_id,
             "kind": event.kind.value,
             "duration_hours": event.duration_hours,
@@ -619,7 +549,12 @@ class ValidationService:
             "short_circuited": short_circuited,
             "queue_latency_seconds": queue_latency,
             "validation_seconds": validation_seconds,
-        })
+        }
+        self._journal(RecordKind.EVENT_COMPLETED, completed)
+        # Counted from the record, once it is journaled: a refused
+        # append fails the tick and the retry counts the event once.
+        self.metrics.count_completed(completed)
+        self.anubis.record(outcome)
         self._completed_since_snapshot += 1
         self._completed_since_compaction += 1
         if (self.config.compact_every is not None
@@ -918,16 +853,14 @@ class ValidationService:
         records.append((RecordKind.PIPELINE_STATS,
                         {"stages": self.anubis.pipeline_stats()}))
         # No record precedes this checkpoint, so the fold restores the
-        # live-only counters to the values it carries: the live ones.
-        live_only = {name: getattr(self.metrics, name)
-                     for name in _LIVE_ONLY_FIELDS}
-        state.metrics.update(live_only)
+        # unrecorded counters to the values it carries: the live ones.
+        state.metrics = self.metrics
         records.append((RecordKind.CHECKPOINT, state.to_payload()))
         count = self.store.rewrite(records)
         self._checkpoint_seq = count      # the checkpoint is the last record
         self.metrics.journal_compactions += 1
         self._journaled_criteria = state.criteria
-        self._live_only_base = live_only
+        self._unrecorded_base = self.metrics.unrecorded()
         self._unrecorded_park = False     # the checkpoint holds every park
         self._completed_since_snapshot = 0
         self._completed_since_compaction = 0
@@ -950,9 +883,7 @@ class ValidationService:
             flap_counts=self.damper.flap_counts(),
             dead_letters=[letter.to_payload()
                           for letter in self.queue.dead_letters()],
-            metrics={**{name: getattr(self.metrics, name)
-                        for name in COUNTER_FIELDS + AGGREGATE_FIELDS},
-                     **self._live_only_base},
+            metrics=replace(self.metrics, **self._unrecorded_base),
             coverage=self._coverage,
             criteria=self._journaled_criteria)
 
@@ -1085,10 +1016,8 @@ class ValidationService:
         """Take on ``state``, folded from the journal at ``offset``."""
         self.lifecycle.restore(state.states)
         self.damper.restore(state.flap_counts)
-        for name, value in state.metrics.items():
-            setattr(self.metrics, name, value)
-        self._live_only_base = {name: state.metrics[name]
-                                for name in _LIVE_ONLY_FIELDS}
+        self.metrics = state.metrics
+        self._unrecorded_base = state.metrics.unrecorded()
         for letter in state.dead_letters:
             self.queue.dead_letter(
                 QueuedEvent.from_payload(letter, self.fleet_index),

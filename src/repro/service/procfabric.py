@@ -227,19 +227,32 @@ def _resolve_builder(ref: str):
     return target
 
 
+#: The keys :func:`default_builder` reads.
+_BUILDER_KEYS = frozenset({
+    "fleet_size", "fleet_seed", "sku_mix", "suite", "runner_seed",
+    "criteria_path", "learn_on", "trace_nodes", "trace_hours", "trace_seed",
+    "p0", "pool", "service"})
+
+
 def default_builder(args: dict):
     """Build ``(anubis, nodes, service_config)`` from plain JSON knobs.
 
     The stock builder the CLI, benchmarks and tests parameterize
     instead of shipping code across the process boundary.  Recognized
-    keys (all optional): ``fleet_size``/``fleet_seed``, ``suite`` (a
+    keys (all optional): ``fleet_size``/``fleet_seed``/``sku_mix`` (as
+    :func:`~repro.hardware.fleet.build_fleet` takes them), ``suite`` (a
     list of benchmark names; ``None`` means the full suite),
     ``runner_seed``, ``criteria_path`` (pre-learned criteria JSON --
     loading beats re-learning in every worker) or ``learn_on``,
     ``trace_nodes``/``trace_hours``/``trace_seed``, ``p0``, ``pool``
     (a :class:`~repro.service.pool.PoolConfig` kwargs dict) and
-    ``service`` (extra :class:`ServiceConfig` kwargs).
+    ``service`` (extra :class:`ServiceConfig` kwargs).  Any other key
+    raises :class:`ServiceError`: a knob the workers ignored would
+    build another fleet than the parent's.
     """
+    unknown = sorted(set(args) - _BUILDER_KEYS)
+    if unknown:
+        raise ServiceError(f"default_builder: unknown keys {unknown}")
     from repro.benchsuite.runner import SuiteRunner
     from repro.benchsuite.suite import full_suite, suite_by_name
     from repro.core.persistence import load_criteria
@@ -254,7 +267,8 @@ def default_builder(args: dict):
     from repro.survival.exponential import ExponentialModel
 
     fleet = build_fleet(int(args.get("fleet_size", 12)),
-                        seed=int(args.get("fleet_seed", 5)))
+                        seed=int(args.get("fleet_seed", 5)),
+                        sku_mix=args.get("sku_mix"))
     names = args.get("suite")
     suite = (full_suite() if names is None
              else tuple(suite_by_name(name) for name in names))

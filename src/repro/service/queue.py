@@ -33,7 +33,7 @@ import itertools
 import json
 import sys
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from repro.service.lifecycle import NodeState
 from repro.service.store import RecordKind
 
 __all__ = ["QueuedEvent", "DeadLetter", "EventQueue", "Aggregate",
-           "JournalState", "COUNTER_FIELDS", "AGGREGATE_FIELDS",
+           "ServiceMetrics", "JournalState",
            "as_origin", "encode_origins", "decode_origins",
            "pack_entries", "unpack_entries"]
 
@@ -441,16 +441,102 @@ class Aggregate:
         return cls(int(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
 
 
-#: ``ServiceMetrics`` counters and :class:`Aggregate` fields a
-#: :class:`JournalState` holds.
-COUNTER_FIELDS = (
-    "events_submitted", "events_coalesced", "events_processed",
-    "policy_skips", "validations_run", "nodes_validated",
-    "nodes_quarantined", "tick_failures", "events_dead_lettered",
-    "repair_failures", "events_shed",
-)
+#: :class:`ServiceMetrics` field metadata of a counter no journal record
+#: moves: folding a journal holds it at the value of the checkpoint the
+#: fold starts from (0 without one).
+_UNRECORDED = {"unrecorded": True}
 
-AGGREGATE_FIELDS = ("queue_latency", "validation")
+
+@dataclass
+class ServiceMetrics:
+    """A service's per-event statistics.
+
+    One type for the running service's counters, the journal fold's
+    (:attr:`JournalState.metrics`), a checkpoint's ``metrics``
+    (:meth:`to_payload`) and the fleet report's service section.  A
+    completion counts through :meth:`count_completed`, from the record
+    journaled for it, so the live counters and the fold agree.
+    ``journal_compactions`` is the running service's alone: no
+    checkpoint carries it.
+    """
+
+    events_submitted: int = field(default=0, metadata=_UNRECORDED)
+    events_coalesced: int = field(default=0, metadata=_UNRECORDED)
+    events_processed: int = 0
+    policy_skips: int = 0
+    validations_run: int = 0
+    nodes_validated: int = 0
+    nodes_quarantined: int = 0
+    tick_failures: int = field(default=0, metadata=_UNRECORDED)
+    events_dead_lettered: int = 0
+    repair_failures: int = field(default=0, metadata=_UNRECORDED)
+    events_shed: int = 0
+    journal_compactions: int = 0
+    #: Queue latency (submit to pop) of every completed event.
+    queue_latency: Aggregate = field(default_factory=Aggregate)
+    #: Validation wall-clock of every event that ran validation.
+    validation: Aggregate = field(default_factory=Aggregate)
+
+    def count_completed(self, payload: dict) -> None:
+        """Count one ``event-completed`` record's payload: the one rule
+        for what a completed event counts."""
+        self.events_processed += 1
+        self.queue_latency.add(
+            float(payload.get("queue_latency_seconds", 0.0)))
+        if payload.get("skipped", False):
+            self.policy_skips += 1
+            return
+        self.validations_run += 1
+        self.nodes_validated += len(payload.get("validated_nodes", []))
+        self.nodes_quarantined += len(payload.get("defective", []))
+        self.validation.add(float(payload.get("validation_seconds", 0.0)))
+
+    @property
+    def defect_rate(self) -> float:
+        """Quarantined node-slots per validated node-slot."""
+        return self.nodes_quarantined / max(self.nodes_validated, 1)
+
+    def summary(self) -> dict:
+        """Every counter by name, then the defect rate and the
+        aggregates' means, peak and total."""
+        return {
+            **{name: value for name, value in vars(self).items()
+               if not isinstance(value, Aggregate)},
+            "defect_rate": self.defect_rate,
+            "queue_latency_mean_s": self.queue_latency.mean,
+            "queue_latency_max_s": self.queue_latency.peak,
+            "validation_mean_s": self.validation.mean,
+            "validation_total_s": self.validation.total,
+        }
+
+    def format_table(self) -> str:
+        # Function-level import: analytics sits above the service layer
+        # in the import graph (analytics.reader imports service.store).
+        from repro.analytics.report import kv_table
+        return kv_table(self.summary())
+
+    def unrecorded(self) -> dict:
+        """The counters no journal record moves, by name."""
+        return {spec.name: getattr(self, spec.name) for spec in fields(self)
+                if spec.metadata.get("unrecorded")}
+
+    def to_payload(self) -> dict:
+        """A checkpoint's ``metrics``: every field but
+        ``journal_compactions``, an :class:`Aggregate` as its 4-list."""
+        payload = {name: (value.to_payload() if isinstance(value, Aggregate)
+                          else value)
+                   for name, value in vars(self).items()}
+        del payload["journal_compactions"]
+        return payload
+
+    @classmethod
+    def from_payload(cls, raw: dict) -> "ServiceMetrics":
+        """The metrics a :meth:`to_payload` payload carries."""
+        metrics = cls()
+        for name, default in metrics.to_payload().items():
+            setattr(metrics, name, Aggregate.from_payload(raw[name])
+                    if isinstance(default, list) else int(raw[name]))
+        return metrics
 
 
 #: Record kinds that carry an ``event_id`` and move a queue entry.
@@ -490,10 +576,7 @@ class JournalState:
     flap_counts: dict[str, int] = field(default_factory=dict)
     #: Dead-letter payloads (:meth:`DeadLetter.to_payload`), oldest first.
     dead_letters: list[dict] = field(default_factory=list)
-    #: :data:`COUNTER_FIELDS` then :data:`AGGREGATE_FIELDS`, by name.
-    metrics: dict = field(default_factory=lambda: {
-        **dict.fromkeys(COUNTER_FIELDS, 0),
-        **{name: Aggregate() for name in AGGREGATE_FIELDS}})
+    metrics: ServiceMetrics = field(default_factory=ServiceMetrics)
     #: Benchmark -> node ids its violations flagged: this journal's
     #: share of the selector's coverage table.
     coverage: dict[str, set] = field(default_factory=dict)
@@ -552,27 +635,18 @@ class JournalState:
             if kind == RecordKind.SHARD_HANDOFF:
                 self.handed_off[event_id] = dict(payload)
             elif kind == RecordKind.LOAD_SHED:
-                self.metrics["events_shed"] += 1
+                self.metrics.events_shed += 1
             elif kind == RecordKind.EVENT_DEAD_LETTERED:
                 self.dead_letters.append(payload)
-                self.metrics["events_dead_lettered"] += 1
+                self.metrics.events_dead_lettered += 1
             else:
                 self._apply_completed(payload)
 
     def _apply_completed(self, payload: dict) -> None:
         """One completed event's metrics and coverage."""
-        metrics = self.metrics
-        metrics["events_processed"] += 1
-        metrics["queue_latency"].add(
-            float(payload.get("queue_latency_seconds", 0.0)))
+        self.metrics.count_completed(payload)
         if payload.get("skipped", False):
-            metrics["policy_skips"] += 1
             return
-        metrics["validations_run"] += 1
-        metrics["nodes_validated"] += len(payload.get("validated_nodes", []))
-        metrics["nodes_quarantined"] += len(payload.get("defective", []))
-        metrics["validation"].add(
-            float(payload.get("validation_seconds", 0.0)))
         for benchmark in payload.get("benchmarks_run", []):
             self.coverage.setdefault(benchmark, set())
         for violation in payload.get("violations", []):
@@ -624,9 +698,7 @@ class JournalState:
             "handed_off": [self.handed_off[event_id]
                            for event_id in sorted(self.handed_off)],
             "origins_seen": encode_origins(self.origins_seen),
-            "metrics": {name: (value.to_payload()
-                               if name in AGGREGATE_FIELDS else value)
-                        for name, value in self.metrics.items()},
+            "metrics": self.metrics.to_payload(),
             "pending": pack_entries(pending),
             "coverage": {benchmark: sorted(node_ids)
                          for benchmark, node_ids
@@ -637,7 +709,6 @@ class JournalState:
     @classmethod
     def from_payload(cls, payload: dict) -> "JournalState":
         """The state a :meth:`to_payload` payload carries."""
-        metrics = payload["metrics"]
         criteria = payload["criteria"]
         return cls(
             pending={int(entry["event_id"]): _pending_entry(entry)
@@ -651,10 +722,7 @@ class JournalState:
             flap_counts={node_id: int(count) for node_id, count
                          in payload["flap_counts"].items()},
             dead_letters=list(payload["dead_letters"]),
-            metrics={**{name: int(metrics[name])
-                        for name in COUNTER_FIELDS},
-                     **{name: Aggregate.from_payload(metrics[name])
-                        for name in AGGREGATE_FIELDS}},
+            metrics=ServiceMetrics.from_payload(payload["metrics"]),
             coverage={benchmark: set(node_ids) for benchmark, node_ids
                       in payload["coverage"].items()},
             criteria=None if criteria is None else bytes.fromhex(criteria),

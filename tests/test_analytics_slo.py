@@ -11,12 +11,14 @@ from repro.analytics import (
     EvictionPrecisionReducer,
     MTBIReducer,
     SanitizationReducer,
+    ServiceCountersReducer,
     build_report,
     default_reducers,
     reduce_records,
     render_json,
     render_markdown,
 )
+from repro.service.queue import ServiceMetrics
 from repro.service.store import JournalRecord, RecordKind
 
 
@@ -113,6 +115,40 @@ class TestAvailability:
             "states": {"a": "healthy", "b": "quarantined"}}))
         reducer.consume(completed(2, 1, nodes=["a"]))
         assert reducer.result()["availability_now"] == 0.5
+
+
+class TestServiceCounters:
+    def test_a_checkpoint_restarts_the_counters_it_carries(self):
+        """A compacted journal opens with a checkpoint: the completions
+        it carries count, the records before it being gone."""
+        carried = ServiceMetrics(events_processed=30, validations_run=20,
+                                 policy_skips=10, nodes_validated=40,
+                                 nodes_quarantined=4,
+                                 events_dead_lettered=2)
+        reducer = ServiceCountersReducer()
+        reducer.consume(rec(1, RecordKind.EVENT_ENQUEUED,
+                            {"event": {"kind": "periodic"}}))
+        reducer.consume(completed(2, 1, nodes=["a"]))
+        reducer.consume(rec(3, RecordKind.CHECKPOINT,
+                            {"metrics": carried.to_payload()}))
+        reducer.consume(completed(4, 2, nodes=["a", "b"], defective=["b"]))
+        reducer.consume(rec(5, RecordKind.EVENT_DEAD_LETTERED, {}))
+        result = reducer.result()
+        assert result["events_completed"] == 31
+        assert result["validations_run"] == 21
+        assert result["policy_skips"] == 10
+        assert result["nodes_validated"] == 42
+        assert result["nodes_quarantined"] == 5
+        assert result["events_dead_lettered"] == 3
+        # Records no checkpoint carries stay counts of what was read.
+        assert result["events_enqueued"] == 1
+        assert result["events_by_kind"] == {"periodic": 1}
+
+    def test_a_checkpoint_without_metrics_keeps_the_counts(self):
+        reducer = ServiceCountersReducer()
+        reducer.consume(completed(1, 1, nodes=["a"]))
+        reducer.consume(rec(2, RecordKind.CHECKPOINT, {"states": {}}))
+        assert reducer.result()["events_completed"] == 1
 
 
 class TestEvictionPrecision:
@@ -285,9 +321,13 @@ _PAYLOADS = {
         {"benchmark": _names, "metric": st.just("m"),
          "reason": st.sampled_from(["", "budget"])}, sku=_skus),
     RecordKind.CRITERIA_LEARN: st.just({}),
-    RecordKind.CHECKPOINT: st.fixed_dictionaries({
-        "states": st.dictionaries(_nodes, _states, max_size=4),
-        "dead_letters": st.lists(st.just({}), max_size=3)}),
+    RecordKind.CHECKPOINT: _with(
+        {"states": st.dictionaries(_nodes, _states, max_size=4),
+         "dead_letters": st.lists(st.just({}), max_size=3)},
+        metrics=st.builds(ServiceMetrics, events_processed=_small,
+                          policy_skips=_small, events_dead_lettered=_small,
+                          nodes_validated=_small).map(
+                              ServiceMetrics.to_payload)),
     RecordKind.MEASUREMENT_BATCH: _with(
         {"benchmark": _names, "metric": st.just("m"),
          "windows": st.lists(st.fixed_dictionaries({

@@ -57,11 +57,9 @@ from repro.service import (
 )
 from repro.service import controlplane
 from repro.service import store as store_module
-from repro.service.controlplane import _LIVE_ONLY_FIELDS, ServiceMetrics
+from repro.service.controlplane import ServiceMetrics
 from repro.service.lifecycle import NodeLifecycle, NodeState
 from repro.service.queue import (
-    AGGREGATE_FIELDS,
-    COUNTER_FIELDS,
     Aggregate,
     JournalState,
     as_origin,
@@ -84,6 +82,18 @@ EVERY = 40
 POOL = {"max_workers": 2, "benchmark_timeout_seconds": 2.0,
         "max_attempts": 1, "backoff_base_seconds": 0.0,
         "poll_interval_seconds": 0.005}
+#: The counters a checkpoint carries, and its two aggregates, by name:
+#: the oracle's own list, not the service's.
+COUNTER_FIELDS = (
+    "events_submitted", "events_coalesced", "events_processed",
+    "policy_skips", "validations_run", "nodes_validated",
+    "nodes_quarantined", "tick_failures", "events_dead_lettered",
+    "repair_failures", "events_shed",
+)
+AGGREGATE_FIELDS = ("queue_latency", "validation")
+#: The counters no journal record moves.
+LIVE_ONLY_FIELDS = ("events_submitted", "events_coalesced",
+                    "tick_failures", "repair_failures")
 
 
 # ----------------------------------------------------------------------
@@ -503,7 +513,7 @@ class TestCheckpointIsTheFold:
             service.submit(event)     # pending at the compaction
         shutil.copytree(journal, tmp_path / "history")
         live_only = {name: getattr(service.metrics, name)
-                     for name in _LIVE_ONLY_FIELDS}
+                     for name in LIVE_ONLY_FIELDS}
         service.compact_journal()
         drive(service, make_events(fleet, dataset, 12, seed=6))
         for event in make_events(fleet, dataset, 2, seed=7):
@@ -794,12 +804,11 @@ def journal_states(draw):
                                   else list(info["origin"])),
                        "reason": reason}
                       for event_id, info, reason in letters],
-        metrics={**{name: draw(st.integers(0, 10**9))
-                    for name in COUNTER_FIELDS},
-                 **{name: Aggregate(draw(st.integers(0, 10**6)),
-                                    draw(_FLOATS), draw(_FLOATS),
-                                    draw(_FLOATS))
-                    for name in AGGREGATE_FIELDS}},
+        metrics=ServiceMetrics(
+            **{name: draw(st.integers(0, 10**9)) for name in COUNTER_FIELDS},
+            **{name: Aggregate(draw(st.integers(0, 10**6)), draw(_FLOATS),
+                               draw(_FLOATS), draw(_FLOATS))
+               for name in AGGREGATE_FIELDS}),
         coverage=draw(st.dictionaries(st.sampled_from(SUITE_NAMES),
                                       st.sets(_NODE_IDS))),
         criteria=draw(st.none() | st.binary(min_size=16, max_size=16)))

@@ -87,6 +87,14 @@ class TestCommands:
         assert main(["serve", "--nodes", "8", "--learn-on", "4",
                      "--events", "0"]) == 2
 
+    def test_serve_processes_rejects_incremental_criteria(self, capsys,
+                                                         tmp_path):
+        assert main(["serve", "--nodes", "4", "--learn-on", "2",
+                     "--processes", "--incremental-criteria",
+                     "--journal", str(tmp_path / "j")]) == 2
+        assert "--incremental-criteria" in capsys.readouterr().err
+        assert not (tmp_path / "j").exists()
+
     def test_serve_incremental_criteria(self, capsys, tmp_path):
         journal_dir = tmp_path / "journal"
         code = main(["serve", "--nodes", "8", "--events", "10",

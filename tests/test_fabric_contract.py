@@ -395,6 +395,6 @@ class TestFabricContract:
             f.crash(0)
             shard.ensure_dead()
             dead = shard.queue_state()
-        assert live.metrics["events_processed"] >= 1
+        assert live.metrics.events_processed >= 1
         assert live.coverage and live.criteria is not None
         assert dead.to_payload() == live.to_payload()

@@ -363,6 +363,27 @@ def service_parts():
                  "poll_interval_seconds": 0.005}})
 
 
+class TestDefaultBuilder:
+    def test_builds_the_sku_mix_it_is_given(self):
+        from repro.hardware.fleet import build_fleet
+        from repro.service.procfabric import default_builder
+
+        mix = {"A100": 0.5, "H100": 0.5}
+        _anubis, nodes, _config = default_builder({
+            "fleet_size": 16, "fleet_seed": 3, "sku_mix": mix,
+            "suite": ["ib-loopback"], "learn_on": 2})
+        expected = build_fleet(16, seed=3, sku_mix=mix)
+        assert [node.sku for node in nodes] == [
+            node.sku for node in expected.nodes]
+        assert {node.sku for node in nodes} == {"A100", "H100"}
+
+    def test_unknown_key_is_refused(self):
+        from repro.service.procfabric import default_builder
+
+        with pytest.raises(ServiceError, match="sku_mixx"):
+            default_builder({"fleet_size": 4, "sku_mixx": {"H100": 1.0}})
+
+
 class TestSealAndSync:
     def test_sync_flushes_without_appending(self, tmp_path):
         store = JournalStore(tmp_path / "journal")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.repeatability import criteria_repeatability, pairwise_repeatability
+from repro.core.repeatability import pairwise_repeatability
 from repro.exceptions import InvalidSampleError
 
 
@@ -31,17 +31,3 @@ class TestPairwiseRepeatability:
         value = pairwise_repeatability(samples)
         assert 0.0 <= value <= 1.0
 
-
-class TestCriteriaRepeatability:
-    def test_against_self(self):
-        sample = [10.0, 11.0]
-        assert criteria_repeatability([sample], sample) == pytest.approx(1.0)
-
-    def test_mean_over_samples(self):
-        criteria = [100.0]
-        value = criteria_repeatability([[100.0], [90.0]], criteria)
-        assert value == pytest.approx((1.0 + 0.9) / 2.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidSampleError):
-            criteria_repeatability([], [1.0])
